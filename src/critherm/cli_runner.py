@@ -34,29 +34,26 @@ from .ensemble_spectrum import (
     SensorAssembly,
     default_freq_grid,
     export_spectrum_csv,
+    nv_field_fn,
     sample_ensemble,
-    signal_at,
     signal_temperature_slope,
-    site_transition_pairs,
     synthesize_spectrum,
-    nv_frame,
 )
 from .magnet_model import Magnet, dm_dtemp, solve_magnetization
 from .protocol_sim import (
     calibrate_three_point,
     export_trace_csv,
+    fittable_windows,
+    reference_detuning_ok,
     shot_noise_curve,
+    track_labels,
     track_square_wave,
-    ThreePointConfig,
-    Calibration,
 )
 from .sensitivity import design_sweep, sensitivity_report
 from .spin_model import SpinSystem, domega_dtemp
 
 FORMAT_VERSION = 1
 
-KINDS = ("magnetize", "spectrum", "susceptibility", "sensitivity",
-         "design-sweep", "shot-noise", "track")
 STOCHASTIC_KINDS = ("spectrum", "sensitivity", "design-sweep", "shot-noise",
                     "track")
 
@@ -253,7 +250,7 @@ def resolve(raw: dict) -> dict:
     kind = raw["run"]["kind"]
     if kind not in SCHEMAS:
         raise SchemaError(
-            f"run.kind: unknown kind {kind!r}; valid: {', '.join(KINDS)}")
+            f"run.kind: unknown kind {kind!r}; valid: {', '.join(SCHEMAS)}")
     schema = SCHEMAS[kind]
 
     for section in raw:
@@ -343,6 +340,27 @@ def _cross_checks(kind: str, resolved: dict):
     explicit = [k for k in ("f1_hz", "f2_hz", "f_ref_hz") if k in proto]
     if explicit and len(explicit) != 3:
         raise SchemaError("protocol.f1_hz/f2_hz/f_ref_hz: give all three or none")
+    # non-positive dwell or period and too-short bins stay physics errors
+    if proto.get("dwell_s", 0.0) <= 0.0:
+        return
+    if "window_grid_s" in proto and fittable_windows(
+            proto["window_grid_s"], proto["dwell_s"], proto["total_time_s"]) < 2:
+        raise SchemaError(
+            "protocol.window_grid_s: fewer than two window lengths fit two "
+            "windows into protocol.total_time_s")
+    if ("period_s" in proto and proto["period_s"] > 0.0
+            and proto["bin_s"] >= 3.0 * proto["dwell_s"]):
+        # the labels of a shorter track are a prefix of the full labels, so
+        # three periods settle a long track without labelling every point
+        full = proto["duration_s"]
+        for duration in (min(full, 3.0 * proto["period_s"]), full):
+            if track_labels(proto["low_k"], proto["high_k"], proto["period_s"],
+                            proto["bin_s"], proto["dwell_s"], duration)[2] >= 2:
+                break
+        else:
+            raise SchemaError(
+                "protocol.period_s/bin_s/duration_s: a level gets fewer than "
+                "two data points that do not straddle a switch")
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +489,8 @@ def _header_body(kind, resolved):
 def _run_susceptibility(resolved, out_csv, threads):
     magnet = build_magnet(resolved["magnet"])
     spin = build_spin(resolved["spin"])
-    observer = tuple(resolved["spin"]["nv_position_m"])
-    frame = nv_frame(tuple(resolved["spin"]["nv_axis"]))
-
-    def field_fn(t):
-        b = magnet_model.dipole_field(
-            magnet_model.magnetic_moment(magnet, t), magnet.center, observer,
-            min_distance=magnet.radius)
-        return frame @ b
-
+    field_fn = nv_field_fn(magnet, tuple(resolved["spin"]["nv_position_m"]),
+                           tuple(resolved["spin"]["nv_axis"]))
     temps = _temp_grid(resolved["grids"])
     rows = []
     peak = 0.0
@@ -499,9 +510,10 @@ def _run_sensitivity(resolved, out_csv, threads):
     magnet = build_magnet(resolved["magnet"])
     asm = build_assembly(resolved, magnet)
     temps = _temp_grid(resolved["grids"])
+    sites = sample_ensemble(asm)
     rows = []
     for t in temps:
-        rep = sensitivity_report(asm, float(t))
+        rep = sensitivity_report(asm, float(t), sites=sites)
         rows.append((
             float(t), rep.eta_cw_numeric, rep.eta_cw_lorentzian,
             rep.eta_three_point, rep.inputs["max_dsdt_per_k"],
@@ -546,22 +558,11 @@ def _run_design_sweep(resolved, out_csv, threads):
 
 def _protocol_config(resolved, asm, t0, cal_step: float = 0.01):
     proto = resolved["protocol"]
-    if "f1_hz" not in proto:
-        return calibrate_three_point(asm, t0, proto["dwell_s"], dt_step=cal_step)
-    # explicit probes: linearize around them via the forward model
-    probe = np.array([proto["f1_hz"], proto["f2_hz"], proto["f_ref_hz"]])
-    sites = sample_ensemble(asm)
-    dt = cal_step
-    s_mid = signal_at(asm, t0, probe, sites)
-    s_lo = signal_at(asm, t0 - dt, probe, sites)
-    s_hi = signal_at(asm, t0 + dt, probe, sites)
-    slope = ((s_hi[0] / s_hi[2] - s_hi[1] / s_hi[2])
-             - (s_lo[0] / s_lo[2] - s_lo[1] / s_lo[2])) / (2 * dt)
-    cal = Calibration(t0=t0, s1_0=float(s_mid[0] / s_mid[2]),
-                      s2_0=float(s_mid[1] / s_mid[2]), slope=float(slope))
-    return ThreePointConfig(f1=proto["f1_hz"], f2=proto["f2_hz"],
-                            f_ref=proto["f_ref_hz"], dwell=proto["dwell_s"],
-                            calibration=cal)
+    probes = None
+    if "f1_hz" in proto:
+        probes = (proto["f1_hz"], proto["f2_hz"], proto["f_ref_hz"])
+    return calibrate_three_point(asm, t0, proto["dwell_s"], probes=probes,
+                                 dt_step=cal_step)
 
 
 def _run_shot_noise(resolved, out_csv, threads):
@@ -694,10 +695,7 @@ def validate(scenario_file) -> str:
             if "f_ref_hz" in proto:
                 sites = sample_ensemble(asm)
                 for temp in _operating_temps(resolved):
-                    om, op = site_transition_pairs(asm, temp, sites)
-                    centers = np.concatenate([om, op])
-                    detuning = float(np.min(np.abs(centers - proto["f_ref_hz"])))
-                    if detuning <= 50 * asm.line_width:
+                    if not reference_detuning_ok(asm, proto["f_ref_hz"], temp, sites):
                         raise SchemaError(
                             "protocol.f_ref_hz: reference frequency within 50 "
                             f"linewidths of a resonance at T = {temp} K")

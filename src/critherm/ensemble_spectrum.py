@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .magnet_model import Magnet, dipole_field_many, magnetic_moment
+from .magnet_model import Magnet, dipole_field, dipole_field_many, magnetic_moment
 from .spin_model import SpinSystem, d_of_t, transition_pair_batch
 
 # The four NV symmetry axes (<111> family) in the crystal frame.
@@ -158,9 +158,19 @@ def nv_frame(axis) -> np.ndarray:
     return np.vstack([e1, e2, e3])
 
 
+def nv_field_fn(magnet: Magnet, position, axis):
+    """Temperature -> dipole field of `magnet` at `position`, in the frame of
+    an NV whose symmetry axis is `axis` (tesla)."""
+    frame = nv_frame(axis)
+    return lambda temp: frame @ dipole_field(
+        magnetic_moment(magnet, temp), magnet.center, position,
+        min_distance=magnet.radius)
+
+
 def site_transition_pairs(asm: SensorAssembly, temp: float, sites):
     """(omega_minus, omega_plus) arrays over the given sites at temperature
-    temp, with the magnet's dipole field projected into each NV frame."""
+    temp, with the magnet's dipole field projected into each NV frame.  One
+    frame is built per distinct axis (at most four in a sampled ensemble)."""
     positions = np.array([s.position for s in sites])
     strains = np.array([s.strain_e for s in sites])
     if asm.magnet is not None:
@@ -170,32 +180,33 @@ def site_transition_pairs(asm: SensorAssembly, temp: float, sites):
     else:
         b_lab = np.zeros_like(positions)
     b_lab = b_lab + np.asarray(asm.bias_field)
-    b_nv = np.empty_like(b_lab)
-    for i, s in enumerate(sites):
-        b_nv[i] = nv_frame(s.axis) @ b_lab[i]
+    axes, which = np.unique(np.array([s.axis for s in sites]), axis=0,
+                            return_inverse=True)
+    frames = np.array([nv_frame(a) for a in axes])
+    b_nv = np.einsum("nij,nj->ni", frames[which.reshape(-1)], b_lab)
     d = d_of_t(asm.spin, temp)
     return transition_pair_batch(d, strains, asm.spin.gamma, b_nv)
 
 
-def _accumulate_lorentzians(freqs, centers, fwhm):
-    """Sum of unit-peak Lorentzians over all centers, chunked to bound memory."""
-    half = 0.5 * fwhm
+def _signal(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
+    """1 - weight * (sum of unit-peak Lorentzians centred on every line),
+    accumulated in blocks of lines to bound memory."""
+    centers = np.concatenate([om, op])
+    weight = asm.contrast / centers.size
+    half = 0.5 * asm.line_width
     total = np.zeros_like(freqs)
     for start in range(0, centers.size, _LINE_CHUNK):
         block = centers[start:start + _LINE_CHUNK]
         total += (half ** 2 / ((freqs[None, :] - block[:, None]) ** 2 + half ** 2)).sum(axis=0)
-    return total
+    return 1.0 - weight * total
 
 
 def signal_at(asm: SensorAssembly, temp: float, freqs, sites=None) -> np.ndarray:
     """Normalized ODMR signal S(omega; T) on the given frequency grid."""
     if sites is None:
         sites = sample_ensemble(asm)
-    freqs = np.asarray(freqs, dtype=float)
-    om, op = site_transition_pairs(asm, temp, sites)
-    centers = np.concatenate([om, op])
-    weight = asm.contrast / (2.0 * len(sites))
-    return 1.0 - weight * _accumulate_lorentzians(freqs, centers, asm.line_width)
+    return _signal(asm, np.asarray(freqs, dtype=float),
+                   *site_transition_pairs(asm, temp, sites))
 
 
 def default_freq_grid(asm: SensorAssembly, temp: float, sites=None,
@@ -225,9 +236,7 @@ def synthesize_spectrum(asm: SensorAssembly, temp: float, freqs=None,
         freqs = default_freq_grid(asm, temp, sites)
     freqs = np.asarray(freqs, dtype=float)
     om, op = site_transition_pairs(asm, temp, sites)
-    centers = np.concatenate([om, op])
-    weight = asm.contrast / (2.0 * len(sites))
-    signal = 1.0 - weight * _accumulate_lorentzians(freqs, centers, asm.line_width)
+    signal = _signal(asm, freqs, om, op)
     meta = {
         "temp_k": float(temp),
         "centers_minus_hz": om,

@@ -12,14 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble_spectrum import SensorAssembly, nv_frame
-from .magnet_model import (
-    M_SAT_GD,
-    M_SAT_NI,
-    Magnet,
-    dipole_field,
-    magnetic_moment,
-)
+from .ensemble_spectrum import SensorAssembly
+from .magnet_model import M_SAT_GD, M_SAT_NI, Magnet
 from .spin_model import SpinSystem
 
 
@@ -58,20 +52,6 @@ def gd_bulk_demo() -> GdBulkDemo:
         spin=SpinSystem(),  # bulk diamond: negligible strain
         scan_temps=np.arange(280.0, 291.51, 0.5),
     )
-
-
-def gd_field_fn(demo: GdBulkDemo):
-    """Temperature -> NV-frame field for the Gd demo geometry."""
-    frame = nv_frame(demo.nv_axis)
-
-    def field(temp):
-        b = dipole_field(
-            magnetic_moment(demo.magnet, temp),
-            demo.magnet.center, demo.nv_position,
-            min_distance=demo.magnet.radius)
-        return frame @ b
-
-    return field
 
 
 def cuni_design_assembly(seed: int = 0, x: float = 0.70) -> SensorAssembly:

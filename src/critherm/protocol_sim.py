@@ -81,39 +81,41 @@ class CountRecord:
         return len(self.times)
 
 
-def reference_detuning_ok(asm: SensorAssembly, cfg: ThreePointConfig,
-                          temp: float, sites=None) -> bool:
+def reference_detuning_ok(asm: SensorAssembly, f_ref: float, temp: float,
+                          sites=None) -> bool:
     """True when f_ref sits more than 50 linewidths from every resonance."""
     if sites is None:
         sites = sample_ensemble(asm)
-    om, op = site_transition_pairs(asm, temp, sites)
-    centers = np.concatenate([om, op])
-    return bool(np.min(np.abs(centers - cfg.f_ref))
+    centers = np.concatenate(site_transition_pairs(asm, temp, sites))
+    return bool(np.min(np.abs(centers - f_ref))
                 > _REF_DETUNING_LINEWIDTHS * asm.line_width)
 
 
 def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
-                          freqs=None, dt_step: float = 0.01) -> ThreePointConfig:
-    """Pick the two extreme-slope probe frequencies and an off-resonant
-    reference, then compute the linearization from the forward model."""
+                          probes=None, dt_step: float = 0.01) -> ThreePointConfig:
+    """Linearize the protocol around t0 from the forward model.
+
+    probes is an explicit (f1, f2, f_ref) in Hz; by default the two
+    extreme-slope frequencies and an off-resonant reference are picked.
+    """
     sites = sample_ensemble(asm)
-    if freqs is None:
+    if probes is None:
         freqs = default_freq_grid(asm, t0, sites)
-    slope_grid = signal_temperature_slope(asm, t0, freqs, dt_step, sites)
-    f1 = float(freqs[int(np.argmax(slope_grid))])
-    f2 = float(freqs[int(np.argmin(slope_grid))])
-    om, op = site_transition_pairs(asm, t0, sites)
-    f_ref = float(np.max(op) + 1.2 * _REF_DETUNING_LINEWIDTHS * asm.line_width)
+        slope_grid = signal_temperature_slope(asm, t0, freqs, dt_step, sites)
+        f1 = float(freqs[int(np.argmax(slope_grid))])
+        f2 = float(freqs[int(np.argmin(slope_grid))])
+        om, op = site_transition_pairs(asm, t0, sites)
+        f_ref = float(np.max(op) + 1.2 * _REF_DETUNING_LINEWIDTHS * asm.line_width)
+    else:
+        f1, f2, f_ref = (float(f) for f in probes)
 
     probe = np.array([f1, f2, f_ref])
-    s_lo = signal_at(asm, t0 - dt_step, probe, sites)
-    s_hi = signal_at(asm, t0 + dt_step, probe, sites)
-    s_mid = signal_at(asm, t0, probe, sites)
-    s1_0 = s_mid[0] / s_mid[2]
-    s2_0 = s_mid[1] / s_mid[2]
+    s_lo, s_mid, s_hi = (signal_at(asm, t, probe, sites)
+                         for t in (t0 - dt_step, t0, t0 + dt_step))
     d_lo = s_lo[0] / s_lo[2] - s_lo[1] / s_lo[2]
     d_hi = s_hi[0] / s_hi[2] - s_hi[1] / s_hi[2]
-    cal = Calibration(t0=float(t0), s1_0=float(s1_0), s2_0=float(s2_0),
+    cal = Calibration(t0=float(t0), s1_0=float(s_mid[0] / s_mid[2]),
+                      s2_0=float(s_mid[1] / s_mid[2]),
                       slope=float((d_hi - d_lo) / (2.0 * dt_step)))
     return ThreePointConfig(f1=f1, f2=f2, f_ref=f_ref, dwell=float(dwell),
                             calibration=cal)
@@ -180,14 +182,29 @@ def estimate_temperature(rec: CountRecord, cfg: ThreePointConfig) -> float:
     """
     if len(rec) < 1:
         raise EstimationError("window contains no complete cycle")
-    n1 = float(np.sum(rec.counts_f1))
-    n2 = float(np.sum(rec.counts_f2))
-    nref = float(np.sum(rec.counts_ref))
-    if nref == 0:
-        raise EstimationError("reference channel collected zero counts")
-    cal = cfg.calibration
-    delta = n1 / nref - n2 / nref
-    return cal.t0 + (delta - (cal.s1_0 - cal.s2_0)) / cal.slope
+    return float(window_estimates(rec, cfg, len(rec))[0])
+
+
+def window_layout(window: float, dwell: float, duration: float):
+    """(bins per window, complete windows in `duration`) for a window of
+    `window` seconds snapped to whole protocol cycles of 3 * dwell."""
+    cycle = 3.0 * dwell
+    bpw = max(1, int(round(window / cycle)))
+    return bpw, int(np.floor(duration / cycle)) // bpw
+
+
+def fittable_windows(window_grid, dwell: float, duration: float) -> int:
+    """Number of distinct snapped window lengths that fit at least two
+    windows into `duration`; the shot-noise fit needs two of them."""
+    layouts = (window_layout(w, dwell, duration) for w in window_grid)
+    return len({bpw for bpw, nwin in layouts if nwin >= 2})
+
+
+def window_counts(rec: CountRecord, bins_per_window: int):
+    """(n1, n2, nref) summed over consecutive complete windows."""
+    take = len(rec) // bins_per_window * bins_per_window
+    return [c[:take].reshape(-1, bins_per_window).sum(axis=1)
+            for c in (rec.counts_f1, rec.counts_f2, rec.counts_ref)]
 
 
 def window_estimates(rec: CountRecord, cfg: ThreePointConfig,
@@ -195,13 +212,9 @@ def window_estimates(rec: CountRecord, cfg: ThreePointConfig,
     """Per-window estimates over consecutive complete windows (vectorized)."""
     if bins_per_window < 1:
         raise DomainError("bins_per_window must be >= 1")
-    nwin = len(rec) // bins_per_window
-    if nwin == 0:
+    n1, n2, nref = window_counts(rec, bins_per_window)
+    if nref.size == 0:
         raise EstimationError("record shorter than one window")
-    take = nwin * bins_per_window
-    n1 = rec.counts_f1[:take].reshape(nwin, bins_per_window).sum(axis=1)
-    n2 = rec.counts_f2[:take].reshape(nwin, bins_per_window).sum(axis=1)
-    nref = rec.counts_ref[:take].reshape(nwin, bins_per_window).sum(axis=1).astype(float)
     if np.any(nref == 0):
         raise EstimationError("reference channel collected zero counts in a window")
     cal = cfg.calibration
@@ -234,6 +247,9 @@ def shot_noise_curve(asm: SensorAssembly, cfg: ThreePointConfig,
     snap to whole protocol cycles.  Also reports the fitted sensitivity
     eta = delta_T sqrt(dt) and the log-log slope (-0.5 for pure shot noise).
     """
+    if fittable_windows(window_grid, cfg.dwell, total_time) < 2:
+        raise EstimationError(
+            "fewer than two window lengths fit two windows into the record")
     if temp_trace is None:
         t0 = cfg.calibration.t0
         temp_trace = lambda t: t0
@@ -241,18 +257,10 @@ def shot_noise_curve(asm: SensorAssembly, cfg: ThreePointConfig,
                           trace_resolution)
     rows = []
     for window in window_grid:
-        bpw = max(1, int(round(window / cfg.bin_duration)))
-        nwin = len(rec) // bpw
-        if nwin < 2:
-            rows.append(ShotNoiseRow(bpw * cfg.bin_duration, np.nan, nwin, True))
-            continue
-        est = window_estimates(rec, cfg, bpw)
-        rows.append(ShotNoiseRow(
-            window_s=bpw * cfg.bin_duration,
-            delta_t_k=float(np.std(est, ddof=1)),
-            n_windows=nwin,
-            flagged=nwin < 10,
-        ))
+        bpw, nwin = window_layout(window, cfg.dwell, total_time)
+        delta = np.std(window_estimates(rec, cfg, bpw), ddof=1) if nwin >= 2 else np.nan
+        rows.append(ShotNoiseRow(bpw * cfg.bin_duration, float(delta), nwin,
+                                 flagged=nwin < 10))
     good = [r for r in rows if np.isfinite(r.delta_t_k)]
     logw = np.log([r.window_s for r in good])
     logd = np.log([r.delta_t_k for r in good])
@@ -289,6 +297,26 @@ def square_wave_trace(low: float, high: float, period: float):
     return trace
 
 
+def track_labels(low: float, high: float, period: float, bin: float,
+                 dwell: float, duration: float):
+    """True mid-point temperatures and 'high'/'low'/'mixed' labels of the
+    data points of a square-wave track, plus the fewest unmixed points of
+    either level (level statistics need two); a point is 'mixed' when its
+    span straddles a level switch."""
+
+    def level(t):  # square_wave_trace over an array of times
+        return np.where(t % period < 0.5 * period, high, low)
+
+    bpw, npts = window_layout(bin, dwell, duration)
+    cycle = 3.0 * dwell
+    point_times = np.arange(npts) * bpw * cycle   # every bpw-th bin start
+    span = bpw * cycle
+    t_true = level(point_times + 0.5 * span)
+    switched = level(point_times) != level(point_times + span * 0.999)
+    labels = np.where(switched, "mixed", np.where(t_true == high, "high", "low"))
+    return t_true, labels, min(int(np.sum(labels == lab)) for lab in ("high", "low"))
+
+
 @dataclass(frozen=True)
 class TrackResult:
     record: CountRecord
@@ -301,6 +329,7 @@ class TrackResult:
     separation_sigma: float
     period_means: dict        # label -> per-period means
     max_period_spread: float  # K, worst inter-period mean difference
+    bins_per_point: int       # record bins summed into each point
 
 
 def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
@@ -314,29 +343,23 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
     """
     if bin < cfg.bin_duration:
         raise DomainError("tracking bin shorter than one protocol cycle")
-    trace = square_wave_trace(low, high, period)
-    rec = simulate_counts(asm, cfg, trace, duration, seed)
-    bpw = int(round(bin / cfg.bin_duration))
-    npts = len(rec) // bpw
+    rec = simulate_counts(asm, cfg, square_wave_trace(low, high, period),
+                          duration, seed)
+    t_true, labels, fewest = track_labels(low, high, period, bin, cfg.dwell,
+                                          duration)
+    if fewest < 2:
+        raise EstimationError(
+            "a level has fewer than two unmixed points: lengthen period or "
+            "shorten bin")
+    bpw, npts = window_layout(bin, cfg.dwell, duration)
     est = window_estimates(rec, cfg, bpw)
     point_times = rec.times[::bpw][:npts]
-    span = bpw * cfg.bin_duration
-
-    labels = []
-    t_true = []
-    for t_start in point_times:
-        t_a, t_b = trace(t_start), trace(t_start + span * 0.999)
-        mid = trace(t_start + 0.5 * span)
-        t_true.append(mid)
-        labels.append("mixed" if t_a != t_b else ("high" if mid == high else "low"))
-    labels = np.array(labels)
-    t_true = np.array(t_true)
 
     level_means, level_stds, period_means = {}, {}, {}
-    for lab, level in (("high", high), ("low", low)):
+    for lab in ("high", "low"):
         sel = labels == lab
-        level_means[lab] = float(np.mean(est[sel])) if np.any(sel) else np.nan
-        level_stds[lab] = float(np.std(est[sel], ddof=1)) if np.sum(sel) > 1 else np.nan
+        level_means[lab] = float(np.mean(est[sel]))
+        level_stds[lab] = float(np.std(est[sel], ddof=1))
         period_idx = np.floor(point_times[sel] / period).astype(int)
         period_means[lab] = {
             int(p): float(np.mean(est[sel][period_idx == p]))
@@ -359,6 +382,7 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
         separation_sigma=float(separation),
         period_means=period_means,
         max_period_spread=float(max(spreads)) if spreads else np.nan,
+        bins_per_point=bpw,
     )
 
 
@@ -368,12 +392,7 @@ def export_trace_csv(result: TrackResult, cfg: ThreePointConfig, path,
 
     Counts are summed over the record bins inside each reported point.
     """
-    rec = result.record
-    bpw = len(rec) // len(result.t_hat)
-    take = bpw * len(result.t_hat)
-    c1 = rec.counts_f1[:take].reshape(-1, bpw).sum(axis=1)
-    c2 = rec.counts_f2[:take].reshape(-1, bpw).sum(axis=1)
-    cr = rec.counts_ref[:take].reshape(-1, bpw).sum(axis=1)
+    c1, c2, cr = window_counts(result.record, result.bins_per_point)
     lines = ["# critherm tracking trace, format_version 1"]
     lines += [f"# {h}" for h in header_lines]
     lines.append(f"# dwell_s = {cfg.dwell!r}")

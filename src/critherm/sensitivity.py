@@ -27,12 +27,12 @@ from .magnet_model import M_SAT_NI, Magnet, curie_temperature
 from .ensemble_spectrum import (
     SensorAssembly,
     default_freq_grid,
+    nv_field_fn,
     sample_ensemble,
     signal_temperature_slope,
     synthesize_spectrum,
 )
 from .spin_model import domega_dtemp
-from . import magnet_model, ensemble_spectrum
 
 LORENTZIAN_SLOPE_FACTOR = 4.0 / (3.0 * np.sqrt(3.0))
 THREE_POINT_FACTOR = np.sqrt(1.5)
@@ -135,35 +135,26 @@ class SensitivityReport:
         return cls(**json.loads(text))
 
 
-def representative_domega_dt(asm: SensorAssembly, temp: float,
-                             dt_step: float = 1e-3) -> float:
+def representative_domega_dt(asm: SensorAssembly, temp: float) -> float:
     """|dw/dT| of a reference NV at the FND centre with its axis along the
     magnet easy axis (the best-coupled orientation); bare-NV slope when there
     is no magnet."""
     if asm.magnet is None:
         return abs(asm.spin.dd_dt)
-    frame = ensemble_spectrum.nv_frame(asm.magnet.easy_axis)
-
-    def field_fn(t):
-        b = magnet_model.dipole_field(
-            magnet_model.magnetic_moment(asm.magnet, t),
-            asm.magnet.center, asm.fnd_center,
-            min_distance=asm.magnet.radius)
-        return frame @ b
-
+    field_fn = nv_field_fn(asm.magnet, asm.fnd_center, asm.magnet.easy_axis)
     sys = replace(asm.spin, strain_e=asm.strain_mean)
-    dm, dp = domega_dtemp(sys, field_fn, temp, dt_step)
+    dm, dp = domega_dtemp(sys, field_fn, temp)
     return max(abs(dm), abs(dp))
 
 
-def sensitivity_report(asm: SensorAssembly, temp: float, freqs=None,
-                       dt_step: float = 0.01, t2_star: float = None,
-                       tau: float = None) -> SensitivityReport:
-    """Evaluate all estimators for one assembly and temperature."""
-    sites = sample_ensemble(asm)
-    if freqs is None:
-        freqs = default_freq_grid(asm, temp, sites)
-    slope = signal_temperature_slope(asm, temp, freqs, dt_step, sites)
+def sensitivity_report(asm: SensorAssembly, temp: float, t2_star: float = None,
+                       tau: float = None, sites=None) -> SensitivityReport:
+    """Evaluate all estimators for one assembly and temperature; pass the
+    same `sites` at several temperatures to sample the ensemble once."""
+    if sites is None:
+        sites = sample_ensemble(asm)
+    freqs = default_freq_grid(asm, temp, sites)
+    slope = signal_temperature_slope(asm, temp, freqs, sites=sites)
     spec = synthesize_spectrum(asm, temp, freqs, sites)
     eta_num = eta_cw_numeric(slope, asm.photon_rate)
     dom = representative_domega_dt(asm, temp)

@@ -8,14 +8,13 @@ import numpy as np
 
 import critherm as ct
 from critherm.cli_runner import replay_manifest, run
-from critherm.ensemble_spectrum import SensorAssembly
+from critherm.ensemble_spectrum import SensorAssembly, nv_field_fn
 from critherm.magnet_model import Magnet, curie_temperature, solve_magnetization
 from critherm.presets import (
     PILLAR_CONTRAST,
     cuni_design_assembly,
     cuni_tracking_assembly,
     gd_bulk_demo,
-    gd_field_fn,
 )
 from critherm.protocol_sim import (
     calibrate_three_point,
@@ -51,7 +50,7 @@ def test_criterion_02_curie_composition():
 def test_criterion_03_gd_enhancement_factor():
     start = time.time()
     demo = gd_bulk_demo()
-    field_fn = gd_field_fn(demo)
+    field_fn = nv_field_fn(demo.magnet, demo.nv_position, demo.nv_axis)
     peak = 0.0
     for temp in demo.scan_temps:
         dm, dp = domega_dtemp(demo.spin, field_fn, float(temp))

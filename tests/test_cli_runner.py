@@ -101,6 +101,31 @@ temp_step_k = 2.0
 """
 
 
+SHOT_NOISE_NO_WINDOW = """\
+[run]
+kind = shot-noise
+seed = 9
+
+[magnet]
+material = cuni74_milled
+radius_m = 100e-9
+
+[assembly]
+n_nv = 60
+
+[grids]
+temp_k = 339.0
+
+[protocol]
+dwell_s = 0.005
+total_time_s = 1.0
+window_grid_s = 0.6 1.2
+"""
+
+# every 60 ms point straddles a switch of the 0.1 s square wave
+TRACK_ALL_MIXED = TRACK.replace("period_s = 4.8", "period_s = 0.1")
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -177,6 +202,31 @@ class TestValidate:
         with pytest.raises(GeometryError, match="overlap"):
             validate(p)
 
+    def test_no_fittable_shot_noise_window(self, tmp_path):
+        p = write(tmp_path, "nowin.cfg", SHOT_NOISE_NO_WINDOW)
+        with pytest.raises(SchemaError, match="window_grid_s"):
+            validate(p)
+        grid = SHOT_NOISE_NO_WINDOW.replace("0.6 1.2", "0.06 0.3")
+        assert validate(write(tmp_path, "twowin.cfg", grid)).endswith("ok")
+
+    def test_track_level_without_unmixed_points(self, tmp_path):
+        with pytest.raises(SchemaError, match="period_s"):
+            validate(write(tmp_path, "mixed.cfg", TRACK_ALL_MIXED))
+        # 0.25 s period: eight 60 ms points leave two unmixed low points,
+        # seven leave one
+        two = TRACK.replace("period_s = 4.8", "period_s = 0.25").replace(
+            "duration_s = 9.6", "duration_s = 0.49")
+        p = write(tmp_path, "two.cfg", two)
+        assert validate(p).endswith("ok")
+        run(p, out_dir=tmp_path / "out")
+        one = two.replace("duration_s = 0.49", "duration_s = 0.46")
+        with pytest.raises(SchemaError, match="period_s"):
+            validate(write(tmp_path, "one.cfg", one))
+        # 0.13 s period: three periods hold no unmixed low point, the whole
+        # 9.6 s track holds five
+        rare = TRACK.replace("period_s = 4.8", "period_s = 0.13")
+        assert validate(write(tmp_path, "rare.cfg", rare)).endswith("ok")
+
     def test_reference_detuning_checked(self, tmp_path):
         text = TRACK.replace("dwell_s = 0.005",
                              "dwell_s = 0.005\nf1_hz = 2.87e9\nf2_hz = 2.868e9\nf_ref_hz = 2.875e9")
@@ -250,6 +300,23 @@ class TestRun:
         manifest = json.loads(manifest_path.read_text())
         assert "separation_sigma" in manifest["results"]
 
+    def test_explicit_probes_match_auto(self, tmp_path):
+        auto_csv, auto_manifest = run(write(tmp_path, "auto.cfg", TRACK),
+                                      out_dir=tmp_path / "auto")
+        auto = json.loads(auto_manifest.read_text())["results"]
+        f1, f2, f_ref = auto["probes_hz"]
+        text = TRACK.replace("dwell_s = 0.005", f"dwell_s = 0.005\nf1_hz = {f1!r}"
+                             f"\nf2_hz = {f2!r}\nf_ref_hz = {f_ref!r}")
+        csv_path, manifest_path = run(write(tmp_path, "explicit.cfg", text),
+                                      out_dir=tmp_path / "explicit")
+
+        def data_rows(path):
+            return [l for l in path.read_text().splitlines()
+                    if not l.startswith("#")]
+
+        assert data_rows(csv_path) == data_rows(auto_csv)
+        assert json.loads(manifest_path.read_text())["results"] == auto
+
 
 class TestShippedScenarios:
     def test_all_examples_validate(self):
@@ -287,6 +354,17 @@ class TestMainExitCodes:
         p = write(tmp_path, "mag.cfg", MAGNETIZE)
         assert main(["validate", str(p)]) == 0
         assert capsys.readouterr().out.strip().endswith("ok")
+
+    @pytest.mark.parametrize("text", [SHOT_NOISE_NO_WINDOW, TRACK_ALL_MIXED],
+                             ids=["shot-noise-no-window", "track-all-mixed"])
+    def test_unusable_protocol_exit_2(self, tmp_path, capsys, text):
+        p = write(tmp_path, "bad.cfg", text)
+        assert main(["validate", str(p)]) == 2
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("schema error: protocol.") == 2
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_never_writes(self, tmp_path):
         p = write(tmp_path, "mag.cfg", MAGNETIZE)

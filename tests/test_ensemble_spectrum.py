@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,17 @@ from critherm.ensemble_spectrum import (
     absorption_second_moment,
     default_freq_grid,
     measure_fwhm,
+    nv_frame,
     sample_ensemble,
     signal_at,
     signal_temperature_slope,
+    site_transition_pairs,
     synthesize_spectrum,
 )
 from critherm.errors import DomainError, GeometryError
-from critherm.magnet_model import Magnet
-from critherm.presets import cuni_design_assembly
-from critherm.spin_model import SpinSystem
+from critherm.magnet_model import Magnet, dipole_field, magnetic_moment
+from critherm.presets import cuni_design_assembly, cuni_tracking_assembly
+from critherm.spin_model import SpinSystem, transition_frequencies
 
 D0 = 2.87e9
 
@@ -71,6 +75,34 @@ class TestSampleEnsemble:
         expected = TETRAHEDRAL_AXES @ np.asarray(rot).T
         for s in sample_ensemble(asm):
             assert np.min(np.linalg.norm(expected - np.asarray(s.axis), axis=1)) < 1e-12
+
+
+class TestFrameProjection:
+    def test_per_axis_projection_matches_single_nv_oracle(self):
+        # rotated crystal (all four lab-frame axes distinct from the <111>
+        # set) plus a uniform bias field on top of the dipole field
+        axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+        k = np.array([[0.0, -axis[2], axis[1]],
+                      [axis[2], 0.0, -axis[0]],
+                      [-axis[1], axis[0], 0.0]])
+        rot = np.eye(3) + np.sin(0.7) * k + (1.0 - np.cos(0.7)) * k @ k
+        asm = replace(cuni_tracking_assembly(seed=3), n_nv=120,
+                      crystal_orientation=tuple(map(tuple, rot)),
+                      bias_field=(1.0e-3, -2.0e-3, 1.5e-3))
+        temp = 336.0
+        sites = sample_ensemble(asm)
+        assert len({s.axis for s in sites}) == 4
+        om, op = site_transition_pairs(asm, temp, sites)
+        moment = magnetic_moment(asm.magnet, temp)
+        for i, site in enumerate(sites):
+            b_lab = dipole_field(moment, asm.magnet.center, site.position,
+                                 min_distance=asm.magnet.radius)
+            b_lab = b_lab + np.asarray(asm.bias_field)
+            spin = replace(asm.spin, strain_e=site.strain_e)
+            ref = transition_frequencies(
+                spin.with_field(nv_frame(site.axis) @ b_lab), temp)
+            assert om[i] == pytest.approx(ref.omega_minus, rel=1e-12)
+            assert op[i] == pytest.approx(ref.omega_plus, rel=1e-12)
 
 
 class TestAssemblyInvariants:

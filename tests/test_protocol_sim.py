@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,14 @@ from critherm.protocol_sim import (
     ThreePointConfig,
     calibrate_three_point,
     estimate_temperature,
+    export_trace_csv,
     expected_counts,
     reference_detuning_ok,
     shot_noise_curve,
     simulate_counts,
+    square_wave_trace,
     three_point_penalty,
+    track_labels,
     track_square_wave,
     window_estimates,
 )
@@ -46,7 +51,7 @@ class TestCalibration:
         d = 2.87e9
         assert cfg.f1 - d == pytest.approx(-(cfg.f2 - d), rel=0.05)
         assert abs(cfg.f1 - d) == pytest.approx(8e6 / (2 * np.sqrt(3)), rel=0.05)
-        assert reference_detuning_ok(asm, cfg, T0)
+        assert reference_detuning_ok(asm, cfg.f_ref, T0)
         assert cfg.calibration.slope != 0.0
 
     def test_zero_slope_rejected(self):
@@ -210,6 +215,15 @@ class TestShotNoise:
         assert not res.rows[0].flagged
         assert res.rows[1].flagged
 
+    @pytest.mark.parametrize("grid", [[0.6, 1.2], [0.06, 1.2], [0.06, 0.065]])
+    def test_fewer_than_two_fittable_windows_raises(self, grid):
+        # 66 cycles in 1 s: 0.6 s fits one window, 1.2 s none, and 0.06 s
+        # and 0.065 s snap to the same 4-cycle window
+        asm = single_lorentzian_assembly()
+        cfg = calibrate_three_point(asm, T0, dwell=0.005)
+        with pytest.raises(EstimationError, match="window"):
+            shot_noise_curve(asm, cfg, total_time=1.0, window_grid=grid, seed=2)
+
 
 class TestThreePointPenalty:
     def test_sqrt_1_5_at_ideal_placement(self):
@@ -278,6 +292,41 @@ class TestTrackSquareWave:
                      + res.level_stds["low"] ** 2 / n_lo)
         diff = abs(res.level_means["high"] - res.level_means["low"])
         assert diff < 3 * se
+
+    def test_all_points_mixed_raises(self):
+        # bin 0.06 s spans more than half of a 0.1 s period: every point
+        # straddles a switch, so no level statistic exists
+        asm = cuni_tracking_assembly(seed=1)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
+        with pytest.raises(EstimationError, match="unmixed"):
+            track_square_wave(asm, cfg, 335.4, 336.9, period=0.1, bin=0.06,
+                              duration=9.6, seed=1)
+
+    def test_labels_match_square_wave_trace(self):
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
+        res = track_square_wave(asm, cfg, 335.4, 336.9, period=0.9, bin=0.06,
+                                duration=3.0, seed=2)
+        t_true, labels, fewest = track_labels(335.4, 336.9, 0.9, 0.06, 0.005, 3.0)
+        trace = square_wave_trace(335.4, 336.9, 0.9)
+        assert list(res.t_true) == [trace(t + 0.03) for t in res.point_times]
+        assert np.array_equal(res.t_true, t_true)
+        assert list(res.labels) == list(labels)
+        assert {"high", "low", "mixed"} == set(labels)
+        assert fewest == min(np.sum(labels == "high"), np.sum(labels == "low"))
+
+    def test_csv_counts_sum_each_points_bins(self, tmp_path):
+        # 29 bins of 15 ms hold four 6-bin points plus 5 spare bins
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
+        res = track_square_wave(asm, cfg, 335.4, 336.9, period=0.36, bin=0.09,
+                                duration=0.44, seed=3)
+        assert (len(res.record), len(res.t_hat), res.bins_per_point) == (29, 4, 6)
+        path = tmp_path / "trace.csv"
+        export_trace_csv(res, cfg, path)
+        rows = np.loadtxt(path, delimiter=",", skiprows=3)
+        assert rows[:, 1].sum() == res.record.counts_f1[:24].sum()
+        assert rows[:, 3].sum() == res.record.counts_ref[:24].sum()
 
     def test_bin_shorter_than_cycle_rejected(self):
         asm = cuni_tracking_assembly(seed=1)
