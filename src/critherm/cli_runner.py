@@ -556,13 +556,13 @@ def _run_design_sweep(resolved, out_csv, threads):
     return summary
 
 
-def _protocol_config(resolved, asm, t0, cal_step: float = 0.01):
+def _protocol_config(resolved, asm, t0, sites, cal_step: float = 0.01):
     proto = resolved["protocol"]
     probes = None
     if "f1_hz" in proto:
         probes = (proto["f1_hz"], proto["f2_hz"], proto["f_ref_hz"])
     return calibrate_three_point(asm, t0, proto["dwell_s"], probes=probes,
-                                 dt_step=cal_step)
+                                 dt_step=cal_step, sites=sites)
 
 
 def _run_shot_noise(resolved, out_csv, threads):
@@ -570,7 +570,8 @@ def _run_shot_noise(resolved, out_csv, threads):
     asm = build_assembly(resolved, magnet)
     proto = resolved["protocol"]
     t0 = resolved["grids"]["temp_k"]
-    cfg = _protocol_config(resolved, asm, t0)
+    sites = sample_ensemble(asm)
+    cfg = _protocol_config(resolved, asm, t0, sites)
     temp_trace = None
     resolution = None
     if "floor_rms_k" in proto:
@@ -581,7 +582,7 @@ def _run_shot_noise(resolved, out_csv, threads):
                               proto["window_grid_s"],
                               seed=resolved["run"]["seed"],
                               temp_trace=temp_trace,
-                              trace_resolution=resolution)
+                              trace_resolution=resolution, sites=sites)
     extra = [f"eta_fit_k_per_sqrthz = {result.eta_fit!r}",
              f"loglog_slope = {result.loglog_slope!r}"]
     rows = [(r.window_s, r.delta_t_k, r.n_windows, int(r.flagged))
@@ -601,11 +602,13 @@ def _run_track(resolved, out_csv, threads):
     # linearize across the full drive span: a secant through the two levels
     # keeps the recovered swing unattenuated by lineshape curvature
     cal_step = 0.5 * (proto["high_k"] - proto["low_k"])
-    cfg = _protocol_config(resolved, asm, t0, cal_step)
+    sites = sample_ensemble(asm)
+    cfg = _protocol_config(resolved, asm, t0, sites, cal_step)
     result = track_square_wave(
         asm, cfg, low=proto["low_k"], high=proto["high_k"],
         period=proto["period_s"], bin=proto["bin_s"],
-        duration=proto["duration_s"], seed=resolved["run"]["seed"])
+        duration=proto["duration_s"], seed=resolved["run"]["seed"],
+        sites=sites)
     export_trace_csv(result, cfg, out_csv,
                      header_lines=_header_body("track", resolved))
     return {

@@ -34,6 +34,7 @@ from .sensitivity import eta_cw_numeric
 
 _REF_DETUNING_LINEWIDTHS = 50.0
 _LAMBDA_GUARD = 1e12  # counts per bin; anything above this is a config bug
+_CSV_CHUNK_ROWS = 8192  # trace CSV rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -92,13 +93,15 @@ def reference_detuning_ok(asm: SensorAssembly, f_ref: float, temp: float,
 
 
 def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
-                          probes=None, dt_step: float = 0.01) -> ThreePointConfig:
+                          probes=None, dt_step: float = 0.01,
+                          sites=None) -> ThreePointConfig:
     """Linearize the protocol around t0 from the forward model.
 
     probes is an explicit (f1, f2, f_ref) in Hz; by default the two
     extreme-slope frequencies and an off-resonant reference are picked.
     """
-    sites = sample_ensemble(asm)
+    if sites is None:
+        sites = sample_ensemble(asm)
     if probes is None:
         freqs = default_freq_grid(asm, t0, sites)
         slope_grid = signal_temperature_slope(asm, t0, freqs, dt_step, sites)
@@ -125,13 +128,15 @@ def expected_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
                     duration: float, sites=None, trace_resolution: float = None):
     """Noiseless per-bin expected counts (lambda_i) for each channel.
 
-    temp_trace maps time (s) to true temperature (K) and is evaluated at
-    each bin midpoint; S is cached per distinct temperature so constant and
-    square-wave traces cost only a handful of spectrum evaluations.  For
-    smooth traces pass trace_resolution (K) to snap temperatures to that
-    grid before the cache lookup: 0.1 mK structure is far below anything a
-    single protocol bin can resolve, and the snap keeps the evaluation count
-    bounded.
+    temp_trace maps time (s) to true temperature (K).  It is called once,
+    with the array of bin midpoints, and must return an array of that shape
+    or a scalar that broadcasts to it (a constant trace); a scalar-only
+    callable such as `lambda t: a if t < 5 else b` does not work.  S is
+    evaluated once per distinct temperature, so constant and square-wave
+    traces cost only a handful of spectrum evaluations.  For smooth traces
+    pass trace_resolution (K) to snap temperatures to that grid first:
+    0.1 mK structure is far below anything a single protocol bin can
+    resolve, and the snap keeps the evaluation count bounded.
     """
     if sites is None:
         sites = sample_ensemble(asm)
@@ -139,27 +144,29 @@ def expected_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
     if nbins < 1:
         raise DomainError("duration shorter than one protocol cycle")
     times = np.arange(nbins) * cfg.bin_duration
-    temps = np.array([float(temp_trace(t + 0.5 * cfg.bin_duration))
-                      for t in times])
+    temps = np.array(np.broadcast_to(
+        temp_trace(times + 0.5 * cfg.bin_duration), times.shape), dtype=float)
     keys = temps if trace_resolution is None \
         else np.round(temps / trace_resolution) * trace_resolution
+    distinct, inv = np.unique(keys, return_inverse=True)
     probe = np.array([cfg.f1, cfg.f2, cfg.f_ref])
-    cache = {}
-    lam = np.empty((nbins, 3))
-    for i, t in enumerate(keys):
-        if t not in cache:
-            cache[t] = asm.photon_rate * cfg.dwell * signal_at(asm, t, probe, sites)
-        lam[i] = cache[t]
-    if np.any(lam > _LAMBDA_GUARD):
+    table = np.array([asm.photon_rate * cfg.dwell * signal_at(asm, t, probe, sites)
+                      for t in distinct])
+    if np.any(table > _LAMBDA_GUARD):
         raise DomainError("expected counts per bin exceed the overflow guard")
-    return times, lam, temps
+    return times, table[inv], temps
 
 
 def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
-                    duration: float, seed: int,
-                    trace_resolution: float = None) -> CountRecord:
-    """Poisson-sampled three-channel count record; deterministic under seed."""
-    sites = sample_ensemble(asm)
+                    duration: float, seed: int, trace_resolution: float = None,
+                    sites=None) -> CountRecord:
+    """Poisson-sampled three-channel count record; deterministic under seed.
+
+    temp_trace is called once with the array of bin midpoints, as in
+    expected_counts.
+    """
+    if sites is None:
+        sites = sample_ensemble(asm)
     times, lam, temps = expected_counts(asm, cfg, temp_trace, duration, sites,
                                         trace_resolution)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -239,13 +246,16 @@ class ShotNoiseResult:
 
 def shot_noise_curve(asm: SensorAssembly, cfg: ThreePointConfig,
                      total_time: float, window_grid, seed: int,
-                     temp_trace=None, trace_resolution: float = None) -> ShotNoiseResult:
+                     temp_trace=None, trace_resolution: float = None,
+                     sites=None) -> ShotNoiseResult:
     """Standard deviation of the estimated temperature versus window length.
 
     One long record at (by default) constant calibration temperature is cut
     into non-overlapping windows of each requested length; window lengths
-    snap to whole protocol cycles.  Also reports the fitted sensitivity
-    eta = delta_T sqrt(dt) and the log-log slope (-0.5 for pure shot noise).
+    snap to whole protocol cycles.  A given temp_trace is called once with
+    the array of bin midpoints, as in expected_counts.  Also reports the
+    fitted sensitivity eta = delta_T sqrt(dt) and the log-log slope (-0.5
+    for pure shot noise).
     """
     if fittable_windows(window_grid, cfg.dwell, total_time) < 2:
         raise EstimationError(
@@ -254,7 +264,7 @@ def shot_noise_curve(asm: SensorAssembly, cfg: ThreePointConfig,
         t0 = cfg.calibration.t0
         temp_trace = lambda t: t0
     rec = simulate_counts(asm, cfg, temp_trace, total_time, seed,
-                          trace_resolution)
+                          trace_resolution, sites)
     rows = []
     for window in window_grid:
         bpw, nwin = window_layout(window, cfg.dwell, total_time)
@@ -271,28 +281,31 @@ def shot_noise_curve(asm: SensorAssembly, cfg: ThreePointConfig,
 
 
 def three_point_penalty(asm: SensorAssembly, cfg: ThreePointConfig, seed: int,
-                        n_windows: int = 2000, cycles_per_window: int = 50) -> float:
+                        n_windows: int = 2000, cycles_per_window: int = 50,
+                        sites=None) -> float:
     """Monte-Carlo eta of the three-point protocol over the ideal CW bound
     eta_cw_numeric, at the same photon rate and temperature."""
+    if sites is None:
+        sites = sample_ensemble(asm)
     t0 = cfg.calibration.t0
     total = n_windows * cycles_per_window * cfg.bin_duration
-    rec = simulate_counts(asm, cfg, lambda t: t0, total, seed)
+    rec = simulate_counts(asm, cfg, lambda t: t0, total, seed, sites=sites)
     est = window_estimates(rec, cfg, cycles_per_window)
     eta_mc = float(np.std(est, ddof=1)
                    * np.sqrt(cycles_per_window * cfg.bin_duration))
-    sites = sample_ensemble(asm)
     freqs = default_freq_grid(asm, t0, sites)
     slope = signal_temperature_slope(asm, t0, freqs, sites=sites)
     return eta_mc / eta_cw_numeric(slope, asm.photon_rate)
 
 
 def square_wave_trace(low: float, high: float, period: float):
-    """T(t) alternating high (first half-period) then low."""
+    """T(t) alternating high (first half-period) then low; t may be an
+    array."""
     if period <= 0:
         raise DomainError(f"period must be positive, got {period}")
 
     def trace(t):
-        return high if (t % period) < 0.5 * period else low
+        return np.where(t % period < 0.5 * period, high, low)
 
     return trace
 
@@ -303,10 +316,7 @@ def track_labels(low: float, high: float, period: float, bin: float,
     data points of a square-wave track, plus the fewest unmixed points of
     either level (level statistics need two); a point is 'mixed' when its
     span straddles a level switch."""
-
-    def level(t):  # square_wave_trace over an array of times
-        return np.where(t % period < 0.5 * period, high, low)
-
+    level = square_wave_trace(low, high, period)
     bpw, npts = window_layout(bin, dwell, duration)
     cycle = 3.0 * dwell
     point_times = np.arange(npts) * bpw * cycle   # every bpw-th bin start
@@ -334,7 +344,7 @@ class TrackResult:
 
 def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
                       high: float, period: float, bin: float, duration: float,
-                      seed: int) -> TrackResult:
+                      seed: int, sites=None) -> TrackResult:
     """Real-time tracking of a square-wave temperature drive.
 
     Bins of `bin` seconds (>= one protocol cycle each) are estimated
@@ -344,7 +354,7 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
     if bin < cfg.bin_duration:
         raise DomainError("tracking bin shorter than one protocol cycle")
     rec = simulate_counts(asm, cfg, square_wave_trace(low, high, period),
-                          duration, seed)
+                          duration, seed, sites=sites)
     t_true, labels, fewest = track_labels(low, high, period, bin, cfg.dwell,
                                           duration)
     if fewest < 2:
@@ -358,12 +368,16 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
     level_means, level_stds, period_means = {}, {}, {}
     for lab in ("high", "low"):
         sel = labels == lab
-        level_means[lab] = float(np.mean(est[sel]))
-        level_stds[lab] = float(np.std(est[sel], ddof=1))
+        level_est = est[sel]
+        level_means[lab] = float(np.mean(level_est))
+        level_stds[lab] = float(np.std(level_est, ddof=1))
+        # period_idx never decreases along the points: each period is a run
         period_idx = np.floor(point_times[sel] / period).astype(int)
+        starts = np.flatnonzero(np.diff(period_idx)) + 1
         period_means[lab] = {
-            int(p): float(np.mean(est[sel][period_idx == p]))
-            for p in np.unique(period_idx)
+            int(p): float(np.mean(run))
+            for p, run in zip(period_idx[np.r_[0, starts]],
+                              np.split(level_est, starts))
         }
     pooled = np.sqrt(0.5 * (level_stds["high"] ** 2 + level_stds["low"] ** 2))
     separation = abs(level_means["high"] - level_means["low"]) / pooled
@@ -393,12 +407,13 @@ def export_trace_csv(result: TrackResult, cfg: ThreePointConfig, path,
     Counts are summed over the record bins inside each reported point.
     """
     c1, c2, cr = window_counts(result.record, result.bins_per_point)
-    lines = ["# critherm tracking trace, format_version 1"]
-    lines += [f"# {h}" for h in header_lines]
-    lines.append(f"# dwell_s = {cfg.dwell!r}")
-    lines.append("t_s,counts_f1,counts_f2,counts_fref,t_hat_k,t_true_k")
-    for i, t in enumerate(result.point_times):
-        lines.append(f"{float(t)!r},{c1[i]},{c2[i]},{cr[i]},"
-                     f"{float(result.t_hat[i])!r},{float(result.t_true[i])!r}")
+    columns = (result.point_times, c1, c2, cr, result.t_hat, result.t_true)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# critherm tracking trace, format_version 1\n")
+        fh.writelines(f"# {h}\n" for h in header_lines)
+        fh.write(f"# dwell_s = {cfg.dwell!r}\n")
+        fh.write("t_s,counts_f1,counts_f2,counts_fref,t_hat_k,t_true_k\n")
+        for start in range(0, len(result.point_times), _CSV_CHUNK_ROWS):
+            chunk = (c[start:start + _CSV_CHUNK_ROWS].tolist() for c in columns)
+            fh.writelines(f"{t!r},{n1},{n2},{nr},{t_hat!r},{t_true!r}\n"
+                          for t, n1, n2, nr, t_hat, t_true in zip(*chunk))

@@ -122,6 +122,9 @@ total_time_s = 1.0
 window_grid_s = 0.6 1.2
 """
 
+SHOT_NOISE = SHOT_NOISE_NO_WINDOW.replace("window_grid_s = 0.6 1.2",
+                                         "window_grid_s = 0.06 0.12")
+
 # every 60 ms point straddles a switch of the 0.1 s square wave
 TRACK_ALL_MIXED = TRACK.replace("period_s = 4.8", "period_s = 0.1")
 
@@ -316,6 +319,24 @@ class TestRun:
 
         assert data_rows(csv_path) == data_rows(auto_csv)
         assert json.loads(manifest_path.read_text())["results"] == auto
+
+    @pytest.mark.parametrize("text", [TRACK, SHOT_NOISE],
+                             ids=["track", "shot-noise"])
+    def test_protocol_run_samples_ensemble_once(self, tmp_path, monkeypatch,
+                                                text):
+        from critherm import cli_runner, ensemble_spectrum, protocol_sim, sensitivity
+
+        calls = []
+        original = ensemble_spectrum.sample_ensemble
+
+        def counting(asm):
+            calls.append(asm)
+            return original(asm)
+
+        for module in (cli_runner, ensemble_spectrum, protocol_sim, sensitivity):
+            monkeypatch.setattr(module, "sample_ensemble", counting)
+        run(write(tmp_path, "protocol.cfg", text), out_dir=tmp_path / "out")
+        assert len(calls) == 1
 
 
 class TestShippedScenarios:

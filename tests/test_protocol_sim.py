@@ -6,6 +6,7 @@ import pytest
 from critherm.ensemble_spectrum import SensorAssembly, sample_ensemble, signal_at
 from critherm.errors import DomainError, EstimationError
 from critherm.presets import cuni_tracking_assembly
+from critherm import protocol_sim
 from critherm.protocol_sim import (
     Calibration,
     CountRecord,
@@ -41,6 +42,39 @@ def noiseless_record(asm, cfg, temp, duration=None):
     times, lam, temps = expected_counts(asm, cfg, lambda t: temp, duration)
     return CountRecord(times=times, counts_f1=lam[:, 0], counts_f2=lam[:, 1],
                        counts_ref=lam[:, 2], true_temps=temps, dwell=cfg.dwell)
+
+
+def expected_counts_per_bin(asm, cfg, temp_trace, duration, sites,
+                            trace_resolution=None):
+    """Oracle for expected_counts: the trace called once per bin midpoint
+    and S cached per distinct (snapped) temperature."""
+    nbins = int(np.floor(duration / cfg.bin_duration))
+    times = np.arange(nbins) * cfg.bin_duration
+    temps = np.array([float(temp_trace(t + 0.5 * cfg.bin_duration))
+                      for t in times])
+    keys = temps if trace_resolution is None \
+        else np.round(temps / trace_resolution) * trace_resolution
+    probe = np.array([cfg.f1, cfg.f2, cfg.f_ref])
+    cache = {}
+    lam = np.empty((nbins, 3))
+    for i, t in enumerate(keys):
+        if t not in cache:
+            cache[t] = asm.photon_rate * cfg.dwell * signal_at(asm, t, probe, sites)
+        lam[i] = cache[t]
+    return times, lam, temps
+
+
+def trace_csv_per_row(result, cfg, header_lines=()):
+    """Oracle for export_trace_csv: the trace file built row by row."""
+    c1, c2, cr = protocol_sim.window_counts(result.record, result.bins_per_point)
+    lines = ["# critherm tracking trace, format_version 1"]
+    lines += [f"# {h}" for h in header_lines]
+    lines.append(f"# dwell_s = {cfg.dwell!r}")
+    lines.append("t_s,counts_f1,counts_f2,counts_fref,t_hat_k,t_true_k")
+    for i, t in enumerate(result.point_times):
+        lines.append(f"{float(t)!r},{c1[i]},{c2[i]},{cr[i]},"
+                     f"{float(result.t_hat[i])!r},{float(result.t_true[i])!r}")
+    return ("\n".join(lines) + "\n").encode()
 
 
 class TestCalibration:
@@ -114,6 +148,29 @@ class TestSimulateCounts:
         _, lam, _ = expected_counts(asm, cfg, lambda t: T0 + 1e-6 * np.sin(t),
                                     1.0, trace_resolution=1e-4)
         assert np.all(lam == lam[0])
+
+    @pytest.mark.parametrize("trace, resolution", [
+        (square_wave_trace(335.4, 336.9, 0.9), None),
+        (lambda t: 336.15 + 0.3 * np.sin(2 * np.pi * t / 1.7), 1e-4),
+    ])
+    def test_matches_per_bin_oracle(self, trace, resolution):
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        got = expected_counts(asm, cfg, trace, 4.0, sites, resolution)
+        want = expected_counts_per_bin(asm, cfg, trace, 4.0, sites, resolution)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_passed_sites_equal_sampled(self):
+        asm = single_lorentzian_assembly()
+        cfg = calibrate_three_point(asm, T0, dwell=0.005)
+        sites = sample_ensemble(asm)
+        a = simulate_counts(asm, cfg, lambda t: T0, 1.0, seed=3)
+        b = simulate_counts(asm, cfg, lambda t: T0, 1.0, seed=3, sites=sites)
+        assert np.array_equal(a.counts_f1, b.counts_f1)
+        assert cfg == calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
 
 
 class TestEstimateTemperature:
@@ -327,6 +384,33 @@ class TestTrackSquareWave:
         rows = np.loadtxt(path, delimiter=",", skiprows=3)
         assert rows[:, 1].sum() == res.record.counts_f1[:24].sum()
         assert rows[:, 3].sum() == res.record.counts_ref[:24].sum()
+
+    def test_csv_matches_per_row_oracle(self, tmp_path):
+        # one point per cycle, two full write chunks plus one spare point
+        npts = 2 * protocol_sim._CSV_CHUNK_ROWS + 1
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
+        res = track_square_wave(asm, cfg, 335.4, 336.9, period=0.9, bin=0.015,
+                                duration=(npts + 0.5) * 0.015, seed=4)
+        assert len(res.t_hat) == npts
+        path = tmp_path / "trace.csv"
+        header = ("run.seed = 4", "protocol.bin_s = 0.015")
+        export_trace_csv(res, cfg, path, header_lines=header)
+        assert path.read_bytes() == trace_csv_per_row(res, cfg, header)
+
+    def test_period_means_match_masked_oracle(self):
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
+        period = 0.9
+        res = track_square_wave(asm, cfg, 335.4, 336.9, period=period,
+                                bin=0.06, duration=30.0, seed=5)
+        for lab in ("high", "low"):
+            sel = res.labels == lab
+            idx = np.floor(res.point_times[sel] / period).astype(int)
+            oracle = {int(p): float(np.mean(res.t_hat[sel][idx == p]))
+                      for p in np.unique(idx)}
+            assert len(oracle) > 30
+            assert res.period_means[lab] == oracle
 
     def test_bin_shorter_than_cycle_rejected(self):
         asm = cuni_tracking_assembly(seed=1)
