@@ -281,12 +281,10 @@ def shot_noise_curve(asm: SensorAssembly, cfg: ThreePointConfig,
 
 
 def three_point_penalty(asm: SensorAssembly, cfg: ThreePointConfig, seed: int,
-                        n_windows: int = 2000, cycles_per_window: int = 50,
-                        sites=None) -> float:
+                        n_windows: int = 2000, cycles_per_window: int = 50) -> float:
     """Monte-Carlo eta of the three-point protocol over the ideal CW bound
     eta_cw_numeric, at the same photon rate and temperature."""
-    if sites is None:
-        sites = sample_ensemble(asm)
+    sites = sample_ensemble(asm)
     t0 = cfg.calibration.t0
     total = n_windows * cycles_per_window * cfg.bin_duration
     rec = simulate_counts(asm, cfg, lambda t: t0, total, seed, sites=sites)
@@ -300,9 +298,10 @@ def three_point_penalty(asm: SensorAssembly, cfg: ThreePointConfig, seed: int,
 
 def square_wave_trace(low: float, high: float, period: float):
     """T(t) alternating high (first half-period) then low; t may be an
-    array."""
+    array.  The levels are returned as floats, also when given as ints."""
     if period <= 0:
         raise DomainError(f"period must be positive, got {period}")
+    high, low = float(high), float(low)
 
     def trace(t):
         return np.where(t % period < 0.5 * period, high, low)

@@ -398,6 +398,16 @@ class TestTrackSquareWave:
         export_trace_csv(res, cfg, path, header_lines=header)
         assert path.read_bytes() == trace_csv_per_row(res, cfg, header)
 
+    def test_csv_int_levels_written_as_floats(self, tmp_path):
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
+        res = track_square_wave(asm, cfg, 335, 337, period=0.9, bin=0.015,
+                                duration=10.0, seed=4)
+        path = tmp_path / "trace.csv"
+        export_trace_csv(res, cfg, path)
+        assert path.read_bytes() == trace_csv_per_row(res, cfg)
+        assert b",337.0\n" in path.read_bytes()
+
     def test_period_means_match_masked_oracle(self):
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
