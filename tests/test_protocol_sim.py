@@ -385,28 +385,20 @@ class TestTrackSquareWave:
         assert rows[:, 1].sum() == res.record.counts_f1[:24].sum()
         assert rows[:, 3].sum() == res.record.counts_ref[:24].sum()
 
-    def test_csv_matches_per_row_oracle(self, tmp_path):
+    # integer levels must still be written as floats (337.0, not 337)
+    @pytest.mark.parametrize("low, high", [(335.4, 336.9), (335, 337)])
+    def test_csv_matches_per_row_oracle(self, tmp_path, low, high):
         # one point per cycle, two full write chunks plus one spare point
         npts = 2 * protocol_sim._CSV_CHUNK_ROWS + 1
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
-        res = track_square_wave(asm, cfg, 335.4, 336.9, period=0.9, bin=0.015,
+        res = track_square_wave(asm, cfg, low, high, period=0.9, bin=0.015,
                                 duration=(npts + 0.5) * 0.015, seed=4)
         assert len(res.t_hat) == npts
         path = tmp_path / "trace.csv"
         header = ("run.seed = 4", "protocol.bin_s = 0.015")
         export_trace_csv(res, cfg, path, header_lines=header)
         assert path.read_bytes() == trace_csv_per_row(res, cfg, header)
-
-    def test_csv_int_levels_written_as_floats(self, tmp_path):
-        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
-        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
-        res = track_square_wave(asm, cfg, 335, 337, period=0.9, bin=0.015,
-                                duration=10.0, seed=4)
-        path = tmp_path / "trace.csv"
-        export_trace_csv(res, cfg, path)
-        assert path.read_bytes() == trace_csv_per_row(res, cfg)
-        assert b",337.0\n" in path.read_bytes()
 
     def test_period_means_match_masked_oracle(self):
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
