@@ -39,7 +39,7 @@ from .magnet_model import (
     solve_magnetization,
 )
 from .ensemble_spectrum import (
-    NvSite,
+    Ensemble,
     OdmrSpectrum,
     SensorAssembly,
     default_freq_grid,

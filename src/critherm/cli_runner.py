@@ -10,12 +10,13 @@ Scenario files are flat, typed key-value text with section headers:
     tc_k = 340.0              # every physical key carries a unit suffix
     ...
 
-'#' starts a comment; vectors are space-separated.  Unknown keys and unknown
-sections are hard errors, never warnings: silent typos in physics constants
-are the main failure mode this format guards against.  Each run writes the
-kind's CSV (with a '#'-prefixed metadata header) plus a JSON run manifest
-holding every resolved parameter, the seed and the assumptions hash; the
-manifest alone is enough to reproduce the outputs bit-identically.
+'#' starts a comment; vectors are space-separated.  Unknown keys, unknown
+sections and non-finite numbers are hard errors, never warnings: silent
+typos in physics constants are the main failure mode this format guards
+against.  Each run writes the kind's CSV (with a '#'-prefixed metadata
+header) plus a JSON run manifest holding every resolved parameter, the seed
+and the assumptions hash; the manifest alone is enough to reproduce the
+outputs bit-identically.
 """
 
 from __future__ import annotations
@@ -220,26 +221,23 @@ def parse_config(text: str) -> dict:
 
 
 def _parse_value(path: str, kind: str, raw: str):
+    if kind == "s":
+        return raw
+    if kind not in ("i", "f", "v3", "fl"):
+        raise SchemaError(f"{path}: unknown value type {kind!r}")
     try:
-        if kind == "f":
-            return float(raw)
         if kind == "i":
             return int(raw)
-        if kind == "s":
-            return raw
-        if kind == "v3":
-            parts = [float(p) for p in raw.split()]
-            if len(parts) != 3:
-                raise ValueError(f"need 3 components, got {len(parts)}")
-            return parts
-        if kind == "fl":
-            parts = [float(p) for p in raw.split()]
-            if not parts:
-                raise ValueError("empty list")
-            return parts
+        value = float(raw) if kind == "f" else [float(p) for p in raw.split()]
+        if kind == "v3" and len(value) != 3:
+            raise ValueError(f"need 3 components, got {len(value)}")
+        if kind == "fl" and not value:
+            raise ValueError("empty list")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"non-finite value {raw!r}")
+        return value
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
-    raise SchemaError(f"{path}: unknown value type {kind!r}")
 
 
 def resolve(raw: dict) -> dict:

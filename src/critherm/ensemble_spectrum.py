@@ -100,11 +100,16 @@ class SensorAssembly:
         return np.asarray(self.crystal_orientation, dtype=float)
 
 
-@dataclass(frozen=True)
-class NvSite:
-    position: tuple    # m, lab frame
-    axis: tuple        # unit vector, lab frame
-    strain_e: float    # Hz
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """A sampled NV ensemble: one row per site in each array."""
+
+    positions: np.ndarray  # (n, 3), m, lab frame
+    frames: np.ndarray     # (n, 3, 3), rows e1, e2 and the NV axis e3
+    strains: np.ndarray    # (n,), Hz
+
+    def __len__(self):
+        return len(self.strains)
 
 
 @dataclass(frozen=True)
@@ -114,17 +119,19 @@ class OdmrSpectrum:
     meta: dict
 
 
-def sample_ensemble(asm: SensorAssembly):
+def sample_ensemble(asm: SensorAssembly) -> Ensemble:
     """Draw the NV sites: positions uniform in the FND ball, axes uniform on
-    the four rotated <111> directions, strain from a truncated-at-zero
-    normal.  Each site uses its own RNG stream spawned from the master seed,
-    so any execution order (or parallel map) reproduces the same list.
-    """
-    axes = TETRAHEDRAL_AXES @ asm.rotation().T
+    the four rotated <111> directions (one frame built per axis), strain
+    from a truncated-at-zero normal.  Each site uses its own RNG stream
+    spawned from the master seed, so any execution order (or parallel map)
+    reproduces the same ensemble."""
+    axis_frames = [nv_frame(a) for a in TETRAHEDRAL_AXES @ asm.rotation().T]
     center = np.asarray(asm.fnd_center)
+    positions = np.empty((asm.n_nv, 3))
+    frames = np.empty((asm.n_nv, 3, 3))
+    strains = np.empty(asm.n_nv)
     children = np.random.SeedSequence(asm.rng_seed).spawn(asm.n_nv)
-    sites = []
-    for child in children:
+    for i, child in enumerate(children):
         rng = np.random.default_rng(child)
         direction = rng.standard_normal(3)
         norm = np.linalg.norm(direction)
@@ -132,15 +139,15 @@ def sample_ensemble(asm: SensorAssembly):
             direction = rng.standard_normal(3)
             norm = np.linalg.norm(direction)
         radius = asm.fnd_radius * rng.random() ** (1.0 / 3.0)
-        pos = center + radius * direction / norm
-        axis = axes[rng.integers(4)]
-        strain = rng.normal(asm.strain_mean, asm.strain_sd) if asm.strain_sd > 0 \
+        positions[i] = center + radius * direction / norm
+        frames[i] = axis_frames[rng.integers(4)]
+        strains[i] = rng.normal(asm.strain_mean, asm.strain_sd) if asm.strain_sd > 0 \
             else asm.strain_mean
-        while strain < 0.0:
-            strain = rng.normal(asm.strain_mean, asm.strain_sd)
-        sites.append(NvSite(position=tuple(pos), axis=tuple(axis),
-                            strain_e=float(strain)))
-    return sites
+        while strains[i] < 0.0:
+            strains[i] = rng.normal(asm.strain_mean, asm.strain_sd)
+    for array in (positions, frames, strains):
+        array.flags.writeable = False
+    return Ensemble(positions=positions, frames=frames, strains=strains)
 
 
 def nv_frame(axis) -> np.ndarray:
@@ -167,25 +174,18 @@ def nv_field_fn(magnet: Magnet, position, axis):
         min_distance=magnet.radius)
 
 
-def site_transition_pairs(asm: SensorAssembly, temp: float, sites):
-    """(omega_minus, omega_plus) arrays over the given sites at temperature
-    temp, with the magnet's dipole field projected into each NV frame.  One
-    frame is built per distinct axis (at most four in a sampled ensemble)."""
-    positions = np.array([s.position for s in sites])
-    strains = np.array([s.strain_e for s in sites])
+def site_transition_pairs(asm: SensorAssembly, temp: float, sites: Ensemble):
+    """(omega_minus, omega_plus) arrays over the ensemble at temperature
+    temp, with the magnet's dipole field plus the bias field projected into
+    each NV frame."""
+    b_lab = np.zeros_like(sites.positions) + np.asarray(asm.bias_field)
     if asm.magnet is not None:
         moment = magnetic_moment(asm.magnet, temp)
-        b_lab = dipole_field_many(moment, asm.magnet.center, positions,
-                                  min_distance=asm.magnet.radius)
-    else:
-        b_lab = np.zeros_like(positions)
-    b_lab = b_lab + np.asarray(asm.bias_field)
-    axes, which = np.unique(np.array([s.axis for s in sites]), axis=0,
-                            return_inverse=True)
-    frames = np.array([nv_frame(a) for a in axes])
-    b_nv = np.einsum("nij,nj->ni", frames[which.reshape(-1)], b_lab)
-    d = d_of_t(asm.spin, temp)
-    return transition_pair_batch(d, strains, asm.spin.gamma, b_nv)
+        b_lab = b_lab + dipole_field_many(moment, asm.magnet.center, sites.positions,
+                                          min_distance=asm.magnet.radius)
+    b_nv = np.einsum("nij,nj->ni", sites.frames, b_lab)
+    return transition_pair_batch(d_of_t(asm.spin, temp), sites.strains,
+                                 asm.spin.gamma, b_nv)
 
 
 def _signal(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
@@ -228,7 +228,7 @@ def synthesize_spectrum(asm: SensorAssembly, temp: float, freqs=None,
     """Synthesize S(omega; T) and attach per-line metadata.
 
     Sites are sampled from asm.rng_seed when not supplied; passing the same
-    site list at several temperatures gives common-random-number spectra.
+    ensemble at several temperatures gives common-random-number spectra.
     """
     if sites is None:
         sites = sample_ensemble(asm)

@@ -38,6 +38,8 @@ _BISECT_LO = 1e-12
 _BISECT_MAX_ITERS = 200
 _BISECT_TOL = 1e-10
 
+_DT_STEP = 1e-3  # finite-difference step of dm_dtemp (K)
+
 
 def curie_temperature(x: float) -> float:
     """Curie temperature (K) of Cu(1-x)Ni(x) from the Ni fraction x.
@@ -157,18 +159,16 @@ def solve_magnetization(mag: Magnet, temp: float) -> float:
     )
 
 
-def dm_dtemp(mag: Magnet, temp: float, dt_step: float = 1e-3) -> float:
-    """Finite-difference dm/dT (1/K); central away from Tc, one-sided from
-    below when the step would straddle the transition."""
-    if dt_step <= 0:
-        raise DomainError(f"dt_step must be positive, got {dt_step}")
+def dm_dtemp(mag: Magnet, temp: float) -> float:
+    """Finite-difference dm/dT (1/K) with a _DT_STEP step; central away from
+    Tc, one-sided from below when the step would straddle the transition."""
     if temp > mag.tc:
         return 0.0  # m identically zero on both sides
-    if temp + dt_step > mag.tc:
+    if temp + _DT_STEP > mag.tc:
         return (solve_magnetization(mag, temp)
-                - solve_magnetization(mag, temp - dt_step)) / dt_step
-    return (solve_magnetization(mag, temp + dt_step)
-            - solve_magnetization(mag, temp - dt_step)) / (2.0 * dt_step)
+                - solve_magnetization(mag, temp - _DT_STEP)) / _DT_STEP
+    return (solve_magnetization(mag, temp + _DT_STEP)
+            - solve_magnetization(mag, temp - _DT_STEP)) / (2.0 * _DT_STEP)
 
 
 def magnetization_curve(mag: Magnet, temps) -> MagnetizationCurve:

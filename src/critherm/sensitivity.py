@@ -207,7 +207,7 @@ class DesignPoint:
     status: str = "ok"
 
 
-def _sweep_cell(template: SensorAssembly, x: float, temp_policy) -> DesignPoint:
+def _sweep_cell(template: SensorAssembly, sites, x: float, temp_policy) -> DesignPoint:
     tc = curie_temperature(x)
     if tc <= 0:
         return DesignPoint(x, tc, np.nan, np.nan, np.nan,
@@ -222,7 +222,6 @@ def _sweep_cell(template: SensorAssembly, x: float, temp_policy) -> DesignPoint:
         easy_axis=base.easy_axis,
     )
     asm = replace(template, magnet=magnet)
-    sites = sample_ensemble(asm)
     best = None
     for temp in temp_policy(tc):
         try:
@@ -243,17 +242,19 @@ def design_sweep(template: SensorAssembly, x_grid, temp_policy=None,
                  threads: int = 1):
     """Optimal sensitivity versus Cu(1-x)Ni(x) composition.
 
-    For each x the magnet is rebuilt from the composition map, the spectrum
-    slope is evaluated over the operating-temperature grid, and the minimum
-    eta with its temperature is reported.  Per-x failures are recorded in the
-    row status without aborting the sweep.  Results are gathered in input
-    order, so the thread count changes speed only.
+    The ensemble is sampled once from the template (sampling never reads the
+    magnet).  For each x the magnet is rebuilt from the composition map, the
+    spectrum slope is evaluated over the operating-temperature grid, and the
+    minimum eta with its temperature is reported.  Per-x failures are
+    recorded in the row status without aborting the sweep.  Results are
+    gathered in input order, so the thread count changes speed only.
     """
     if temp_policy is None:
         temp_policy = default_temp_policy
     x_grid = [float(x) for x in x_grid]
+    sites = sample_ensemble(template)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(
-                lambda x: _sweep_cell(template, x, temp_policy), x_grid))
-    return [_sweep_cell(template, x, temp_policy) for x in x_grid]
+                lambda x: _sweep_cell(template, sites, x, temp_policy), x_grid))
+    return [_sweep_cell(template, sites, x, temp_policy) for x in x_grid]

@@ -33,6 +33,10 @@ GAMMA_DEFAULT = 28e9     # Hz/T (= 28 MHz/mT)
 # apart; the caller is probing a level crossing.
 _OVERLAP_TOL = 1e-9
 
+# Finite-difference step of domega_dtemp (K): far below the kelvin-scale
+# magnetization structure, far above double precision noise at GHz scale.
+_DT_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class SpinSystem:
@@ -180,23 +184,19 @@ def transition_pair_batch(d, strain_e, gamma, fields):
     return others[:, 0] - e0, others[:, 1] - e0
 
 
-def domega_dtemp(sys: SpinSystem, magnet_field_fn, temp: float,
-                 dt_step: float = 1e-3):
+def domega_dtemp(sys: SpinSystem, magnet_field_fn, temp: float):
     """Central finite difference of the transition frequencies vs temperature.
 
     magnet_field_fn maps temperature (K) to the NV-frame field 3-vector
-    (tesla); it is evaluated at temp +- dt_step so the magnet's own
+    (tesla); it is evaluated at temp +- _DT_STEP so the magnet's own
     temperature dependence is included.  Returns (domega_minus/dT,
-    domega_plus/dT) in Hz/K.  Default step 1 mK: far below the kelvin-scale
-    magnetization structure, far above double precision noise at GHz scale.
+    domega_plus/dT) in Hz/K.
     """
-    if dt_step <= 0:
-        raise DomainError(f"dt_step must be positive, got {dt_step}")
-    lo = transition_frequencies(sys.with_field(magnet_field_fn(temp - dt_step)),
-                                temp - dt_step)
-    hi = transition_frequencies(sys.with_field(magnet_field_fn(temp + dt_step)),
-                                temp + dt_step)
+    lo = transition_frequencies(sys.with_field(magnet_field_fn(temp - _DT_STEP)),
+                                temp - _DT_STEP)
+    hi = transition_frequencies(sys.with_field(magnet_field_fn(temp + _DT_STEP)),
+                                temp + _DT_STEP)
     return (
-        (hi.omega_minus - lo.omega_minus) / (2.0 * dt_step),
-        (hi.omega_plus - lo.omega_plus) / (2.0 * dt_step),
+        (hi.omega_minus - lo.omega_minus) / (2.0 * _DT_STEP),
+        (hi.omega_plus - lo.omega_plus) / (2.0 * _DT_STEP),
     )

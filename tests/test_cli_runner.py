@@ -320,10 +320,9 @@ class TestRun:
         assert data_rows(csv_path) == data_rows(auto_csv)
         assert json.loads(manifest_path.read_text())["results"] == auto
 
-    @pytest.mark.parametrize("text", [TRACK, SHOT_NOISE],
-                             ids=["track", "shot-noise"])
-    def test_protocol_run_samples_ensemble_once(self, tmp_path, monkeypatch,
-                                                text):
+    @pytest.mark.parametrize("text", [TRACK, SHOT_NOISE, SWEEP],
+                             ids=["track", "shot-noise", "design-sweep"])
+    def test_run_samples_ensemble_once(self, tmp_path, monkeypatch, text):
         from critherm import cli_runner, ensemble_spectrum, protocol_sim, sensitivity
 
         calls = []
@@ -335,7 +334,7 @@ class TestRun:
 
         for module in (cli_runner, ensemble_spectrum, protocol_sim, sensitivity):
             monkeypatch.setattr(module, "sample_ensemble", counting)
-        run(write(tmp_path, "protocol.cfg", text), out_dir=tmp_path / "out")
+        run(write(tmp_path, "scenario.cfg", text), out_dir=tmp_path / "out")
         assert len(calls) == 1
 
 
@@ -384,6 +383,23 @@ class TestMainExitCodes:
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("schema error: protocol.") == 2
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        (SPECTRUM.replace("n_nv = 120", "n_nv = 120\nline_width_hz = nan"),
+         "assembly.line_width_hz"),
+        (SPECTRUM.replace("n_nv = 120", "n_nv = 120\nbias_field_t = 0 0 inf"),
+         "assembly.bias_field_t"),
+        (SHOT_NOISE.replace("0.06 0.12", "0.06 0.12 inf"),
+         "protocol.window_grid_s"),
+    ], ids=["scalar", "vector", "list"])
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, text, key):
+        p = write(tmp_path, "nonfinite.cfg", text)
+        assert main(["validate", str(p)]) == 2
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"schema error: {key}: non-finite value") == 2
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -36,13 +36,13 @@ class TestSampleEnsemble:
         asm = bare_assembly(strain_mean=3e6)
         sites = sample_ensemble(asm)
         assert len(sites) == 1
-        assert sites[0].strain_e == 3e6
+        assert sites.strains[0] == 3e6
 
     def test_axis_counts_multinomial(self):
         # 4000 sites, p = 1/4 each: counts within 4 sigma of 1000
         asm = bare_assembly(n_nv=4000, rng_seed=12)
         sites = sample_ensemble(asm)
-        axes = np.array([s.axis for s in sites])
+        axes = sites.frames[:, 2]
         sigma = np.sqrt(4000 * 0.25 * 0.75)
         for ref in TETRAHEDRAL_AXES:
             count = np.sum(np.all(np.isclose(axes, ref), axis=1))
@@ -52,19 +52,27 @@ class TestSampleEnsemble:
         asm = cuni_design_assembly(seed=3)
         sites = sample_ensemble(asm)
         center = np.asarray(asm.fnd_center)
-        for s in sites:
-            assert np.linalg.norm(np.asarray(s.position) - center) <= asm.fnd_radius
+        for position in sites.positions:
+            assert np.linalg.norm(position - center) <= asm.fnd_radius
 
     def test_strain_truncated_at_zero(self):
         asm = bare_assembly(n_nv=2000, strain_mean=1e6, strain_sd=2e6, rng_seed=9)
-        strains = np.array([s.strain_e for s in sample_ensemble(asm)])
+        strains = sample_ensemble(asm).strains
         assert np.all(strains >= 0.0)
         assert strains.mean() > 1e6  # truncation shifts the mean up
 
     def test_seed_determinism(self):
         a = sample_ensemble(cuni_design_assembly(seed=7))
         b = sample_ensemble(cuni_design_assembly(seed=7))
-        assert a == b
+        for name in ("positions", "frames", "strains"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_arrays_read_only(self):
+        # the design sweep's worker threads share one sample
+        sites = sample_ensemble(bare_assembly(n_nv=3))
+        for array in (sites.positions, sites.frames, sites.strains):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     def test_crystal_rotation_applied(self):
         theta = 0.3
@@ -73,8 +81,8 @@ class TestSampleEnsemble:
                (0.0, 0.0, 1.0))
         asm = bare_assembly(n_nv=50, crystal_orientation=rot, rng_seed=2)
         expected = TETRAHEDRAL_AXES @ np.asarray(rot).T
-        for s in sample_ensemble(asm):
-            assert np.min(np.linalg.norm(expected - np.asarray(s.axis), axis=1)) < 1e-12
+        for axis in sample_ensemble(asm).frames[:, 2]:
+            assert np.min(np.linalg.norm(expected - axis, axis=1)) < 1e-12
 
 
 class TestFrameProjection:
@@ -91,16 +99,17 @@ class TestFrameProjection:
                       bias_field=(1.0e-3, -2.0e-3, 1.5e-3))
         temp = 336.0
         sites = sample_ensemble(asm)
-        assert len({s.axis for s in sites}) == 4
+        assert len(np.unique(sites.frames[:, 2], axis=0)) == 4
         om, op = site_transition_pairs(asm, temp, sites)
         moment = magnetic_moment(asm.magnet, temp)
-        for i, site in enumerate(sites):
-            b_lab = dipole_field(moment, asm.magnet.center, site.position,
+        for i, (position, frame, strain) in enumerate(
+                zip(sites.positions, sites.frames, sites.strains)):
+            b_lab = dipole_field(moment, asm.magnet.center, position,
                                  min_distance=asm.magnet.radius)
             b_lab = b_lab + np.asarray(asm.bias_field)
-            spin = replace(asm.spin, strain_e=site.strain_e)
+            spin = replace(asm.spin, strain_e=float(strain))
             ref = transition_frequencies(
-                spin.with_field(nv_frame(site.axis) @ b_lab), temp)
+                spin.with_field(nv_frame(frame[2]) @ b_lab), temp)
             assert om[i] == pytest.approx(ref.omega_minus, rel=1e-12)
             assert op[i] == pytest.approx(ref.omega_plus, rel=1e-12)
 
@@ -137,7 +146,7 @@ class TestSynthesizeSpectrum:
         asm = bare_assembly()
         sites = sample_ensemble(asm)
         # uniform bias along the site's own axis: purely axial in its frame
-        asm_b = bare_assembly(bias_field=tuple(bz * np.asarray(sites[0].axis)))
+        asm_b = bare_assembly(bias_field=tuple(bz * sites.frames[0, 2]))
         freqs = np.linspace(D0 - 100e6, D0 + 100e6, 4001)
         spec = synthesize_spectrum(asm_b, 300.0, freqs, sites)
         om = spec.meta["centers_minus_hz"][0]
@@ -191,8 +200,8 @@ class TestSynthesizeSpectrum:
         magnet = Magnet(m_sat=1e5, radius=100e-9, tc=340.0)
         asm = SensorAssembly(magnet=magnet, fnd_center=(0, 0, 200e-9),
                              fnd_radius=50e-9, n_nv=1, rng_seed=0)
-        bad_sites = [type(sample_ensemble(asm)[0])(
-            position=(0.0, 0.0, 50e-9), axis=(0.0, 0.0, 1.0), strain_e=0.0)]
+        bad_sites = replace(sample_ensemble(asm),
+                            positions=np.array([[0.0, 0.0, 50e-9]]))
         with pytest.raises(GeometryError):
             synthesize_spectrum(asm, 300.0, np.linspace(2.8e9, 2.9e9, 11), bad_sites)
 

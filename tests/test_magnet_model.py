@@ -138,7 +138,7 @@ class TestDmDtemp:
     def test_one_sided_at_tc(self):
         mag = make_magnet()
         # within one step of Tc the backward difference keeps the peak finite
-        val = dm_dtemp(mag, mag.tc - 5e-4, dt_step=1e-3)
+        val = dm_dtemp(mag, mag.tc - 5e-4)
         assert val < 0.0 and np.isfinite(val)
 
     def test_curve_invariants(self):

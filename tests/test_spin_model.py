@@ -193,10 +193,6 @@ class TestDomegaDtemp:
         assert dm == pytest.approx(-74e3 - GAMMA * db_dt, rel=1e-6)
         assert dp == pytest.approx(-74e3 + GAMMA * db_dt, rel=1e-6)
 
-    def test_bad_step(self):
-        with pytest.raises(DomainError):
-            domega_dtemp(SpinSystem(), lambda t: (0, 0, 0), 300.0, dt_step=0.0)
-
     def test_propagates_field_errors(self):
         def field_fn(t):
             if t > 300.0:
