@@ -10,6 +10,7 @@ coincides has dip depth exactly `contrast`.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,13 @@ TETRAHEDRAL_AXES = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
 ) / np.sqrt(3.0)
 
-_LINE_CHUNK = 256  # Lorentzian accumulation block size (memory bound)
+# Lines per Lorentzian block.  The lines of a block are summed per grid point
+# in order and the blocks are added in order, so this fixes the summation
+# order of every spectrum: changing it changes the output bits.
+_LINE_CHUNK = 256
+# Grid points per tile.  One block times one tile is the kernel's whole
+# working buffer (256 x 256 float64 = 512 KiB), whatever the grid size.
+_FREQ_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -189,15 +196,26 @@ def site_transition_pairs(asm: SensorAssembly, temp: float, sites: Ensemble):
 
 
 def _signal(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
-    """1 - weight * (sum of unit-peak Lorentzians centred on every line),
-    accumulated in blocks of lines to bound memory."""
+    """1 - weight * (sum of unit-peak Lorentzians centred on every line).
+
+    Each block of lines is evaluated tile by tile along the grid in one
+    preallocated buffer, so memory stays fixed as the grid grows.
+    """
     centers = np.concatenate([om, op])
     weight = asm.contrast / centers.size
-    half = 0.5 * asm.line_width
+    half2 = (0.5 * asm.line_width) ** 2
     total = np.zeros_like(freqs)
+    buf = np.empty((_LINE_CHUNK, _FREQ_TILE))
     for start in range(0, centers.size, _LINE_CHUNK):
-        block = centers[start:start + _LINE_CHUNK]
-        total += (half ** 2 / ((freqs[None, :] - block[:, None]) ** 2 + half ** 2)).sum(axis=0)
+        block = centers[start:start + _LINE_CHUNK, None]
+        for col in range(0, freqs.size, _FREQ_TILE):
+            tile = freqs[col:col + _FREQ_TILE]
+            b = buf[:block.shape[0], :tile.size]
+            np.subtract(tile, block, out=b)
+            np.square(b, out=b)
+            b += half2
+            np.divide(half2, b, out=b)
+            total[col:col + tile.size] += b.sum(axis=0)
     return 1.0 - weight * total
 
 
@@ -212,14 +230,24 @@ def signal_at(asm: SensorAssembly, temp: float, freqs, sites=None) -> np.ndarray
 def default_freq_grid(asm: SensorAssembly, temp: float, sites=None,
                       pad: float = 6.0, max_points: int = 30001) -> np.ndarray:
     """Frequency grid covering every line with `pad` linewidths of margin and
-    at least 10 points per linewidth."""
+    at least 10 points per linewidth.
+
+    Warns when the grid needs more than `max_points` points and is clipped to
+    that count, which leaves it coarser than 10 points per linewidth.
+    """
     if sites is None:
         sites = sample_ensemble(asm)
     om, op = site_transition_pairs(asm, temp, sites)
     lo = om.min() - pad * asm.line_width
     hi = op.max() + pad * asm.line_width
-    n = int(np.ceil((hi - lo) / (asm.line_width / 10.0))) + 1
-    n = min(max(n, 801), max_points)
+    n = max(int(np.ceil((hi - lo) / (asm.line_width / 10.0))) + 1, 801)
+    if n > max_points:
+        warnings.warn(
+            f"frequency grid clipped from {n} to {max_points} points "
+            "(fewer than 10 per linewidth)",
+            stacklevel=2,
+        )
+        n = max_points
     return np.linspace(lo, hi, n)
 
 

@@ -35,6 +35,7 @@ from .sensitivity import eta_cw_numeric
 _REF_DETUNING_LINEWIDTHS = 50.0
 _LAMBDA_GUARD = 1e12  # counts per bin; anything above this is a config bug
 _CSV_CHUNK_ROWS = 8192  # trace CSV rows formatted per write
+_POISSON_BLOCK_BINS = 8192  # record bins whose rates are gathered per draw
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,13 @@ def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
 
 def expected_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
                     duration: float, sites=None, trace_resolution: float = None):
-    """Noiseless per-bin expected counts (lambda_i) for each channel.
+    """Noiseless per-bin expected counts (lambda_i) for each channel, in
+    factored form: (times, table, inv, temps).
+
+    times are the bin start times and temps the true temperatures of the
+    bins; table holds one row of (f1, f2, f_ref) expected counts per distinct
+    (snapped) temperature, and inv maps each bin to its row, so table[inv]
+    is the (n_bins, 3) array of per-bin expected counts.
 
     temp_trace maps time (s) to true temperature (K).  It is called once,
     with the array of bin midpoints, and must return an array of that shape
@@ -154,7 +161,7 @@ def expected_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
                       for t in distinct])
     if np.any(table > _LAMBDA_GUARD):
         raise DomainError("expected counts per bin exceed the overflow guard")
-    return times, table[inv], temps
+    return times, table, inv, temps
 
 
 def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
@@ -163,14 +170,18 @@ def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
     """Poisson-sampled three-channel count record; deterministic under seed.
 
     temp_trace is called once with the array of bin midpoints, as in
-    expected_counts.
+    expected_counts.  The counts are drawn in blocks of bins, which gives the
+    same stream as one draw over all per-bin rates without holding them all.
     """
     if sites is None:
         sites = sample_ensemble(asm)
-    times, lam, temps = expected_counts(asm, cfg, temp_trace, duration, sites,
-                                        trace_resolution)
+    times, table, inv, temps = expected_counts(asm, cfg, temp_trace, duration,
+                                               sites, trace_resolution)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = rng.poisson(lam)
+    counts = np.empty((len(inv), 3), dtype=np.int64)
+    for start in range(0, len(inv), _POISSON_BLOCK_BINS):
+        stop = start + _POISSON_BLOCK_BINS
+        counts[start:stop] = rng.poisson(table[inv[start:stop]])
     return CountRecord(
         times=times,
         counts_f1=counts[:, 0],
@@ -404,15 +415,19 @@ def export_trace_csv(result: TrackResult, cfg: ThreePointConfig, path,
     """t_s, counts_f1, counts_f2, counts_fref, t_hat_k, t_true_k per point.
 
     Counts are summed over the record bins inside each reported point.
+    A track has few true temperatures, so each is formatted once per chunk.
     """
     c1, c2, cr = window_counts(result.record, result.bins_per_point)
-    columns = (result.point_times, c1, c2, cr, result.t_hat, result.t_true)
+    columns = (result.point_times, c1, c2, cr, result.t_hat)
     with open(path, "w") as fh:
         fh.write("# critherm tracking trace, format_version 1\n")
         fh.writelines(f"# {h}\n" for h in header_lines)
         fh.write(f"# dwell_s = {cfg.dwell!r}\n")
         fh.write("t_s,counts_f1,counts_f2,counts_fref,t_hat_k,t_true_k\n")
         for start in range(0, len(result.point_times), _CSV_CHUNK_ROWS):
-            chunk = (c[start:start + _CSV_CHUNK_ROWS].tolist() for c in columns)
-            fh.writelines(f"{t!r},{n1},{n2},{nr},{t_hat!r},{t_true!r}\n"
-                          for t, n1, n2, nr, t_hat, t_true in zip(*chunk))
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            levels, level_idx = np.unique(result.t_true[rows], return_inverse=True)
+            level_text = [repr(v) for v in levels.tolist()]
+            chunk = [c[rows].tolist() for c in columns] + [level_idx.tolist()]
+            fh.writelines(f"{t!r},{n1},{n2},{nr},{t_hat!r},{level_text[k]}\n"
+                          for t, n1, n2, nr, t_hat, k in zip(*chunk))

@@ -1,3 +1,5 @@
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from critherm.ensemble_spectrum import (
     TETRAHEDRAL_AXES,
     SensorAssembly,
+    _signal,
     absorption_second_moment,
     default_freq_grid,
     measure_fwhm,
@@ -204,6 +207,62 @@ class TestSynthesizeSpectrum:
                             positions=np.array([[0.0, 0.0, 50e-9]]))
         with pytest.raises(GeometryError):
             synthesize_spectrum(asm, 300.0, np.linspace(2.8e9, 2.9e9, 11), bad_sites)
+
+
+def signal_whole_blocks(asm, freqs, om, op):
+    """Oracle for _signal: each 256-line block evaluated over the whole grid
+    at once, as one (lines, grid) expression."""
+    centers = np.concatenate([om, op])
+    weight = asm.contrast / centers.size
+    half = 0.5 * asm.line_width
+    total = np.zeros_like(freqs)
+    for start in range(0, centers.size, 256):
+        block = centers[start:start + 256]
+        total += (half ** 2 / ((freqs[None, :] - block[:, None]) ** 2 + half ** 2)).sum(axis=0)
+    return 1.0 - weight * total
+
+
+def random_lines(n_lines, seed=0):
+    centers = np.random.default_rng(seed).normal(D0, 30e6, n_lines)
+    return centers[:n_lines // 2], centers[n_lines // 2:]
+
+
+class TestLorentzianKernel:
+    @pytest.mark.parametrize("n_lines", [2, 510, 514, 2000])
+    def test_bitwise_equal_to_whole_block_oracle(self, n_lines):
+        asm = SensorAssembly()
+        om, op = random_lines(n_lines)
+        for n_points in (1, 3, 255, 256, 257, 511, 513, 1025, 30001):
+            freqs = np.linspace(D0 - 150e6, D0 + 150e6, n_points)
+            got = _signal(asm, freqs, om, op)
+            assert np.array_equal(got, signal_whole_blocks(asm, freqs, om, op)), \
+                f"{n_lines} lines, {n_points} points"
+
+    def test_memory_fixed_on_large_grid(self):
+        asm = SensorAssembly()
+        om, op = random_lines(1000)
+        freqs = np.linspace(D0 - 150e6, D0 + 150e6, 30001)
+        tracemalloc.start()
+        try:
+            _signal(asm, freqs, om, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-block expression peaks at about 123 MB here
+        assert peak < 4e6
+
+
+class TestDefaultFreqGrid:
+    def test_warns_when_clipped(self):
+        with pytest.warns(UserWarning, match="clipped from 801 to 101 points"):
+            freqs = default_freq_grid(SensorAssembly(), 300.0, max_points=101)
+        assert len(freqs) == 101
+
+    def test_silent_when_not_clipped(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            freqs = default_freq_grid(SensorAssembly(), 300.0)
+        assert len(freqs) >= 801
 
 
 def _asm_kwargs(asm):

@@ -1,13 +1,13 @@
-"""Golden outputs of the sub-second shipped scenarios.
+"""Golden outputs of every shipped scenario.
 
 tests/golden/<scenario>.json holds the manifest `results` of the shipped
-run and, for every CSV column, the count, min, max and mean of its values.
-Deterministic forward quantities must agree to rel 1e-8: that admits float
-reassociation but not a physics change.  Quantities derived from Poisson
-counts agree to rel 1e-6, which stays below their Monte-Carlo standard
-error (a track level mean: 0.75 mK of 336 K, about 2e-6).  The slow
-scenarios (design_sweep, sensitivity_vs_temp, shot_noise) are pinned by
-bench/reference.json instead.
+run and, for every numeric CSV column, the count, min, max and mean of its
+values; a text column (the design sweep's `status` and `assumptions_hash`)
+is held as its list of values.  Deterministic forward quantities must
+agree to rel 1e-8: that admits float reassociation but not a physics
+change.  Quantities derived from Poisson counts agree to rel 1e-6, which
+stays below their Monte-Carlo standard error (a track level mean: 0.75 mK
+of 336 K, about 2e-6).
 
 Regenerate with `PYTHONPATH=src python3 tests/test_golden.py`, and record
 the cause and the size of the shift in CHANGES.md.
@@ -30,8 +30,12 @@ REL_TOL_POISSON = 1e-6
 
 # scenario -> CSV columns and manifest results derived from Poisson counts
 SCENARIOS = {
+    "design_sweep": frozenset(),
     "gd_susceptibility": frozenset(),
     "magnetize_cuni": frozenset(),
+    "sensitivity_vs_temp": frozenset(),
+    "shot_noise": frozenset({
+        "delta_t_k", "eta_fit_k_per_sqrthz", "loglog_slope"}),
     "spectrum_63c": frozenset(),
     "track_63c": frozenset({
         "counts_f1", "counts_f2", "counts_fref", "t_hat_k",
@@ -40,15 +44,24 @@ SCENARIOS = {
 }
 
 
+def column_summary(values: list) -> dict:
+    """count/min/max/mean of a numeric column; the values of a text one."""
+    try:
+        col = np.array(values, dtype=float)
+    except ValueError:
+        return {"values": values}
+    return {"count": len(col), "min": float(col.min()),
+            "max": float(col.max()), "mean": float(col.mean())}
+
+
 def summarize(csv_path: Path, manifest_path: Path) -> dict:
-    """Manifest results plus count/min/max/mean of every CSV column."""
+    """Manifest results plus a summary of every CSV column."""
     lines = [line for line in csv_path.read_text().splitlines()
              if not line.startswith("#")]
     names = lines[0].split(",")
-    table = np.array([line.split(",") for line in lines[1:]], dtype=float)
-    columns = {name: {"count": len(col), "min": float(col.min()),
-                      "max": float(col.max()), "mean": float(col.mean())}
-               for name, col in zip(names, table.T)}
+    rows = [line.split(",") for line in lines[1:]]
+    columns = {name: column_summary([row[i] for row in rows])
+               for i, name in enumerate(names)}
     results = json.loads(manifest_path.read_text())["results"]
     return {"results": results, "columns": columns}
 

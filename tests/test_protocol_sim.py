@@ -39,7 +39,8 @@ def single_lorentzian_assembly(contrast=0.05, seed=4):
 def noiseless_record(asm, cfg, temp, duration=None):
     nbins = 10
     duration = duration or nbins * cfg.bin_duration
-    times, lam, temps = expected_counts(asm, cfg, lambda t: temp, duration)
+    times, table, inv, temps = expected_counts(asm, cfg, lambda t: temp, duration)
+    lam = table[inv]
     return CountRecord(times=times, counts_f1=lam[:, 0], counts_f2=lam[:, 1],
                        counts_ref=lam[:, 2], true_temps=temps, dwell=cfg.dwell)
 
@@ -62,6 +63,15 @@ def expected_counts_per_bin(asm, cfg, temp_trace, duration, sites,
             cache[t] = asm.photon_rate * cfg.dwell * signal_at(asm, t, probe, sites)
         lam[i] = cache[t]
     return times, lam, temps
+
+
+def poisson_one_draw(asm, cfg, temp_trace, duration, seed, sites,
+                     trace_resolution=None):
+    """Oracle for simulate_counts: one Poisson draw over every per-bin rate."""
+    _, table, inv, _ = expected_counts(asm, cfg, temp_trace, duration, sites,
+                                       trace_resolution)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return rng.poisson(table[inv])
 
 
 def trace_csv_per_row(result, cfg, header_lines=()):
@@ -102,7 +112,8 @@ class TestSimulateCounts:
     def test_zero_contrast_equal_rates(self):
         asm = single_lorentzian_assembly(contrast=1e-9)
         cfg = calibrate_three_point(asm, T0, dwell=0.002)
-        _, lam, _ = expected_counts(asm, cfg, lambda t: T0, 0.3)
+        _, table, inv, _ = expected_counts(asm, cfg, lambda t: T0, 0.3)
+        lam = table[inv]
         # S = 1 everywhere: every channel expects L * dwell per cycle
         assert np.allclose(lam, asm.photon_rate * cfg.dwell, rtol=1e-6)
 
@@ -110,7 +121,8 @@ class TestSimulateCounts:
         asm = single_lorentzian_assembly()
         cfg = calibrate_three_point(asm, T0, dwell=0.005)
         rec = simulate_counts(asm, cfg, lambda t: T0, 60.0, seed=8)
-        _, lam, _ = expected_counts(asm, cfg, lambda t: T0, 60.0)
+        _, table, inv, _ = expected_counts(asm, cfg, lambda t: T0, 60.0)
+        lam = table[inv]
         for counts, expect in ((rec.counts_f1, lam[0, 0]),
                                (rec.counts_f2, lam[0, 1]),
                                (rec.counts_ref, lam[0, 2])):
@@ -145,8 +157,10 @@ class TestSimulateCounts:
         asm = single_lorentzian_assembly()
         cfg = calibrate_three_point(asm, T0, dwell=0.005)
         # snapped to 0.1 mK the microkelvin wobble collapses onto one key
-        _, lam, _ = expected_counts(asm, cfg, lambda t: T0 + 1e-6 * np.sin(t),
-                                    1.0, trace_resolution=1e-4)
+        _, table, inv, _ = expected_counts(asm, cfg,
+                                           lambda t: T0 + 1e-6 * np.sin(t),
+                                           1.0, trace_resolution=1e-4)
+        lam = table[inv]
         assert np.all(lam == lam[0])
 
     @pytest.mark.parametrize("trace, resolution", [
@@ -157,11 +171,30 @@ class TestSimulateCounts:
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
-        got = expected_counts(asm, cfg, trace, 4.0, sites, resolution)
+        times, table, inv, temps = expected_counts(asm, cfg, trace, 4.0, sites,
+                                                   resolution)
+        got = (times, table[inv], temps)
         want = expected_counts_per_bin(asm, cfg, trace, 4.0, sites, resolution)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("trace, resolution", [
+        (square_wave_trace(335.4, 336.9, 0.9), None),
+        (lambda t: 336.15 + 0.005 * np.sin(2 * np.pi * t / 1.7), 1e-4),
+    ])
+    def test_blocked_draw_matches_one_draw(self, trace, resolution):
+        # 2 x 8192 + 1 bins: two full Poisson blocks and a one-bin tail
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        duration = (2 * 8192 + 1.5) * cfg.bin_duration
+        rec = simulate_counts(asm, cfg, trace, duration, seed=12,
+                              trace_resolution=resolution, sites=sites)
+        want = poisson_one_draw(asm, cfg, trace, duration, 12, sites, resolution)
+        assert want.shape == (2 * 8192 + 1, 3)
+        for got, w in zip((rec.counts_f1, rec.counts_f2, rec.counts_ref), want.T):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
 
     def test_passed_sites_equal_sampled(self):
         asm = single_lorentzian_assembly()
