@@ -33,14 +33,13 @@ from .errors import SchemaError, ThermoError
 from . import magnet_model
 from .ensemble_spectrum import (
     SensorAssembly,
-    default_freq_grid,
     export_spectrum_csv,
     nv_field_fn,
     sample_ensemble,
     signal_temperature_slope,
     synthesize_spectrum,
 )
-from .magnet_model import Magnet, dm_dtemp, solve_magnetization
+from .magnet_model import Magnet, magnetization_curve
 from .protocol_sim import (
     calibrate_three_point,
     export_trace_csv,
@@ -449,9 +448,8 @@ def _write_csv(path: Path, header_lines, columns, rows):
 
 def _run_magnetize(resolved, out_csv, threads):
     magnet = build_magnet(resolved["magnet"])
-    temps = _temp_grid(resolved["grids"])
-    rows = [(float(t), solve_magnetization(magnet, t), dm_dtemp(magnet, t))
-            for t in temps]
+    curve = magnetization_curve(magnet, _temp_grid(resolved["grids"]))
+    rows = zip(curve.temps.tolist(), curve.reduced_m.tolist(), curve.dm_dt.tolist())
     _write_csv(out_csv, _csv_header("magnetize", resolved),
                ["t_k", "m_reduced", "dm_dt_per_k"], rows)
     return {"tc_k": magnet.tc}
@@ -463,13 +461,10 @@ def _run_spectrum(resolved, out_csv, threads):
     temp = resolved["grids"]["temp_k"]
     grids = resolved["grids"]
     sites = sample_ensemble(asm)
-    if "freq_start_hz" in grids:
-        freqs = np.linspace(grids["freq_start_hz"], grids["freq_stop_hz"],
-                            grids["freq_points"])
-    else:
-        freqs = default_freq_grid(asm, temp, sites)
-    spec = synthesize_spectrum(asm, temp, freqs, sites)
-    slope = signal_temperature_slope(asm, temp, freqs, sites=sites)
+    freqs = np.linspace(grids["freq_start_hz"], grids["freq_stop_hz"],
+                        grids["freq_points"]) if "freq_start_hz" in grids else None
+    spec = synthesize_spectrum(asm, temp, freqs, sites=sites)
+    slope = signal_temperature_slope(asm, temp, spec.freqs, sites=sites)
     export_spectrum_csv(spec, out_csv, slope=slope,
                         header_lines=_header_body("spectrum", resolved))
     return {

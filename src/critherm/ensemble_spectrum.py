@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .magnet_model import Magnet, dipole_field, dipole_field_many, magnetic_moment
-from .spin_model import SpinSystem, d_of_t, transition_pair_batch
+from .magnet_model import (Magnet, dipole_field, dipole_field_many, magnetic_moment,
+                           solve_magnetization)
+from .spin_model import SpinSystem, d_of_t, transition_pairs
 
 # The four NV symmetry axes (<111> family) in the crystal frame.
 TETRAHEDRAL_AXES = np.array(
@@ -31,6 +32,7 @@ _LINE_CHUNK = 256
 # Grid points per tile.  One block times one tile is the kernel's whole
 # working buffer (256 x 256 float64 = 512 KiB), whatever the grid size.
 _FREQ_TILE = 256
+_SLOPE_STEP = 0.01  # K, default step of the central-difference dS/dT
 
 
 @dataclass(frozen=True)
@@ -181,18 +183,33 @@ def nv_field_fn(magnet: Magnet, position, axis):
         min_distance=magnet.radius)
 
 
+def line_centers(asm: SensorAssembly, temps, sites: Ensemble):
+    """(omega_minus, omega_plus) over the ensemble at each of the 1-D
+    `temps`: two (n_temps, n_sites) arrays.  The moment stays on the easy
+    axis, so the NV-frame field is bias_nv + m(T) g_nv, g_nv being the field
+    of the saturated particle; rows are solved one temperature at a time."""
+    temps = np.asarray(temps, dtype=float)
+    d = d_of_t(asm.spin, temps)
+    bias_nv = sites.frames @ np.asarray(asm.bias_field)
+    m, g_nv = np.zeros_like(temps), np.zeros_like(bias_nv)
+    if asm.magnet is not None:
+        mag = asm.magnet
+        g_nv = np.einsum("nij,nj->ni", sites.frames, dipole_field_many(
+            mag.m_sat * mag.volume * np.asarray(mag.easy_axis), mag.center,
+            sites.positions, min_distance=mag.radius))
+        m = solve_magnetization(mag, temps)
+    om, op = np.empty((2, temps.size, len(sites)))
+    for k in range(temps.size):
+        om[k], op[k] = transition_pairs(d[k], sites.strains, asm.spin.gamma,
+                                        bias_nv + m[k] * g_nv)
+    return om, op
+
+
 def site_transition_pairs(asm: SensorAssembly, temp: float, sites: Ensemble):
     """(omega_minus, omega_plus) arrays over the ensemble at temperature
-    temp, with the magnet's dipole field plus the bias field projected into
-    each NV frame."""
-    b_lab = np.zeros_like(sites.positions) + np.asarray(asm.bias_field)
-    if asm.magnet is not None:
-        moment = magnetic_moment(asm.magnet, temp)
-        b_lab = b_lab + dipole_field_many(moment, asm.magnet.center, sites.positions,
-                                          min_distance=asm.magnet.radius)
-    b_nv = np.einsum("nij,nj->ni", sites.frames, b_lab)
-    return transition_pair_batch(d_of_t(asm.spin, temp), sites.strains,
-                                 asm.spin.gamma, b_nv)
+    temp: the one row of line_centers."""
+    om, op = line_centers(asm, [temp], sites)
+    return om[0], op[0]
 
 
 def _signal(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
@@ -219,51 +236,42 @@ def _signal(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
     return 1.0 - weight * total
 
 
-def signal_at(asm: SensorAssembly, temp: float, freqs, sites=None) -> np.ndarray:
+def signal_at(asm: SensorAssembly, temp: float, freqs, sites: Ensemble) -> np.ndarray:
     """Normalized ODMR signal S(omega; T) on the given frequency grid."""
-    if sites is None:
-        sites = sample_ensemble(asm)
     return _signal(asm, np.asarray(freqs, dtype=float),
                    *site_transition_pairs(asm, temp, sites))
 
 
-def default_freq_grid(asm: SensorAssembly, temp: float, sites=None,
+def default_freq_grid(asm: SensorAssembly, temp: float, sites: Ensemble,
                       pad: float = 6.0, max_points: int = 30001) -> np.ndarray:
     """Frequency grid covering every line with `pad` linewidths of margin and
-    at least 10 points per linewidth.
+    at least 10 points per linewidth; warns when that needs more than
+    `max_points` points and the grid is clipped to that count."""
+    return _grid_for_lines(asm, *site_transition_pairs(asm, temp, sites),
+                           pad, max_points)
 
-    Warns when the grid needs more than `max_points` points and is clipped to
-    that count, which leaves it coarser than 10 points per linewidth.
-    """
-    if sites is None:
-        sites = sample_ensemble(asm)
-    om, op = site_transition_pairs(asm, temp, sites)
+
+def _grid_for_lines(asm: SensorAssembly, om, op, pad: float = 6.0,
+                    max_points: int = 30001) -> np.ndarray:
+    """default_freq_grid for the line centres om, op."""
     lo = om.min() - pad * asm.line_width
     hi = op.max() + pad * asm.line_width
     n = max(int(np.ceil((hi - lo) / (asm.line_width / 10.0))) + 1, 801)
     if n > max_points:
-        warnings.warn(
-            f"frequency grid clipped from {n} to {max_points} points "
-            "(fewer than 10 per linewidth)",
-            stacklevel=2,
-        )
+        warnings.warn(f"frequency grid clipped from {n} to {max_points} points "
+                      "(fewer than 10 per linewidth)", stacklevel=3)
         n = max_points
     return np.linspace(lo, hi, n)
 
 
-def synthesize_spectrum(asm: SensorAssembly, temp: float, freqs=None,
-                        sites=None) -> OdmrSpectrum:
-    """Synthesize S(omega; T) and attach per-line metadata.
-
-    Sites are sampled from asm.rng_seed when not supplied; passing the same
-    ensemble at several temperatures gives common-random-number spectra.
-    """
-    if sites is None:
-        sites = sample_ensemble(asm)
-    if freqs is None:
-        freqs = default_freq_grid(asm, temp, sites)
-    freqs = np.asarray(freqs, dtype=float)
+def synthesize_spectrum(asm: SensorAssembly, temp: float, freqs=None, *,
+                        sites: Ensemble) -> OdmrSpectrum:
+    """Synthesize S(omega; T) and attach per-line metadata; freqs defaults to
+    default_freq_grid.  Passing the same ensemble at several temperatures
+    gives common-random-number spectra."""
     om, op = site_transition_pairs(asm, temp, sites)
+    freqs = _grid_for_lines(asm, om, op) if freqs is None \
+        else np.asarray(freqs, dtype=float)
     signal = _signal(asm, freqs, om, op)
     meta = {
         "temp_k": float(temp),
@@ -282,7 +290,8 @@ def synthesize_spectrum(asm: SensorAssembly, temp: float, freqs=None,
 
 
 def signal_temperature_slope(asm: SensorAssembly, temp: float, freqs,
-                             dt_step: float = 0.01, sites=None) -> np.ndarray:
+                             dt_step: float = _SLOPE_STEP, *,
+                             sites: Ensemble) -> np.ndarray:
     """Central finite difference dS/dT per grid frequency (1/K).
 
     The same ensemble sample is used at both temp +- dt_step (common random
@@ -290,11 +299,28 @@ def signal_temperature_slope(asm: SensorAssembly, temp: float, freqs,
     """
     if dt_step <= 0:
         raise DomainError(f"dt_step must be positive, got {dt_step}")
-    if sites is None:
-        sites = sample_ensemble(asm)
-    hi = signal_at(asm, temp + dt_step, freqs, sites)
-    lo = signal_at(asm, temp - dt_step, freqs, sites)
-    return (hi - lo) / (2.0 * dt_step)
+    return _slope(asm, np.asarray(freqs, dtype=float),
+                  *line_centers(asm, [temp + dt_step, temp - dt_step], sites), dt_step)
+
+
+def _slope(asm: SensorAssembly, freqs, om, op, dt_step: float) -> np.ndarray:
+    """signal_temperature_slope from two rows of line centres, at
+    T + dt_step and at T - dt_step."""
+    return (_signal(asm, freqs, om[0], op[0])
+            - _signal(asm, freqs, om[1], op[1])) / (2.0 * dt_step)
+
+
+def _slope_scan(asm: SensorAssembly, temps, sites: Ensemble):
+    """Yield signal_temperature_slope on default_freq_grid at each of the
+    1-D `temps`, from one line_centers call whose rows run T, T + step,
+    T - step for each T; one grid is held at a time."""
+    temps = np.asarray(temps, dtype=float)
+    rows = np.stack([temps, temps + _SLOPE_STEP, temps - _SLOPE_STEP], axis=1)
+    om, op = (a.reshape(temps.size, 3, -1)
+              for a in line_centers(asm, rows.ravel(), sites))
+    for om_t, op_t in zip(om, op):
+        yield _slope(asm, _grid_for_lines(asm, om_t[0], op_t[0]),
+                     om_t[1:], op_t[1:], _SLOPE_STEP)
 
 
 def measure_fwhm(freqs, signal) -> float:

@@ -120,62 +120,69 @@ def brillouin(j: float, x):
     return out if out.ndim else float(out)
 
 
-def solve_magnetization(mag: Magnet, temp: float) -> float:
+def solve_magnetization(mag: Magnet, temp):
     """Reduced magnetization m(T) in [0, 1]: the stable (largest) root of the
-    mean-field equation; identically 0 for T >= Tc.
+    mean-field equation; identically 0 for T >= Tc.  A scalar temp gives a
+    float, an array an array of its shape.
 
-    Bracketed bisection on [1e-12, 1] with a fixed iteration schedule, so
-    identical inputs always give bit-identical outputs.
+    Bracketed bisection on [1e-12, 1] with a fixed iteration schedule, run on
+    all temperatures in lockstep; each stops when its own bracket is narrow
+    enough, so a temperature gives bit-identical output in any array.
     """
-    if temp <= 0:
-        raise DomainError(f"temperature must be positive, got {temp}")
-    if temp >= mag.tc:
-        return 0.0
-
+    shape = np.shape(temp)
+    t = np.asarray(temp, dtype=float).ravel()
+    if np.any(t <= 0):
+        raise DomainError(f"temperature must be positive, got {t[t <= 0][0]}")
     j = mag.spin_j
-    coef = 3.0 * j / (j + 1.0) * mag.tc / temp
+    coef = 3.0 * j / (j + 1.0) * mag.tc / t
 
     def f(m):
         return m - brillouin(j, coef * m)
 
-    lo, hi = _BISECT_LO, 1.0
+    def fail(mask, what):
+        k = np.flatnonzero(mask)[0]
+        raise SolverError(f"mean-field {what} at T = {t[k]} K",
+                          bracket=(lo[k], hi[k]))
+
+    m, active = np.zeros_like(t), t < mag.tc
+    lo, hi = np.full_like(t, _BISECT_LO), np.ones_like(t)
     flo = f(lo)
-    if flo > 0 or f(hi) < 0:
-        raise SolverError(
-            f"mean-field root not bracketed at T = {temp} K", bracket=(lo, hi)
-        )
+    unbracketed = active & ((flo > 0) | (f(hi) < 0))
+    if unbracketed.any():
+        fail(unbracketed, "root not bracketed")
     for _ in range(_BISECT_MAX_ITERS):
+        if not active.any():
+            break
         mid = 0.5 * (lo + hi)
-        if flo * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-            flo = f(lo)
-        if hi - lo < _BISECT_TOL:
-            return 0.5 * (lo + hi)
-    raise SolverError(
-        f"mean-field solver did not converge at T = {temp} K",
-        bracket=(lo, hi),
-    )
+        fmid = f(mid)
+        left = flo * fmid <= 0
+        lo, hi, flo = (np.where(left, lo, mid), np.where(left, mid, hi),
+                       np.where(left, flo, fmid))
+        done = active & (hi - lo < _BISECT_TOL)
+        m[done] = 0.5 * (lo[done] + hi[done])
+        active &= ~done
+    if active.any():
+        fail(active, "solver did not converge")
+    return m.reshape(shape) if shape else float(m[0])
 
 
-def dm_dtemp(mag: Magnet, temp: float) -> float:
+def dm_dtemp(mag: Magnet, temp):
     """Finite-difference dm/dT (1/K) with a _DT_STEP step; central away from
-    Tc, one-sided from below when the step would straddle the transition."""
-    if temp > mag.tc:
-        return 0.0  # m identically zero on both sides
-    if temp + _DT_STEP > mag.tc:
-        return (solve_magnetization(mag, temp)
-                - solve_magnetization(mag, temp - _DT_STEP)) / _DT_STEP
-    return (solve_magnetization(mag, temp + _DT_STEP)
-            - solve_magnetization(mag, temp - _DT_STEP)) / (2.0 * _DT_STEP)
+    Tc, one-sided from below when the step would straddle the transition,
+    0 above Tc.  temp is a scalar or an array, as in solve_magnetization."""
+    t = np.asarray(temp, dtype=float)
+    above, one_sided = t > mag.tc, t + _DT_STEP > mag.tc
+    m_hi = solve_magnetization(mag, np.where(one_sided, t, t + _DT_STEP))
+    m_lo = solve_magnetization(mag, np.where(above, t, t - _DT_STEP))
+    out = np.where(above, 0.0,
+                   (m_hi - m_lo) / np.where(one_sided, _DT_STEP, 2.0 * _DT_STEP))
+    return out if t.ndim else float(out)
 
 
 def magnetization_curve(mag: Magnet, temps) -> MagnetizationCurve:
     temps = np.asarray(temps, dtype=float)
-    m = np.array([solve_magnetization(mag, t) for t in temps])
-    dm = np.array([dm_dtemp(mag, t) for t in temps])
-    return MagnetizationCurve(temps=temps, reduced_m=m, dm_dt=dm)
+    return MagnetizationCurve(temps=temps, reduced_m=solve_magnetization(mag, temps),
+                              dm_dt=dm_dtemp(mag, temps))
 
 
 def magnetic_moment(mag: Magnet, temp: float) -> np.ndarray:

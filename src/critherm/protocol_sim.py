@@ -24,10 +24,12 @@ import numpy as np
 from .errors import DomainError, EstimationError
 from .ensemble_spectrum import (
     SensorAssembly,
-    default_freq_grid,
+    _grid_for_lines,
+    _signal,
+    _slope,
+    _slope_scan,
+    line_centers,
     sample_ensemble,
-    signal_at,
-    signal_temperature_slope,
     site_transition_pairs,
 )
 from .sensitivity import eta_cw_numeric
@@ -83,39 +85,36 @@ class CountRecord:
         return len(self.times)
 
 
-def reference_detuning_ok(asm: SensorAssembly, f_ref: float, temp: float,
-                          sites=None) -> bool:
+def reference_detuning_ok(asm: SensorAssembly, f_ref: float, temp: float, sites) -> bool:
     """True when f_ref sits more than 50 linewidths from every resonance."""
-    if sites is None:
-        sites = sample_ensemble(asm)
     centers = np.concatenate(site_transition_pairs(asm, temp, sites))
     return bool(np.min(np.abs(centers - f_ref))
                 > _REF_DETUNING_LINEWIDTHS * asm.line_width)
 
 
 def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
-                          probes=None, dt_step: float = 0.01,
-                          sites=None) -> ThreePointConfig:
-    """Linearize the protocol around t0 from the forward model.
+                          probes=None, dt_step: float = 0.01, *,
+                          sites) -> ThreePointConfig:
+    """Linearize the protocol around t0 from one forward-model evaluation
+    at t0 and t0 +- dt_step.
 
     probes is an explicit (f1, f2, f_ref) in Hz; by default the two
     extreme-slope frequencies and an off-resonant reference are picked.
     """
-    if sites is None:
-        sites = sample_ensemble(asm)
+    if dt_step <= 0:
+        raise DomainError(f"dt_step must be positive, got {dt_step}")
+    om, op = line_centers(asm, [t0, t0 + dt_step, t0 - dt_step], sites)
     if probes is None:
-        freqs = default_freq_grid(asm, t0, sites)
-        slope_grid = signal_temperature_slope(asm, t0, freqs, dt_step, sites)
+        freqs = _grid_for_lines(asm, om[0], op[0])
+        slope_grid = _slope(asm, freqs, om[1:], op[1:], dt_step)
         f1 = float(freqs[int(np.argmax(slope_grid))])
         f2 = float(freqs[int(np.argmin(slope_grid))])
-        om, op = site_transition_pairs(asm, t0, sites)
-        f_ref = float(np.max(op) + 1.2 * _REF_DETUNING_LINEWIDTHS * asm.line_width)
+        f_ref = float(np.max(op[0]) + 1.2 * _REF_DETUNING_LINEWIDTHS * asm.line_width)
     else:
         f1, f2, f_ref = (float(f) for f in probes)
 
     probe = np.array([f1, f2, f_ref])
-    s_lo, s_mid, s_hi = (signal_at(asm, t, probe, sites)
-                         for t in (t0 - dt_step, t0, t0 + dt_step))
+    s_mid, s_hi, s_lo = (_signal(asm, probe, *lines) for lines in zip(om, op))
     d_lo = s_lo[0] / s_lo[2] - s_lo[1] / s_lo[2]
     d_hi = s_hi[0] / s_hi[2] - s_hi[1] / s_hi[2]
     cal = Calibration(t0=float(t0), s1_0=float(s_mid[0] / s_mid[2]),
@@ -126,7 +125,7 @@ def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
 
 
 def expected_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
-                    duration: float, sites=None, trace_resolution: float = None):
+                    duration: float, sites, trace_resolution: float = None):
     """Noiseless per-bin expected counts (lambda_i) for each channel, in
     factored form: (times, table, inv, temps).
 
@@ -138,15 +137,13 @@ def expected_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
     temp_trace maps time (s) to true temperature (K).  It is called once,
     with the array of bin midpoints, and must return an array of that shape
     or a scalar that broadcasts to it (a constant trace); a scalar-only
-    callable such as `lambda t: a if t < 5 else b` does not work.  S is
-    evaluated once per distinct temperature, so constant and square-wave
-    traces cost only a handful of spectrum evaluations.  For smooth traces
+    callable such as `lambda t: a if t < 5 else b` does not work.  One
+    line_centers call covers the distinct temperatures, so constant and
+    square-wave traces cost only a handful of rows.  For smooth traces
     pass trace_resolution (K) to snap temperatures to that grid first:
     0.1 mK structure is far below anything a single protocol bin can
     resolve, and the snap keeps the evaluation count bounded.
     """
-    if sites is None:
-        sites = sample_ensemble(asm)
     nbins = int(np.floor(duration / cfg.bin_duration))
     if nbins < 1:
         raise DomainError("duration shorter than one protocol cycle")
@@ -157,8 +154,8 @@ def expected_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
         else np.round(temps / trace_resolution) * trace_resolution
     distinct, inv = np.unique(keys, return_inverse=True)
     probe = np.array([cfg.f1, cfg.f2, cfg.f_ref])
-    table = np.array([asm.photon_rate * cfg.dwell * signal_at(asm, t, probe, sites)
-                      for t in distinct])
+    table = np.array([asm.photon_rate * cfg.dwell * _signal(asm, probe, *lines)
+                      for lines in zip(*line_centers(asm, distinct, sites))])
     if np.any(table > _LAMBDA_GUARD):
         raise DomainError("expected counts per bin exceed the overflow guard")
     return times, table, inv, temps
@@ -166,15 +163,13 @@ def expected_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
 
 def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
                     duration: float, seed: int, trace_resolution: float = None,
-                    sites=None) -> CountRecord:
+                    *, sites) -> CountRecord:
     """Poisson-sampled three-channel count record; deterministic under seed.
 
     temp_trace is called once with the array of bin midpoints, as in
     expected_counts.  The counts are drawn in blocks of bins, which gives the
     same stream as one draw over all per-bin rates without holding them all.
     """
-    if sites is None:
-        sites = sample_ensemble(asm)
     times, table, inv, temps = expected_counts(asm, cfg, temp_trace, duration,
                                                sites, trace_resolution)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -258,7 +253,7 @@ class ShotNoiseResult:
 def shot_noise_curve(asm: SensorAssembly, cfg: ThreePointConfig,
                      total_time: float, window_grid, seed: int,
                      temp_trace=None, trace_resolution: float = None,
-                     sites=None) -> ShotNoiseResult:
+                     *, sites) -> ShotNoiseResult:
     """Standard deviation of the estimated temperature versus window length.
 
     One long record at (by default) constant calibration temperature is cut
@@ -275,7 +270,7 @@ def shot_noise_curve(asm: SensorAssembly, cfg: ThreePointConfig,
         t0 = cfg.calibration.t0
         temp_trace = lambda t: t0
     rec = simulate_counts(asm, cfg, temp_trace, total_time, seed,
-                          trace_resolution, sites)
+                          trace_resolution, sites=sites)
     rows = []
     for window in window_grid:
         bpw, nwin = window_layout(window, cfg.dwell, total_time)
@@ -302,9 +297,8 @@ def three_point_penalty(asm: SensorAssembly, cfg: ThreePointConfig, seed: int,
     est = window_estimates(rec, cfg, cycles_per_window)
     eta_mc = float(np.std(est, ddof=1)
                    * np.sqrt(cycles_per_window * cfg.bin_duration))
-    freqs = default_freq_grid(asm, t0, sites)
-    slope = signal_temperature_slope(asm, t0, freqs, sites=sites)
-    return eta_mc / eta_cw_numeric(slope, asm.photon_rate)
+    return eta_mc / eta_cw_numeric(next(_slope_scan(asm, [t0], sites)),
+                                   asm.photon_rate)
 
 
 def square_wave_trace(low: float, high: float, period: float):
@@ -354,7 +348,7 @@ class TrackResult:
 
 def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
                       high: float, period: float, bin: float, duration: float,
-                      seed: int, sites=None) -> TrackResult:
+                      seed: int, sites) -> TrackResult:
     """Real-time tracking of a square-wave temperature drive.
 
     Bins of `bin` seconds (>= one protocol cycle each) are estimated

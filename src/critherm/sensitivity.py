@@ -26,7 +26,7 @@ from .errors import DomainError, ThermoError, UnmeasurableError
 from .magnet_model import M_SAT_NI, Magnet, curie_temperature
 from .ensemble_spectrum import (
     SensorAssembly,
-    default_freq_grid,
+    _slope_scan,
     nv_field_fn,
     sample_ensemble,
     signal_temperature_slope,
@@ -148,14 +148,11 @@ def representative_domega_dt(asm: SensorAssembly, temp: float) -> float:
 
 
 def sensitivity_report(asm: SensorAssembly, temp: float, t2_star: float = None,
-                       tau: float = None, sites=None) -> SensitivityReport:
+                       tau: float = None, *, sites) -> SensitivityReport:
     """Evaluate all estimators for one assembly and temperature; pass the
     same `sites` at several temperatures to sample the ensemble once."""
-    if sites is None:
-        sites = sample_ensemble(asm)
-    freqs = default_freq_grid(asm, temp, sites)
-    slope = signal_temperature_slope(asm, temp, freqs, sites=sites)
-    spec = synthesize_spectrum(asm, temp, freqs, sites)
+    spec = synthesize_spectrum(asm, temp, sites=sites)
+    slope = signal_temperature_slope(asm, temp, spec.freqs, sites=sites)
     eta_num = eta_cw_numeric(slope, asm.photon_rate)
     dom = representative_domega_dt(asm, temp)
     eta_lor = eta_cw_lorentzian(
@@ -222,17 +219,16 @@ def _sweep_cell(template: SensorAssembly, sites, x: float, temp_policy) -> Desig
         easy_axis=base.easy_axis,
     )
     asm = replace(template, magnet=magnet)
+    temps = temp_policy(tc)
     best = None
-    for temp in temp_policy(tc):
-        try:
-            freqs = default_freq_grid(asm, temp, sites)
-            slope = signal_temperature_slope(asm, temp, freqs, sites=sites)
+    try:
+        for temp, slope in zip(temps, _slope_scan(asm, temps, sites)):
             eta = eta_cw_numeric(slope, asm.photon_rate)
-        except ThermoError as exc:
-            return DesignPoint(x, tc, np.nan, np.nan, np.nan,
-                               status=f"error: {exc}")
-        if best is None or eta < best[0]:
-            best = (eta, temp)
+            if best is None or eta < best[0]:
+                best = (eta, temp)
+    except ThermoError as exc:
+        return DesignPoint(x, tc, np.nan, np.nan, np.nan,
+                           status=f"error: {exc}")
     dom = representative_domega_dt(asm, best[1])
     return DesignPoint(x=float(x), tc_k=float(tc), t_opt_k=float(best[1]),
                        eta_opt=float(best[0]), domega_dt=float(dom))

@@ -84,9 +84,9 @@ class LevelSet:
     omega_plus: float
 
 
-def d_of_t(sys: SpinSystem, temp: float) -> float:
-    """Zero-field splitting D(T) in Hz; strictly linear in temperature."""
-    if temp <= 0:
+def d_of_t(sys: SpinSystem, temp):
+    """Zero-field splitting D(T) in Hz; strictly linear in (array) temp."""
+    if np.any(np.asarray(temp) <= 0):
         raise DomainError(f"temperature must be positive, got {temp}")
     return sys.d0 + sys.dd_dt * (temp - sys.t_ref)
 
@@ -100,23 +100,18 @@ def build_hamiltonian(sys: SpinSystem, temp: float) -> np.ndarray:
     return h
 
 
-def _label_levels(w, v):
-    """Identify the 0-like eigenvalue by eigenvector overlap with |m_s=0>.
-
-    Returns (e0, e_low, e_high) with the two remaining eigenvalues sorted.
-    Raises LabelingAmbiguityError when the two best overlaps are degenerate.
-    """
-    ov0 = np.abs(v[1, :]) ** 2  # row 1 = |0> component of each eigenvector
-    order = np.argsort(ov0)
-    if ov0[order[2]] - ov0[order[1]] < _OVERLAP_TOL:
-        raise LabelingAmbiguityError(
-            "two eigenvectors overlap |m_s=0> equally "
-            f"({ov0[order[2]]:.6f} vs {ov0[order[1]]:.6f}); "
-            "transition labels are undefined at this field"
-        )
-    idx0 = order[2]
-    others = sorted(w[k] for k in range(3) if k != idx0)
-    return w[idx0], others[0], others[1]
+def _label_levels(w, ov0):
+    """(omega_minus, omega_plus) from ascending eigenvalues w (n, 3) and each
+    level's |<0|psi>|^2 ov0 (n, 3): from the 0-like (largest-overlap) level
+    to the other two.  Degenerate (or NaN) top overlaps raise."""
+    top = np.sort(ov0, axis=1)
+    if not np.all(top[:, 2] - top[:, 1] >= _OVERLAP_TOL):
+        raise LabelingAmbiguityError("two levels overlap |m_s=0> equally; "
+                                     "transition labels are undefined here")
+    idx0 = np.argmax(ov0, axis=1)
+    e0 = np.take_along_axis(w, idx0[:, None], axis=1)[:, 0]
+    others = w[np.arange(3) != idx0[:, None]].reshape(-1, 2)   # ascending
+    return others[:, 0] - e0, others[:, 1] - e0
 
 
 def transition_frequencies(sys: SpinSystem, temp: float) -> LevelSet:
@@ -133,55 +128,42 @@ def transition_frequencies(sys: SpinSystem, temp: float) -> LevelSet:
             f"({sys.gamma * bmag + sys.strain_e:.3e} Hz vs D = {d:.3e} Hz)",
             stacklevel=2,
         )
-    h = build_hamiltonian(sys, temp)
-    w, v = np.linalg.eigh(h)
-    e0, e_low, e_high = _label_levels(w, v)
-    return LevelSet(
-        eigenvalues=tuple(float(x) for x in w),
-        omega_minus=float(e_low - e0),
-        omega_plus=float(e_high - e0),
-    )
+    w, v = np.linalg.eigh(build_hamiltonian(sys, temp))
+    om, op = _label_levels(w[None], np.abs(v[1:2, :]) ** 2)   # row 1 = <0|
+    return LevelSet(eigenvalues=tuple(float(x) for x in w),
+                    omega_minus=float(om[0]), omega_plus=float(op[0]))
 
 
-def transition_pair_batch(d, strain_e, gamma, fields):
-    """omega_minus/omega_plus for many NV sites at once.
+def transition_pairs(d: float, strain_e, gamma: float, fields):
+    """omega_minus/omega_plus for many NV sites at once, in closed form.
 
     d: scalar D(T) in Hz; strain_e: (n,) per-site strain; fields: (n, 3)
-    NV-frame fields in tesla.  Returns two (n,) arrays.  Matrix elements are
-    written out explicitly (independent of the operator-matrix construction
-    in build_hamiltonian).
+    NV-frame fields in tesla.  Returns two (n,) arrays.  With no transverse
+    field |0> is an eigenvector of eigenvalue 0 and the lines are exactly
+    the eigenvalues D -+ sqrt(E^2 + gamma^2 Bz^2) of the +-1 block.  Else the
+    eigenvalues are the trigonometric roots of the cubic of H - (2D/3) I
+    (Kopp, arXiv physics/0610206), and each level's |<0|psi>|^2 follows from
+    the eigenvector-eigenvalue identity (Denton, Parke, Tao, Zhang,
+    arXiv:1908.03795) with the +-1 block as the minor.
     """
     fields = np.asarray(fields, dtype=float)
-    strain_e = np.broadcast_to(np.asarray(strain_e, dtype=float), (fields.shape[0],))
-    n = fields.shape[0]
-    bx, by, bz = fields[:, 0], fields[:, 1], fields[:, 2]
-
-    h = np.zeros((n, 3, 3), dtype=complex)
-    h[:, 0, 0] = d - gamma * bz
-    h[:, 2, 2] = d + gamma * bz
-    h[:, 0, 2] = strain_e
-    h[:, 2, 0] = strain_e
-    trans = -gamma * (bx - 1j * by) / np.sqrt(2.0)
-    h[:, 0, 1] = trans
-    h[:, 1, 2] = trans
-    h[:, 1, 0] = np.conj(trans)
-    h[:, 2, 1] = np.conj(trans)
-
-    w, v = np.linalg.eigh(h)
-    ov0 = np.abs(v[:, 1, :]) ** 2            # (n, 3): |<0|psi_k>|^2
-    order = np.argsort(ov0, axis=1)
-    best = np.take_along_axis(ov0, order[:, 2:3], axis=1)[:, 0]
-    second = np.take_along_axis(ov0, order[:, 1:2], axis=1)[:, 0]
-    if np.any(best - second < _OVERLAP_TOL):
-        raise LabelingAmbiguityError(
-            "degenerate |m_s=0> overlap for at least one site"
-        )
-    idx0 = order[:, 2]
-    e0 = np.take_along_axis(w, idx0[:, None], axis=1)[:, 0]
-    mask = np.ones((n, 3), dtype=bool)
-    np.put_along_axis(mask, idx0[:, None], False, axis=1)
-    others = w[mask].reshape(n, 2)           # ascending because w is ascending
-    return others[:, 0] - e0, others[:, 1] - e0
+    strain_e = np.broadcast_to(np.asarray(strain_e, dtype=float), fields.shape[:1])
+    axial = np.sqrt(strain_e ** 2 + (gamma * fields[:, 2]) ** 2)
+    om, op = d - axial, d + axial
+    c = (fields[:, 0] != 0.0) | (fields[:, 1] != 0.0)
+    if np.any(c):
+        (bx, by, bz), e = fields[c].T, strain_e[c]
+        g_perp2, g_z2 = gamma ** 2 * (bx * bx + by * by), (gamma * bz) ** 2
+        p = np.sqrt(d * d / 9.0 + (g_perp2 + g_z2 + e * e) / 3.0)
+        half_det = (-d ** 3 / 27.0 + d / 3.0 * (g_z2 - 0.5 * g_perp2 + e * e)
+                    + 0.5 * e * gamma ** 2 * (bx * bx - by * by))
+        phi = np.arccos(np.clip(half_det / p ** 3, -1.0, 1.0)) / 3.0
+        w = np.sort(2.0 * d / 3.0 + 2.0 * p[:, None] * np.cos(
+            phi[:, None] + np.array([0.0, 2.0, 4.0]) * np.pi / 3.0), axis=1)
+        ov0 = ((w - om[c, None]) * (w - op[c, None])
+               / ((w - np.roll(w, 1, axis=1)) * (w - np.roll(w, 2, axis=1))))
+        om[c], op[c] = _label_levels(w, ov0)
+    return om, op
 
 
 def domega_dtemp(sys: SpinSystem, magnet_field_fn, temp: float):

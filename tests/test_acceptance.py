@@ -8,7 +8,7 @@ import numpy as np
 
 import critherm as ct
 from critherm.cli_runner import replay_manifest, run
-from critherm.ensemble_spectrum import SensorAssembly, nv_field_fn
+from critherm.ensemble_spectrum import SensorAssembly, nv_field_fn, sample_ensemble
 from critherm.magnet_model import Magnet, curie_temperature, solve_magnetization
 from critherm.presets import (
     PILLAR_CONTRAST,
@@ -140,14 +140,16 @@ def test_criterion_07_shot_noise_law_and_plateau():
     start = time.time()
     asm = cuni_tracking_assembly(seed=1)
     t_op = 339.0
-    cfg = calibrate_three_point(asm, t_op, dwell=0.005)
+    sites = sample_ensemble(asm)
+    cfg = calibrate_three_point(asm, t_op, dwell=0.005, sites=sites)
     res = shot_noise_curve(asm, cfg, total_time=1600.0,
                            window_grid=[0.06, 0.12, 0.24, 0.6, 1.2, 2.4],
-                           seed=9)
+                           seed=9, sites=sites)
     floor = lambda t: t_op + np.sqrt(2.0) * 0.010 * np.sin(2 * np.pi * t / 30.0)
     res_floor = shot_noise_curve(asm, cfg, total_time=1600.0,
                                  window_grid=[0.06, 0.12, 0.24, 0.6, 1.2, 2.4],
-                                 seed=9, temp_trace=floor, trace_resolution=1e-4)
+                                 seed=9, temp_trace=floor, trace_resolution=1e-4,
+                                 sites=sites)
     recovered_floor = np.sqrt(max(res_floor.rows[-1].delta_t_k ** 2
                                   - res.rows[-1].delta_t_k ** 2, 0.0))
     elapsed = time.time() - start
@@ -164,7 +166,7 @@ def test_criterion_08_three_point_penalty():
     asm = SensorAssembly(magnet=None, n_nv=1, strain_mean=0.0, strain_sd=0.0,
                          line_width=8e6, contrast=0.05, photon_rate=12e6,
                          rng_seed=4)
-    cfg = calibrate_three_point(asm, 300.0, dwell=0.005)
+    cfg = calibrate_three_point(asm, 300.0, dwell=0.005, sites=sample_ensemble(asm))
     ratio = three_point_penalty(asm, cfg, seed=808, n_windows=2000,
                                 cycles_per_window=40)
     elapsed = time.time() - start
@@ -177,9 +179,11 @@ def test_criterion_09_tracking_discrimination():
     start = time.time()
     asm = cuni_tracking_assembly(seed=1)
     t_mid = 336.15  # 63 C
-    cfg = calibrate_three_point(asm, t_mid, dwell=0.005, dt_step=0.75)
+    sites = sample_ensemble(asm)
+    cfg = calibrate_three_point(asm, t_mid, dwell=0.005, dt_step=0.75, sites=sites)
     res = track_square_wave(asm, cfg, low=t_mid - 0.75, high=t_mid + 0.75,
-                            period=9.6, bin=0.06, duration=28.8, seed=7)
+                            period=9.6, bin=0.06, duration=28.8, seed=7,
+                            sites=sites)
     pts_per_level = np.sum(res.labels == "high") / 3  # 3 periods simulated
     repeat_bound = 3 * res.level_stds["high"] / np.sqrt(pts_per_level)
     elapsed = time.time() - start

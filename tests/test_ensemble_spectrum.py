@@ -9,8 +9,10 @@ from critherm.ensemble_spectrum import (
     TETRAHEDRAL_AXES,
     SensorAssembly,
     _signal,
+    _slope_scan,
     absorption_second_moment,
     default_freq_grid,
+    line_centers,
     measure_fwhm,
     nv_frame,
     sample_ensemble,
@@ -117,6 +119,30 @@ class TestFrameProjection:
             assert op[i] == pytest.approx(ref.omega_plus, rel=1e-12)
 
 
+class TestBatchedForwardModel:
+    def test_rows_bitwise_equal_to_one_temperature_calls(self):
+        asm = replace(cuni_design_assembly(seed=5), n_nv=60)
+        sites = sample_ensemble(asm)
+        tc = asm.magnet.tc
+        temps = np.array([tc - 20.0, tc - 0.5, tc, tc + 3.0])
+        om, op = line_centers(asm, temps, sites)
+        assert om.shape == op.shape == (4, 60)
+        for k, temp in enumerate(temps.tolist()):
+            om_k, op_k = site_transition_pairs(asm, temp, sites)
+            assert np.array_equal(om[k], om_k) and np.array_equal(op[k], op_k)
+
+    def test_slope_scan_bitwise_equal_to_public_path(self):
+        asm = replace(cuni_design_assembly(seed=5), n_nv=60)
+        sites = sample_ensemble(asm)
+        temps = asm.magnet.tc - np.array([0.5, 3.0, 12.0])
+        slopes = list(_slope_scan(asm, temps, sites))
+        assert len(slopes) == 3
+        for temp, slope in zip(temps.tolist(), slopes):
+            freqs = default_freq_grid(asm, temp, sites)
+            want = signal_temperature_slope(asm, temp, freqs, sites=sites)
+            assert np.array_equal(slope, want)
+
+
 class TestAssemblyInvariants:
     def test_overlap_rejected(self):
         magnet = Magnet(m_sat=1e5, radius=100e-9, tc=340.0)
@@ -140,7 +166,7 @@ class TestSynthesizeSpectrum:
         # all lines coincide at D: dip depth is exactly the contrast
         asm = bare_assembly()
         freqs = np.linspace(D0 - 100e6, D0 + 100e6, 2001)
-        spec = synthesize_spectrum(asm, 300.0, freqs)
+        spec = synthesize_spectrum(asm, 300.0, freqs, sites=sample_ensemble(asm))
         assert spec.signal.min() == pytest.approx(1.0 - asm.contrast, abs=1e-9)
         assert abs(spec.freqs[spec.signal.argmin()] - D0) < 0.2e6
 
@@ -151,7 +177,7 @@ class TestSynthesizeSpectrum:
         # uniform bias along the site's own axis: purely axial in its frame
         asm_b = bare_assembly(bias_field=tuple(bz * sites.frames[0, 2]))
         freqs = np.linspace(D0 - 100e6, D0 + 100e6, 4001)
-        spec = synthesize_spectrum(asm_b, 300.0, freqs, sites)
+        spec = synthesize_spectrum(asm_b, 300.0, freqs, sites=sites)
         om = spec.meta["centers_minus_hz"][0]
         op = spec.meta["centers_plus_hz"][0]
         assert op - om == pytest.approx(2 * 28e9 * bz, rel=1e-9)
@@ -164,7 +190,7 @@ class TestSynthesizeSpectrum:
         temp = asm.magnet.tc - 20.0
         sites = sample_ensemble(asm)
         freqs = default_freq_grid(asm, temp, sites, pad=60.0)
-        spec = synthesize_spectrum(asm, temp, freqs, sites)
+        spec = synthesize_spectrum(asm, temp, freqs, sites=sites)
         assert spec.signal.min() >= 1.0 - asm.contrast - 1e-12
         assert np.all(spec.signal <= 1.0 + 1e-12)
         # 50 linewidths beyond the outermost line the signal is back to ~1
@@ -176,8 +202,8 @@ class TestSynthesizeSpectrum:
     def test_seed_determinism_bit_identical(self):
         asm = cuni_design_assembly(seed=5)
         freqs = np.linspace(2.7e9, 3.1e9, 501)
-        a = synthesize_spectrum(asm, 280.0, freqs)
-        b = synthesize_spectrum(asm, 280.0, freqs)
+        a = synthesize_spectrum(asm, 280.0, freqs, sites=sample_ensemble(asm))
+        b = synthesize_spectrum(asm, 280.0, freqs, sites=sample_ensemble(asm))
         assert np.array_equal(a.signal, b.signal)
 
     def test_dense_sampling_refinement(self):
@@ -188,15 +214,16 @@ class TestSynthesizeSpectrum:
         temp = asm.magnet.tc - 20.0
         dense = cuni_design_assembly(seed=31)
         dense = SensorAssembly(**{**_asm_kwargs(dense), "n_nv": 5000})
-        freqs = default_freq_grid(dense, temp)
-        s_500 = synthesize_spectrum(asm, temp, freqs).signal
-        s_5000 = synthesize_spectrum(dense, temp, freqs).signal
+        dense_sites = sample_ensemble(dense)
+        freqs = default_freq_grid(dense, temp, dense_sites)
+        s_500 = synthesize_spectrum(asm, temp, freqs, sites=sample_ensemble(asm)).signal
+        s_5000 = synthesize_spectrum(dense, temp, freqs, sites=dense_sites).signal
         assert np.max(np.abs(s_500 - s_5000)) < 0.01
 
     def test_gradient_broadening_widens_lines(self):
         asm = cuni_design_assembly(seed=13)
         temp = asm.magnet.tc - 20.0
-        spec = synthesize_spectrum(asm, temp)
+        spec = synthesize_spectrum(asm, temp, sites=sample_ensemble(asm))
         assert spec.meta["effective_width_hz"] > asm.line_width
 
     def test_site_inside_exclusion_radius(self):
@@ -206,7 +233,8 @@ class TestSynthesizeSpectrum:
         bad_sites = replace(sample_ensemble(asm),
                             positions=np.array([[0.0, 0.0, 50e-9]]))
         with pytest.raises(GeometryError):
-            synthesize_spectrum(asm, 300.0, np.linspace(2.8e9, 2.9e9, 11), bad_sites)
+            synthesize_spectrum(asm, 300.0, np.linspace(2.8e9, 2.9e9, 11),
+                                sites=bad_sites)
 
 
 def signal_whole_blocks(asm, freqs, om, op):
@@ -254,14 +282,17 @@ class TestLorentzianKernel:
 
 class TestDefaultFreqGrid:
     def test_warns_when_clipped(self):
+        asm = SensorAssembly()
         with pytest.warns(UserWarning, match="clipped from 801 to 101 points"):
-            freqs = default_freq_grid(SensorAssembly(), 300.0, max_points=101)
+            freqs = default_freq_grid(asm, 300.0, sample_ensemble(asm),
+                                      max_points=101)
         assert len(freqs) == 101
 
     def test_silent_when_not_clipped(self):
+        asm = SensorAssembly()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            freqs = default_freq_grid(SensorAssembly(), 300.0)
+            freqs = default_freq_grid(asm, 300.0, sample_ensemble(asm))
         assert len(freqs) >= 801
 
 
@@ -279,14 +310,14 @@ class TestTemperatureSlope:
     def test_zero_for_temperature_independent_system(self):
         asm = bare_assembly(spin=SpinSystem(dd_dt=0.0))
         freqs = np.linspace(D0 - 50e6, D0 + 50e6, 501)
-        slope = signal_temperature_slope(asm, 400.0, freqs)
+        slope = signal_temperature_slope(asm, 400.0, freqs, sites=sample_ensemble(asm))
         assert np.all(slope == 0.0)
 
     def test_bare_fnd_matches_lorentzian_derivative(self):
         # single rigid Lorentzian: max|dS/dT| = (3 sqrt3/4) C |dD/dT| / dw
         asm = bare_assembly()
         freqs = np.linspace(D0 - 60e6, D0 + 60e6, 12001)
-        slope = signal_temperature_slope(asm, 300.0, freqs)
+        slope = signal_temperature_slope(asm, 300.0, freqs, sites=sample_ensemble(asm))
         expect = (3 * np.sqrt(3) / 4) * asm.contrast * 74e3 / asm.line_width
         assert np.max(np.abs(slope)) == pytest.approx(expect, rel=0.05)
 
@@ -297,7 +328,7 @@ class TestTemperatureSlope:
         temp = asm.magnet.tc - 20.0
         sites = sample_ensemble(asm)
         freqs = default_freq_grid(asm, temp, sites)
-        spec = synthesize_spectrum(asm, temp, freqs, sites)
+        spec = synthesize_spectrum(asm, temp, freqs, sites=sites)
         slope = signal_temperature_slope(asm, temp, freqs, sites=sites)
         f_peak_slope = freqs[np.argmax(np.abs(slope))]
         f_dip = freqs[np.argmin(spec.signal)]
@@ -308,8 +339,8 @@ class TestTemperatureSlope:
         temp = asm.magnet.tc - 10.0
         sites = sample_ensemble(asm)
         freqs = default_freq_grid(asm, temp, sites)
-        s1 = np.max(np.abs(signal_temperature_slope(asm, temp, freqs, 0.01, sites)))
-        s2 = np.max(np.abs(signal_temperature_slope(asm, temp, freqs, 0.005, sites)))
+        s1 = np.max(np.abs(signal_temperature_slope(asm, temp, freqs, 0.01, sites=sites)))
+        s2 = np.max(np.abs(signal_temperature_slope(asm, temp, freqs, 0.005, sites=sites)))
         assert abs(s2 - s1) / s1 < 0.02
 
     def test_gradient_broadening_monotone_in_gap(self):
@@ -325,7 +356,7 @@ class TestTemperatureSlope:
         m2 = {}
         for name, asm, sites in (("far", asm_far, sites_far),
                                  ("near", asm_near, sites_near)):
-            spec = synthesize_spectrum(asm, temp, freqs, sites)
+            spec = synthesize_spectrum(asm, temp, freqs, sites=sites)
             m2[name] = (absorption_second_moment(freqs, spec.signal, freqs[0], d_mid)
                         + absorption_second_moment(freqs, spec.signal, d_mid, freqs[-1]))
         assert m2["near"] >= m2["far"]
@@ -350,6 +381,6 @@ class TestHelpers:
         temp = asm.magnet.tc - 15.0
         sites = sample_ensemble(asm)
         freqs = default_freq_grid(asm, temp, sites)
-        spec = synthesize_spectrum(asm, temp, freqs, sites)
+        spec = synthesize_spectrum(asm, temp, freqs, sites=sites)
         assert freqs[0] < spec.meta["centers_minus_hz"].min()
         assert freqs[-1] > spec.meta["centers_plus_hz"].max()

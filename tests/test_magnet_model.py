@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from critherm.errors import DomainError, GeometryError
+from critherm import magnet_model
+from critherm.errors import DomainError, GeometryError, SolverError
 from critherm.magnet_model import (
     MU0,
     Magnet,
@@ -29,6 +30,39 @@ def tanh_bisect(t, iters=300):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def solve_magnetization_scalar(mag, temp):
+    """Oracle for solve_magnetization: the fixed-schedule bisection for one
+    temperature, written as a scalar loop."""
+    if temp >= mag.tc:
+        return 0.0
+    j = mag.spin_j
+    coef = 3.0 * j / (j + 1.0) * mag.tc / temp
+    f = lambda m: m - brillouin(j, coef * m)
+    lo, hi = 1e-12, 1.0
+    flo = f(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if flo * f(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+            flo = f(lo)
+        if hi - lo < 1e-10:
+            return 0.5 * (lo + hi)
+    raise AssertionError("oracle did not converge")
+
+
+def dm_dtemp_scalar(mag, temp, step=1e-3):
+    """Oracle for dm_dtemp on top of solve_magnetization_scalar."""
+    if temp > mag.tc:
+        return 0.0
+    if temp + step > mag.tc:
+        return (solve_magnetization_scalar(mag, temp)
+                - solve_magnetization_scalar(mag, temp - step)) / step
+    return (solve_magnetization_scalar(mag, temp + step)
+            - solve_magnetization_scalar(mag, temp - step)) / (2.0 * step)
 
 
 def make_magnet(tc=292.0, j=0.5, radius=1e-3, m_sat=2.1e6):
@@ -120,6 +154,57 @@ class TestSolveMagnetization:
     def test_nonpositive_temperature(self):
         with pytest.raises(DomainError):
             solve_magnetization(make_magnet(), -1.0)
+
+
+class TestLockstepSolver:
+    @pytest.mark.parametrize("j", [0.5, 3.5])
+    def test_bitwise_equal_to_scalar_loop(self, j):
+        mag = make_magnet(j=j)
+        temps = np.concatenate([np.linspace(0.01, 1.2, 150) * mag.tc,
+                                [mag.tc, mag.tc - 5e-4, mag.tc + 1e-9]])
+        want = [solve_magnetization_scalar(mag, t) for t in temps.tolist()]
+        got = solve_magnetization(mag, temps)
+        assert got.shape == temps.shape
+        assert np.array_equal(got, want)
+        assert [solve_magnetization(mag, t) for t in temps.tolist()] == want
+        assert np.array_equal(solve_magnetization(mag, temps.reshape(3, 51)),
+                              np.reshape(want, (3, 51)))
+
+    def test_scalar_returns_float(self):
+        mag = make_magnet()
+        assert type(solve_magnetization(mag, 250.0)) is float
+        assert type(solve_magnetization(mag, mag.tc + 1.0)) is float
+        assert type(dm_dtemp(mag, 250.0)) is float
+
+    def test_dm_dtemp_bitwise_equal_to_scalar_loop(self):
+        mag = make_magnet()
+        temps = np.array([10.0, 0.5 * mag.tc, mag.tc - 2e-3, mag.tc - 5e-4,
+                          mag.tc, mag.tc + 5e-4, mag.tc + 1.0])
+        want = [dm_dtemp_scalar(mag, t) for t in temps.tolist()]
+        assert np.array_equal(dm_dtemp(mag, temps), want)
+        curve = magnetization_curve(mag, temps)
+        assert np.array_equal(curve.dm_dt, want)
+        assert np.array_equal(curve.reduced_m,
+                              [solve_magnetization_scalar(mag, t) for t in temps])
+
+    @pytest.mark.parametrize("knob, value, match", [
+        # three steps converge nowhere: the first temperature below Tc fails
+        ("_BISECT_MAX_ITERS", 3, "did not converge at T = 29.2 K"),
+        # m(T) > 0.9 up to about 0.5 Tc, so [0.9, 1] first misses the root
+        # at 0.9 Tc
+        ("_BISECT_LO", 0.9, "not bracketed at T = 262.8 K"),
+    ])
+    def test_solver_error_names_first_failing_temperature(self, monkeypatch,
+                                                          knob, value, match):
+        monkeypatch.setattr(magnet_model, knob, value)
+        mag = make_magnet()
+        temps = np.array([300.0, 29.2, 0.5 * mag.tc, 0.9 * mag.tc, 0.95 * mag.tc])
+        with pytest.raises(SolverError, match=match):
+            solve_magnetization(mag, temps)
+
+    def test_nonpositive_temperature_in_array(self):
+        with pytest.raises(DomainError, match="got -1.0"):
+            solve_magnetization(make_magnet(), np.array([100.0, -1.0, 0.0]))
 
 
 class TestDmDtemp:

@@ -36,10 +36,11 @@ def single_lorentzian_assembly(contrast=0.05, seed=4):
                           rng_seed=seed)
 
 
-def noiseless_record(asm, cfg, temp, duration=None):
+def noiseless_record(asm, cfg, temp, sites, duration=None):
     nbins = 10
     duration = duration or nbins * cfg.bin_duration
-    times, table, inv, temps = expected_counts(asm, cfg, lambda t: temp, duration)
+    times, table, inv, temps = expected_counts(asm, cfg, lambda t: temp, duration,
+                                               sites)
     lam = table[inv]
     return CountRecord(times=times, counts_f1=lam[:, 0], counts_f2=lam[:, 1],
                        counts_ref=lam[:, 2], true_temps=temps, dwell=cfg.dwell)
@@ -90,12 +91,13 @@ def trace_csv_per_row(result, cfg, header_lines=()):
 class TestCalibration:
     def test_probe_slopes_opposite_and_reference_far(self):
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         # probes symmetric about the dip center at max-slope detuning dw/(2 sqrt 3)
         d = 2.87e9
         assert cfg.f1 - d == pytest.approx(-(cfg.f2 - d), rel=0.05)
         assert abs(cfg.f1 - d) == pytest.approx(8e6 / (2 * np.sqrt(3)), rel=0.05)
-        assert reference_detuning_ok(asm, cfg.f_ref, T0)
+        assert reference_detuning_ok(asm, cfg.f_ref, T0, sites)
         assert cfg.calibration.slope != 0.0
 
     def test_zero_slope_rejected(self):
@@ -108,20 +110,40 @@ class TestCalibration:
             ThreePointConfig(f1=1e9, f2=1.1e9, f_ref=2e9, dwell=0.0, calibration=cal)
 
 
+class TestForwardModelEvaluations:
+    @pytest.mark.parametrize("probes", [None, (2.86e9, 2.88e9, 3.5e9)])
+    def test_calibration_evaluates_three_temperatures_once(self, forward_model_calls,
+                                                          probes):
+        # grid, slope, f_ref and the three probe signals share one batch
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        sites = sample_ensemble(asm)
+        calibrate_three_point(asm, 336.15, dwell=0.005, probes=probes, sites=sites)
+        assert forward_model_calls == {"batches": [3], "rows": 3}
+
+    def test_counts_evaluate_each_distinct_temperature_once(self, forward_model_calls):
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        expected_counts(asm, cfg, square_wave_trace(335.4, 336.9, 0.9), 4.0, sites)
+        assert forward_model_calls == {"batches": [3, 2], "rows": 5}
+
+
 class TestSimulateCounts:
     def test_zero_contrast_equal_rates(self):
         asm = single_lorentzian_assembly(contrast=1e-9)
-        cfg = calibrate_three_point(asm, T0, dwell=0.002)
-        _, table, inv, _ = expected_counts(asm, cfg, lambda t: T0, 0.3)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.002, sites=sites)
+        _, table, inv, _ = expected_counts(asm, cfg, lambda t: T0, 0.3, sites)
         lam = table[inv]
         # S = 1 everywhere: every channel expects L * dwell per cycle
         assert np.allclose(lam, asm.photon_rate * cfg.dwell, rtol=1e-6)
 
     def test_poisson_mean_within_3_sigma(self):
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
-        rec = simulate_counts(asm, cfg, lambda t: T0, 60.0, seed=8)
-        _, table, inv, _ = expected_counts(asm, cfg, lambda t: T0, 60.0)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
+        rec = simulate_counts(asm, cfg, lambda t: T0, 60.0, seed=8, sites=sites)
+        _, table, inv, _ = expected_counts(asm, cfg, lambda t: T0, 60.0, sites)
         lam = table[inv]
         for counts, expect in ((rec.counts_f1, lam[0, 0]),
                                (rec.counts_f2, lam[0, 1]),
@@ -131,35 +153,39 @@ class TestSimulateCounts:
 
     def test_seeded_determinism(self):
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
-        a = simulate_counts(asm, cfg, lambda t: T0, 3.0, seed=55)
-        b = simulate_counts(asm, cfg, lambda t: T0, 3.0, seed=55)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
+        a = simulate_counts(asm, cfg, lambda t: T0, 3.0, seed=55, sites=sites)
+        b = simulate_counts(asm, cfg, lambda t: T0, 3.0, seed=55, sites=sites)
         assert np.array_equal(a.counts_f1, b.counts_f1)
         assert np.array_equal(a.counts_f2, b.counts_f2)
         assert np.array_equal(a.counts_ref, b.counts_ref)
 
     def test_counts_are_integers(self):
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
-        rec = simulate_counts(asm, cfg, lambda t: T0, 1.0, seed=3)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
+        rec = simulate_counts(asm, cfg, lambda t: T0, 1.0, seed=3, sites=sites)
         assert np.issubdtype(rec.counts_f1.dtype, np.integer)
         assert np.all(rec.counts_f1 >= 0)
 
     def test_overflow_guard(self):
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         big = ThreePointConfig(f1=cfg.f1, f2=cfg.f2, f_ref=cfg.f_ref,
                                dwell=1e9, calibration=cfg.calibration)
         with pytest.raises(DomainError):
-            expected_counts(asm, big, lambda t: T0, 1e10)
+            expected_counts(asm, big, lambda t: T0, 1e10, sites)
 
     def test_trace_resolution_snaps_cache(self):
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         # snapped to 0.1 mK the microkelvin wobble collapses onto one key
         _, table, inv, _ = expected_counts(asm, cfg,
                                            lambda t: T0 + 1e-6 * np.sin(t),
-                                           1.0, trace_resolution=1e-4)
+                                           1.0, sites, trace_resolution=1e-4)
         lam = table[inv]
         assert np.all(lam == lam[0])
 
@@ -198,9 +224,10 @@ class TestSimulateCounts:
 
     def test_passed_sites_equal_sampled(self):
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sample_ensemble(asm))
         sites = sample_ensemble(asm)
-        a = simulate_counts(asm, cfg, lambda t: T0, 1.0, seed=3)
+        a = simulate_counts(asm, cfg, lambda t: T0, 1.0, seed=3,
+                            sites=sample_ensemble(asm))
         b = simulate_counts(asm, cfg, lambda t: T0, 1.0, seed=3, sites=sites)
         assert np.array_equal(a.counts_f1, b.counts_f1)
         assert cfg == calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
@@ -209,20 +236,23 @@ class TestSimulateCounts:
 class TestEstimateTemperature:
     def test_noiseless_fixed_point(self):
         asm = cuni_tracking_assembly(seed=1)
-        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
-        rec = noiseless_record(asm, cfg, 336.15)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        rec = noiseless_record(asm, cfg, 336.15, sites)
         assert estimate_temperature(rec, cfg) == pytest.approx(336.15, abs=1e-9)
 
     def test_noiseless_50mk_offset(self):
         asm = cuni_tracking_assembly(seed=1)
-        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
-        rec = noiseless_record(asm, cfg, 336.15 + 0.050)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        rec = noiseless_record(asm, cfg, 336.15 + 0.050, sites)
         assert estimate_temperature(rec, cfg) == pytest.approx(336.20, abs=0.005)
 
     def test_laser_drift_immunity(self):
         asm = cuni_tracking_assembly(seed=1)
-        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
-        rec = simulate_counts(asm, cfg, lambda t: 336.15, 1.0, seed=10)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        rec = simulate_counts(asm, cfg, lambda t: 336.15, 1.0, seed=10, sites=sites)
         base = estimate_temperature(rec, cfg)
         drift = 1.37
         scaled = CountRecord(times=rec.times,
@@ -234,8 +264,9 @@ class TestEstimateTemperature:
 
     def test_noiseless_drift_on_rates(self):
         asm = cuni_tracking_assembly(seed=1)
-        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
-        rec = noiseless_record(asm, cfg, 336.15)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        rec = noiseless_record(asm, cfg, 336.15, sites)
         per_bin = 1.0 + 0.1 * np.sin(np.arange(len(rec)))
         drifted = CountRecord(times=rec.times,
                               counts_f1=rec.counts_f1 * per_bin,
@@ -260,9 +291,10 @@ class TestEstimateTemperature:
 
     def test_unbiased_at_calibration_point(self):
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         rec = simulate_counts(asm, cfg, lambda t: T0, 1000 * 10 * cfg.bin_duration,
-                              seed=77)
+                              seed=77, sites=sites)
         est = window_estimates(rec, cfg, 10)
         assert len(est) == 1000
         delta_t = np.std(est, ddof=1)
@@ -272,9 +304,11 @@ class TestEstimateTemperature:
 class TestShotNoise:
     def test_scaling_law_and_eta(self):
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         res = shot_noise_curve(asm, cfg, total_time=800.0,
-                               window_grid=[0.06, 0.12, 0.3, 0.75, 1.5], seed=14)
+                               window_grid=[0.06, 0.12, 0.3, 0.75, 1.5], seed=14,
+                               sites=sites)
         assert res.loglog_slope == pytest.approx(-0.5, abs=0.02)
         # MC eta against the analytic three-point formula: within 15%
         from critherm.ensemble_spectrum import (default_freq_grid,
@@ -289,8 +323,9 @@ class TestShotNoise:
     def test_variance_additivity(self):
         # splitting the record in halves reproduces the pooled estimate
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
-        rec = simulate_counts(asm, cfg, lambda t: T0, 120.0, seed=31)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
+        rec = simulate_counts(asm, cfg, lambda t: T0, 120.0, seed=31, sites=sites)
         est = window_estimates(rec, cfg, 20)
         half = len(est) // 2
         pooled_var = np.var(est, ddof=1)
@@ -299,9 +334,10 @@ class TestShotNoise:
 
     def test_short_windows_flagged(self):
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         res = shot_noise_curve(asm, cfg, total_time=3.0,
-                               window_grid=[0.06, 0.6], seed=2)
+                               window_grid=[0.06, 0.6], seed=2, sites=sites)
         assert not res.rows[0].flagged
         assert res.rows[1].flagged
 
@@ -310,25 +346,28 @@ class TestShotNoise:
         # 66 cycles in 1 s: 0.6 s fits one window, 1.2 s none, and 0.06 s
         # and 0.065 s snap to the same 4-cycle window
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         with pytest.raises(EstimationError, match="window"):
-            shot_noise_curve(asm, cfg, total_time=1.0, window_grid=grid, seed=2)
+            shot_noise_curve(asm, cfg, total_time=1.0, window_grid=grid, seed=2,
+                             sites=sites)
 
 
 class TestThreePointPenalty:
     def test_sqrt_1_5_at_ideal_placement(self):
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         ratio = three_point_penalty(asm, cfg, seed=77, n_windows=1500,
                                     cycles_per_window=40)
         assert ratio == pytest.approx(np.sqrt(1.5), rel=0.10)
 
     def test_off_max_probes_increase_ratio(self):
         asm = single_lorentzian_assembly()
-        cfg = calibrate_three_point(asm, T0, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         on_ratio = three_point_penalty(asm, cfg, seed=21, n_windows=800,
                                        cycles_per_window=40)
-        sites = sample_ensemble(asm)
         shifted = np.array([cfg.f1 + 6e6, cfg.f2 - 6e6, cfg.f_ref])
         dt = 0.01
         s_m = signal_at(asm, T0, shifted, sites)
@@ -345,15 +384,17 @@ class TestThreePointPenalty:
 
     def test_ratio_stable_in_small_contrast_limit(self):
         # both numerator and denominator scale as 1/C
+        asm_a = single_lorentzian_assembly(contrast=0.04)
+        asm_b = single_lorentzian_assembly(contrast=0.01)
         r_a = three_point_penalty(
-            single_lorentzian_assembly(contrast=0.04),
-            calibrate_three_point(single_lorentzian_assembly(contrast=0.04),
-                                  T0, dwell=0.005),
+            asm_a,
+            calibrate_three_point(asm_a, T0, dwell=0.005,
+                                  sites=sample_ensemble(asm_a)),
             seed=5, n_windows=1200, cycles_per_window=40)
         r_b = three_point_penalty(
-            single_lorentzian_assembly(contrast=0.01),
-            calibrate_three_point(single_lorentzian_assembly(contrast=0.01),
-                                  T0, dwell=0.005),
+            asm_b,
+            calibrate_three_point(asm_b, T0, dwell=0.005,
+                                  sites=sample_ensemble(asm_b)),
             seed=5, n_windows=1200, cycles_per_window=40)
         assert r_b == pytest.approx(r_a, rel=0.10)
 
@@ -362,9 +403,11 @@ class TestTrackSquareWave:
     def test_levels_recovered_and_separated(self):
         asm = cuni_tracking_assembly(seed=1)
         t_mid = 336.15
-        cfg = calibrate_three_point(asm, t_mid, dwell=0.005, dt_step=0.75)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, t_mid, dwell=0.005, dt_step=0.75, sites=sites)
         res = track_square_wave(asm, cfg, low=t_mid - 0.75, high=t_mid + 0.75,
-                                period=9.6, bin=0.06, duration=28.8, seed=7)
+                                period=9.6, bin=0.06, duration=28.8, seed=7,
+                                sites=sites)
         assert res.level_means["high"] == pytest.approx(t_mid + 0.75, abs=0.1)
         assert res.level_means["low"] == pytest.approx(t_mid - 0.75, abs=0.1)
         assert res.separation_sigma > 3.0
@@ -372,10 +415,12 @@ class TestTrackSquareWave:
     def test_zero_amplitude_indistinguishable(self):
         asm = cuni_tracking_assembly(seed=1)
         t_mid = 336.15
-        cfg = calibrate_three_point(asm, t_mid, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, t_mid, dwell=0.005, sites=sites)
         eps = 1e-12
         res = track_square_wave(asm, cfg, low=t_mid - eps, high=t_mid + eps,
-                                period=9.6, bin=0.06, duration=19.2, seed=9)
+                                period=9.6, bin=0.06, duration=19.2, seed=9,
+                                sites=sites)
         n_hi = np.sum(res.labels == "high")
         n_lo = np.sum(res.labels == "low")
         se = np.sqrt(res.level_stds["high"] ** 2 / n_hi
@@ -387,16 +432,18 @@ class TestTrackSquareWave:
         # bin 0.06 s spans more than half of a 0.1 s period: every point
         # straddles a switch, so no level statistic exists
         asm = cuni_tracking_assembly(seed=1)
-        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         with pytest.raises(EstimationError, match="unmixed"):
             track_square_wave(asm, cfg, 335.4, 336.9, period=0.1, bin=0.06,
-                              duration=9.6, seed=1)
+                              duration=9.6, seed=1, sites=sites)
 
     def test_labels_match_square_wave_trace(self):
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
-        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         res = track_square_wave(asm, cfg, 335.4, 336.9, period=0.9, bin=0.06,
-                                duration=3.0, seed=2)
+                                duration=3.0, seed=2, sites=sites)
         t_true, labels, fewest = track_labels(335.4, 336.9, 0.9, 0.06, 0.005, 3.0)
         trace = square_wave_trace(335.4, 336.9, 0.9)
         assert list(res.t_true) == [trace(t + 0.03) for t in res.point_times]
@@ -408,9 +455,10 @@ class TestTrackSquareWave:
     def test_csv_counts_sum_each_points_bins(self, tmp_path):
         # 29 bins of 15 ms hold four 6-bin points plus 5 spare bins
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
-        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         res = track_square_wave(asm, cfg, 335.4, 336.9, period=0.36, bin=0.09,
-                                duration=0.44, seed=3)
+                                duration=0.44, seed=3, sites=sites)
         assert (len(res.record), len(res.t_hat), res.bins_per_point) == (29, 4, 6)
         path = tmp_path / "trace.csv"
         export_trace_csv(res, cfg, path)
@@ -424,9 +472,11 @@ class TestTrackSquareWave:
         # one point per cycle, two full write chunks plus one spare point
         npts = 2 * protocol_sim._CSV_CHUNK_ROWS + 1
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
-        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         res = track_square_wave(asm, cfg, low, high, period=0.9, bin=0.015,
-                                duration=(npts + 0.5) * 0.015, seed=4)
+                                duration=(npts + 0.5) * 0.015, seed=4,
+                                sites=sites)
         assert len(res.t_hat) == npts
         path = tmp_path / "trace.csv"
         header = ("run.seed = 4", "protocol.bin_s = 0.015")
@@ -435,10 +485,11 @@ class TestTrackSquareWave:
 
     def test_period_means_match_masked_oracle(self):
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
-        cfg = calibrate_three_point(asm, 336.15, dwell=0.005)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         period = 0.9
         res = track_square_wave(asm, cfg, 335.4, 336.9, period=period,
-                                bin=0.06, duration=30.0, seed=5)
+                                bin=0.06, duration=30.0, seed=5, sites=sites)
         for lab in ("high", "low"):
             sel = res.labels == lab
             idx = np.floor(res.point_times[sel] / period).astype(int)
@@ -449,7 +500,8 @@ class TestTrackSquareWave:
 
     def test_bin_shorter_than_cycle_rejected(self):
         asm = cuni_tracking_assembly(seed=1)
-        cfg = calibrate_three_point(asm, 336.15, dwell=0.05)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.05, sites=sites)
         with pytest.raises(DomainError):
             track_square_wave(asm, cfg, 335.0, 337.0, period=2.0, bin=0.06,
-                              duration=10.0, seed=1)
+                              duration=10.0, seed=1, sites=sites)

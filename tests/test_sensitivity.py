@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from critherm.ensemble_spectrum import SensorAssembly
+from critherm.ensemble_spectrum import SensorAssembly, sample_ensemble
 from critherm.errors import DomainError, UnmeasurableError
 from critherm.presets import cuni_design_assembly
 from critherm.sensitivity import (
@@ -149,14 +151,15 @@ class TestEtaRamsey:
 class TestSensitivityReport:
     def test_three_point_bound(self):
         asm = cuni_design_assembly(seed=41)
-        rep = sensitivity_report(asm, asm.magnet.tc - 5.0)
+        rep = sensitivity_report(asm, asm.magnet.tc - 5.0, sites=sample_ensemble(asm))
         assert rep.eta_three_point >= rep.eta_cw_numeric
         assert rep.eta_three_point == pytest.approx(
             np.sqrt(1.5) * rep.eta_cw_numeric, rel=1e-12)
 
     def test_round_trip_json(self):
         asm = cuni_design_assembly(seed=43)
-        rep = sensitivity_report(asm, asm.magnet.tc - 5.0, t2_star=10e-6)
+        rep = sensitivity_report(asm, asm.magnet.tc - 5.0, t2_star=10e-6,
+                                 sites=sample_ensemble(asm))
         clone = SensitivityReport.from_json(rep.to_json())
         assert clone == rep
 
@@ -188,6 +191,15 @@ class TestDesignSweep:
         parallel = design_sweep(small, [0.6, 0.8, 1.0], temp_policy=policy, threads=3)
         assert serial == parallel
 
+    def test_one_forward_model_batch_per_composition(self, forward_model_calls):
+        # each composition evaluates its temperatures and both +- steps of
+        # the slope in one call
+        small = replace(cuni_design_assembly(seed=47), n_nv=40)
+        policy = lambda tc: tc - np.array([0.5, 2.0, 8.0])
+        points = design_sweep(small, [0.55, 0.95], temp_policy=policy)
+        assert all(p.status == "ok" for p in points)
+        assert forward_model_calls == {"batches": [9, 9], "rows": 18}
+
     def test_non_ferromagnetic_row_recorded(self):
         asm = cuni_design_assembly(seed=59)
         with pytest.warns(UserWarning, match="ferromagnetic threshold"):
@@ -204,14 +216,15 @@ class TestDesignSweep:
                               strain_mean=asm.strain_mean, strain_sd=asm.strain_sd,
                               line_width=asm.line_width, contrast=asm.contrast,
                               photon_rate=asm.photon_rate, rng_seed=61)
-        rep = sensitivity_report(bare, 300.0)
+        rep = sensitivity_report(bare, 300.0, sites=sample_ensemble(bare))
         assert rep.eta_cw_numeric > 0.1
         small = SensorAssembly(
             magnet=asm.magnet, fnd_center=asm.fnd_center,
             fnd_radius=asm.fnd_radius, n_nv=120, strain_mean=asm.strain_mean,
             strain_sd=asm.strain_sd, line_width=asm.line_width,
             contrast=asm.contrast, photon_rate=asm.photon_rate, rng_seed=61)
-        hybrid = sensitivity_report(small, small.magnet.tc - 0.5)
+        hybrid = sensitivity_report(small, small.magnet.tc - 0.5,
+                                    sites=sample_ensemble(small))
         assert rep.eta_cw_numeric / hybrid.eta_cw_numeric >= 30.0
 
     def test_default_policy_below_tc(self):

@@ -1,14 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from critherm.ensemble_spectrum import line_centers, nv_frame, sample_ensemble
 from critherm.errors import DomainError, LabelingAmbiguityError
+from critherm.magnet_model import dipole_field, magnetic_moment
+from critherm.presets import (
+    cuni_design_assembly,
+    cuni_tracking_assembly,
+    single_nv_pillar_assembly,
+)
 from critherm.spin_model import (
+    _OVERLAP_TOL,
     SpinSystem,
     build_hamiltonian,
     d_of_t,
     domega_dtemp,
     transition_frequencies,
-    transition_pair_batch,
+    transition_pairs,
 )
 
 D0 = 2.87e9
@@ -32,6 +42,43 @@ def oracle_transitions(d, e, gamma, field):
     idx0 = int(np.argmax(np.abs(v[1, :]) ** 2))
     others = sorted(w[k] for k in range(3) if k != idx0)
     return others[0] - w[idx0], others[1] - w[idx0]
+
+
+def transition_pair_batch(d, strain_e, gamma, fields):
+    """Oracle for transition_pairs: omega_minus/omega_plus for many NV sites
+    from complex eigh of the explicitly written 3x3 matrices (independent of
+    the operator-matrix construction in build_hamiltonian)."""
+    fields = np.asarray(fields, dtype=float)
+    strain_e = np.broadcast_to(np.asarray(strain_e, dtype=float), (fields.shape[0],))
+    n = fields.shape[0]
+    bx, by, bz = fields[:, 0], fields[:, 1], fields[:, 2]
+
+    h = np.zeros((n, 3, 3), dtype=complex)
+    h[:, 0, 0] = d - gamma * bz
+    h[:, 2, 2] = d + gamma * bz
+    h[:, 0, 2] = strain_e
+    h[:, 2, 0] = strain_e
+    trans = -gamma * (bx - 1j * by) / np.sqrt(2.0)
+    h[:, 0, 1] = trans
+    h[:, 1, 2] = trans
+    h[:, 1, 0] = np.conj(trans)
+    h[:, 2, 1] = np.conj(trans)
+
+    w, v = np.linalg.eigh(h)
+    ov0 = np.abs(v[:, 1, :]) ** 2            # (n, 3): |<0|psi_k>|^2
+    order = np.argsort(ov0, axis=1)
+    best = np.take_along_axis(ov0, order[:, 2:3], axis=1)[:, 0]
+    second = np.take_along_axis(ov0, order[:, 1:2], axis=1)[:, 0]
+    if np.any(best - second < _OVERLAP_TOL):
+        raise LabelingAmbiguityError(
+            "degenerate |m_s=0> overlap for at least one site"
+        )
+    idx0 = order[:, 2]
+    e0 = np.take_along_axis(w, idx0[:, None], axis=1)[:, 0]
+    mask = np.ones((n, 3), dtype=bool)
+    np.put_along_axis(mask, idx0[:, None], False, axis=1)
+    others = w[mask].reshape(n, 2)           # ascending because w is ascending
+    return others[:, 0] - e0, others[:, 1] - e0
 
 
 class TestDOfT:
@@ -176,6 +223,83 @@ class TestBatchTransitions:
                 300.0)
             assert om[i] == pytest.approx(lev.omega_minus, rel=1e-12)
             assert op[i] == pytest.approx(lev.omega_plus, rel=1e-12)
+
+
+def rotated_bias_assembly():
+    """Tracking assembly on a rotated crystal (all four lab-frame NV axes off
+    the <111> set) with a uniform bias field on top of the dipole field."""
+    axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    k = np.array([[0.0, -axis[2], axis[1]],
+                  [axis[2], 0.0, -axis[0]],
+                  [-axis[1], axis[0], 0.0]])
+    rot = np.eye(3) + np.sin(0.7) * k + (1.0 - np.cos(0.7)) * k @ k
+    return replace(cuni_tracking_assembly(seed=3),
+                   crystal_orientation=tuple(map(tuple, rot)),
+                   bias_field=(1.0e-3, -2.0e-3, 1.5e-3))
+
+
+def oracle_fields(asm, sites, temp):
+    """NV-frame fields per site from the scalar dipole field of the full
+    moment, one site at a time."""
+    moment = magnetic_moment(asm.magnet, temp)
+    return np.array([
+        nv_frame(frame[2]) @ (dipole_field(moment, asm.magnet.center, position,
+                                           min_distance=asm.magnet.radius)
+                              + np.asarray(asm.bias_field))
+        for position, frame in zip(sites.positions, sites.frames)])
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("make", [
+        lambda: cuni_design_assembly(seed=5),
+        lambda: single_nv_pillar_assembly(seed=1),
+        rotated_bias_assembly,
+    ], ids=["design", "pillar", "rotated_bias"])
+    def test_matches_eigh_oracle_on_assemblies(self, make):
+        asm = make()
+        sites = sample_ensemble(asm)
+        tc = asm.magnet.tc
+        temps = np.array([tc - 30.0, tc - 3.0, tc - 0.5, tc - 0.01, tc + 1.0])
+        om_all, op_all = line_centers(asm, temps, sites)
+        for k, temp in enumerate(temps):
+            fields = oracle_fields(asm, sites, temp)
+            d = d_of_t(asm.spin, temp)
+            om_ref, op_ref = transition_pair_batch(d, sites.strains, GAMMA, fields)
+            om, op = transition_pairs(d, sites.strains, GAMMA, fields)
+            np.testing.assert_allclose(om, om_ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(op, op_ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(om_all[k], om_ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(op_all[k], op_ref, rtol=1e-12, atol=0)
+
+    def test_matches_eigh_oracle_random_fields(self):
+        rng = np.random.default_rng(13)
+        strains = np.concatenate([rng.uniform(0, 20e6, 1500), np.zeros(500)])
+        fields = rng.uniform(-3e-3, 3e-3, (2000, 3))
+        for d in (D0, 2.5e9):
+            om, op = transition_pairs(d, strains, GAMMA, fields)
+            om_ref, op_ref = transition_pair_batch(d, strains, GAMMA, fields)
+            np.testing.assert_allclose(om, om_ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(op, op_ref, rtol=1e-12, atol=0)
+
+    def test_bare_nv_rows_exact(self):
+        # zero strain and zero field: both lines sit exactly at D, where the
+        # eigenvector-eigenvalue identity would divide 0 by 0
+        om, op = transition_pairs(D0, 0.0, GAMMA, np.zeros((3, 3)))
+        assert np.all(om == D0) and np.all(op == D0)
+        om, op = transition_pairs(D0, [5e6, 0.0], GAMMA, [[0, 0, 0], [0, 0, 1e-3]])
+        assert om.tolist() == [D0 - 5e6, D0 - GAMMA * 1e-3]
+        assert op.tolist() == [D0 + 5e6, D0 + GAMMA * 1e-3]
+
+    def test_labeling_ambiguity_at_crossing(self):
+        # D ~ 0 with a purely transverse field, as for transition_frequencies
+        with pytest.raises(LabelingAmbiguityError):
+            transition_pairs(1e-6, 0.0, GAMMA, [[1e-3, 0.0, 0.0]])
+        with pytest.raises(LabelingAmbiguityError):
+            transition_pair_batch(1e-6, 0.0, GAMMA, [[1e-3, 0.0, 0.0]])
+
+    def test_nan_overlap_raises(self):
+        with pytest.raises(LabelingAmbiguityError):
+            transition_pairs(D0, 0.0, GAMMA, [[np.nan, 0.0, 0.0]])
 
 
 class TestDomegaDtemp:
