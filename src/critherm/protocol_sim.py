@@ -37,7 +37,7 @@ from .sensitivity import eta_cw_numeric
 _REF_DETUNING_LINEWIDTHS = 50.0
 _LAMBDA_GUARD = 1e12  # counts per bin; anything above this is a config bug
 _CSV_CHUNK_ROWS = 8192  # trace CSV rows formatted per write
-_POISSON_BLOCK_BINS = 8192  # record bins whose rates are gathered per draw
+_POISSON_BLOCK_BINS = 8192  # record bins per draw, rounded down to whole points
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,12 @@ class ThreePointConfig:
 
 @dataclass(frozen=True)
 class CountRecord:
-    times: np.ndarray        # bin start times, s
-    counts_f1: np.ndarray    # Poisson counts per bin
+    times: np.ndarray        # point start times, s
+    counts_f1: np.ndarray    # counts per point, summed over its bins
     counts_f2: np.ndarray
     counts_ref: np.ndarray
-    true_temps: np.ndarray   # K, trace used to generate the counts
     dwell: float
+    bins_per_point: int = 1  # protocol cycles (record bins) per point
 
     def __len__(self):
         return len(self.times)
@@ -124,66 +124,129 @@ def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
                             calibration=cal)
 
 
-def expected_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
-                    duration: float, sites, trace_resolution: float = None):
-    """Noiseless per-bin expected counts (lambda_i) for each channel, in
-    factored form: (times, table, inv, temps).
-
-    times are the bin start times and temps the true temperatures of the
-    bins; table holds one row of (f1, f2, f_ref) expected counts per distinct
-    (snapped) temperature, and inv maps each bin to its row, so table[inv]
-    is the (n_bins, 3) array of per-bin expected counts.
-
-    temp_trace maps time (s) to true temperature (K).  It is called once,
-    with the array of bin midpoints, and must return an array of that shape
-    or a scalar that broadcasts to it (a constant trace); a scalar-only
-    callable such as `lambda t: a if t < 5 else b` does not work.  One
-    line_centers call covers the distinct temperatures, so constant and
-    square-wave traces cost only a handful of rows.  For smooth traces
-    pass trace_resolution (K) to snap temperatures to that grid first:
-    0.1 mK structure is far below anything a single protocol bin can
-    resolve, and the snap keeps the evaluation count bounded.
-    """
-    nbins = int(np.floor(duration / cfg.bin_duration))
-    if nbins < 1:
-        raise DomainError("duration shorter than one protocol cycle")
-    times = np.arange(nbins) * cfg.bin_duration
+def _bin_keys(cfg: ThreePointConfig, temp_trace, start: int, stop: int,
+              trace_resolution: float = None):
+    """(times, temps, keys) of record bins start..stop-1: the bin start
+    times, the trace at the bin midpoints and the (snapped) table keys.
+    np.arange(start, stop) * bin_duration is bitwise the slice of the
+    whole-record times, so each bin's values do not depend on the block."""
+    times = np.arange(start, stop) * cfg.bin_duration
     temps = np.array(np.broadcast_to(
         temp_trace(times + 0.5 * cfg.bin_duration), times.shape), dtype=float)
     keys = temps if trace_resolution is None \
         else np.round(temps / trace_resolution) * trace_resolution
-    distinct, inv = np.unique(keys, return_inverse=True)
+    return times, temps, keys
+
+
+def _key_blocks(cfg: ThreePointConfig, temp_trace, nbins: int, block: int,
+                trace_resolution: float = None):
+    """(start, keys) for consecutive blocks of `block` bins of the first
+    nbins record bins."""
+    for start in range(0, nbins, block):
+        yield start, _bin_keys(cfg, temp_trace, start, min(start + block, nbins),
+                               trace_resolution)[2]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D float array, by sorting: np.unique
+    without indices imports numpy.ma (about 1 MB) on first use."""
+    ordered = np.sort(values)
+    return ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+
+
+def _rate_table(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
+                nbins: int, block: int, sites, trace_resolution: float = None):
+    """(distinct, table): the sorted distinct (snapped) temperatures of the
+    first nbins record bins, gathered block by block, and one row of
+    (f1, f2, f_ref) expected counts per distinct temperature, all from one
+    line_centers call.  np.searchsorted(distinct, keys) is the row of each
+    bin."""
+    distinct = _distinct(np.concatenate(
+        [_distinct(keys) for _, keys in
+         _key_blocks(cfg, temp_trace, nbins, block, trace_resolution)]))
     probe = np.array([cfg.f1, cfg.f2, cfg.f_ref])
     table = np.array([asm.photon_rate * cfg.dwell * _signal(asm, probe, *lines)
                       for lines in zip(*line_centers(asm, distinct, sites))])
     if np.any(table > _LAMBDA_GUARD):
         raise DomainError("expected counts per bin exceed the overflow guard")
-    return times, table, inv, temps
+    return distinct, table
+
+
+def _bin_count(cfg: ThreePointConfig, duration: float) -> int:
+    nbins = int(np.floor(duration / cfg.bin_duration))
+    if nbins < 1:
+        raise DomainError("duration shorter than one protocol cycle")
+    return nbins
+
+
+def expected_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
+                    duration: float, sites, trace_resolution: float = None):
+    """Noiseless per-bin expected counts (lambda_i) for each channel, in
+    factored form: (times, table, inv, temps).
+
+    This is the per-bin view of the rates simulate_counts draws from.
+    times are the bin start times and temps the true temperatures of the
+    bins; table holds one row of (f1, f2, f_ref) expected counts per distinct
+    (snapped) temperature, and inv maps each bin to its row, so table[inv]
+    is the (n_bins, 3) array of per-bin expected counts.
+
+    temp_trace maps time (s) to true temperature (K).  It is evaluated on
+    consecutive blocks of bin midpoints, and may be called more than once
+    per bin, so it must be a pure elementwise function of time that returns
+    an array of its argument's shape or a scalar that broadcasts to it (a
+    constant trace); a scalar-only callable such as
+    `lambda t: a if t < 5 else b` does not work.  One line_centers call
+    covers the distinct temperatures, so constant and square-wave traces
+    cost only a handful of rows.  For smooth traces pass trace_resolution
+    (K) to snap temperatures to that grid first: 0.1 mK structure is far
+    below anything a single protocol bin can resolve, and the snap keeps
+    the evaluation count bounded.
+    """
+    nbins = _bin_count(cfg, duration)
+    distinct, table = _rate_table(asm, cfg, temp_trace, nbins,
+                                  _POISSON_BLOCK_BINS, sites, trace_resolution)
+    times, temps, keys = _bin_keys(cfg, temp_trace, 0, nbins, trace_resolution)
+    return times, table, np.searchsorted(distinct, keys), temps
 
 
 def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
                     duration: float, seed: int, trace_resolution: float = None,
-                    *, sites) -> CountRecord:
+                    *, sites, bins_per_point: int = 1) -> CountRecord:
     """Poisson-sampled three-channel count record; deterministic under seed.
 
-    temp_trace is called once with the array of bin midpoints, as in
-    expected_counts.  The counts are drawn in blocks of bins, which gives the
-    same stream as one draw over all per-bin rates without holding them all.
+    Each record entry is the count sum over one point of bins_per_point
+    consecutive bins; the bins after the last whole point are not drawn.
+    The counts are drawn block by block, in whole points, and each block is
+    summed into its points as it is drawn, so memory grows with the number
+    of points and distinct temperatures, not with the number of bins.  The
+    draws run in the same order as one draw over all per-bin rates, so a
+    point equals the sum of its bins in the bins_per_point = 1 record of the
+    same seed.  temp_trace is evaluated block-wise, as in expected_counts.
     """
-    times, table, inv, temps = expected_counts(asm, cfg, temp_trace, duration,
-                                               sites, trace_resolution)
+    if bins_per_point < 1:
+        raise DomainError(f"bins_per_point must be >= 1, got {bins_per_point}")
+    npts = _bin_count(cfg, duration) // bins_per_point
+    if npts == 0:
+        raise DomainError("duration shorter than one point")
+    nbins = npts * bins_per_point
+    block = max(1, _POISSON_BLOCK_BINS // bins_per_point) * bins_per_point
+    distinct, table = _rate_table(asm, cfg, temp_trace, nbins, block, sites,
+                                  trace_resolution)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = np.empty((len(inv), 3), dtype=np.int64)
-    for start in range(0, len(inv), _POISSON_BLOCK_BINS):
-        stop = start + _POISSON_BLOCK_BINS
-        counts[start:stop] = rng.poisson(table[inv[start:stop]])
+    counts = np.empty((npts, 3), dtype=np.int64)
+    for start, keys in _key_blocks(cfg, temp_trace, nbins, block,
+                                   trace_resolution):
+        drawn = rng.poisson(table[np.searchsorted(distinct, keys)])
+        first = start // bins_per_point
+        counts[first:first + len(keys) // bins_per_point] = \
+            drawn.reshape(-1, bins_per_point, 3).sum(axis=1)
     return CountRecord(
-        times=times,
+        times=(np.arange(npts) * bins_per_point) * cfg.bin_duration,
         counts_f1=counts[:, 0],
         counts_f2=counts[:, 1],
         counts_ref=counts[:, 2],
-        true_temps=temps,
         dwell=cfg.dwell,
+        bins_per_point=bins_per_point,
     )
 
 
@@ -214,7 +277,8 @@ def fittable_windows(window_grid, dwell: float, duration: float) -> int:
 
 
 def window_counts(rec: CountRecord, bins_per_window: int):
-    """(n1, n2, nref) summed over consecutive complete windows."""
+    """(n1, n2, nref) summed over consecutive complete windows of
+    bins_per_window record entries."""
     take = len(rec) // bins_per_window * bins_per_window
     return [c[:take].reshape(-1, bins_per_window).sum(axis=1)
             for c in (rec.counts_f1, rec.counts_f2, rec.counts_ref)]
@@ -258,8 +322,8 @@ def shot_noise_curve(asm: SensorAssembly, cfg: ThreePointConfig,
 
     One long record at (by default) constant calibration temperature is cut
     into non-overlapping windows of each requested length; window lengths
-    snap to whole protocol cycles.  A given temp_trace is called once with
-    the array of bin midpoints, as in expected_counts.  Also reports the
+    snap to whole protocol cycles.  A given temp_trace is evaluated on
+    blocks of bin midpoints, as in expected_counts.  Also reports the
     fitted sensitivity eta = delta_T sqrt(dt) and the log-log slope (-0.5
     for pure shot noise).
     """
@@ -293,8 +357,9 @@ def three_point_penalty(asm: SensorAssembly, cfg: ThreePointConfig, seed: int,
     sites = sample_ensemble(asm)
     t0 = cfg.calibration.t0
     total = n_windows * cycles_per_window * cfg.bin_duration
-    rec = simulate_counts(asm, cfg, lambda t: t0, total, seed, sites=sites)
-    est = window_estimates(rec, cfg, cycles_per_window)
+    rec = simulate_counts(asm, cfg, lambda t: t0, total, seed, sites=sites,
+                          bins_per_point=cycles_per_window)
+    est = window_estimates(rec, cfg, 1)
     eta_mc = float(np.std(est, ddof=1)
                    * np.sqrt(cycles_per_window * cfg.bin_duration))
     return eta_mc / eta_cw_numeric(next(_slope_scan(asm, [t0], sites)),
@@ -343,7 +408,6 @@ class TrackResult:
     separation_sigma: float
     period_means: dict        # label -> per-period means
     max_period_spread: float  # K, worst inter-period mean difference
-    bins_per_point: int       # record bins summed into each point
 
 
 def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
@@ -351,23 +415,24 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
                       seed: int, sites) -> TrackResult:
     """Real-time tracking of a square-wave temperature drive.
 
-    Bins of `bin` seconds (>= one protocol cycle each) are estimated
+    Points of `bin` seconds (snapped to whole protocol cycles) are estimated
     independently; points whose span straddles a level switch are labeled
-    'mixed' and excluded from the level statistics.
+    'mixed' and excluded from the level statistics.  The count record holds
+    one entry per point.
     """
     if bin < cfg.bin_duration:
         raise DomainError("tracking bin shorter than one protocol cycle")
-    rec = simulate_counts(asm, cfg, square_wave_trace(low, high, period),
-                          duration, seed, sites=sites)
     t_true, labels, fewest = track_labels(low, high, period, bin, cfg.dwell,
                                           duration)
     if fewest < 2:
         raise EstimationError(
             "a level has fewer than two unmixed points: lengthen period or "
             "shorten bin")
-    bpw, npts = window_layout(bin, cfg.dwell, duration)
-    est = window_estimates(rec, cfg, bpw)
-    point_times = rec.times[::bpw][:npts]
+    bpw, _ = window_layout(bin, cfg.dwell, duration)
+    rec = simulate_counts(asm, cfg, square_wave_trace(low, high, period),
+                          duration, seed, sites=sites, bins_per_point=bpw)
+    est = window_estimates(rec, cfg, 1)
+    point_times = rec.times
 
     level_means, level_stds, period_means = {}, {}, {}
     for lab in ("high", "low"):
@@ -400,7 +465,6 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
         separation_sigma=float(separation),
         period_means=period_means,
         max_period_spread=float(max(spreads)) if spreads else np.nan,
-        bins_per_point=bpw,
     )
 
 
@@ -408,11 +472,12 @@ def export_trace_csv(result: TrackResult, cfg: ThreePointConfig, path,
                      header_lines=()):
     """t_s, counts_f1, counts_f2, counts_fref, t_hat_k, t_true_k per point.
 
-    Counts are summed over the record bins inside each reported point.
+    Counts are the record's per-point sums over the bins inside each point.
     A track has few true temperatures, so each is formatted once per chunk.
     """
-    c1, c2, cr = window_counts(result.record, result.bins_per_point)
-    columns = (result.point_times, c1, c2, cr, result.t_hat)
+    rec = result.record
+    columns = (result.point_times, rec.counts_f1, rec.counts_f2, rec.counts_ref,
+               result.t_hat)
     with open(path, "w") as fh:
         fh.write("# critherm tracking trace, format_version 1\n")
         fh.writelines(f"# {h}\n" for h in header_lines)

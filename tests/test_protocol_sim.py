@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -39,11 +40,11 @@ def single_lorentzian_assembly(contrast=0.05, seed=4):
 def noiseless_record(asm, cfg, temp, sites, duration=None):
     nbins = 10
     duration = duration or nbins * cfg.bin_duration
-    times, table, inv, temps = expected_counts(asm, cfg, lambda t: temp, duration,
-                                               sites)
+    times, table, inv, _ = expected_counts(asm, cfg, lambda t: temp, duration,
+                                           sites)
     lam = table[inv]
     return CountRecord(times=times, counts_f1=lam[:, 0], counts_f2=lam[:, 1],
-                       counts_ref=lam[:, 2], true_temps=temps, dwell=cfg.dwell)
+                       counts_ref=lam[:, 2], dwell=cfg.dwell)
 
 
 def expected_counts_per_bin(asm, cfg, temp_trace, duration, sites,
@@ -77,7 +78,8 @@ def poisson_one_draw(asm, cfg, temp_trace, duration, seed, sites,
 
 def trace_csv_per_row(result, cfg, header_lines=()):
     """Oracle for export_trace_csv: the trace file built row by row."""
-    c1, c2, cr = protocol_sim.window_counts(result.record, result.bins_per_point)
+    rec = result.record
+    c1, c2, cr = rec.counts_f1, rec.counts_f2, rec.counts_ref
     lines = ["# critherm tracking trace, format_version 1"]
     lines += [f"# {h}" for h in header_lines]
     lines.append(f"# dwell_s = {cfg.dwell!r}")
@@ -125,6 +127,23 @@ class TestForwardModelEvaluations:
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         expected_counts(asm, cfg, square_wave_trace(335.4, 336.9, 0.9), 4.0, sites)
+        assert forward_model_calls == {"batches": [3, 2], "rows": 5}
+
+    @pytest.mark.parametrize("run", [
+        lambda asm, cfg, sites: simulate_counts(
+            asm, cfg, square_wave_trace(335.4, 336.9, 0.9), 4.0, seed=1,
+            sites=sites, bins_per_point=4),
+        lambda asm, cfg, sites: track_square_wave(
+            asm, cfg, 335.4, 336.9, period=0.9, bin=0.06, duration=4.0, seed=1,
+            sites=sites),
+    ], ids=["simulate_counts", "track"])
+    def test_point_record_evaluates_each_distinct_temperature_once(
+            self, forward_model_calls, run):
+        # the rate table is built once, before the blocks are drawn
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        run(asm, cfg, sites)
         assert forward_model_calls == {"batches": [3, 2], "rows": 5}
 
 
@@ -222,6 +241,45 @@ class TestSimulateCounts:
         for got, w in zip((rec.counts_f1, rec.counts_f2, rec.counts_ref), want.T):
             assert got.dtype == w.dtype and np.array_equal(got, w)
 
+    @pytest.mark.parametrize("bins_per_point", [1, 3, 6, 8193])
+    @pytest.mark.parametrize("trace, resolution", [
+        (square_wave_trace(335.4, 336.9, 0.9), None),
+        (lambda t: 336.15 + 0.3 * np.sin(2 * np.pi * t / 1.7), 1e-4),
+    ], ids=["square", "sine"])
+    def test_point_record_sums_per_bin_record(self, trace, resolution,
+                                              bins_per_point):
+        # 3 x 8193 + 5 bins: several draw blocks for every bins_per_point,
+        # and spare bins after the last whole point except at 1
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        duration = (3 * 8193 + 5.5) * cfg.bin_duration
+        per_bin = simulate_counts(asm, cfg, trace, duration, seed=6,
+                                  trace_resolution=resolution, sites=sites)
+        rec = simulate_counts(asm, cfg, trace, duration, seed=6,
+                              trace_resolution=resolution, sites=sites,
+                              bins_per_point=bins_per_point)
+        npts = (3 * 8193 + 5) // bins_per_point
+        assert (len(per_bin), len(rec), rec.bins_per_point) == \
+            (3 * 8193 + 5, npts, bins_per_point)
+        want = protocol_sim.window_counts(per_bin, bins_per_point)
+        for got, w in zip((rec.counts_f1, rec.counts_f2, rec.counts_ref), want):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+        assert rec.times.tobytes() == per_bin.times[::bins_per_point][:npts].tobytes()
+
+    @pytest.mark.parametrize("duration, bins_per_point", [
+        (0.01, 1),    # shorter than one 15 ms cycle
+        (0.1, 7),     # six cycles, shorter than one point
+        (0.1, 0),
+    ])
+    def test_record_without_a_point_rejected(self, duration, bins_per_point):
+        asm = single_lorentzian_assembly()
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
+        with pytest.raises(DomainError):
+            simulate_counts(asm, cfg, lambda t: T0, duration, seed=1,
+                            sites=sites, bins_per_point=bins_per_point)
+
     def test_passed_sites_equal_sampled(self):
         asm = single_lorentzian_assembly()
         cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sample_ensemble(asm))
@@ -259,7 +317,7 @@ class TestEstimateTemperature:
                              counts_f1=rec.counts_f1 * drift,
                              counts_f2=rec.counts_f2 * drift,
                              counts_ref=rec.counts_ref * drift,
-                             true_temps=rec.true_temps, dwell=rec.dwell)
+                             dwell=rec.dwell)
         assert abs(estimate_temperature(scaled, cfg) - base) < 1e-12
 
     def test_noiseless_drift_on_rates(self):
@@ -272,7 +330,7 @@ class TestEstimateTemperature:
                               counts_f1=rec.counts_f1 * per_bin,
                               counts_f2=rec.counts_f2 * per_bin,
                               counts_ref=rec.counts_ref * per_bin,
-                              true_temps=rec.true_temps, dwell=rec.dwell)
+                              dwell=rec.dwell)
         # common per-bin factor cancels only for window = one bin; for the
         # summed window it still cancels to first order
         a = window_estimates(rec, cfg, 1)
@@ -285,7 +343,7 @@ class TestEstimateTemperature:
                                calibration=cal)
         rec = CountRecord(times=np.array([0.0]), counts_f1=np.array([5]),
                           counts_f2=np.array([5]), counts_ref=np.array([0]),
-                          true_temps=np.array([300.0]), dwell=0.01)
+                          dwell=0.01)
         with pytest.raises(EstimationError):
             estimate_temperature(rec, cfg)
 
@@ -459,12 +517,17 @@ class TestTrackSquareWave:
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         res = track_square_wave(asm, cfg, 335.4, 336.9, period=0.36, bin=0.09,
                                 duration=0.44, seed=3, sites=sites)
-        assert (len(res.record), len(res.t_hat), res.bins_per_point) == (29, 4, 6)
+        per_bin = simulate_counts(asm, cfg, square_wave_trace(335.4, 336.9, 0.36),
+                                  0.44, seed=3, sites=sites)
+        assert (len(per_bin), len(res.t_hat), len(res.record),
+                res.record.bins_per_point) == (29, 4, 4, 6)
         path = tmp_path / "trace.csv"
         export_trace_csv(res, cfg, path)
         rows = np.loadtxt(path, delimiter=",", skiprows=3)
-        assert rows[:, 1].sum() == res.record.counts_f1[:24].sum()
-        assert rows[:, 3].sum() == res.record.counts_ref[:24].sum()
+        for col, counts in zip((1, 2, 3), (per_bin.counts_f1, per_bin.counts_f2,
+                                           per_bin.counts_ref)):
+            assert np.array_equal(rows[:, col],
+                                  counts[:24].reshape(4, 6).sum(axis=1))
 
     # integer levels must still be written as floats (337.0, not 337)
     @pytest.mark.parametrize("low, high", [(335.4, 336.9), (335, 337)])
@@ -497,6 +560,22 @@ class TestTrackSquareWave:
                       for p in np.unique(idx)}
             assert len(oracle) > 30
             assert res.period_means[lab] == oracle
+
+    def test_memory_grows_with_points(self):
+        # 120,000 bins in 30,000 points; holding the per-bin record and its
+        # rates peaks at about 7.1 MB here
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        tracemalloc.start()
+        try:
+            res = track_square_wave(asm, cfg, 335.4, 336.9, period=9.6, bin=0.06,
+                                    duration=1800.0, seed=7, sites=sites)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.t_hat) == 30000
+        assert peak < 5e6
 
     def test_bin_shorter_than_cycle_rejected(self):
         asm = cuni_tracking_assembly(seed=1)
