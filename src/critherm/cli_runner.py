@@ -624,6 +624,20 @@ _RUNNERS = {
 }
 
 
+def _finite_or_null(value):
+    """value with every non-finite float replaced by None, so a result that
+    is undefined (such as the width of a dip whose half-depth crossing falls
+    off the grid) is written as JSON null: strict JSON has no NaN or
+    Infinity."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
 def run_resolved(resolved: dict, stem: str, out_dir=None, threads: int = 1):
     """Dispatch a resolved scenario; returns (csv_path, manifest_path)."""
     kind = resolved["run"]["kind"]
@@ -639,10 +653,11 @@ def run_resolved(resolved: dict, stem: str, out_dir=None, threads: int = 1):
         "resolved": resolved,
         "assumptions_hash": assumptions_hash(resolved),
         "outputs": [csv_path.name],
-        "results": results,
+        "results": _finite_or_null(results),
     }
     manifest_path = out / f"{stem}.manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(
+        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return csv_path, manifest_path
 
 

@@ -129,10 +129,15 @@ def _bin_keys(cfg: ThreePointConfig, temp_trace, start: int, stop: int,
     """(times, temps, keys) of record bins start..stop-1: the bin start
     times, the trace at the bin midpoints and the (snapped) table keys.
     np.arange(start, stop) * bin_duration is bitwise the slice of the
-    whole-record times, so each bin's values do not depend on the block."""
+    whole-record times, so each bin's values do not depend on the block.
+    Raises DomainError at the first bin whose temperature is not finite."""
     times = np.arange(start, stop) * cfg.bin_duration
-    temps = np.array(np.broadcast_to(
-        temp_trace(times + 0.5 * cfg.bin_duration), times.shape), dtype=float)
+    mids = times + 0.5 * cfg.bin_duration
+    temps = np.array(np.broadcast_to(temp_trace(mids), times.shape), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(temps))
+    if bad.size:
+        raise DomainError(f"temperature trace is {temps[bad[0]]} at "
+                          f"t = {float(mids[bad[0]])!r} s; temperatures must be finite")
     keys = temps if trace_resolution is None \
         else np.round(temps / trace_resolution) * trace_resolution
     return times, temps, keys

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from critherm.cli_runner import (
     validate,
 )
 from critherm.errors import SchemaError
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 MAGNETIZE = """\
 [run]
@@ -340,10 +343,7 @@ class TestRun:
 
 class TestShippedScenarios:
     def test_all_examples_validate(self):
-        from pathlib import Path
-
-        scenario_dir = Path(__file__).resolve().parent.parent / "scenarios"
-        files = sorted(scenario_dir.glob("*.cfg"))
+        files = sorted(SCENARIO_DIR.glob("*.cfg"))
         assert len(files) >= 6
         for f in files:
             assert validate(f).endswith("ok"), f.name
@@ -402,6 +402,29 @@ class TestMainExitCodes:
         assert err.count(f"schema error: {key}: non-finite value") == 2
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, edit, key", [
+        # 11 points within 1 MHz of the dip minimum (2.853047 GHz): the
+        # half-depth crossings fall off the grid, so the width is undefined
+        ("spectrum_63c", lambda text: text + "freq_start_hz = 2.852047e9\n"
+         "freq_stop_hz = 2.854047e9\nfreq_points = 11\n", "effective_width_hz"),
+        # one period per level: no spread between periods
+        ("track_63c", lambda text: text.replace("duration_s = 28.8",
+                                                "duration_s = 9.6"),
+         "max_period_spread_k"),
+    ], ids=["spectrum-width", "track-spread"])
+    def test_undefined_result_is_null(self, tmp_path, name, edit, key):
+        text = (SCENARIO_DIR / f"{name}.cfg").read_text()
+        p = write(tmp_path, f"{name}.cfg", edit(text))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
+
+        def reject(constant):
+            raise ValueError(f"manifest holds {constant}")
+
+        manifest = json.loads(
+            (tmp_path / "out" / f"{name}.manifest.json").read_text(),
+            parse_constant=reject)
+        assert manifest["results"][key] is None
 
     def test_validate_never_writes(self, tmp_path):
         p = write(tmp_path, "mag.cfg", MAGNETIZE)

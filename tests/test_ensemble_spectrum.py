@@ -266,6 +266,24 @@ class TestLorentzianKernel:
             assert np.array_equal(got, signal_whole_blocks(asm, freqs, om, op)), \
                 f"{n_lines} lines, {n_points} points"
 
+    @pytest.mark.parametrize("case", ["on-grid", "far-off", "one-nv", "strided"])
+    def test_bitwise_equal_on_edge_inputs(self, case):
+        asm = SensorAssembly()
+        freqs = np.linspace(D0 - 150e6, D0 + 150e6, 1025)
+        om, op = random_lines(514)
+        if case == "on-grid":
+            # every offset of a line to its own grid point is exactly zero
+            om, op = freqs[::4], freqs[1::2][:300]
+        elif case == "far-off":
+            om, op = om + 1e12, op - 1e12
+        elif case == "one-nv":
+            asm = SensorAssembly(n_nv=1)
+            om, op = om[:1], op[:1]
+        else:
+            freqs = np.linspace(D0 - 150e6, D0 + 150e6, 3075)[::-3]
+        got = _signal(asm, freqs, om, op)
+        assert np.array_equal(got, signal_whole_blocks(asm, freqs, om, op))
+
     def test_memory_fixed_on_large_grid(self):
         asm = SensorAssembly()
         om, op = random_lines(1000)

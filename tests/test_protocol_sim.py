@@ -197,6 +197,22 @@ class TestSimulateCounts:
         with pytest.raises(DomainError):
             expected_counts(asm, big, lambda t: T0, 1e10, sites)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("counts", [
+        lambda asm, cfg, trace, sites: simulate_counts(asm, cfg, trace, 1.0, 0,
+                                                       sites=sites),
+        lambda asm, cfg, trace, sites: expected_counts(asm, cfg, trace, 1.0, sites),
+    ], ids=["simulate_counts", "expected_counts"])
+    def test_non_finite_trace_rejected(self, counts, bad):
+        asm = single_lorentzian_assembly()
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
+        trace = lambda t: np.where(t > 0.5, bad, T0)
+        # the first bad bin is bin 33, midpoint 33.5 x 15 ms
+        with pytest.raises(DomainError,
+                           match=rf"temperature trace is {bad} at t = 0\.5025"):
+            counts(asm, cfg, trace, sites)
+
     def test_trace_resolution_snaps_cache(self):
         asm = single_lorentzian_assembly()
         sites = sample_ensemble(asm)
