@@ -22,7 +22,6 @@ from .spin_model import (
     SpinSystem,
     build_hamiltonian,
     d_of_t,
-    domega_dtemp,
     transition_frequencies,
 )
 from .magnet_model import (
@@ -43,6 +42,8 @@ from .ensemble_spectrum import (
     OdmrSpectrum,
     SensorAssembly,
     default_freq_grid,
+    domega_dtemp,
+    nv_site,
     sample_ensemble,
     signal_at,
     signal_temperature_slope,

@@ -33,8 +33,9 @@ from .errors import SchemaError, ThermoError
 from . import magnet_model
 from .ensemble_spectrum import (
     SensorAssembly,
+    domega_dtemp,
     export_spectrum_csv,
-    nv_field_fn,
+    nv_site,
     sample_ensemble,
     signal_temperature_slope,
     synthesize_spectrum,
@@ -50,7 +51,7 @@ from .protocol_sim import (
     track_square_wave,
 )
 from .sensitivity import design_sweep, sensitivity_report
-from .spin_model import SpinSystem, domega_dtemp
+from .spin_model import SpinSystem
 
 FORMAT_VERSION = 1
 
@@ -115,82 +116,50 @@ _RUN = {
     "out_dir": ("s", False, "."),
 }
 
+# The sections of every kind that samples an NV ensemble.
+_ENSEMBLE = {"run": _RUN, "magnet": _MAGNET_FULL, "assembly": _ASSEMBLY, "spin": _SPIN}
+
 SCHEMAS = {
-    "magnetize": {
-        "run": _RUN,
-        "magnet": _MAGNET_FULL,
-        "grids": dict(_TEMP_RANGE),
-    },
-    "spectrum": {
-        "run": _RUN,
-        "magnet": _MAGNET_FULL,
-        "assembly": _ASSEMBLY,
-        "spin": _SPIN,
-        "grids": {
-            "temp_k": ("f", True, None),
-            "freq_start_hz": ("f", False, None),
-            "freq_stop_hz": ("f", False, None),
-            "freq_points": ("i", False, None),
-        },
-    },
+    "magnetize": {"run": _RUN, "magnet": _MAGNET_FULL, "grids": dict(_TEMP_RANGE)},
+    "spectrum": dict(_ENSEMBLE, grids={
+        "temp_k": ("f", True, None),
+        "freq_start_hz": ("f", False, None),
+        "freq_stop_hz": ("f", False, None),
+        "freq_points": ("i", False, None),
+    }),
     "susceptibility": {
         "run": _RUN,
         "magnet": _MAGNET_FULL,
         "spin": dict(_SPIN, nv_position_m=("v3", True, None)),
         "grids": dict(_TEMP_RANGE),
     },
-    "sensitivity": {
-        "run": _RUN,
-        "magnet": _MAGNET_FULL,
-        "assembly": _ASSEMBLY,
-        "spin": _SPIN,
-        "grids": dict(_TEMP_RANGE),
-    },
-    "design-sweep": {
-        "run": _RUN,
-        "magnet": _MAGNET_TEMPLATE,
-        "assembly": _ASSEMBLY,
-        "spin": _SPIN,
-        "grids": {
-            "x_start": ("f", True, None),
-            "x_stop": ("f", True, None),
-            "x_step": ("f", True, None),
-        },
-    },
-    "shot-noise": {
-        "run": _RUN,
-        "magnet": _MAGNET_FULL,
-        "assembly": _ASSEMBLY,
-        "spin": _SPIN,
-        "grids": {"temp_k": ("f", True, None)},
-        "protocol": {
-            "dwell_s": ("f", True, None),
-            "total_time_s": ("f", True, None),
-            "window_grid_s": ("fl", True, None),
-            "f1_hz": ("f", False, None),
-            "f2_hz": ("f", False, None),
-            "f_ref_hz": ("f", False, None),
-            "floor_rms_k": ("f", False, None),
-            "floor_period_s": ("f", False, None),
-        },
-    },
-    "track": {
-        "run": _RUN,
-        "magnet": _MAGNET_FULL,
-        "assembly": _ASSEMBLY,
-        "spin": _SPIN,
-        "protocol": {
-            "dwell_s": ("f", True, None),
-            "low_k": ("f", True, None),
-            "high_k": ("f", True, None),
-            "period_s": ("f", True, None),
-            "bin_s": ("f", True, None),
-            "duration_s": ("f", True, None),
-            "f1_hz": ("f", False, None),
-            "f2_hz": ("f", False, None),
-            "f_ref_hz": ("f", False, None),
-        },
-    },
+    "sensitivity": dict(_ENSEMBLE, grids=dict(_TEMP_RANGE)),
+    "design-sweep": dict(_ENSEMBLE, magnet=_MAGNET_TEMPLATE, grids={
+        "x_start": ("f", True, None),
+        "x_stop": ("f", True, None),
+        "x_step": ("f", True, None),
+    }),
+    "shot-noise": dict(_ENSEMBLE, grids={"temp_k": ("f", True, None)}, protocol={
+        "dwell_s": ("f", True, None),
+        "total_time_s": ("f", True, None),
+        "window_grid_s": ("fl", True, None),
+        "f1_hz": ("f", False, None),
+        "f2_hz": ("f", False, None),
+        "f_ref_hz": ("f", False, None),
+        "floor_rms_k": ("f", False, None),
+        "floor_period_s": ("f", False, None),
+    }),
+    "track": dict(_ENSEMBLE, protocol={
+        "dwell_s": ("f", True, None),
+        "low_k": ("f", True, None),
+        "high_k": ("f", True, None),
+        "period_s": ("f", True, None),
+        "bin_s": ("f", True, None),
+        "duration_s": ("f", True, None),
+        "f1_hz": ("f", False, None),
+        "f2_hz": ("f", False, None),
+        "f_ref_hz": ("f", False, None),
+    }),
 }
 
 
@@ -403,6 +372,16 @@ def build_assembly(resolved: dict, magnet: Magnet) -> SensorAssembly:
     )
 
 
+def build_single_nv(resolved: dict, magnet: Magnet):
+    """(assembly, one-site ensemble) of the susceptibility kind's NV in a
+    point-like FND: GeometryError exactly when the NV is inside the magnet."""
+    p = resolved["spin"]
+    asm = SensorAssembly(magnet=magnet, fnd_center=tuple(p["nv_position_m"]),
+                         fnd_radius=np.finfo(float).tiny, n_nv=1,
+                         spin=build_spin(p))
+    return asm, nv_site(asm.fnd_center, p["nv_axis"], p["strain_e_hz"])
+
+
 def _float_range(start: float, stop: float, step: float) -> np.ndarray:
     """start, start+step, ... up to stop inclusive, clipped so accumulated
     rounding never overshoots the endpoint."""
@@ -480,22 +459,16 @@ def _header_body(kind, resolved):
 
 
 def _run_susceptibility(resolved, out_csv, threads):
-    magnet = build_magnet(resolved["magnet"])
-    spin = build_spin(resolved["spin"])
-    field_fn = nv_field_fn(magnet, tuple(resolved["spin"]["nv_position_m"]),
-                           tuple(resolved["spin"]["nv_axis"]))
+    asm, site = build_single_nv(resolved, build_magnet(resolved["magnet"]))
     temps = _temp_grid(resolved["grids"])
-    rows = []
-    peak = 0.0
-    for t in temps:
-        dm, dp = domega_dtemp(spin, field_fn, float(t))
-        peak = max(peak, abs(dm), abs(dp))
-        rows.append((float(t), dm, dp))
+    dm, dp = (a[:, 0] for a in domega_dtemp(asm, temps, site))
     _write_csv(out_csv, _csv_header("susceptibility", resolved),
-               ["t_k", "domega_minus_hz_per_k", "domega_plus_hz_per_k"], rows)
+               ["t_k", "domega_minus_hz_per_k", "domega_plus_hz_per_k"],
+               zip(temps.tolist(), dm.tolist(), dp.tolist()))
+    peak = float(max(np.abs(dm).max(), np.abs(dp).max()))
     return {
         "peak_abs_domega_dt_hz_per_k": peak,
-        "enhancement_over_bare": peak / abs(spin.dd_dt),
+        "enhancement_over_bare": peak / abs(asm.spin.dd_dt),
     }
 
 
@@ -549,13 +522,10 @@ def _run_design_sweep(resolved, out_csv, threads):
     return summary
 
 
-def _protocol_config(resolved, asm, t0, sites, cal_step: float = 0.01):
-    proto = resolved["protocol"]
-    probes = None
-    if "f1_hz" in proto:
-        probes = (proto["f1_hz"], proto["f2_hz"], proto["f_ref_hz"])
-    return calibrate_three_point(asm, t0, proto["dwell_s"], probes=probes,
-                                 dt_step=cal_step, sites=sites)
+def _probes(proto: dict):
+    """The explicit (f1, f2, f_ref) probes, or None to choose them."""
+    keys = ("f1_hz", "f2_hz", "f_ref_hz")
+    return tuple(proto[k] for k in keys) if "f1_hz" in proto else None
 
 
 def _run_shot_noise(resolved, out_csv, threads):
@@ -564,7 +534,8 @@ def _run_shot_noise(resolved, out_csv, threads):
     proto = resolved["protocol"]
     t0 = resolved["grids"]["temp_k"]
     sites = sample_ensemble(asm)
-    cfg = _protocol_config(resolved, asm, t0, sites)
+    cfg = calibrate_three_point(asm, t0, proto["dwell_s"], probes=_probes(proto),
+                                sites=sites)
     temp_trace = None
     resolution = None
     if "floor_rms_k" in proto:
@@ -596,7 +567,8 @@ def _run_track(resolved, out_csv, threads):
     # keeps the recovered swing unattenuated by lineshape curvature
     cal_step = 0.5 * (proto["high_k"] - proto["low_k"])
     sites = sample_ensemble(asm)
-    cfg = _protocol_config(resolved, asm, t0, sites, cal_step)
+    cfg = calibrate_three_point(asm, t0, proto["dwell_s"], probes=_probes(proto),
+                                dt_step=cal_step, sites=sites)
     result = track_square_wave(
         asm, cfg, low=proto["low_k"], high=proto["high_k"],
         period=proto["period_s"], bin=proto["bin_s"],
@@ -699,6 +671,10 @@ def validate(scenario_file) -> str:
     if "magnet" in resolved and kind != "design-sweep":
         magnet = build_magnet(resolved["magnet"])  # raises DomainError on bad values
         report.append(f"magnet: ok (tc = {magnet.tc:.2f} K)")
+        if kind == "susceptibility":
+            # raises GeometryError inside the magnet, DomainError on a zero axis
+            asm, _ = build_single_nv(resolved, magnet)
+            report.append(f"nv: ok (distance to magnet surface = {asm.gap:.3e} m)")
         if "assembly" in resolved:
             asm = build_assembly(resolved, magnet)  # raises GeometryError on overlap
             report.append(f"assembly: ok (gap = {asm.gap:.3e} m)")

@@ -1,5 +1,6 @@
-"""Sensor assembly geometry, NV ensemble sampling and CW ODMR spectrum
-synthesis.
+"""Sensor assembly geometry, NV ensemble sampling, the line centres and
+their temperature derivative (one forward model for an ensemble and for a
+single NV, a one-site ensemble), and CW ODMR spectrum synthesis.
 
 Each NV contributes two unit-peak Lorentzian dips at its transition
 frequencies, computed from the full 3x3 Hamiltonian with the dipole field of
@@ -16,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .magnet_model import (Magnet, dipole_field, dipole_field_many, magnetic_moment,
-                           solve_magnetization)
+from .magnet_model import Magnet, dipole_field_many, solve_magnetization
 from .spin_model import SpinSystem, d_of_t, transition_pairs
 
 # The four NV symmetry axes (<111> family) in the crystal frame.
@@ -33,7 +33,10 @@ _LINE_CHUNK = 256
 # buffer (256 x 256 float64 = 512 KiB), whatever the grid size; the stacked
 # grid [f; 1] that the line offsets are multiplied from adds 16 B per point.
 _FREQ_TILE = 256
-_SLOPE_STEP = 0.01  # K, default step of the central-difference dS/dT
+_SLOPE_STEP = 0.01  # K, step of the central-difference dS/dT
+# Finite-difference step of domega_dtemp (K): far below the kelvin-scale
+# magnetization structure, far above double precision noise at GHz scale.
+_DT_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -112,11 +115,16 @@ class SensorAssembly:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """A sampled NV ensemble: one row per site in each array."""
+    """NV sites: one row per site in each array; the arrays are made
+    read-only on construction."""
 
     positions: np.ndarray  # (n, 3), m, lab frame
     frames: np.ndarray     # (n, 3, 3), rows e1, e2 and the NV axis e3
     strains: np.ndarray    # (n,), Hz
+
+    def __post_init__(self):
+        for array in (self.positions, self.frames, self.strains):
+            array.flags.writeable = False
 
     def __len__(self):
         return len(self.strains)
@@ -155,8 +163,6 @@ def sample_ensemble(asm: SensorAssembly) -> Ensemble:
             else asm.strain_mean
         while strains[i] < 0.0:
             strains[i] = rng.normal(asm.strain_mean, asm.strain_sd)
-    for array in (positions, frames, strains):
-        array.flags.writeable = False
     return Ensemble(positions=positions, frames=frames, strains=strains)
 
 
@@ -167,7 +173,10 @@ def nv_frame(axis) -> np.ndarray:
     orientation is arbitrary so a deterministic choice is used.
     """
     e3 = np.asarray(axis, dtype=float)
-    e3 = e3 / np.linalg.norm(e3)
+    norm = np.linalg.norm(e3)
+    if not norm > 0.0:
+        raise DomainError(f"NV axis must be a nonzero 3-vector, got {axis}")
+    e3 = e3 / norm
     ref = np.array([1.0, 0.0, 0.0]) if abs(e3[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = ref - np.dot(ref, e3) * e3
     e1 /= np.linalg.norm(e1)
@@ -175,13 +184,11 @@ def nv_frame(axis) -> np.ndarray:
     return np.vstack([e1, e2, e3])
 
 
-def nv_field_fn(magnet: Magnet, position, axis):
-    """Temperature -> dipole field of `magnet` at `position`, in the frame of
-    an NV whose symmetry axis is `axis` (tesla)."""
-    frame = nv_frame(axis)
-    return lambda temp: frame @ dipole_field(
-        magnetic_moment(magnet, temp), magnet.center, position,
-        min_distance=magnet.radius)
+def nv_site(position, axis, strain: float) -> Ensemble:
+    """One NV at `position` (m, lab frame) with its symmetry axis along
+    `axis` and transverse strain `strain` (Hz), as a one-site ensemble."""
+    return Ensemble(positions=np.array([position], dtype=float),
+                    frames=nv_frame(axis)[None], strains=np.array([float(strain)]))
 
 
 def line_centers(asm: SensorAssembly, temps, sites: Ensemble):
@@ -204,6 +211,30 @@ def line_centers(asm: SensorAssembly, temps, sites: Ensemble):
         om[k], op[k] = transition_pairs(d[k], sites.strains, asm.spin.gamma,
                                         bias_nv + m[k] * g_nv)
     return om, op
+
+
+def domega_dtemp(asm: SensorAssembly, temps, sites: Ensemble):
+    """(domega_minus/dT, domega_plus/dT) in Hz/K as two (n_temps, n_sites)
+    arrays: a central difference with a _DT_STEP step from one line_centers
+    call whose rows run T - step, T + step for each of the 1-D `temps`.
+
+    Warns when |gamma B| + E >= D at a site and row (outside the
+    perturbative operating regime; level labels may be unreliable there).
+    """
+    temps = np.asarray(temps, dtype=float)
+    rows = np.stack([temps - _DT_STEP, temps + _DT_STEP], axis=1).ravel()
+    om, op = line_centers(asm, rows, sites)
+    # the levels e0, e0 + om, e0 + op sum to 2D, their squares to
+    # 2 (D^2 + E^2 + gamma^2 |B|^2)
+    d, e = d_of_t(asm.spin, rows)[:, None], sites.strains
+    e0 = (2.0 * d - om - op) / 3.0
+    gb2 = 0.5 * (e0 ** 2 + (e0 + om) ** 2 + (e0 + op) ** 2) - d ** 2 - e ** 2
+    if np.any(np.sqrt(np.maximum(gb2, 0.0)) + e >= d):
+        warnings.warn("operating regime |gamma B| + E < D violated at "
+                      f"D = {d.min():.3e} Hz", stacklevel=2)
+    om, op = (a.reshape(temps.size, 2, -1) for a in (om, op))
+    return ((om[:, 1] - om[:, 0]) / (2.0 * _DT_STEP),
+            (op[:, 1] - op[:, 0]) / (2.0 * _DT_STEP))
 
 
 def site_transition_pairs(asm: SensorAssembly, temp: float, sites: Ensemble):
@@ -295,18 +326,18 @@ def synthesize_spectrum(asm: SensorAssembly, temp: float, freqs=None, *,
     return OdmrSpectrum(freqs=freqs, signal=signal, meta=meta)
 
 
-def signal_temperature_slope(asm: SensorAssembly, temp: float, freqs,
-                             dt_step: float = _SLOPE_STEP, *,
+def signal_temperature_slope(asm: SensorAssembly, temp: float, freqs, *,
                              sites: Ensemble) -> np.ndarray:
-    """Central finite difference dS/dT per grid frequency (1/K).
+    """Central finite difference dS/dT per grid frequency (1/K) with a
+    _SLOPE_STEP step.
 
-    The same ensemble sample is used at both temp +- dt_step (common random
-    numbers), so the difference isolates the physics, not the sampling.
+    The same ensemble sample is used at both temp +- _SLOPE_STEP (common
+    random numbers), so the difference isolates the physics, not the
+    sampling.
     """
-    if dt_step <= 0:
-        raise DomainError(f"dt_step must be positive, got {dt_step}")
     return _slope(asm, np.asarray(freqs, dtype=float),
-                  *line_centers(asm, [temp + dt_step, temp - dt_step], sites), dt_step)
+                  *line_centers(asm, [temp + _SLOPE_STEP, temp - _SLOPE_STEP], sites),
+                  _SLOPE_STEP)
 
 
 def _slope(asm: SensorAssembly, freqs, om, op, dt_step: float) -> np.ndarray:

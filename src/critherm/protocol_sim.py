@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .ensemble_spectrum import (
+    _SLOPE_STEP,
     SensorAssembly,
     _grid_for_lines,
     _signal,
@@ -93,7 +94,7 @@ def reference_detuning_ok(asm: SensorAssembly, f_ref: float, temp: float, sites)
 
 
 def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
-                          probes=None, dt_step: float = 0.01, *,
+                          probes=None, dt_step: float = _SLOPE_STEP, *,
                           sites) -> ThreePointConfig:
     """Linearize the protocol around t0 from one forward-model evaluation
     at t0 and t0 +- dt_step.

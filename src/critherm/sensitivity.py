@@ -27,12 +27,12 @@ from .magnet_model import M_SAT_NI, Magnet, curie_temperature
 from .ensemble_spectrum import (
     SensorAssembly,
     _slope_scan,
-    nv_field_fn,
+    domega_dtemp,
+    nv_site,
     sample_ensemble,
     signal_temperature_slope,
     synthesize_spectrum,
 )
-from .spin_model import domega_dtemp
 
 LORENTZIAN_SLOPE_FACTOR = 4.0 / (3.0 * np.sqrt(3.0))
 THREE_POINT_FACTOR = np.sqrt(1.5)
@@ -137,14 +137,14 @@ class SensitivityReport:
 
 def representative_domega_dt(asm: SensorAssembly, temp: float) -> float:
     """|dw/dT| of a reference NV at the FND centre with its axis along the
-    magnet easy axis (the best-coupled orientation); bare-NV slope when there
-    is no magnet."""
+    magnet easy axis (the best-coupled orientation) and the mean strain, in
+    the magnet and bias fields of the assembly; bare-NV slope when there is
+    no magnet."""
     if asm.magnet is None:
         return abs(asm.spin.dd_dt)
-    field_fn = nv_field_fn(asm.magnet, asm.fnd_center, asm.magnet.easy_axis)
-    sys = replace(asm.spin, strain_e=asm.strain_mean)
-    dm, dp = domega_dtemp(sys, field_fn, temp)
-    return max(abs(dm), abs(dp))
+    site = nv_site(asm.fnd_center, asm.magnet.easy_axis, asm.strain_mean)
+    dm, dp = domega_dtemp(asm, [temp], site)
+    return float(max(abs(dm[0, 0]), abs(dp[0, 0])))
 
 
 def sensitivity_report(asm: SensorAssembly, temp: float, t2_star: float = None,

@@ -1,5 +1,8 @@
-"""NV ground-state spin-1 Hamiltonian: levels, ODMR transition frequencies
-and their temperature derivatives.
+"""NV ground-state spin-1 Hamiltonian: D(T) and the ODMR transition
+frequencies of many sites in closed form (transition_pairs).  The explicit
+matrix (build_hamiltonian) and its eigh diagonalization
+(transition_frequencies) stay as the named oracle for transition_pairs; the
+forward model reaches neither.
 
 The Hamiltonian is  H = D(T) Sz^2 + E (Sx^2 - Sy^2) - gamma S.B  in the
 m_s = {+1, 0, -1} basis, with every term in Hz (fields in tesla).  D(T) is
@@ -32,10 +35,6 @@ GAMMA_DEFAULT = 28e9     # Hz/T (= 28 MHz/mT)
 # Two eigenvectors whose |<0|psi>|^2 differ by less than this cannot be told
 # apart; the caller is probing a level crossing.
 _OVERLAP_TOL = 1e-9
-
-# Finite-difference step of domega_dtemp (K): far below the kelvin-scale
-# magnetization structure, far above double precision noise at GHz scale.
-_DT_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -165,20 +164,3 @@ def transition_pairs(d: float, strain_e, gamma: float, fields):
         om[c], op[c] = _label_levels(w, ov0)
     return om, op
 
-
-def domega_dtemp(sys: SpinSystem, magnet_field_fn, temp: float):
-    """Central finite difference of the transition frequencies vs temperature.
-
-    magnet_field_fn maps temperature (K) to the NV-frame field 3-vector
-    (tesla); it is evaluated at temp +- _DT_STEP so the magnet's own
-    temperature dependence is included.  Returns (domega_minus/dT,
-    domega_plus/dT) in Hz/K.
-    """
-    lo = transition_frequencies(sys.with_field(magnet_field_fn(temp - _DT_STEP)),
-                                temp - _DT_STEP)
-    hi = transition_frequencies(sys.with_field(magnet_field_fn(temp + _DT_STEP)),
-                                temp + _DT_STEP)
-    return (
-        (hi.omega_minus - lo.omega_minus) / (2.0 * _DT_STEP),
-        (hi.omega_plus - lo.omega_plus) / (2.0 * _DT_STEP),
-    )

@@ -8,7 +8,12 @@ import numpy as np
 
 import critherm as ct
 from critherm.cli_runner import replay_manifest, run
-from critherm.ensemble_spectrum import SensorAssembly, nv_field_fn, sample_ensemble
+from critherm.ensemble_spectrum import (
+    SensorAssembly,
+    domega_dtemp,
+    nv_site,
+    sample_ensemble,
+)
 from critherm.magnet_model import Magnet, curie_temperature, solve_magnetization
 from critherm.presets import (
     PILLAR_CONTRAST,
@@ -23,7 +28,7 @@ from critherm.protocol_sim import (
     track_square_wave,
 )
 from critherm.sensitivity import design_sweep, eta_cw_numeric, eta_ramsey
-from critherm.spin_model import SpinSystem, domega_dtemp
+from critherm.spin_model import SpinSystem
 
 
 def report(num, ok, detail):
@@ -50,11 +55,11 @@ def test_criterion_02_curie_composition():
 def test_criterion_03_gd_enhancement_factor():
     start = time.time()
     demo = gd_bulk_demo()
-    field_fn = nv_field_fn(demo.magnet, demo.nv_position, demo.nv_axis)
-    peak = 0.0
-    for temp in demo.scan_temps:
-        dm, dp = domega_dtemp(demo.spin, field_fn, float(temp))
-        peak = max(peak, abs(dm), abs(dp))
+    asm = SensorAssembly(magnet=demo.magnet, fnd_center=demo.nv_position,
+                         fnd_radius=1e-9, n_nv=1, spin=demo.spin)
+    site = nv_site(demo.nv_position, demo.nv_axis, demo.spin.strain_e)
+    dm, dp = domega_dtemp(asm, demo.scan_temps, site)
+    peak = float(max(np.abs(dm).max(), np.abs(dp).max()))
     ratio = peak / abs(demo.spin.dd_dt)
     elapsed = time.time() - start
     ok = 100.0 <= ratio <= 400.0 and elapsed < 10.0

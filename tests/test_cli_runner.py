@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,23 @@ n_nv = 80
 temp_start_k = 334.0
 temp_stop_k = 338.0
 temp_step_k = 2.0
+"""
+
+SUSCEPTIBILITY = """\
+[run]
+kind = susceptibility
+
+[magnet]
+material = gd
+radius_m = 1.0e-3
+
+[spin]
+nv_position_m = 0 0 6.2e-3
+
+[grids]
+temp_start_k = 289.0
+temp_stop_k = 291.0
+temp_step_k = 1.0
 """
 
 
@@ -341,6 +359,33 @@ class TestRun:
         assert len(calls) == 1
 
 
+    def test_runners_never_reach_the_scalar_oracles(self, tmp_path, monkeypatch):
+        # the single NV goes through the same line_centers path as the
+        # ensemble: the eigh, scalar-dipole and moment oracles stay unused
+        from critherm import magnet_model, spin_model
+
+        oracles = {id(f) for f in (spin_model.transition_frequencies,
+                                   magnet_model.dipole_field,
+                                   magnet_model.magnetic_moment)}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a runner reached a scalar oracle")
+
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            if name == "critherm" or name.startswith("critherm."):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in oracles:
+                        monkeypatch.setattr(module, attr, forbidden)
+                        patched.add(f"{name}.{attr}")
+        assert {"critherm.spin_model.transition_frequencies",
+                "critherm.magnet_model.dipole_field",
+                "critherm.magnet_model.magnetic_moment"} <= patched
+        for i, text in enumerate((SUSCEPTIBILITY, SENSITIVITY, SWEEP)):
+            p = write(tmp_path, f"scenario{i}.cfg", text)
+            assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestShippedScenarios:
     def test_all_examples_validate(self):
         files = sorted(SCENARIO_DIR.glob("*.cfg"))
@@ -425,6 +470,22 @@ class TestMainExitCodes:
             (tmp_path / "out" / f"{name}.manifest.json").read_text(),
             parse_constant=reject)
         assert manifest["results"][key] is None
+
+    @pytest.mark.parametrize("old, new", [
+        ("nv_position_m = 0 0 6.2e-3", "nv_position_m = 0 0 0.5e-3"),
+        ("nv_axis = 0 0 1", "nv_axis = 0 0 0"),
+    ], ids=["nv-inside-magnet", "zero-nv-axis"])
+    def test_bad_single_nv_exit_3_from_validate_and_run(self, tmp_path, capsys,
+                                                        old, new):
+        text = (SCENARIO_DIR / "gd_susceptibility.cfg").read_text()
+        assert old in text
+        p = write(tmp_path, "bad.cfg", text.replace(old, new))
+        assert main(["validate", str(p)]) == 3
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("physics error: ") == 2
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("out/*"))
 
     def test_validate_never_writes(self, tmp_path):
         p = write(tmp_path, "mag.cfg", MAGNETIZE)

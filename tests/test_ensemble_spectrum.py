@@ -9,12 +9,14 @@ from critherm.ensemble_spectrum import (
     TETRAHEDRAL_AXES,
     SensorAssembly,
     _signal,
+    _slope,
     _slope_scan,
     absorption_second_moment,
     default_freq_grid,
     line_centers,
     measure_fwhm,
     nv_frame,
+    nv_site,
     sample_ensemble,
     signal_at,
     signal_temperature_slope,
@@ -78,6 +80,22 @@ class TestSampleEnsemble:
         for array in (sites.positions, sites.frames, sites.strains):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+
+    def test_nv_site_is_one_read_only_site(self):
+        site = nv_site((1e-9, 2e-9, 3e-9), (0.0, 0.0, 2.0), 5e6)
+        assert len(site) == 1
+        assert site.positions.tolist() == [[1e-9, 2e-9, 3e-9]]
+        assert np.array_equal(site.frames[0], nv_frame((0.0, 0.0, 1.0)))
+        assert site.strains.tolist() == [5e6]
+        for array in (site.positions, site.frames, site.strains):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_zero_axis_rejected(self):
+        with pytest.raises(DomainError, match="axis"):
+            nv_frame((0.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match="axis"):
+            nv_site((0.0, 0.0, 1e-3), (0.0, 0.0, 0.0), 0.0)
 
     def test_crystal_rotation_applied(self):
         theta = 0.3
@@ -357,8 +375,9 @@ class TestTemperatureSlope:
         temp = asm.magnet.tc - 10.0
         sites = sample_ensemble(asm)
         freqs = default_freq_grid(asm, temp, sites)
-        s1 = np.max(np.abs(signal_temperature_slope(asm, temp, freqs, 0.01, sites=sites)))
-        s2 = np.max(np.abs(signal_temperature_slope(asm, temp, freqs, 0.005, sites=sites)))
+        s1 = np.max(np.abs(signal_temperature_slope(asm, temp, freqs, sites=sites)))
+        half_step = line_centers(asm, [temp + 0.005, temp - 0.005], sites)
+        s2 = np.max(np.abs(_slope(asm, freqs, *half_step, 0.005)))
         assert abs(s2 - s1) / s1 < 0.02
 
     def test_gradient_broadening_monotone_in_gap(self):

@@ -193,12 +193,13 @@ class TestDesignSweep:
 
     def test_one_forward_model_batch_per_composition(self, forward_model_calls):
         # each composition evaluates its temperatures and both +- steps of
-        # the slope in one call
+        # the slope in one call, then the representative NV's dw/dT at the
+        # optimum as a one-site call of its two steps
         small = replace(cuni_design_assembly(seed=47), n_nv=40)
         policy = lambda tc: tc - np.array([0.5, 2.0, 8.0])
         points = design_sweep(small, [0.55, 0.95], temp_policy=policy)
         assert all(p.status == "ok" for p in points)
-        assert forward_model_calls == {"batches": [9, 9], "rows": 18}
+        assert forward_model_calls == {"batches": [9, 2, 9, 2], "rows": 22}
 
     def test_non_ferromagnetic_row_recorded(self):
         asm = cuni_design_assembly(seed=59)

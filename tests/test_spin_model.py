@@ -1,22 +1,33 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from critherm.ensemble_spectrum import line_centers, nv_frame, sample_ensemble
+from critherm.ensemble_spectrum import (
+    _DT_STEP,
+    Ensemble,
+    SensorAssembly,
+    domega_dtemp,
+    line_centers,
+    nv_frame,
+    nv_site,
+    sample_ensemble,
+)
 from critherm.errors import DomainError, LabelingAmbiguityError
-from critherm.magnet_model import dipole_field, magnetic_moment
+from critherm.magnet_model import dipole_field, dm_dtemp, magnetic_moment
 from critherm.presets import (
     cuni_design_assembly,
     cuni_tracking_assembly,
+    gd_bulk_demo,
     single_nv_pillar_assembly,
 )
+from critherm.sensitivity import representative_domega_dt
 from critherm.spin_model import (
     _OVERLAP_TOL,
     SpinSystem,
     build_hamiltonian,
     d_of_t,
-    domega_dtemp,
     transition_frequencies,
     transition_pairs,
 )
@@ -302,26 +313,126 @@ class TestClosedForm:
             transition_pairs(D0, 0.0, GAMMA, [[np.nan, 0.0, 0.0]])
 
 
+def nv_field_fn(magnet, position, axis, bias=(0.0, 0.0, 0.0)):
+    """Oracle field: temperature -> scalar dipole field of the full moment
+    of `magnet` at `position` plus a uniform `bias`, in the frame of an NV
+    whose symmetry axis is `axis` (tesla)."""
+    frame = nv_frame(axis)
+    return lambda temp: frame @ (dipole_field(
+        magnetic_moment(magnet, temp), magnet.center, position,
+        min_distance=magnet.radius) + np.asarray(bias))
+
+
+def scalar_domega_dtemp(sys: SpinSystem, magnet_field_fn, temp: float):
+    """Oracle for domega_dtemp: the same central difference of the complex
+    eigh transition frequencies, one NV and one temperature at a time.
+
+    magnet_field_fn maps temperature (K) to the NV-frame field 3-vector
+    (tesla); it is evaluated at temp +- _DT_STEP so the magnet's own
+    temperature dependence is included.  Returns (domega_minus/dT,
+    domega_plus/dT) in Hz/K.
+    """
+    lo = transition_frequencies(sys.with_field(magnet_field_fn(temp - _DT_STEP)),
+                                temp - _DT_STEP)
+    hi = transition_frequencies(sys.with_field(magnet_field_fn(temp + _DT_STEP)),
+                                temp + _DT_STEP)
+    return (
+        (hi.omega_minus - lo.omega_minus) / (2.0 * _DT_STEP),
+        (hi.omega_plus - lo.omega_plus) / (2.0 * _DT_STEP),
+    )
+
+
+def gd_demo_nv():
+    """The Gd demo's single NV: its assembly (a point-like FND at the NV)
+    and one-site ensemble."""
+    demo = gd_bulk_demo()
+    asm = SensorAssembly(magnet=demo.magnet, fnd_center=demo.nv_position,
+                         fnd_radius=1e-9, n_nv=1, spin=demo.spin)
+    return demo, asm, nv_site(demo.nv_position, demo.nv_axis, demo.spin.strain_e)
+
+
+def assert_matches_oracle(asm, sites, temps, bias=(0.0, 0.0, 0.0)):
+    dm, dp = domega_dtemp(asm, temps, sites)
+    assert dm.shape == dp.shape == (len(temps), len(sites))
+    for j, (position, frame, strain) in enumerate(
+            zip(sites.positions, sites.frames, sites.strains)):
+        sys = replace(asm.spin, strain_e=float(strain))
+        field_fn = nv_field_fn(asm.magnet, position, frame[2], bias)
+        for k, temp in enumerate(temps):
+            ref_m, ref_p = scalar_domega_dtemp(sys, field_fn, float(temp))
+            assert dm[k, j] == pytest.approx(ref_m, rel=1e-8)
+            assert dp[k, j] == pytest.approx(ref_p, rel=1e-8)
+
+
 class TestDomegaDtemp:
     def test_constant_field_is_bare_slope(self):
-        field_fn = lambda t: (0.0, 0.0, 1e-3)
-        dm, dp = domega_dtemp(SpinSystem(), field_fn, 300.0)
-        assert dm == pytest.approx(-74e3, rel=1e-6)
-        assert dp == pytest.approx(-74e3, rel=1e-6)
+        asm = SensorAssembly(magnet=None, bias_field=(0.0, 0.0, 1e-3))
+        dm, dp = domega_dtemp(asm, [300.0], nv_site((0, 0, 0), (0, 0, 1), 0.0))
+        assert dm[0, 0] == pytest.approx(-74e3, rel=1e-6)
+        assert dp[0, 0] == pytest.approx(-74e3, rel=1e-6)
 
     def test_axial_chain_rule(self):
-        # dB/dT = 0.5 mT/K: domega/dT = dD/dT -+/+- gamma dB/dT = -74 kHz -+ 14 MHz
-        db_dt = 0.5e-3
-        field_fn = lambda t: (0.0, 0.0, 1e-3 + db_dt * (t - 300.0))
-        dm, dp = domega_dtemp(SpinSystem(), field_fn, 300.0)
-        assert dm == pytest.approx(-74e3 - GAMMA * db_dt, rel=1e-6)
-        assert dp == pytest.approx(-74e3 + GAMMA * db_dt, rel=1e-6)
+        # on the easy axis Bz = g m(T), g the field of the saturated sphere:
+        # domega/dT = dD/dT -+ gamma g dm/dT
+        demo, asm, site = gd_demo_nv()
+        mag, r = demo.magnet, demo.nv_position[2]
+        g = 2.0 / 3.0 * 4e-7 * np.pi * mag.m_sat * (mag.radius / r) ** 3
+        temps = np.array([285.0, 290.0])
+        dm, dp = domega_dtemp(asm, temps, site)
+        chain = GAMMA * g * dm_dtemp(mag, temps)
+        np.testing.assert_allclose(dm[:, 0], -74e3 - chain, rtol=1e-6)
+        np.testing.assert_allclose(dp[:, 0], -74e3 + chain, rtol=1e-6)
 
-    def test_propagates_field_errors(self):
-        def field_fn(t):
-            if t > 300.0:
-                raise RuntimeError("not evaluable")
-            return (0.0, 0.0, 0.0)
+    def test_gd_scan_matches_eigh_oracle(self):
+        demo, asm, site = gd_demo_nv()
+        assert_matches_oracle(asm, site, demo.scan_temps)
 
-        with pytest.raises(RuntimeError):
-            domega_dtemp(SpinSystem(), field_fn, 300.0)
+    def test_off_axis_strained_nvs_match_eigh_oracle(self):
+        # two NVs whose axes are tilted off the field (the cubic branch),
+        # with strain, in one two-site call
+        demo, asm, _ = gd_demo_nv()
+        frames = np.stack([nv_frame((1.0, 1.0, 1.0)), nv_frame((1.0, -1.0, 0.5))])
+        sites = Ensemble(positions=np.array([[1.5e-3, 0.0, 5.0e-3],
+                                             [-1.0e-3, 2.0e-3, 4.0e-3]]),
+                         frames=frames, strains=np.array([5e6, 2e6]))
+        assert_matches_oracle(asm, sites, np.array([280.0, 288.0, 291.0]))
+
+    def test_representative_nv_feels_transverse_bias(self):
+        bias = (2e-3, 0.0, 0.0)
+        asm = replace(cuni_design_assembly(seed=5), bias_field=bias)
+        temps = asm.magnet.tc - np.array([8.0, 2.0, 0.5])
+        site = nv_site(asm.fnd_center, asm.magnet.easy_axis, asm.strain_mean)
+        assert_matches_oracle(asm, site, temps, bias)
+        sys = replace(asm.spin, strain_e=asm.strain_mean)
+        field_fn = nv_field_fn(asm.magnet, asm.fnd_center, asm.magnet.easy_axis, bias)
+        for temp in temps:
+            ref = max(abs(v) for v in scalar_domega_dtemp(sys, field_fn, float(temp)))
+            assert representative_domega_dt(asm, float(temp)) == pytest.approx(ref, rel=1e-8)
+            unbiased = representative_domega_dt(replace(asm, bias_field=(0, 0, 0)),
+                                                float(temp))
+            assert abs(unbiased / ref - 1.0) > 1e-6
+
+    def test_warns_outside_regime(self):
+        asm = SensorAssembly(magnet=None, bias_field=(0.0, 0.0, 0.2))
+        with pytest.warns(UserWarning, match="operating regime"):
+            domega_dtemp(asm, [300.0], nv_site((0, 0, 0), (0, 0, 1), 0.0))
+
+    @pytest.mark.parametrize("scale", [0.98, 1.02])
+    def test_warns_exactly_when_eigh_oracle_does(self, scale):
+        # |gamma B| + E on either side of D, field tilted off the NV axis
+        e, axis = 5e6, np.array([0.1, 0.0, 1.0]) / np.sqrt(1.01)
+        field = scale * (D0 - e) / GAMMA * axis
+        asm = SensorAssembly(magnet=None, bias_field=tuple(field),
+                             spin=SpinSystem(dd_dt=0.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            domega_dtemp(asm, [300.0], nv_site((0, 0, 0), (0, 0, 1), e))
+            new = len(caught)
+            transition_frequencies(SpinSystem(strain_e=e, field=tuple(field)), 300.0)
+        assert new == len(caught) - new == (scale > 1.0)
+
+    def test_gd_demo_silent(self):
+        demo, asm, site = gd_demo_nv()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            domega_dtemp(asm, demo.scan_temps, site)
