@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, ThermoError
+from .errors import GeometryError, SchemaError, ThermoError
 from . import magnet_model
 from .ensemble_spectrum import (
     SensorAssembly,
@@ -43,12 +43,12 @@ from .ensemble_spectrum import (
 from .magnet_model import Magnet, magnetization_curve
 from .protocol_sim import (
     calibrate_three_point,
-    export_trace_csv,
+    fewest_unmixed_points,
     fittable_windows,
     reference_detuning_ok,
     shot_noise_curve,
-    track_labels,
     track_square_wave,
+    write_trace_header,
 )
 from .sensitivity import design_sweep, sensitivity_report
 from .spin_model import SpinSystem
@@ -320,8 +320,9 @@ def _cross_checks(kind: str, resolved: dict):
         # three periods settle a long track without labelling every point
         full = proto["duration_s"]
         for duration in (min(full, 3.0 * proto["period_s"]), full):
-            if track_labels(proto["low_k"], proto["high_k"], proto["period_s"],
-                            proto["bin_s"], proto["dwell_s"], duration)[2] >= 2:
+            if fewest_unmixed_points(proto["low_k"], proto["high_k"],
+                                     proto["period_s"], proto["bin_s"],
+                                     proto["dwell_s"], duration) >= 2:
                 break
         else:
             raise SchemaError(
@@ -376,6 +377,11 @@ def build_single_nv(resolved: dict, magnet: Magnet):
     """(assembly, one-site ensemble) of the susceptibility kind's NV in a
     point-like FND: GeometryError exactly when the NV is inside the magnet."""
     p = resolved["spin"]
+    dist = float(np.linalg.norm(np.subtract(p["nv_position_m"], magnet.center)))
+    if dist < magnet.radius:
+        raise GeometryError(
+            f"NV inside the magnet: {dist:.3e} m from the magnet centre, "
+            f"radius {magnet.radius:.3e} m")
     asm = SensorAssembly(magnet=magnet, fnd_center=tuple(p["nv_position_m"]),
                          fnd_radius=np.finfo(float).tiny, n_nv=1,
                          spin=build_spin(p))
@@ -569,13 +575,20 @@ def _run_track(resolved, out_csv, threads):
     sites = sample_ensemble(asm)
     cfg = calibrate_three_point(asm, t0, proto["dwell_s"], probes=_probes(proto),
                                 dt_step=cal_step, sites=sites)
-    result = track_square_wave(
-        asm, cfg, low=proto["low_k"], high=proto["high_k"],
-        period=proto["period_s"], bin=proto["bin_s"],
-        duration=proto["duration_s"], seed=resolved["run"]["seed"],
-        sites=sites)
-    export_trace_csv(result, cfg, out_csv,
-                     header_lines=_header_body("track", resolved))
+    # the rows are written while the counts are drawn; a failed track
+    # leaves no partial trace behind
+    part = out_csv.with_name(out_csv.name + ".part")
+    try:
+        with open(part, "w") as fh:
+            write_trace_header(fh, cfg, _header_body("track", resolved))
+            result = track_square_wave(
+                asm, cfg, low=proto["low_k"], high=proto["high_k"],
+                period=proto["period_s"], bin=proto["bin_s"],
+                duration=proto["duration_s"], seed=resolved["run"]["seed"],
+                sites=sites, trace=fh)
+        part.replace(out_csv)
+    finally:
+        part.unlink(missing_ok=True)
     return {
         "level_means_k": result.level_means,
         "level_stds_k": result.level_stds,

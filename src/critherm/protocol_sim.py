@@ -37,7 +37,6 @@ from .sensitivity import eta_cw_numeric
 
 _REF_DETUNING_LINEWIDTHS = 50.0
 _LAMBDA_GUARD = 1e12  # counts per bin; anything above this is a config bug
-_CSV_CHUNK_ROWS = 8192  # trace CSV rows formatted per write
 _POISSON_BLOCK_BINS = 8192  # record bins per draw, rounded down to whole points
 
 
@@ -215,6 +214,33 @@ def expected_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
     return times, table, np.searchsorted(distinct, keys), temps
 
 
+def _point_times(start: int, stop: int, bins_per_point: int,
+                 bin_duration: float) -> np.ndarray:
+    """Start times of points start..stop-1, bitwise the slice of the whole
+    record's times."""
+    return np.arange(start, stop) * bins_per_point * bin_duration
+
+
+def _count_blocks(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
+                  npts: int, seed: int, trace_resolution: float = None, *,
+                  sites, bins_per_point: int):
+    """The Poisson draw of the first npts points: yields (first point,
+    (n, 3) int64 counts) for consecutive blocks of whole points, each count
+    the sum over its point's bins_per_point bins.  Blocks hold at most
+    _POISSON_BLOCK_BINS bins (at least one point); the draws run in the
+    same order as one draw over all per-bin rates."""
+    nbins = npts * bins_per_point
+    block = max(1, _POISSON_BLOCK_BINS // bins_per_point) * bins_per_point
+    distinct, table = _rate_table(asm, cfg, temp_trace, nbins, block, sites,
+                                  trace_resolution)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for start, keys in _key_blocks(cfg, temp_trace, nbins, block,
+                                   trace_resolution):
+        drawn = rng.poisson(table[np.searchsorted(distinct, keys)])
+        yield start // bins_per_point, \
+            drawn.reshape(-1, bins_per_point, 3).sum(axis=1)
+
+
 def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
                     duration: float, seed: int, trace_resolution: float = None,
                     *, sites, bins_per_point: int = 1) -> CountRecord:
@@ -228,26 +254,23 @@ def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
     draws run in the same order as one draw over all per-bin rates, so a
     point equals the sum of its bins in the bins_per_point = 1 record of the
     same seed.  temp_trace is evaluated block-wise, as in expected_counts.
+
+    This collects the whole record (24 bytes of counts and 8 of time per
+    point).  track_square_wave consumes the same blocks without collecting
+    them: it writes each block to its trace file while drawing.
     """
     if bins_per_point < 1:
         raise DomainError(f"bins_per_point must be >= 1, got {bins_per_point}")
     npts = _bin_count(cfg, duration) // bins_per_point
     if npts == 0:
         raise DomainError("duration shorter than one point")
-    nbins = npts * bins_per_point
-    block = max(1, _POISSON_BLOCK_BINS // bins_per_point) * bins_per_point
-    distinct, table = _rate_table(asm, cfg, temp_trace, nbins, block, sites,
-                                  trace_resolution)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = np.empty((npts, 3), dtype=np.int64)
-    for start, keys in _key_blocks(cfg, temp_trace, nbins, block,
-                                   trace_resolution):
-        drawn = rng.poisson(table[np.searchsorted(distinct, keys)])
-        first = start // bins_per_point
-        counts[first:first + len(keys) // bins_per_point] = \
-            drawn.reshape(-1, bins_per_point, 3).sum(axis=1)
+    for first, block in _count_blocks(asm, cfg, temp_trace, npts, seed,
+                                      trace_resolution, sites=sites,
+                                      bins_per_point=bins_per_point):
+        counts[first:first + len(block)] = block
     return CountRecord(
-        times=(np.arange(npts) * bins_per_point) * cfg.bin_duration,
+        times=_point_times(0, npts, bins_per_point, cfg.bin_duration),
         counts_f1=counts[:, 0],
         counts_f2=counts[:, 1],
         counts_ref=counts[:, 2],
@@ -385,74 +408,171 @@ def square_wave_trace(low: float, high: float, period: float):
     return trace
 
 
+_LOW, _HIGH, _MIXED = 0, 1, 2                 # level codes of track points
+_LABELS = np.array(["low", "high", "mixed"])  # indexed by level code
+
+
+def _point_levels(level, high: float, span: float, times: np.ndarray):
+    """(t_true, codes) of square-wave track points of `span` seconds that
+    start at `times`: the trace at the point midpoints and the int8 level
+    code, _MIXED when the point's span straddles a level switch."""
+    t_true = level(times + 0.5 * span)
+    switched = level(times) != level(times + span * 0.999)
+    return t_true, np.where(switched, _MIXED, t_true == high).astype(np.int8)
+
+
+def _level_codes(low: float, high: float, period: float, bpw: int,
+                 cycle: float, npts: int) -> np.ndarray:
+    """Level code of each of npts points of bpw cycles, block by block, so
+    no per-point time or temperature array is held."""
+    level = square_wave_trace(low, high, period)
+    codes = np.empty(npts, dtype=np.int8)
+    for start in range(0, npts, _POISSON_BLOCK_BINS):
+        stop = min(start + _POISSON_BLOCK_BINS, npts)
+        codes[start:stop] = _point_levels(
+            level, high, bpw * cycle, _point_times(start, stop, bpw, cycle))[1]
+    return codes
+
+
+def _fewest_unmixed(codes: np.ndarray) -> int:
+    return int(np.bincount(codes, minlength=3)[[_LOW, _HIGH]].min())
+
+
 def track_labels(low: float, high: float, period: float, bin: float,
                  dwell: float, duration: float):
     """True mid-point temperatures and 'high'/'low'/'mixed' labels of the
     data points of a square-wave track, plus the fewest unmixed points of
     either level (level statistics need two); a point is 'mixed' when its
     span straddles a level switch."""
-    level = square_wave_trace(low, high, period)
     bpw, npts = window_layout(bin, dwell, duration)
     cycle = 3.0 * dwell
-    point_times = np.arange(npts) * bpw * cycle   # every bpw-th bin start
-    span = bpw * cycle
-    t_true = level(point_times + 0.5 * span)
-    switched = level(point_times) != level(point_times + span * 0.999)
-    labels = np.where(switched, "mixed", np.where(t_true == high, "high", "low"))
-    return t_true, labels, min(int(np.sum(labels == lab)) for lab in ("high", "low"))
+    t_true, codes = _point_levels(square_wave_trace(low, high, period), high,
+                                  bpw * cycle, _point_times(0, npts, bpw, cycle))
+    return t_true, _LABELS[codes], _fewest_unmixed(codes)
+
+
+def fewest_unmixed_points(low: float, high: float, period: float, bin: float,
+                          dwell: float, duration: float) -> int:
+    """track_labels(...)[2] from one level-code byte per point."""
+    bpw, npts = window_layout(bin, dwell, duration)
+    return _fewest_unmixed(_level_codes(low, high, period, bpw, 3.0 * dwell,
+                                        npts))
 
 
 @dataclass(frozen=True)
 class TrackResult:
-    record: CountRecord
-    point_times: np.ndarray   # s, one per reported data point
-    t_hat: np.ndarray         # K
-    t_true: np.ndarray        # K at point midpoints
-    labels: np.ndarray        # 'high' / 'low' / 'mixed'
+    """A square-wave track.  It holds 9 bytes per data point: the estimates,
+    grouped by level code (8 B), and the 1-byte level code.  Grouped, each
+    level's statistics run on its own contiguous array rather than on a
+    masked copy of t_hat.  t_hat, labels, t_true and point_times are built
+    when read.  The count record is not kept; track_square_wave writes it
+    to its trace file while drawing."""
+
+    level_codes: np.ndarray   # int8 per point: 0 low, 1 high, 2 mixed
+    estimates: dict           # label -> t_hat (K) of its points, in order
+    low: float                # K
+    high: float               # K
+    period: float             # s
+    bins_per_point: int       # protocol cycles per data point
+    bin_duration: float       # s per protocol cycle
     level_means: dict         # label -> mean(K)
     level_stds: dict          # label -> std(K)
     separation_sigma: float
     period_means: dict        # label -> per-period means
     max_period_spread: float  # K, worst inter-period mean difference
 
+    @property
+    def point_times(self) -> np.ndarray:
+        """s, one per reported data point"""
+        return _point_times(0, len(self.level_codes), self.bins_per_point,
+                            self.bin_duration)
+
+    @property
+    def t_true(self) -> np.ndarray:
+        """K at point midpoints"""
+        level = square_wave_trace(self.low, self.high, self.period)
+        span = self.bins_per_point * self.bin_duration
+        return level(self.point_times + 0.5 * span)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """'high' / 'low' / 'mixed' strings, one per point"""
+        return _LABELS[self.level_codes]
+
+    @property
+    def t_hat(self) -> np.ndarray:
+        """K, one estimate per point"""
+        t_hat = np.empty(len(self.level_codes))
+        for code, lab in enumerate(_LABELS.tolist()):
+            t_hat[self.level_codes == code] = self.estimates[lab]
+        return t_hat
+
 
 def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
                       high: float, period: float, bin: float, duration: float,
-                      seed: int, sites) -> TrackResult:
+                      seed: int, sites, trace=None) -> TrackResult:
     """Real-time tracking of a square-wave temperature drive.
 
     Points of `bin` seconds (snapped to whole protocol cycles) are estimated
     independently; points whose span straddles a level switch are labeled
-    'mixed' and excluded from the level statistics.  The count record holds
-    one entry per point.
+    'mixed' and excluded from the level statistics.  The counts are drawn
+    block by block, as in simulate_counts, and each block is estimated and,
+    when `trace` (an open text file after write_trace_header) is given,
+    written to it as trace CSV rows before the next block is drawn.  Only
+    the estimates and a level code are kept per point.
     """
     if bin < cfg.bin_duration:
         raise DomainError("tracking bin shorter than one protocol cycle")
-    t_true, labels, fewest = track_labels(low, high, period, bin, cfg.dwell,
-                                          duration)
-    if fewest < 2:
+    bpw, npts = window_layout(bin, cfg.dwell, duration)
+    codes = _level_codes(low, high, period, bpw, cfg.bin_duration, npts)
+    if _fewest_unmixed(codes) < 2:
         raise EstimationError(
             "a level has fewer than two unmixed points: lengthen period or "
             "shorten bin")
-    bpw, _ = window_layout(bin, cfg.dwell, duration)
-    rec = simulate_counts(asm, cfg, square_wave_trace(low, high, period),
-                          duration, seed, sites=sites, bins_per_point=bpw)
-    est = window_estimates(rec, cfg, 1)
-    point_times = rec.times
+    level = square_wave_trace(low, high, period)
+    span = bpw * cfg.bin_duration
+    sizes = np.bincount(codes, minlength=3).tolist()
+    labels = _LABELS.tolist()
+    estimates = {lab: np.empty(n) for lab, n in zip(labels, sizes)}
+    filled = dict.fromkeys(labels, 0)
+    # (period index, first position in the level's estimates) of each run of
+    # points in one period; period indices never decrease along the points
+    run_ids = {"high": [], "low": []}
+    run_firsts = {"high": [], "low": []}
+    last_id = {"high": -1, "low": -1}
+    for first, counts in _count_blocks(asm, cfg, level, npts, seed,
+                                       sites=sites, bins_per_point=bpw):
+        stop = first + len(counts)
+        times = _point_times(first, stop, bpw, cfg.bin_duration)
+        rec = CountRecord(times=times, counts_f1=counts[:, 0],
+                          counts_f2=counts[:, 1], counts_ref=counts[:, 2],
+                          dwell=cfg.dwell, bins_per_point=bpw)
+        est = window_estimates(rec, cfg, 1)
+        if trace is not None:
+            export_trace_csv(trace, rec, est, level(times + 0.5 * span))
+        period_idx = np.floor(times / period).astype(int)
+        for code, lab in enumerate(labels):
+            sel = codes[first:stop] == code
+            n = filled[lab]
+            level_est = est[sel]
+            estimates[lab][n:n + len(level_est)] = level_est
+            filled[lab] += len(level_est)
+            if lab in run_ids and level_est.size:
+                ids = period_idx[sel]
+                new = np.flatnonzero(np.diff(ids, prepend=last_id[lab]))
+                run_ids[lab] += ids[new].tolist()
+                run_firsts[lab] += (n + new).tolist()
+                last_id[lab] = ids[-1]
 
     level_means, level_stds, period_means = {}, {}, {}
     for lab in ("high", "low"):
-        sel = labels == lab
-        level_est = est[sel]
+        level_est = estimates[lab]
         level_means[lab] = float(np.mean(level_est))
         level_stds[lab] = float(np.std(level_est, ddof=1))
-        # period_idx never decreases along the points: each period is a run
-        period_idx = np.floor(point_times[sel] / period).astype(int)
-        starts = np.flatnonzero(np.diff(period_idx)) + 1
         period_means[lab] = {
-            int(p): float(np.mean(run))
-            for p, run in zip(period_idx[np.r_[0, starts]],
-                              np.split(level_est, starts))
+            p: float(np.mean(run))
+            for p, run in zip(run_ids[lab],
+                              np.split(level_est, run_firsts[lab][1:]))
         }
     pooled = np.sqrt(0.5 * (level_stds["high"] ** 2 + level_stds["low"] ** 2))
     separation = abs(level_means["high"] - level_means["low"]) / pooled
@@ -461,11 +581,13 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
         for v in period_means.values() if len(v) > 1
     ]
     return TrackResult(
-        record=rec,
-        point_times=point_times,
-        t_hat=est,
-        t_true=t_true,
-        labels=labels,
+        level_codes=codes,
+        estimates=estimates,
+        low=float(low),
+        high=float(high),
+        period=float(period),
+        bins_per_point=bpw,
+        bin_duration=cfg.bin_duration,
         level_means=level_means,
         level_stds=level_stds,
         separation_sigma=float(separation),
@@ -474,25 +596,27 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
     )
 
 
-def export_trace_csv(result: TrackResult, cfg: ThreePointConfig, path,
-                     header_lines=()):
-    """t_s, counts_f1, counts_f2, counts_fref, t_hat_k, t_true_k per point.
+def write_trace_header(fh, cfg: ThreePointConfig, header_lines=()):
+    """The trace CSV's '#' metadata header and column line; the rows follow
+    from track_square_wave(..., trace=fh)."""
+    fh.write("# critherm tracking trace, format_version 1\n")
+    fh.writelines(f"# {h}\n" for h in header_lines)
+    fh.write(f"# dwell_s = {cfg.dwell!r}\n")
+    fh.write("t_s,counts_f1,counts_f2,counts_fref,t_hat_k,t_true_k\n")
+
+
+def export_trace_csv(fh, rec: CountRecord, t_hat: np.ndarray,
+                     t_true: np.ndarray):
+    """Append one trace CSV row per point of the record block rec:
+    t_s, counts_f1, counts_f2, counts_fref, t_hat_k, t_true_k.
 
     Counts are the record's per-point sums over the bins inside each point.
-    A track has few true temperatures, so each is formatted once per chunk.
+    A track has few true temperatures, so each is formatted once per block.
     """
-    rec = result.record
-    columns = (result.point_times, rec.counts_f1, rec.counts_f2, rec.counts_ref,
-               result.t_hat)
-    with open(path, "w") as fh:
-        fh.write("# critherm tracking trace, format_version 1\n")
-        fh.writelines(f"# {h}\n" for h in header_lines)
-        fh.write(f"# dwell_s = {cfg.dwell!r}\n")
-        fh.write("t_s,counts_f1,counts_f2,counts_fref,t_hat_k,t_true_k\n")
-        for start in range(0, len(result.point_times), _CSV_CHUNK_ROWS):
-            rows = slice(start, start + _CSV_CHUNK_ROWS)
-            levels, level_idx = np.unique(result.t_true[rows], return_inverse=True)
-            level_text = [repr(v) for v in levels.tolist()]
-            chunk = [c[rows].tolist() for c in columns] + [level_idx.tolist()]
-            fh.writelines(f"{t!r},{n1},{n2},{nr},{t_hat!r},{level_text[k]}\n"
-                          for t, n1, n2, nr, t_hat, k in zip(*chunk))
+    levels = _distinct(t_true)
+    level_text = [repr(v) for v in levels.tolist()]
+    columns = [c.tolist() for c in (rec.times, rec.counts_f1, rec.counts_f2,
+                                    rec.counts_ref, t_hat)]
+    fh.writelines(f"{t!r},{n1},{n2},{nr},{est!r},{level_text[k]}\n"
+                  for t, n1, n2, nr, est, k in
+                  zip(*columns, np.searchsorted(levels, t_true).tolist()))

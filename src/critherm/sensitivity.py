@@ -10,8 +10,7 @@ cycle tau and L*tau photons per shot:
 
     eta = exp((tau/T2*)^2) / (2 pi C sqrt(L tau) |dnu/dT|)
 
-minimized over tau in (0, 2 T2*] (optimum tau = T2*/2, so eta scales as
-1/sqrt(T2*)).
+minimized at tau = T2*/2, so eta scales as 1/sqrt(T2*).
 """
 
 from __future__ import annotations
@@ -60,30 +59,11 @@ def eta_cw_lorentzian(delta_omega: float, contrast: float, photon_rate: float,
                  / (contrast * np.sqrt(photon_rate) * abs(domega_dt)))
 
 
-def golden_section_min(f, lo: float, hi: float, rel_tol: float = 1e-3) -> float:
-    """Deterministic golden-section minimum of a unimodal f on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * abs(b):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def eta_ramsey(photon_rate: float, contrast: float, t2_star: float,
                tau: float = None, domega_dt: float = None) -> float:
     """Projected Ramsey sensitivity (K/sqrt(Hz)).
 
-    tau defaults to the golden-section minimum over (0, 2 T2*].
+    tau defaults to the optimum T2*/2 (optimal_ramsey_tau).
     domega_dt is the transition-frequency susceptibility in ordinary
     frequency units (Hz/K).
     """
@@ -100,20 +80,18 @@ def eta_ramsey(photon_rate: float, contrast: float, t2_star: float,
                    * abs(domega_dt)))
 
     if tau is None:
-        tau = golden_section_min(eta_at, 1e-4 * t2_star, 2.0 * t2_star)
+        tau = optimal_ramsey_tau(t2_star)
     elif tau <= 0:
         raise DomainError(f"tau must be positive, got {tau}")
     return float(eta_at(tau))
 
 
 def optimal_ramsey_tau(t2_star: float) -> float:
-    """Interrogation time minimizing the Ramsey eta (analytically T2*/2)."""
+    """Interrogation time minimizing the Ramsey eta: d/dtau of
+    (tau/T2*)^2 - ln(tau)/2 vanishes at tau = T2*/2."""
     if t2_star <= 0:
         raise DomainError(f"t2_star must be positive, got {t2_star}")
-    return golden_section_min(
-        lambda t: np.exp((t / t2_star) ** 2) / np.sqrt(t),
-        1e-4 * t2_star, 2.0 * t2_star,
-    )
+    return 0.5 * t2_star
 
 
 @dataclass(frozen=True)

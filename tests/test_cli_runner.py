@@ -324,6 +324,35 @@ class TestRun:
         manifest = json.loads(manifest_path.read_text())
         assert "separation_sigma" in manifest["results"]
 
+    def test_failed_track_leaves_earlier_trace(self, tmp_path, monkeypatch,
+                                               capsys):
+        # the trace is written while the counts are drawn: a track that fails
+        # in its second draw block leaves no partial file, and the trace of
+        # an earlier run in the same place stays as it was
+        from critherm import protocol_sim
+        from critherm.errors import EstimationError
+        p = write(tmp_path, "track.cfg",
+                  TRACK.replace("duration_s = 9.6", "duration_s = 144.0"))
+        out = tmp_path / "out"
+        csv_path, _ = run(p, out_dir=out)
+        before = csv_path.read_bytes()
+        real, calls = protocol_sim.window_estimates, []
+
+        def fail_second_block(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise EstimationError("reference channel collected zero "
+                                      "counts in a window")
+            return real(*args)
+
+        monkeypatch.setattr(protocol_sim, "window_estimates", fail_second_block)
+        assert main(["run", str(p), "--out", str(out)]) == 3
+        assert "zero counts" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert sorted(f.name for f in out.iterdir()) == [
+            "track.csv", "track.manifest.json"]
+        assert csv_path.read_bytes() == before
+
     def test_explicit_probes_match_auto(self, tmp_path):
         auto_csv, auto_manifest = run(write(tmp_path, "auto.cfg", TRACK),
                                       out_dir=tmp_path / "auto")
@@ -486,6 +515,19 @@ class TestMainExitCodes:
         assert err.count("physics error: ") == 2
         assert "Traceback" not in err
         assert not list(tmp_path.glob("out/*"))
+
+    def test_nv_inside_magnet_named(self, tmp_path, capsys):
+        # the susceptibility kind has no FND: the message names the NV, its
+        # distance from the magnet centre and the magnet radius
+        text = (SCENARIO_DIR / "gd_susceptibility.cfg").read_text().replace(
+            "nv_position_m = 0 0 6.2e-3", "nv_position_m = 0 0 0.5e-3")
+        p = write(tmp_path, "inside.cfg", text)
+        assert main(["validate", str(p)]) == 3
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        expect = ("physics error: NV inside the magnet: 5.000e-04 m from the "
+                  "magnet centre, radius 1.000e-03 m")
+        assert lines == [expect, expect]
 
     def test_validate_never_writes(self, tmp_path):
         p = write(tmp_path, "mag.cfg", MAGNETIZE)

@@ -14,7 +14,6 @@ from critherm.protocol_sim import (
     ThreePointConfig,
     calibrate_three_point,
     estimate_temperature,
-    export_trace_csv,
     expected_counts,
     reference_detuning_ok,
     shot_noise_curve,
@@ -24,6 +23,8 @@ from critherm.protocol_sim import (
     track_labels,
     track_square_wave,
     window_estimates,
+    window_layout,
+    write_trace_header,
 )
 
 T0 = 300.0
@@ -76,18 +77,38 @@ def poisson_one_draw(asm, cfg, temp_trace, duration, seed, sites,
     return rng.poisson(table[inv])
 
 
-def trace_csv_per_row(result, cfg, header_lines=()):
-    """Oracle for export_trace_csv: the trace file built row by row."""
-    rec = result.record
+def trace_csv_per_row(rec, t_hat, t_true, cfg, header_lines=()):
+    """Oracle for the streamed trace file: built row by row from a whole
+    count record, its estimates and true temperatures."""
     c1, c2, cr = rec.counts_f1, rec.counts_f2, rec.counts_ref
     lines = ["# critherm tracking trace, format_version 1"]
     lines += [f"# {h}" for h in header_lines]
     lines.append(f"# dwell_s = {cfg.dwell!r}")
     lines.append("t_s,counts_f1,counts_f2,counts_fref,t_hat_k,t_true_k")
-    for i, t in enumerate(result.point_times):
+    for i, t in enumerate(rec.times):
         lines.append(f"{float(t)!r},{c1[i]},{c2[i]},{cr[i]},"
-                     f"{float(result.t_hat[i])!r},{float(result.t_true[i])!r}")
+                     f"{float(t_hat[i])!r},{float(t_true[i])!r}")
     return ("\n".join(lines) + "\n").encode()
+
+
+def whole_record_track(asm, cfg, low, high, period, bin, duration, seed, sites):
+    """(record, estimates, true temperatures) of a track from the collected
+    record: simulate_counts at the track's points plus window_estimates."""
+    bpw, _ = window_layout(bin, cfg.dwell, duration)
+    rec = simulate_counts(asm, cfg, square_wave_trace(low, high, period),
+                          duration, seed, sites=sites, bins_per_point=bpw)
+    t_true = track_labels(low, high, period, bin, cfg.dwell, duration)[0]
+    return rec, window_estimates(rec, cfg, 1), t_true
+
+
+def streamed_track(path, asm, cfg, low, high, period, bin, duration, seed,
+                   sites, header_lines=()):
+    """track_square_wave writing its trace file to path while drawing."""
+    with open(path, "w") as fh:
+        write_trace_header(fh, cfg, header_lines)
+        return track_square_wave(asm, cfg, low, high, period=period, bin=bin,
+                                 duration=duration, seed=seed, sites=sites,
+                                 trace=fh)
 
 
 class TestCalibration:
@@ -531,14 +552,12 @@ class TestTrackSquareWave:
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
-        res = track_square_wave(asm, cfg, 335.4, 336.9, period=0.36, bin=0.09,
-                                duration=0.44, seed=3, sites=sites)
+        path = tmp_path / "trace.csv"
+        res = streamed_track(path, asm, cfg, 335.4, 336.9, period=0.36,
+                             bin=0.09, duration=0.44, seed=3, sites=sites)
         per_bin = simulate_counts(asm, cfg, square_wave_trace(335.4, 336.9, 0.36),
                                   0.44, seed=3, sites=sites)
-        assert (len(per_bin), len(res.t_hat), len(res.record),
-                res.record.bins_per_point) == (29, 4, 4, 6)
-        path = tmp_path / "trace.csv"
-        export_trace_csv(res, cfg, path)
+        assert (len(per_bin), len(res.t_hat), res.bins_per_point) == (29, 4, 6)
         rows = np.loadtxt(path, delimiter=",", skiprows=3)
         for col, counts in zip((1, 2, 3), (per_bin.counts_f1, per_bin.counts_f2,
                                            per_bin.counts_ref)):
@@ -548,19 +567,39 @@ class TestTrackSquareWave:
     # integer levels must still be written as floats (337.0, not 337)
     @pytest.mark.parametrize("low, high", [(335.4, 336.9), (335, 337)])
     def test_csv_matches_per_row_oracle(self, tmp_path, low, high):
-        # one point per cycle, two full write chunks plus one spare point
-        npts = 2 * protocol_sim._CSV_CHUNK_ROWS + 1
+        # one point per cycle, two full draw blocks plus one spare point
+        npts = 2 * protocol_sim._POISSON_BLOCK_BINS + 1
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
-        res = track_square_wave(asm, cfg, low, high, period=0.9, bin=0.015,
-                                duration=(npts + 0.5) * 0.015, seed=4,
-                                sites=sites)
-        assert len(res.t_hat) == npts
+        args = (low, high, 0.9, 0.015, (npts + 0.5) * 0.015, 4, sites)
         path = tmp_path / "trace.csv"
         header = ("run.seed = 4", "protocol.bin_s = 0.015")
-        export_trace_csv(res, cfg, path, header_lines=header)
-        assert path.read_bytes() == trace_csv_per_row(res, cfg, header)
+        res = streamed_track(path, asm, cfg, *args, header_lines=header)
+        assert len(res.t_hat) == npts
+        assert path.read_bytes() == trace_csv_per_row(
+            *whole_record_track(asm, cfg, *args), cfg, header)
+
+    def test_block_seams_match_whole_record(self, tmp_path):
+        # 10,000 points of 4 bins: five draw blocks of 2048 points, the
+        # last one short
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        args = (335.4, 336.9, 9.6, 0.06, 600.0, 6, sites)
+        path = tmp_path / "trace.csv"
+        res = streamed_track(path, asm, cfg, *args, header_lines=("a = 1",))
+        rec, est, t_true = whole_record_track(asm, cfg, *args)
+        block_points = protocol_sim._POISSON_BLOCK_BINS // 4
+        assert len(rec) == 10000 > 4 * block_points
+        assert path.read_bytes() == trace_csv_per_row(rec, est, t_true, cfg,
+                                                      ("a = 1",))
+        assert np.array_equal(res.t_hat, est)
+        assert np.array_equal(res.point_times, rec.times)
+        for lab in ("high", "low"):
+            level_est = est[res.labels == lab]
+            assert res.level_means[lab] == float(np.mean(level_est))
+            assert res.level_stds[lab] == float(np.std(level_est, ddof=1))
 
     def test_period_means_match_masked_oracle(self):
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
@@ -592,6 +631,28 @@ class TestTrackSquareWave:
             tracemalloc.stop()
         assert len(res.t_hat) == 30000
         assert peak < 5e6
+
+    def test_peak_memory_per_point(self, tmp_path):
+        # the track keeps 9 bytes per point (estimates and a level code); the
+        # count record, its times, true temperatures and label strings are
+        # never held whole, so the peak grows by far less than their 60 B
+        # (about 9.6 B per point measured; 214 B when the record was kept)
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        peaks, npts = [], []
+        for duration in (300.0, 900.0):
+            tracemalloc.start()
+            try:
+                res = streamed_track(tmp_path / "trace.csv", asm, cfg, 335.4,
+                                     336.9, period=9.6, bin=0.06,
+                                     duration=duration, seed=7, sites=sites)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            npts.append(len(res.level_codes))
+        assert npts == [5000, 15000]
+        assert (peaks[1] - peaks[0]) / (npts[1] - npts[0]) < 16
 
     def test_bin_shorter_than_cycle_rejected(self):
         asm = cuni_tracking_assembly(seed=1)

@@ -120,7 +120,7 @@ class TestEtaRamsey:
         assert e1 / e4 == pytest.approx(2.0, rel=0.10)
 
     def test_optimal_tau_is_half_t2(self):
-        assert optimal_ramsey_tau(10e-6) == pytest.approx(5e-6, rel=2e-3)
+        assert optimal_ramsey_tau(10e-6) == 5e-6
 
     def test_fixed_tau_formula_value(self):
         # direct evaluation at tau = T2*/2
