@@ -64,7 +64,6 @@ from .protocol_sim import (
     ThreePointConfig,
     TrackResult,
     calibrate_three_point,
-    estimate_temperature,
     shot_noise_curve,
     simulate_counts,
     three_point_penalty,

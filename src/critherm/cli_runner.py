@@ -34,7 +34,6 @@ from . import magnet_model
 from .ensemble_spectrum import (
     SensorAssembly,
     domega_dtemp,
-    export_spectrum_csv,
     nv_site,
     sample_ensemble,
     signal_temperature_slope,
@@ -42,13 +41,13 @@ from .ensemble_spectrum import (
 )
 from .magnet_model import Magnet, magnetization_curve
 from .protocol_sim import (
+    TRACE_COLUMNS,
     calibrate_three_point,
     fewest_unmixed_points,
     fittable_windows,
     reference_detuning_ok,
     shot_noise_curve,
     track_square_wave,
-    write_trace_header,
 )
 from .sensitivity import design_sweep, sensitivity_report
 from .spin_model import SpinSystem
@@ -100,8 +99,6 @@ _SPIN = {
     "dd_dt_hz_per_k": ("f", False, -74e3),
     "gamma_hz_per_t": ("f", False, 28e9),
     "strain_e_hz": ("f", False, 0.0),
-    "nv_position_m": ("v3", False, None),
-    "nv_axis": ("v3", False, [0.0, 0.0, 1.0]),
 }
 
 _TEMP_RANGE = {
@@ -130,7 +127,8 @@ SCHEMAS = {
     "susceptibility": {
         "run": _RUN,
         "magnet": _MAGNET_FULL,
-        "spin": dict(_SPIN, nv_position_m=("v3", True, None)),
+        "spin": dict(_SPIN, nv_position_m=("v3", True, None),
+                     nv_axis=("v3", False, [0.0, 0.0, 1.0])),
         "grids": dict(_TEMP_RANGE),
     },
     "sensitivity": dict(_ENSEMBLE, grids=dict(_TEMP_RANGE)),
@@ -373,6 +371,12 @@ def build_assembly(resolved: dict, magnet: Magnet) -> SensorAssembly:
     )
 
 
+def _ensemble(resolved: dict):
+    """(assembly, sampled NV sites) of an ensemble kind."""
+    asm = build_assembly(resolved, build_magnet(resolved["magnet"]))
+    return asm, sample_ensemble(asm)
+
+
 def build_single_nv(resolved: dict, magnet: Magnet):
     """(assembly, one-site ensemble) of the susceptibility kind's NV in a
     point-like FND: GeometryError exactly when the NV is inside the magnet."""
@@ -411,21 +415,29 @@ def _flatten(resolved: dict):
             yield f"{section}.{key} = {resolved[section][key]!r}"
 
 
-def _csv_header(kind: str, resolved: dict, extra=()):
-    lines = [f"# critherm {kind}, format_version {FORMAT_VERSION}"]
-    lines += [f"# {item}" for item in _flatten(resolved)]
-    lines.append(f"# assumptions_hash = {assumptions_hash(resolved)}")
-    lines += [f"# {item}" for item in extra]
-    return lines
+# CSV titles that differ from the kind name
+_TITLES = {"spectrum": "odmr spectrum", "track": "tracking trace"}
 
 
-def _write_csv(path: Path, header_lines, columns, rows):
-    lines = list(header_lines)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(
-            repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_header(fh, resolved: dict, columns, extra=()):
+    """Write a CSV's '#' header and its column line: the title, one
+    `section.key = repr` line per resolved key, the assumptions hash and the
+    kind's extra lines."""
+    kind = resolved["run"]["kind"]
+    fh.write(f"# critherm {_TITLES.get(kind, kind)}, "
+             f"format_version {FORMAT_VERSION}\n")
+    for item in (*_flatten(resolved),
+                 f"assumptions_hash = {assumptions_hash(resolved)}", *extra):
+        fh.write(f"# {item}\n")
+    fh.write(",".join(columns) + "\n")
+
+
+def _write_csv(path: Path, resolved: dict, columns, rows, extra=()):
+    """The header, then one line per row, floats as their repr."""
+    with open(path, "w") as fh:
+        _write_header(fh, resolved, columns, extra)
+        fh.writelines(",".join(repr(v) if isinstance(v, float) else str(v)
+                               for v in row) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -435,23 +447,24 @@ def _run_magnetize(resolved, out_csv, threads):
     magnet = build_magnet(resolved["magnet"])
     curve = magnetization_curve(magnet, _temp_grid(resolved["grids"]))
     rows = zip(curve.temps.tolist(), curve.reduced_m.tolist(), curve.dm_dt.tolist())
-    _write_csv(out_csv, _csv_header("magnetize", resolved),
-               ["t_k", "m_reduced", "dm_dt_per_k"], rows)
+    _write_csv(out_csv, resolved, ["t_k", "m_reduced", "dm_dt_per_k"], rows)
     return {"tc_k": magnet.tc}
 
 
 def _run_spectrum(resolved, out_csv, threads):
-    magnet = build_magnet(resolved["magnet"])
-    asm = build_assembly(resolved, magnet)
-    temp = resolved["grids"]["temp_k"]
+    asm, sites = _ensemble(resolved)
     grids = resolved["grids"]
-    sites = sample_ensemble(asm)
+    temp = grids["temp_k"]
     freqs = np.linspace(grids["freq_start_hz"], grids["freq_stop_hz"],
                         grids["freq_points"]) if "freq_start_hz" in grids else None
     spec = synthesize_spectrum(asm, temp, freqs, sites=sites)
     slope = signal_temperature_slope(asm, temp, spec.freqs, sites=sites)
-    export_spectrum_csv(spec, out_csv, slope=slope,
-                        header_lines=_header_body("spectrum", resolved))
+    extra = [f"{key} = {spec.meta[key]!r}" for key in (
+        "temp_k", "line_width_hz", "contrast", "n_nv", "rng_seed",
+        "effective_contrast", "effective_width_hz", "d_of_t_hz")]
+    _write_csv(out_csv, resolved, ["freq_hz", "signal", "dsignal_dT"],
+               zip(spec.freqs.tolist(), spec.signal.tolist(), slope.tolist()),
+               extra)
     return {
         "effective_contrast": spec.meta["effective_contrast"],
         "effective_width_hz": spec.meta["effective_width_hz"],
@@ -459,16 +472,11 @@ def _run_spectrum(resolved, out_csv, threads):
     }
 
 
-def _header_body(kind, resolved):
-    # export_* helpers prefix '#' themselves
-    return [line[2:] for line in _csv_header(kind, resolved)[1:]]
-
-
 def _run_susceptibility(resolved, out_csv, threads):
     asm, site = build_single_nv(resolved, build_magnet(resolved["magnet"]))
     temps = _temp_grid(resolved["grids"])
     dm, dp = (a[:, 0] for a in domega_dtemp(asm, temps, site))
-    _write_csv(out_csv, _csv_header("susceptibility", resolved),
+    _write_csv(out_csv, resolved,
                ["t_k", "domega_minus_hz_per_k", "domega_plus_hz_per_k"],
                zip(temps.tolist(), dm.tolist(), dp.tolist()))
     peak = float(max(np.abs(dm).max(), np.abs(dp).max()))
@@ -479,10 +487,8 @@ def _run_susceptibility(resolved, out_csv, threads):
 
 
 def _run_sensitivity(resolved, out_csv, threads):
-    magnet = build_magnet(resolved["magnet"])
-    asm = build_assembly(resolved, magnet)
+    asm, sites = _ensemble(resolved)
     temps = _temp_grid(resolved["grids"])
-    sites = sample_ensemble(asm)
     rows = []
     for t in temps:
         rep = sensitivity_report(asm, float(t), sites=sites)
@@ -491,7 +497,7 @@ def _run_sensitivity(resolved, out_csv, threads):
             rep.eta_three_point, rep.inputs["max_dsdt_per_k"],
             rep.inputs["domega_dt_hz_per_k"],
         ))
-    _write_csv(out_csv, _csv_header("sensitivity", resolved),
+    _write_csv(out_csv, resolved,
                ["t_k", "eta_cw_numeric_k_per_sqrthz",
                 "eta_cw_lorentzian_k_per_sqrthz",
                 "eta_three_point_k_per_sqrthz", "max_dsdt_per_k",
@@ -517,7 +523,7 @@ def _run_design_sweep(resolved, out_csv, threads):
     h = assumptions_hash(resolved)
     rows = [(p.x, p.tc_k, p.t_opt_k, p.eta_opt, p.domega_dt, p.status, h)
             for p in points]
-    _write_csv(out_csv, _csv_header("design-sweep", resolved),
+    _write_csv(out_csv, resolved,
                ["x", "tc_k", "t_opt_k", "eta_opt_k_per_sqrthz",
                 "domega_dt_hz_per_k", "status", "assumptions_hash"], rows)
     ok = [p for p in points if p.status == "ok"]
@@ -535,11 +541,9 @@ def _probes(proto: dict):
 
 
 def _run_shot_noise(resolved, out_csv, threads):
-    magnet = build_magnet(resolved["magnet"])
-    asm = build_assembly(resolved, magnet)
+    asm, sites = _ensemble(resolved)
     proto = resolved["protocol"]
     t0 = resolved["grids"]["temp_k"]
-    sites = sample_ensemble(asm)
     cfg = calibrate_three_point(asm, t0, proto["dwell_s"], probes=_probes(proto),
                                 sites=sites)
     temp_trace = None
@@ -557,22 +561,20 @@ def _run_shot_noise(resolved, out_csv, threads):
              f"loglog_slope = {result.loglog_slope!r}"]
     rows = [(r.window_s, r.delta_t_k, r.n_windows, int(r.flagged))
             for r in result.rows]
-    _write_csv(out_csv, _csv_header("shot-noise", resolved, extra),
-               ["window_s", "delta_t_k", "n_windows", "flagged"], rows)
+    _write_csv(out_csv, resolved,
+               ["window_s", "delta_t_k", "n_windows", "flagged"], rows, extra)
     return {"eta_fit_k_per_sqrthz": result.eta_fit,
             "loglog_slope": result.loglog_slope,
             "probes_hz": [cfg.f1, cfg.f2, cfg.f_ref]}
 
 
 def _run_track(resolved, out_csv, threads):
-    magnet = build_magnet(resolved["magnet"])
-    asm = build_assembly(resolved, magnet)
+    asm, sites = _ensemble(resolved)
     proto = resolved["protocol"]
     t0 = 0.5 * (proto["low_k"] + proto["high_k"])
     # linearize across the full drive span: a secant through the two levels
     # keeps the recovered swing unattenuated by lineshape curvature
     cal_step = 0.5 * (proto["high_k"] - proto["low_k"])
-    sites = sample_ensemble(asm)
     cfg = calibrate_three_point(asm, t0, proto["dwell_s"], probes=_probes(proto),
                                 dt_step=cal_step, sites=sites)
     # the rows are written while the counts are drawn; a failed track
@@ -580,7 +582,8 @@ def _run_track(resolved, out_csv, threads):
     part = out_csv.with_name(out_csv.name + ".part")
     try:
         with open(part, "w") as fh:
-            write_trace_header(fh, cfg, _header_body("track", resolved))
+            _write_header(fh, resolved, TRACE_COLUMNS,
+                          [f"dwell_s = {cfg.dwell!r}"])
             result = track_square_wave(
                 asm, cfg, low=proto["low_k"], high=proto["high_k"],
                 period=proto["period_s"], bin=proto["bin_s"],

@@ -396,22 +396,3 @@ def absorption_second_moment(freqs, signal, lo: float, hi: float) -> float:
         raise DomainError("no absorption weight in the requested window")
     centroid = np.trapezoid(w * f, f) / total
     return float(np.trapezoid(w * (f - centroid) ** 2, f) / total)
-
-
-def export_spectrum_csv(spectrum: OdmrSpectrum, path, slope=None,
-                        header_lines=()):
-    """Write freq_hz, signal[, dsignal_dT] CSV with '#' metadata."""
-    lines = ["# critherm odmr spectrum, format_version 1"]
-    lines += [f"# {h}" for h in header_lines]
-    for key in ("temp_k", "line_width_hz", "contrast", "n_nv", "rng_seed",
-                "effective_contrast", "effective_width_hz", "d_of_t_hz"):
-        lines.append(f"# {key} = {spectrum.meta[key]!r}")
-    cols = "freq_hz,signal" + (",dsignal_dT" if slope is not None else "")
-    lines.append(cols)
-    for i, f in enumerate(spectrum.freqs):
-        row = f"{float(f)!r},{float(spectrum.signal[i])!r}"
-        if slope is not None:
-            row += f",{float(slope[i])!r}"
-        lines.append(row)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -279,17 +279,6 @@ def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
     )
 
 
-def estimate_temperature(rec: CountRecord, cfg: ThreePointConfig) -> float:
-    """Temperature estimate from one record window (>= 1 full cycle).
-
-    The n_i/n_ref ratios cancel any common per-bin intensity factor, which is
-    what makes the protocol immune to laser drift.
-    """
-    if len(rec) < 1:
-        raise EstimationError("window contains no complete cycle")
-    return float(window_estimates(rec, cfg, len(rec))[0])
-
-
 def window_layout(window: float, dwell: float, duration: float):
     """(bins per window, complete windows in `duration`) for a window of
     `window` seconds snapped to whole protocol cycles of 3 * dwell."""
@@ -438,22 +427,11 @@ def _fewest_unmixed(codes: np.ndarray) -> int:
     return int(np.bincount(codes, minlength=3)[[_LOW, _HIGH]].min())
 
 
-def track_labels(low: float, high: float, period: float, bin: float,
-                 dwell: float, duration: float):
-    """True mid-point temperatures and 'high'/'low'/'mixed' labels of the
-    data points of a square-wave track, plus the fewest unmixed points of
-    either level (level statistics need two); a point is 'mixed' when its
-    span straddles a level switch."""
-    bpw, npts = window_layout(bin, dwell, duration)
-    cycle = 3.0 * dwell
-    t_true, codes = _point_levels(square_wave_trace(low, high, period), high,
-                                  bpw * cycle, _point_times(0, npts, bpw, cycle))
-    return t_true, _LABELS[codes], _fewest_unmixed(codes)
-
-
 def fewest_unmixed_points(low: float, high: float, period: float, bin: float,
                           dwell: float, duration: float) -> int:
-    """track_labels(...)[2] from one level-code byte per point."""
+    """The fewest unmixed data points of either level of a square-wave track
+    (level statistics need two), from one level-code byte per point; a
+    point is mixed when its span straddles a level switch."""
     bpw, npts = window_layout(bin, dwell, duration)
     return _fewest_unmixed(_level_codes(low, high, period, bpw, 3.0 * dwell,
                                         npts))
@@ -517,8 +495,8 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
     independently; points whose span straddles a level switch are labeled
     'mixed' and excluded from the level statistics.  The counts are drawn
     block by block, as in simulate_counts, and each block is estimated and,
-    when `trace` (an open text file after write_trace_header) is given,
-    written to it as trace CSV rows before the next block is drawn.  Only
+    when `trace` (an open text file, after its header) is given, written
+    to it as trace CSV rows before the next block is drawn.  Only
     the estimates and a level code are kept per point.
     """
     if bin < cfg.bin_duration:
@@ -596,19 +574,14 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
     )
 
 
-def write_trace_header(fh, cfg: ThreePointConfig, header_lines=()):
-    """The trace CSV's '#' metadata header and column line; the rows follow
-    from track_square_wave(..., trace=fh)."""
-    fh.write("# critherm tracking trace, format_version 1\n")
-    fh.writelines(f"# {h}\n" for h in header_lines)
-    fh.write(f"# dwell_s = {cfg.dwell!r}\n")
-    fh.write("t_s,counts_f1,counts_f2,counts_fref,t_hat_k,t_true_k\n")
+TRACE_COLUMNS = ("t_s", "counts_f1", "counts_f2", "counts_fref", "t_hat_k",
+                 "t_true_k")
 
 
 def export_trace_csv(fh, rec: CountRecord, t_hat: np.ndarray,
                      t_true: np.ndarray):
-    """Append one trace CSV row per point of the record block rec:
-    t_s, counts_f1, counts_f2, counts_fref, t_hat_k, t_true_k.
+    """Append one trace CSV row per point of the record block rec, in the
+    order of TRACE_COLUMNS.
 
     Counts are the record's per-point sums over the bins inside each point.
     A track has few true temperatures, so each is formatted once per block.

@@ -15,9 +15,8 @@ minimized at tau = T2*/2, so eta scales as 1/sqrt(T2*).
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,13 +103,6 @@ class SensitivityReport:
     eta_three_point: float
     eta_ramsey: float = None
     inputs: dict = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SensitivityReport":
-        return cls(**json.loads(text))
 
 
 def representative_domega_dt(asm: SensorAssembly, temp: float) -> float:

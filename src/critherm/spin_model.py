@@ -12,7 +12,7 @@ linear, D(T) = d0 + dd_dt * (T - t_ref).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class SpinSystem:
         if len(f) != 3:
             raise DomainError("field must be a 3-vector")
         object.__setattr__(self, "field", f)
-
-    def with_field(self, field) -> "SpinSystem":
-        return replace(self, field=tuple(float(c) for c in field))
 
 
 @dataclass(frozen=True)

@@ -516,6 +516,21 @@ class TestMainExitCodes:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("out/*"))
 
+    @pytest.mark.parametrize("line", ["nv_axis = 1 0 0",
+                                      "nv_position_m = 0 0 1e-3"])
+    def test_ensemble_kind_rejects_single_nv_keys(self, tmp_path, capsys, line):
+        # only the susceptibility kind places a single NV; the ensemble kinds
+        # sample theirs, so these keys would be accepted and ignored
+        text = (SCENARIO_DIR / "sensitivity_vs_temp.cfg").read_text()
+        p = write(tmp_path, "single_nv.cfg", f"{text}\n[spin]\n{line}\n")
+        assert main(["validate", str(p)]) == 2
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        key = line.split(" = ")[0]
+        err = capsys.readouterr().err
+        assert err.count(f"schema error: spin.{key}: unknown key for kind "
+                         "'sensitivity'") == 2
+        assert not (tmp_path / "out").exists()
+
     def test_nv_inside_magnet_named(self, tmp_path, capsys):
         # the susceptibility kind has no FND: the message names the NV, its
         # distance from the magnet centre and the magnet radius

@@ -132,7 +132,7 @@ class TestFrameProjection:
             b_lab = b_lab + np.asarray(asm.bias_field)
             spin = replace(asm.spin, strain_e=float(strain))
             ref = transition_frequencies(
-                spin.with_field(nv_frame(frame[2]) @ b_lab), temp)
+                replace(spin, field=nv_frame(frame[2]) @ b_lab), temp)
             assert om[i] == pytest.approx(ref.omega_minus, rel=1e-12)
             assert op[i] == pytest.approx(ref.omega_plus, rel=1e-12)
 

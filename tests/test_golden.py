@@ -9,8 +9,12 @@ change.  Quantities derived from Poisson counts agree to rel 1e-6, which
 stays below their Monte-Carlo standard error (a track level mean: 0.75 mK
 of 336 K, about 2e-6).
 
-Regenerate with `PYTHONPATH=src python3 tests/test_golden.py`, and record
-the cause and the size of the shift in CHANGES.md.
+test_csv_header_layout pins the `#` header and the column line of every
+shipped CSV byte for byte; the golden files hold no header line.
+
+Regenerate with `PYTHONPATH=src python3 tests/test_golden.py [name ...]`,
+which rewrites only the named scenarios (all of them when none is named),
+and record the cause and the size of the shift in CHANGES.md.
 """
 
 import json
@@ -90,10 +94,19 @@ def run_scenario(name: str, out_dir: Path) -> dict:
     return summarize(*run(ROOT / "scenarios" / f"{name}.cfg", out_dir=out_dir))
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_matches_golden(tmp_path, name):
+@pytest.fixture(scope="module", params=sorted(SCENARIOS))
+def shipped(request, tmp_path_factory):
+    """(name, csv path, manifest path) of one run of a shipped scenario,
+    shared by the tests of this module."""
+    name = request.param
+    return (name, *run(ROOT / "scenarios" / f"{name}.cfg",
+                       out_dir=tmp_path_factory.mktemp(name)))
+
+
+def test_matches_golden(shipped):
+    name, csv_path, manifest_path = shipped
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-    actual = run_scenario(name, tmp_path)
+    actual = summarize(csv_path, manifest_path)
     poisson = SCENARIOS[name]
     errors = []
     for part in ("results", "columns"):
@@ -106,12 +119,70 @@ def test_matches_golden(tmp_path, name):
     assert not errors, "\n".join(errors)
 
 
+TITLES = {"spectrum": "odmr spectrum", "track": "tracking trace"}
+
+COLUMNS = {
+    "magnetize": "t_k,m_reduced,dm_dt_per_k",
+    "spectrum": "freq_hz,signal,dsignal_dT",
+    "susceptibility": "t_k,domega_minus_hz_per_k,domega_plus_hz_per_k",
+    "sensitivity": "t_k,eta_cw_numeric_k_per_sqrthz,"
+                   "eta_cw_lorentzian_k_per_sqrthz,eta_three_point_k_per_sqrthz,"
+                   "max_dsdt_per_k,domega_dt_hz_per_k",
+    "design-sweep": "x,tc_k,t_opt_k,eta_opt_k_per_sqrthz,domega_dt_hz_per_k,"
+                    "status,assumptions_hash",
+    "shot-noise": "window_s,delta_t_k,n_windows,flagged",
+    "track": "t_s,counts_f1,counts_f2,counts_fref,t_hat_k,t_true_k",
+}
+
+
+def extra_header(resolved: dict, results: dict) -> dict:
+    """The kind's header entries after the assumptions hash, in order."""
+    kind = resolved["run"]["kind"]
+    if kind == "spectrum":
+        spin, asm = resolved["spin"], resolved["assembly"]
+        temp = resolved["grids"]["temp_k"]
+        return {"temp_k": temp, "line_width_hz": asm["line_width_hz"],
+                "contrast": asm["contrast"], "n_nv": asm["n_nv"],
+                "rng_seed": resolved["run"]["seed"],
+                "effective_contrast": results["effective_contrast"],
+                "effective_width_hz": results["effective_width_hz"],
+                "d_of_t_hz": spin["d0_hz"]
+                + spin["dd_dt_hz_per_k"] * (temp - spin["t_ref_k"])}
+    if kind == "shot-noise":
+        return {k: results[k] for k in ("eta_fit_k_per_sqrthz", "loglog_slope")}
+    if kind == "track":
+        return {"dwell_s": resolved["protocol"]["dwell_s"]}
+    return {}
+
+
+def test_csv_header_layout(shipped):
+    _, csv_path, manifest_path = shipped
+    manifest = json.loads(manifest_path.read_text())
+    resolved, kind = manifest["resolved"], manifest["kind"]
+    expected = [f"# critherm {TITLES.get(kind, kind)}, format_version 1"]
+    expected += [f"# {section}.{key} = {resolved[section][key]!r}"
+                 for section in sorted(resolved) for key in sorted(resolved[section])]
+    expected.append(f"# assumptions_hash = {manifest['assumptions_hash']}")
+    expected += [f"# {key} = {value!r}"
+                 for key, value in extra_header(resolved, manifest["results"]).items()]
+    lines = csv_path.read_text().splitlines()
+    assert lines[:len(expected)] == expected
+    assert lines[len(expected)] == COLUMNS[kind]
+    assert not any(line.startswith("#") for line in lines[len(expected) + 1:])
+
+
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    names = sys.argv[1:] or sorted(SCENARIOS)
+    unknown = sorted(set(names) - set(SCENARIOS))
+    if unknown:
+        sys.exit(f"unknown scenario: {', '.join(unknown)}; "
+                 f"known: {', '.join(sorted(SCENARIOS))}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(SCENARIOS):
+        for name in names:
             summary = run_scenario(name, Path(tmp))
             (GOLDEN_DIR / f"{name}.json").write_text(
                 json.dumps(summary, indent=1, sort_keys=True) + "\n")

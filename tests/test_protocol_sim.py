@@ -13,18 +13,16 @@ from critherm.protocol_sim import (
     CountRecord,
     ThreePointConfig,
     calibrate_three_point,
-    estimate_temperature,
     expected_counts,
+    fewest_unmixed_points,
     reference_detuning_ok,
     shot_noise_curve,
     simulate_counts,
     square_wave_trace,
     three_point_penalty,
-    track_labels,
     track_square_wave,
     window_estimates,
     window_layout,
-    write_trace_header,
 )
 
 T0 = 300.0
@@ -77,35 +75,31 @@ def poisson_one_draw(asm, cfg, temp_trace, duration, seed, sites,
     return rng.poisson(table[inv])
 
 
-def trace_csv_per_row(rec, t_hat, t_true, cfg, header_lines=()):
-    """Oracle for the streamed trace file: built row by row from a whole
+def trace_csv_per_row(rec, t_hat, t_true):
+    """Oracle for the streamed trace rows: built row by row from a whole
     count record, its estimates and true temperatures."""
     c1, c2, cr = rec.counts_f1, rec.counts_f2, rec.counts_ref
-    lines = ["# critherm tracking trace, format_version 1"]
-    lines += [f"# {h}" for h in header_lines]
-    lines.append(f"# dwell_s = {cfg.dwell!r}")
-    lines.append("t_s,counts_f1,counts_f2,counts_fref,t_hat_k,t_true_k")
-    for i, t in enumerate(rec.times):
-        lines.append(f"{float(t)!r},{c1[i]},{c2[i]},{cr[i]},"
-                     f"{float(t_hat[i])!r},{float(t_true[i])!r}")
-    return ("\n".join(lines) + "\n").encode()
+    return "".join(f"{float(t)!r},{c1[i]},{c2[i]},{cr[i]},"
+                   f"{float(t_hat[i])!r},{float(t_true[i])!r}\n"
+                   for i, t in enumerate(rec.times)).encode()
 
 
 def whole_record_track(asm, cfg, low, high, period, bin, duration, seed, sites):
     """(record, estimates, true temperatures) of a track from the collected
-    record: simulate_counts at the track's points plus window_estimates."""
+    record: simulate_counts at the track's points plus window_estimates, and
+    the square wave at the point midpoints."""
     bpw, _ = window_layout(bin, cfg.dwell, duration)
-    rec = simulate_counts(asm, cfg, square_wave_trace(low, high, period),
-                          duration, seed, sites=sites, bins_per_point=bpw)
-    t_true = track_labels(low, high, period, bin, cfg.dwell, duration)[0]
+    trace = square_wave_trace(low, high, period)
+    rec = simulate_counts(asm, cfg, trace, duration, seed, sites=sites,
+                          bins_per_point=bpw)
+    t_true = trace(rec.times + 0.5 * bpw * cfg.bin_duration)
     return rec, window_estimates(rec, cfg, 1), t_true
 
 
 def streamed_track(path, asm, cfg, low, high, period, bin, duration, seed,
-                   sites, header_lines=()):
-    """track_square_wave writing its trace file to path while drawing."""
+                   sites):
+    """track_square_wave writing its trace rows to path while drawing."""
     with open(path, "w") as fh:
-        write_trace_header(fh, cfg, header_lines)
         return track_square_wave(asm, cfg, low, high, period=period, bin=bin,
                                  duration=duration, seed=seed, sites=sites,
                                  trace=fh)
@@ -334,28 +328,30 @@ class TestEstimateTemperature:
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         rec = noiseless_record(asm, cfg, 336.15, sites)
-        assert estimate_temperature(rec, cfg) == pytest.approx(336.15, abs=1e-9)
+        assert window_estimates(rec, cfg, len(rec))[0] == pytest.approx(
+            336.15, abs=1e-9)
 
     def test_noiseless_50mk_offset(self):
         asm = cuni_tracking_assembly(seed=1)
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         rec = noiseless_record(asm, cfg, 336.15 + 0.050, sites)
-        assert estimate_temperature(rec, cfg) == pytest.approx(336.20, abs=0.005)
+        assert window_estimates(rec, cfg, len(rec))[0] == pytest.approx(
+            336.20, abs=0.005)
 
     def test_laser_drift_immunity(self):
         asm = cuni_tracking_assembly(seed=1)
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         rec = simulate_counts(asm, cfg, lambda t: 336.15, 1.0, seed=10, sites=sites)
-        base = estimate_temperature(rec, cfg)
+        base = window_estimates(rec, cfg, len(rec))[0]
         drift = 1.37
         scaled = CountRecord(times=rec.times,
                              counts_f1=rec.counts_f1 * drift,
                              counts_f2=rec.counts_f2 * drift,
                              counts_ref=rec.counts_ref * drift,
                              dwell=rec.dwell)
-        assert abs(estimate_temperature(scaled, cfg) - base) < 1e-12
+        assert abs(window_estimates(scaled, cfg, len(rec))[0] - base) < 1e-12
 
     def test_noiseless_drift_on_rates(self):
         asm = cuni_tracking_assembly(seed=1)
@@ -382,7 +378,7 @@ class TestEstimateTemperature:
                           counts_f2=np.array([5]), counts_ref=np.array([0]),
                           dwell=0.01)
         with pytest.raises(EstimationError):
-            estimate_temperature(rec, cfg)
+            window_estimates(rec, cfg, len(rec))
 
     def test_unbiased_at_calibration_point(self):
         asm = single_lorentzian_assembly()
@@ -539,13 +535,16 @@ class TestTrackSquareWave:
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         res = track_square_wave(asm, cfg, 335.4, 336.9, period=0.9, bin=0.06,
                                 duration=3.0, seed=2, sites=sites)
-        t_true, labels, fewest = track_labels(335.4, 336.9, 0.9, 0.06, 0.005, 3.0)
         trace = square_wave_trace(335.4, 336.9, 0.9)
         assert list(res.t_true) == [trace(t + 0.03) for t in res.point_times]
-        assert np.array_equal(res.t_true, t_true)
-        assert list(res.labels) == list(labels)
+        # a point is mixed when its span straddles a switch
+        labels = ["mixed" if trace(t) != trace(t + 0.06 * 0.999)
+                  else "high" if trace(t + 0.03) == 336.9 else "low"
+                  for t in res.point_times]
+        assert list(res.labels) == labels
         assert {"high", "low", "mixed"} == set(labels)
-        assert fewest == min(np.sum(labels == "high"), np.sum(labels == "low"))
+        assert fewest_unmixed_points(335.4, 336.9, 0.9, 0.06, 0.005, 3.0) == min(
+            labels.count("high"), labels.count("low"))
 
     def test_csv_counts_sum_each_points_bins(self, tmp_path):
         # 29 bins of 15 ms hold four 6-bin points plus 5 spare bins
@@ -558,7 +557,7 @@ class TestTrackSquareWave:
         per_bin = simulate_counts(asm, cfg, square_wave_trace(335.4, 336.9, 0.36),
                                   0.44, seed=3, sites=sites)
         assert (len(per_bin), len(res.t_hat), res.bins_per_point) == (29, 4, 6)
-        rows = np.loadtxt(path, delimiter=",", skiprows=3)
+        rows = np.loadtxt(path, delimiter=",")
         for col, counts in zip((1, 2, 3), (per_bin.counts_f1, per_bin.counts_f2,
                                            per_bin.counts_ref)):
             assert np.array_equal(rows[:, col],
@@ -574,11 +573,10 @@ class TestTrackSquareWave:
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         args = (low, high, 0.9, 0.015, (npts + 0.5) * 0.015, 4, sites)
         path = tmp_path / "trace.csv"
-        header = ("run.seed = 4", "protocol.bin_s = 0.015")
-        res = streamed_track(path, asm, cfg, *args, header_lines=header)
+        res = streamed_track(path, asm, cfg, *args)
         assert len(res.t_hat) == npts
         assert path.read_bytes() == trace_csv_per_row(
-            *whole_record_track(asm, cfg, *args), cfg, header)
+            *whole_record_track(asm, cfg, *args))
 
     def test_block_seams_match_whole_record(self, tmp_path):
         # 10,000 points of 4 bins: five draw blocks of 2048 points, the
@@ -588,12 +586,11 @@ class TestTrackSquareWave:
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         args = (335.4, 336.9, 9.6, 0.06, 600.0, 6, sites)
         path = tmp_path / "trace.csv"
-        res = streamed_track(path, asm, cfg, *args, header_lines=("a = 1",))
+        res = streamed_track(path, asm, cfg, *args)
         rec, est, t_true = whole_record_track(asm, cfg, *args)
         block_points = protocol_sim._POISSON_BLOCK_BINS // 4
         assert len(rec) == 10000 > 4 * block_points
-        assert path.read_bytes() == trace_csv_per_row(rec, est, t_true, cfg,
-                                                      ("a = 1",))
+        assert path.read_bytes() == trace_csv_per_row(rec, est, t_true)
         assert np.array_equal(res.t_hat, est)
         assert np.array_equal(res.point_times, rec.times)
         for lab in ("high", "low"):

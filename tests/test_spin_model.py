@@ -332,10 +332,8 @@ def scalar_domega_dtemp(sys: SpinSystem, magnet_field_fn, temp: float):
     temperature dependence is included.  Returns (domega_minus/dT,
     domega_plus/dT) in Hz/K.
     """
-    lo = transition_frequencies(sys.with_field(magnet_field_fn(temp - _DT_STEP)),
-                                temp - _DT_STEP)
-    hi = transition_frequencies(sys.with_field(magnet_field_fn(temp + _DT_STEP)),
-                                temp + _DT_STEP)
+    lo, hi = (transition_frequencies(replace(sys, field=magnet_field_fn(t)), t)
+              for t in (temp - _DT_STEP, temp + _DT_STEP))
     return (
         (hi.omega_minus - lo.omega_minus) / (2.0 * _DT_STEP),
         (hi.omega_plus - lo.omega_plus) / (2.0 * _DT_STEP),
