@@ -25,6 +25,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +34,11 @@ from .errors import GeometryError, SchemaError, ThermoError
 from . import magnet_model
 from .ensemble_spectrum import (
     SensorAssembly,
+    _spectrum,
     domega_dtemp,
     nv_site,
     sample_ensemble,
-    signal_temperature_slope,
-    synthesize_spectrum,
+    slope_scan,
 )
 from .magnet_model import Magnet, magnetization_curve
 from .protocol_sim import (
@@ -49,7 +50,7 @@ from .protocol_sim import (
     shot_noise_curve,
     track_square_wave,
 )
-from .sensitivity import design_sweep, sensitivity_report
+from .sensitivity import design_sweep, sensitivity_scan
 from .spin_model import SpinSystem
 
 FORMAT_VERSION = 1
@@ -98,7 +99,6 @@ _SPIN = {
     "t_ref_k": ("f", False, 300.0),
     "dd_dt_hz_per_k": ("f", False, -74e3),
     "gamma_hz_per_t": ("f", False, 28e9),
-    "strain_e_hz": ("f", False, 0.0),
 }
 
 _TEMP_RANGE = {
@@ -127,7 +127,8 @@ SCHEMAS = {
     "susceptibility": {
         "run": _RUN,
         "magnet": _MAGNET_FULL,
-        "spin": dict(_SPIN, nv_position_m=("v3", True, None),
+        "spin": dict(_SPIN, strain_e_hz=("f", False, 0.0),
+                     nv_position_m=("v3", True, None),
                      nv_axis=("v3", False, [0.0, 0.0, 1.0])),
         "grids": dict(_TEMP_RANGE),
     },
@@ -304,16 +305,23 @@ def _cross_checks(kind: str, resolved: dict):
     explicit = [k for k in ("f1_hz", "f2_hz", "f_ref_hz") if k in proto]
     if explicit and len(explicit) != 3:
         raise SchemaError("protocol.f1_hz/f2_hz/f_ref_hz: give all three or none")
-    # non-positive dwell or period and too-short bins stay physics errors
-    if proto.get("dwell_s", 0.0) <= 0.0:
-        return
+    # the lowest temperature of each kind
+    for section, key in (("grids", "temp_start_k"), ("grids", "temp_k"),
+                         ("protocol", "low_k")):
+        if resolved.get(section, {}).get(key, 1.0) <= 0.0:
+            raise SchemaError(f"{section}.{key}: temperature must be positive")
+    for key in ("dwell_s", "period_s"):
+        if proto.get(key, 1.0) <= 0.0:
+            raise SchemaError(f"protocol.{key}: must be positive")
+    if "bin_s" in proto and proto["bin_s"] < 3.0 * proto["dwell_s"]:
+        raise SchemaError("protocol.bin_s: shorter than one protocol cycle "
+                          "(3 protocol.dwell_s)")
     if "window_grid_s" in proto and fittable_windows(
             proto["window_grid_s"], proto["dwell_s"], proto["total_time_s"]) < 2:
         raise SchemaError(
             "protocol.window_grid_s: fewer than two window lengths fit two "
             "windows into protocol.total_time_s")
-    if ("period_s" in proto and proto["period_s"] > 0.0
-            and proto["bin_s"] >= 3.0 * proto["dwell_s"]):
+    if "period_s" in proto:
         # the labels of a shorter track are a prefix of the full labels, so
         # three periods settle a long track without labelling every point
         full = proto["duration_s"]
@@ -348,7 +356,6 @@ def build_spin(p: dict) -> SpinSystem:
         d0=p["d0_hz"],
         t_ref=p["t_ref_k"],
         dd_dt=p["dd_dt_hz_per_k"],
-        strain_e=p["strain_e_hz"],
         gamma=p["gamma_hz_per_t"],
     )
 
@@ -457,8 +464,8 @@ def _run_spectrum(resolved, out_csv, threads):
     temp = grids["temp_k"]
     freqs = np.linspace(grids["freq_start_hz"], grids["freq_stop_hz"],
                         grids["freq_points"]) if "freq_start_hz" in grids else None
-    spec = synthesize_spectrum(asm, temp, freqs, sites=sites)
-    slope = signal_temperature_slope(asm, temp, spec.freqs, sites=sites)
+    om, op, freqs, slope = next(slope_scan(asm, [temp], sites, freqs))
+    spec = _spectrum(asm, temp, freqs, om[0], op[0])
     extra = [f"{key} = {spec.meta[key]!r}" for key in (
         "temp_k", "line_width_hz", "contrast", "n_nv", "rng_seed",
         "effective_contrast", "effective_width_hz", "d_of_t_hz")]
@@ -488,15 +495,8 @@ def _run_susceptibility(resolved, out_csv, threads):
 
 def _run_sensitivity(resolved, out_csv, threads):
     asm, sites = _ensemble(resolved)
-    temps = _temp_grid(resolved["grids"])
-    rows = []
-    for t in temps:
-        rep = sensitivity_report(asm, float(t), sites=sites)
-        rows.append((
-            float(t), rep.eta_cw_numeric, rep.eta_cw_lorentzian,
-            rep.eta_three_point, rep.inputs["max_dsdt_per_k"],
-            rep.inputs["domega_dt_hz_per_k"],
-        ))
+    rows = [astuple(rep) for rep in
+            sensitivity_scan(asm, _temp_grid(resolved["grids"]), sites=sites)]
     _write_csv(out_csv, resolved,
                ["t_k", "eta_cw_numeric_k_per_sqrthz",
                 "eta_cw_lorentzian_k_per_sqrthz",

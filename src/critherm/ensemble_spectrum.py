@@ -187,6 +187,8 @@ def nv_frame(axis) -> np.ndarray:
 def nv_site(position, axis, strain: float) -> Ensemble:
     """One NV at `position` (m, lab frame) with its symmetry axis along
     `axis` and transverse strain `strain` (Hz), as a one-site ensemble."""
+    if not strain >= 0.0:
+        raise DomainError(f"NV strain must be >= 0, got {strain}")
     return Ensemble(positions=np.array([position], dtype=float),
                     frames=nv_frame(axis)[None], strains=np.array([float(strain)]))
 
@@ -309,6 +311,11 @@ def synthesize_spectrum(asm: SensorAssembly, temp: float, freqs=None, *,
     om, op = site_transition_pairs(asm, temp, sites)
     freqs = _grid_for_lines(asm, om, op) if freqs is None \
         else np.asarray(freqs, dtype=float)
+    return _spectrum(asm, temp, freqs, om, op)
+
+
+def _spectrum(asm: SensorAssembly, temp: float, freqs, om, op) -> OdmrSpectrum:
+    """synthesize_spectrum from the line centres om, op at temp."""
     signal = _signal(asm, freqs, om, op)
     meta = {
         "temp_k": float(temp),
@@ -316,7 +323,7 @@ def synthesize_spectrum(asm: SensorAssembly, temp: float, freqs=None, *,
         "centers_plus_hz": op,
         "line_width_hz": asm.line_width,
         "contrast": asm.contrast,
-        "n_nv": len(sites),
+        "n_nv": om.size,
         "rng_seed": asm.rng_seed,
         "effective_contrast": float(1.0 - signal.min()),
         "effective_width_hz": measure_fwhm(freqs, signal),
@@ -329,35 +336,31 @@ def synthesize_spectrum(asm: SensorAssembly, temp: float, freqs=None, *,
 def signal_temperature_slope(asm: SensorAssembly, temp: float, freqs, *,
                              sites: Ensemble) -> np.ndarray:
     """Central finite difference dS/dT per grid frequency (1/K) with a
-    _SLOPE_STEP step.
+    _SLOPE_STEP step: the one-temperature view of slope_scan."""
+    return next(slope_scan(asm, [temp], sites, freqs))[3]
 
-    The same ensemble sample is used at both temp +- _SLOPE_STEP (common
-    random numbers), so the difference isolates the physics, not the
-    sampling.
+
+def slope_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None,
+               step: float = _SLOPE_STEP):
+    """Yield (om, op, freqs, slope) at each of the 1-D `temps`: om and op
+    hold the line centres of the rows T, T + step and T - step, from one
+    line_centers call for all of `temps`; slope is the central difference
+    dS/dT (1/K) of the signals of rows T + step and T - step on `freqs`,
+    or on the default_freq_grid of row T when freqs is None.  One grid is
+    held at a time.
+
+    Every row uses the same ensemble sample (common random numbers), so the
+    difference isolates the physics, not the sampling.
     """
-    return _slope(asm, np.asarray(freqs, dtype=float),
-                  *line_centers(asm, [temp + _SLOPE_STEP, temp - _SLOPE_STEP], sites),
-                  _SLOPE_STEP)
-
-
-def _slope(asm: SensorAssembly, freqs, om, op, dt_step: float) -> np.ndarray:
-    """signal_temperature_slope from two rows of line centres, at
-    T + dt_step and at T - dt_step."""
-    return (_signal(asm, freqs, om[0], op[0])
-            - _signal(asm, freqs, om[1], op[1])) / (2.0 * dt_step)
-
-
-def _slope_scan(asm: SensorAssembly, temps, sites: Ensemble):
-    """Yield signal_temperature_slope on default_freq_grid at each of the
-    1-D `temps`, from one line_centers call whose rows run T, T + step,
-    T - step for each T; one grid is held at a time."""
     temps = np.asarray(temps, dtype=float)
-    rows = np.stack([temps, temps + _SLOPE_STEP, temps - _SLOPE_STEP], axis=1)
+    rows = np.stack([temps, temps + step, temps - step], axis=1)
     om, op = (a.reshape(temps.size, 3, -1)
               for a in line_centers(asm, rows.ravel(), sites))
     for om_t, op_t in zip(om, op):
-        yield _slope(asm, _grid_for_lines(asm, om_t[0], op_t[0]),
-                     om_t[1:], op_t[1:], _SLOPE_STEP)
+        grid = _grid_for_lines(asm, om_t[0], op_t[0]) if freqs is None \
+            else np.asarray(freqs, dtype=float)
+        yield om_t, op_t, grid, (_signal(asm, grid, om_t[1], op_t[1])
+                                 - _signal(asm, grid, om_t[2], op_t[2])) / (2.0 * step)
 
 
 def measure_fwhm(freqs, signal) -> float:

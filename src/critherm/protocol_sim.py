@@ -25,13 +25,11 @@ from .errors import DomainError, EstimationError
 from .ensemble_spectrum import (
     _SLOPE_STEP,
     SensorAssembly,
-    _grid_for_lines,
     _signal,
-    _slope,
-    _slope_scan,
     line_centers,
     sample_ensemble,
     site_transition_pairs,
+    slope_scan,
 )
 from .sensitivity import eta_cw_numeric
 
@@ -103,10 +101,8 @@ def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
     """
     if dt_step <= 0:
         raise DomainError(f"dt_step must be positive, got {dt_step}")
-    om, op = line_centers(asm, [t0, t0 + dt_step, t0 - dt_step], sites)
+    om, op, freqs, slope_grid = next(slope_scan(asm, [t0], sites, probes, dt_step))
     if probes is None:
-        freqs = _grid_for_lines(asm, om[0], op[0])
-        slope_grid = _slope(asm, freqs, om[1:], op[1:], dt_step)
         f1 = float(freqs[int(np.argmax(slope_grid))])
         f2 = float(freqs[int(np.argmin(slope_grid))])
         f_ref = float(np.max(op[0]) + 1.2 * _REF_DETUNING_LINEWIDTHS * asm.line_width)
@@ -380,7 +376,7 @@ def three_point_penalty(asm: SensorAssembly, cfg: ThreePointConfig, seed: int,
     est = window_estimates(rec, cfg, 1)
     eta_mc = float(np.std(est, ddof=1)
                    * np.sqrt(cycles_per_window * cfg.bin_duration))
-    return eta_mc / eta_cw_numeric(next(_slope_scan(asm, [t0], sites)),
+    return eta_mc / eta_cw_numeric(next(slope_scan(asm, [t0], sites))[3],
                                    asm.photon_rate)
 
 

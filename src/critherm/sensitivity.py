@@ -24,12 +24,11 @@ from .errors import DomainError, ThermoError, UnmeasurableError
 from .magnet_model import M_SAT_NI, Magnet, curie_temperature
 from .ensemble_spectrum import (
     SensorAssembly,
-    _slope_scan,
+    _spectrum,
     domega_dtemp,
     nv_site,
     sample_ensemble,
-    signal_temperature_slope,
-    synthesize_spectrum,
+    slope_scan,
 )
 
 LORENTZIAN_SLOPE_FACTOR = 4.0 / (3.0 * np.sqrt(3.0))
@@ -95,60 +94,55 @@ def optimal_ramsey_tau(t2_star: float) -> float:
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Every estimator at one temperature plus the quantities that fed them."""
+    """One row of the sensitivity kind: the CW estimators and their slopes."""
 
     temp: float
     eta_cw_numeric: float
     eta_cw_lorentzian: float
     eta_three_point: float
-    eta_ramsey: float = None
-    inputs: dict = None
+    max_dsdt_per_k: float
+    domega_dt_hz_per_k: float
 
 
-def representative_domega_dt(asm: SensorAssembly, temp: float) -> float:
+def representative_domega_dt(asm: SensorAssembly, temp):
     """|dw/dT| of a reference NV at the FND centre with its axis along the
     magnet easy axis (the best-coupled orientation) and the mean strain, in
     the magnet and bias fields of the assembly; bare-NV slope when there is
-    no magnet."""
+    no magnet.  A scalar temp gives a float, a 1-D array an array."""
+    temps = np.atleast_1d(np.asarray(temp, dtype=float))
     if asm.magnet is None:
-        return abs(asm.spin.dd_dt)
-    site = nv_site(asm.fnd_center, asm.magnet.easy_axis, asm.strain_mean)
-    dm, dp = domega_dtemp(asm, [temp], site)
-    return float(max(abs(dm[0, 0]), abs(dp[0, 0])))
+        dom = np.full(temps.shape, abs(asm.spin.dd_dt))
+    else:
+        site = nv_site(asm.fnd_center, asm.magnet.easy_axis, asm.strain_mean)
+        dm, dp = domega_dtemp(asm, temps, site)
+        dom = np.maximum(np.abs(dm[:, 0]), np.abs(dp[:, 0]))
+    return float(dom[0]) if np.ndim(temp) == 0 else dom
 
 
-def sensitivity_report(asm: SensorAssembly, temp: float, t2_star: float = None,
-                       tau: float = None, *, sites) -> SensitivityReport:
-    """Evaluate all estimators for one assembly and temperature; pass the
-    same `sites` at several temperatures to sample the ensemble once."""
-    spec = synthesize_spectrum(asm, temp, sites=sites)
-    slope = signal_temperature_slope(asm, temp, spec.freqs, sites=sites)
-    eta_num = eta_cw_numeric(slope, asm.photon_rate)
-    dom = representative_domega_dt(asm, temp)
-    eta_lor = eta_cw_lorentzian(
-        spec.meta["effective_width_hz"], spec.meta["effective_contrast"],
-        asm.photon_rate, dom)
-    eta_ram = None
-    if t2_star is not None:
-        eta_ram = eta_ramsey(asm.photon_rate, asm.contrast, t2_star, tau, dom)
-    return SensitivityReport(
-        temp=float(temp),
-        eta_cw_numeric=eta_num,
-        eta_cw_lorentzian=eta_lor,
-        eta_three_point=float(THREE_POINT_FACTOR * eta_num),
-        eta_ramsey=eta_ram,
-        inputs={
-            "photon_rate_cps": asm.photon_rate,
-            "contrast": asm.contrast,
-            "effective_contrast": spec.meta["effective_contrast"],
-            "effective_width_hz": spec.meta["effective_width_hz"],
-            "line_width_hz": asm.line_width,
-            "domega_dt_hz_per_k": dom,
-            "max_dsdt_per_k": float(np.max(np.abs(slope))),
-            "tau_s": tau,
-            "t2_star_s": t2_star,
-        },
-    )
+def sensitivity_scan(asm: SensorAssembly, temps, *, sites):
+    """Yield the SensitivityReport at each of the 1-D `temps`, from one
+    slope_scan and one representative_domega_dt call."""
+    temps = np.asarray(temps, dtype=float)
+    for temp, dom, (om, op, freqs, slope) in zip(
+            temps.tolist(), representative_domega_dt(asm, temps).tolist(),
+            slope_scan(asm, temps, sites)):
+        meta = _spectrum(asm, temp, freqs, om[0], op[0]).meta
+        eta_num = eta_cw_numeric(slope, asm.photon_rate)
+        yield SensitivityReport(
+            temp=temp,
+            eta_cw_numeric=eta_num,
+            eta_cw_lorentzian=eta_cw_lorentzian(
+                meta["effective_width_hz"], meta["effective_contrast"],
+                asm.photon_rate, dom),
+            eta_three_point=float(THREE_POINT_FACTOR * eta_num),
+            max_dsdt_per_k=float(np.max(np.abs(slope))),
+            domega_dt_hz_per_k=dom)
+
+
+def sensitivity_report(asm: SensorAssembly, temp: float, *, sites) -> SensitivityReport:
+    """Every CW estimator for one assembly and temperature: the one-row view
+    of sensitivity_scan."""
+    return next(sensitivity_scan(asm, [temp], sites=sites))
 
 
 # Operating points probed below each composition's transition.  Absolute
@@ -192,7 +186,7 @@ def _sweep_cell(template: SensorAssembly, sites, x: float, temp_policy) -> Desig
     temps = temp_policy(tc)
     best = None
     try:
-        for temp, slope in zip(temps, _slope_scan(asm, temps, sites)):
+        for temp, (*_, slope) in zip(temps, slope_scan(asm, temps, sites)):
             eta = eta_cw_numeric(slope, asm.photon_rate)
             if best is None or eta < best[0]:
                 best = (eta, temp)

@@ -149,6 +149,8 @@ SHOT_NOISE = SHOT_NOISE_NO_WINDOW.replace("window_grid_s = 0.6 1.2",
 # every 60 ms point straddles a switch of the 0.1 s square wave
 TRACK_ALL_MIXED = TRACK.replace("period_s = 4.8", "period_s = 0.1")
 
+TRACK_63C = (SCENARIO_DIR / "track_63c.cfg").read_text()
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -387,6 +389,19 @@ class TestRun:
         run(write(tmp_path, "scenario.cfg", text), out_dir=tmp_path / "out")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("text, batches", [
+        (SPECTRUM, 1), (SUSCEPTIBILITY, 1), (SENSITIVITY, 2), (TRACK, 2),
+        (SHOT_NOISE, 2),
+    ], ids=["spectrum", "susceptibility", "sensitivity", "track", "shot-noise"])
+    def test_line_centers_batches_per_runner(self, tmp_path, forward_model_calls,
+                                             text, batches):
+        # every temperature a runner needs goes into one line_centers call:
+        # sensitivity makes one for the ensemble and one for the reference
+        # NV; track and shot-noise one for the calibration and one for the
+        # rate table of the count draw
+        run(write(tmp_path, "scenario.cfg", text), out_dir=tmp_path / "out")
+        assert len(forward_model_calls["batches"]) == batches
+
 
     def test_runners_never_reach_the_scalar_oracles(self, tmp_path, monkeypatch):
         # the single NV goes through the same line_centers path as the
@@ -449,14 +464,26 @@ class TestMainExitCodes:
         assert main(["validate", str(p)]) == 0
         assert capsys.readouterr().out.strip().endswith("ok")
 
-    @pytest.mark.parametrize("text", [SHOT_NOISE_NO_WINDOW, TRACK_ALL_MIXED],
-                             ids=["shot-noise-no-window", "track-all-mixed"])
-    def test_unusable_protocol_exit_2(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, key", [
+        (SHOT_NOISE_NO_WINDOW, "protocol.window_grid_s"),
+        (TRACK_ALL_MIXED, "protocol.period_s/bin_s/duration_s"),
+        (TRACK_63C.replace("dwell_s = 0.005", "dwell_s = -0.005"), "protocol.dwell_s"),
+        (TRACK_63C.replace("period_s = 9.6", "period_s = 0"), "protocol.period_s"),
+        (TRACK_63C.replace("bin_s = 0.06", "bin_s = 0.001"), "protocol.bin_s"),
+        (TRACK_63C.replace("low_k = 335.40", "low_k = 0.0"), "protocol.low_k"),
+        (MAGNETIZE.replace("temp_start_k = 300.0", "temp_start_k = 0.0"),
+         "grids.temp_start_k"),
+        (SPECTRUM.replace("temp_k = 336.15", "temp_k = -3.0"), "grids.temp_k"),
+    ], ids=["shot-noise-no-window", "track-all-mixed", "negative-dwell",
+            "zero-period", "bin-below-cycle", "zero-low", "zero-start",
+            "negative-temp"])
+    def test_unusable_protocol_exit_2(self, tmp_path, capsys, text, key):
+        # every precondition validate can check: run never starts
         p = write(tmp_path, "bad.cfg", text)
         assert main(["validate", str(p)]) == 2
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.count("schema error: protocol.") == 2
+        assert err.count(f"schema error: {key}: ") == 2
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -503,7 +530,8 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("old, new", [
         ("nv_position_m = 0 0 6.2e-3", "nv_position_m = 0 0 0.5e-3"),
         ("nv_axis = 0 0 1", "nv_axis = 0 0 0"),
-    ], ids=["nv-inside-magnet", "zero-nv-axis"])
+        ("nv_axis = 0 0 1", "nv_axis = 0 0 1\nstrain_e_hz = -1e6"),
+    ], ids=["nv-inside-magnet", "zero-nv-axis", "negative-strain"])
     def test_bad_single_nv_exit_3_from_validate_and_run(self, tmp_path, capsys,
                                                         old, new):
         text = (SCENARIO_DIR / "gd_susceptibility.cfg").read_text()
@@ -517,10 +545,12 @@ class TestMainExitCodes:
         assert not list(tmp_path.glob("out/*"))
 
     @pytest.mark.parametrize("line", ["nv_axis = 1 0 0",
-                                      "nv_position_m = 0 0 1e-3"])
+                                      "nv_position_m = 0 0 1e-3",
+                                      "strain_e_hz = 5e6"])
     def test_ensemble_kind_rejects_single_nv_keys(self, tmp_path, capsys, line):
         # only the susceptibility kind places a single NV; the ensemble kinds
-        # sample theirs, so these keys would be accepted and ignored
+        # sample theirs (strain included), so these keys would be accepted
+        # and ignored
         text = (SCENARIO_DIR / "sensitivity_vs_temp.cfg").read_text()
         p = write(tmp_path, "single_nv.cfg", f"{text}\n[spin]\n{line}\n")
         assert main(["validate", str(p)]) == 2

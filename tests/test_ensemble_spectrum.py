@@ -9,8 +9,6 @@ from critherm.ensemble_spectrum import (
     TETRAHEDRAL_AXES,
     SensorAssembly,
     _signal,
-    _slope,
-    _slope_scan,
     absorption_second_moment,
     default_freq_grid,
     line_centers,
@@ -21,6 +19,7 @@ from critherm.ensemble_spectrum import (
     signal_at,
     signal_temperature_slope,
     site_transition_pairs,
+    slope_scan,
     synthesize_spectrum,
 )
 from critherm.errors import DomainError, GeometryError
@@ -150,15 +149,22 @@ class TestBatchedForwardModel:
             assert np.array_equal(om[k], om_k) and np.array_equal(op[k], op_k)
 
     def test_slope_scan_bitwise_equal_to_public_path(self):
-        asm = replace(cuni_design_assembly(seed=5), n_nv=60)
-        sites = sample_ensemble(asm)
-        temps = asm.magnet.tc - np.array([0.5, 3.0, 12.0])
-        slopes = list(_slope_scan(asm, temps, sites))
-        assert len(slopes) == 3
-        for temp, slope in zip(temps.tolist(), slopes):
-            freqs = default_freq_grid(asm, temp, sites)
-            want = signal_temperature_slope(asm, temp, freqs, sites=sites)
-            assert np.array_equal(slope, want)
+        # oracle: two signal_at spectra on default_freq_grid, T +- h apart
+        hybrid = replace(cuni_design_assembly(seed=5), n_nv=60)
+        temps = hybrid.magnet.tc - np.array([0.4, 3.0, 12.0])
+        h = 0.01
+        for asm in (hybrid, replace(hybrid, magnet=None)):
+            sites = sample_ensemble(asm)
+            scan = list(slope_scan(asm, temps, sites))
+            assert len(scan) == 3
+            for temp, (om, op, freqs, slope) in zip(temps.tolist(), scan):
+                for k, row in enumerate([temp, temp + h, temp - h]):
+                    om_k, op_k = site_transition_pairs(asm, row, sites)
+                    assert np.array_equal(om[k], om_k) and np.array_equal(op[k], op_k)
+                assert np.array_equal(freqs, default_freq_grid(asm, temp, sites))
+                want = (signal_at(asm, temp + h, freqs, sites)
+                        - signal_at(asm, temp - h, freqs, sites)) / (2 * h)
+                assert np.array_equal(slope, want)
 
 
 class TestAssemblyInvariants:
@@ -376,8 +382,7 @@ class TestTemperatureSlope:
         sites = sample_ensemble(asm)
         freqs = default_freq_grid(asm, temp, sites)
         s1 = np.max(np.abs(signal_temperature_slope(asm, temp, freqs, sites=sites)))
-        half_step = line_centers(asm, [temp + 0.005, temp - 0.005], sites)
-        s2 = np.max(np.abs(_slope(asm, freqs, *half_step, 0.005)))
+        s2 = np.max(np.abs(next(slope_scan(asm, [temp], sites, freqs, 0.005))[3]))
         assert abs(s2 - s1) / s1 < 0.02
 
     def test_gradient_broadening_monotone_in_gap(self):

@@ -13,8 +13,10 @@ test_csv_header_layout pins the `#` header and the column line of every
 shipped CSV byte for byte; the golden files hold no header line.
 
 Regenerate with `PYTHONPATH=src python3 tests/test_golden.py [name ...]`,
-which rewrites only the named scenarios (all of them when none is named),
-and record the cause and the size of the shift in CHANGES.md.
+which rewrites only the named scenarios (all of them when none is named)
+and prints, per file, every value it changes (old, new and the relative
+shift) and the largest relative shift; record the cause and the size of
+the shift in CHANGES.md.
 """
 
 import json
@@ -90,6 +92,24 @@ def mismatches(actual, expected, rel: float, path: str):
     return [] if actual == expected else [f"{path}: {actual!r} != {expected!r}"]
 
 
+def shifts(old, new, path: str):
+    """(path, old, new, relative shift) of every leaf value that differs
+    between two golden summaries; the shift is None for a non-numeric
+    value, a key on one side only, a changed list length or an old 0."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from shifts(old.get(key), new.get(key), f"{path}.{key}")
+    elif (isinstance(old, list) and isinstance(new, list)
+          and len(old) == len(new)):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from shifts(a, b, f"{path}[{i}]")
+    elif old != new and not (old != old and new != new):  # NaN stays NaN
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in (old, new))
+        rel = abs(new - old) / abs(old) if numeric and old else None
+        yield path, old, new, rel
+
+
 def run_scenario(name: str, out_dir: Path) -> dict:
     return summarize(*run(ROOT / "scenarios" / f"{name}.cfg", out_dir=out_dir))
 
@@ -117,6 +137,18 @@ def test_matches_golden(shipped):
             rel = REL_TOL_POISSON if key in poisson else REL_TOL_DETERMINISTIC
             errors += mismatches(actual[part][key], expected, rel, f"{part}.{key}")
     assert not errors, "\n".join(errors)
+
+
+def test_shifts_name_every_changed_value():
+    old = {"results": {"a": 2.0, "n": 3, "same": 1.5},
+           "columns": {"h": {"values": ["x", "y"]}}}
+    new = {"results": {"a": 2.5, "n": 3, "same": 1.5, "extra": 1.0},
+           "columns": {"h": {"values": ["x", "z"]}}}
+    assert list(shifts(old, new, "f")) == [
+        ("f.columns.h.values[1]", "y", "z", None),
+        ("f.results.a", 2.0, 2.5, 0.25),
+        ("f.results.extra", None, 1.0, None),
+    ]
 
 
 TITLES = {"spectrum": "odmr spectrum", "track": "tracking trace"}
@@ -183,7 +215,14 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
+            path = GOLDEN_DIR / f"{name}.json"
+            old = json.loads(path.read_text()) if path.exists() else {}
             summary = run_scenario(name, Path(tmp))
-            (GOLDEN_DIR / f"{name}.json").write_text(
-                json.dumps(summary, indent=1, sort_keys=True) + "\n")
-            print(f"wrote {GOLDEN_DIR / name}.json")
+            path.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+            print(f"wrote {path}")
+            largest = 0.0
+            for key, a, b, rel in shifts(old, summary, name):
+                print(f"  {key}: {a!r} -> {b!r}"
+                      + ("" if rel is None else f" (rel {rel:.3g})"))
+                largest = max(largest, rel or 0.0)
+            print(f"  largest relative shift: {largest:.3g}")

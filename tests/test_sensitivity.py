@@ -4,7 +4,12 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from critherm.ensemble_spectrum import SensorAssembly, sample_ensemble
+from critherm.ensemble_spectrum import (
+    SensorAssembly,
+    sample_ensemble,
+    signal_temperature_slope,
+    synthesize_spectrum,
+)
 from critherm.errors import DomainError, UnmeasurableError
 from critherm.presets import cuni_design_assembly
 from critherm.sensitivity import (
@@ -17,6 +22,7 @@ from critherm.sensitivity import (
     optimal_ramsey_tau,
     representative_domega_dt,
     sensitivity_report,
+    sensitivity_scan,
 )
 
 
@@ -157,9 +163,34 @@ class TestSensitivityReport:
         assert rep.eta_three_point == pytest.approx(
             np.sqrt(1.5) * rep.eta_cw_numeric, rel=1e-12)
 
+    def test_scan_rows_bitwise_equal_to_one_temperature_path(self):
+        # each row rebuilt from synthesize_spectrum, signal_temperature_slope,
+        # representative_domega_dt and the eta functions at its temperature
+        hybrid = replace(cuni_design_assembly(seed=41), n_nv=60)
+        temps = hybrid.magnet.tc - np.array([0.4, 3.0, 12.0])
+        for asm in (hybrid, replace(hybrid, magnet=None)):
+            sites = sample_ensemble(asm)
+            reports = list(sensitivity_scan(asm, temps, sites=sites))
+            assert len(reports) == 3
+            for temp, rep in zip(temps.tolist(), reports):
+                spec = synthesize_spectrum(asm, temp, sites=sites)
+                slope = signal_temperature_slope(asm, temp, spec.freqs, sites=sites)
+                dom = representative_domega_dt(asm, temp)
+                eta_num = eta_cw_numeric(slope, asm.photon_rate)
+                assert rep == SensitivityReport(
+                    temp=temp,
+                    eta_cw_numeric=eta_num,
+                    eta_cw_lorentzian=eta_cw_lorentzian(
+                        spec.meta["effective_width_hz"],
+                        spec.meta["effective_contrast"], asm.photon_rate, dom),
+                    eta_three_point=float(np.sqrt(1.5) * eta_num),
+                    max_dsdt_per_k=float(np.max(np.abs(slope))),
+                    domega_dt_hz_per_k=dom)
+                assert sensitivity_report(asm, temp, sites=sites) == rep
+
     def test_round_trip_json(self):
         asm = cuni_design_assembly(seed=43)
-        rep = sensitivity_report(asm, asm.magnet.tc - 5.0, t2_star=10e-6,
+        rep = sensitivity_report(asm, asm.magnet.tc - 5.0,
                                  sites=sample_ensemble(asm))
         # the report holds plain JSON values only
         clone = SensitivityReport(**json.loads(json.dumps(asdict(rep))))
