@@ -32,7 +32,6 @@ from .magnet_model import (
     dipole_field,
     dm_dtemp,
     load_materials,
-    magnet_from_material,
     magnetic_moment,
     magnetization_curve,
     solve_magnetization,

@@ -33,6 +33,8 @@ import numpy as np
 from .errors import GeometryError, SchemaError, ThermoError
 from . import magnet_model
 from .ensemble_spectrum import (
+    _DT_STEP,
+    _SLOPE_STEP,
     SensorAssembly,
     _spectrum,
     domega_dtemp,
@@ -305,11 +307,21 @@ def _cross_checks(kind: str, resolved: dict):
     explicit = [k for k in ("f1_hz", "f2_hz", "f_ref_hz") if k in proto]
     if explicit and len(explicit) != 3:
         raise SchemaError("protocol.f1_hz/f2_hz/f_ref_hz: give all three or none")
-    # the lowest temperature of each kind
-    for section, key in (("grids", "temp_start_k"), ("grids", "temp_k"),
-                         ("protocol", "low_k")):
-        if resolved.get(section, {}).get(key, 1.0) <= 0.0:
-            raise SchemaError(f"{section}.{key}: temperature must be positive")
+    # the lowest temperature row each kind solves, finite-difference rows
+    # included; the track's is its calibration row t0 - cal_step (as in
+    # _run_track), and the design sweep picks its own temperatures
+    key, lowest = None, 1.0
+    if kind == "track":
+        low, high = proto["low_k"], proto["high_k"]
+        key, lowest = "protocol.low_k", 0.5 * (low + high) - 0.5 * (high - low)
+    elif kind != "design-sweep":
+        name = "temp_k" if "temp_k" in grids else "temp_start_k"
+        step = {"susceptibility": _DT_STEP,
+                "magnetize": magnet_model._DT_STEP}.get(kind, _SLOPE_STEP)
+        key, lowest = f"grids.{name}", grids[name] - step
+    if lowest <= 0.0:
+        raise SchemaError(f"{key}: temperature too low: the run solves a row "
+                          f"at {lowest!r} K, and temperatures must be positive")
     for key in ("dwell_s", "period_s"):
         if proto.get(key, 1.0) <= 0.0:
             raise SchemaError(f"protocol.{key}: must be positive")

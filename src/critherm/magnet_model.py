@@ -258,17 +258,3 @@ def load_materials() -> dict:
         raise DomainError("materials.dat has no format_version line")
     return table
 
-
-def magnet_from_material(name: str, radius: float,
-                         center=(0.0, 0.0, 0.0),
-                         easy_axis=(0.0, 0.0, 1.0)) -> Magnet:
-    rec = load_materials()[name]
-    return Magnet(
-        m_sat=rec.m_sat,
-        radius=radius,
-        tc=rec.tc,
-        composition_x=rec.composition_x,
-        spin_j=rec.spin_j,
-        center=center,
-        easy_axis=easy_axis,
-    )

@@ -76,7 +76,6 @@ class CountRecord:
     counts_f1: np.ndarray    # counts per point, summed over its bins
     counts_f2: np.ndarray
     counts_ref: np.ndarray
-    dwell: float
     bins_per_point: int = 1  # protocol cycles (record bins) per point
 
     def __len__(self):
@@ -120,32 +119,23 @@ def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
                             calibration=cal)
 
 
-def _bin_keys(cfg: ThreePointConfig, temp_trace, start: int, stop: int,
-              trace_resolution: float = None):
-    """(times, temps, keys) of record bins start..stop-1: the bin start
-    times, the trace at the bin midpoints and the (snapped) table keys.
-    np.arange(start, stop) * bin_duration is bitwise the slice of the
-    whole-record times, so each bin's values do not depend on the block.
-    Raises DomainError at the first bin whose temperature is not finite."""
-    times = np.arange(start, stop) * cfg.bin_duration
-    mids = times + 0.5 * cfg.bin_duration
-    temps = np.array(np.broadcast_to(temp_trace(mids), times.shape), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(temps))
-    if bad.size:
-        raise DomainError(f"temperature trace is {temps[bad[0]]} at "
-                          f"t = {float(mids[bad[0]])!r} s; temperatures must be finite")
-    keys = temps if trace_resolution is None \
-        else np.round(temps / trace_resolution) * trace_resolution
-    return times, temps, keys
-
-
 def _key_blocks(cfg: ThreePointConfig, temp_trace, nbins: int, block: int,
                 trace_resolution: float = None):
     """(start, keys) for consecutive blocks of `block` bins of the first
-    nbins record bins."""
+    nbins record bins: the trace at the bin midpoints (bitwise the
+    whole-record values, whatever the block), snapped to trace_resolution
+    when given.  Raises DomainError at the first bin whose temperature is
+    not finite."""
     for start in range(0, nbins, block):
-        yield start, _bin_keys(cfg, temp_trace, start, min(start + block, nbins),
-                               trace_resolution)[2]
+        mids = np.arange(start, min(start + block, nbins)) * cfg.bin_duration \
+            + 0.5 * cfg.bin_duration
+        temps = np.array(np.broadcast_to(temp_trace(mids), mids.shape), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(temps))
+        if bad.size:
+            raise DomainError(f"temperature trace is {temps[bad[0]]} at "
+                              f"t = {float(mids[bad[0]])!r} s; temperatures must be finite")
+        yield start, temps if trace_resolution is None \
+            else np.round(temps / trace_resolution) * trace_resolution
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -153,61 +143,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     without indices imports numpy.ma (about 1 MB) on first use."""
     ordered = np.sort(values)
     return ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-
-
-def _rate_table(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
-                nbins: int, block: int, sites, trace_resolution: float = None):
-    """(distinct, table): the sorted distinct (snapped) temperatures of the
-    first nbins record bins, gathered block by block, and one row of
-    (f1, f2, f_ref) expected counts per distinct temperature, all from one
-    line_centers call.  np.searchsorted(distinct, keys) is the row of each
-    bin."""
-    distinct = _distinct(np.concatenate(
-        [_distinct(keys) for _, keys in
-         _key_blocks(cfg, temp_trace, nbins, block, trace_resolution)]))
-    probe = np.array([cfg.f1, cfg.f2, cfg.f_ref])
-    table = np.array([asm.photon_rate * cfg.dwell * _signal(asm, probe, *lines)
-                      for lines in zip(*line_centers(asm, distinct, sites))])
-    if np.any(table > _LAMBDA_GUARD):
-        raise DomainError("expected counts per bin exceed the overflow guard")
-    return distinct, table
-
-
-def _bin_count(cfg: ThreePointConfig, duration: float) -> int:
-    nbins = int(np.floor(duration / cfg.bin_duration))
-    if nbins < 1:
-        raise DomainError("duration shorter than one protocol cycle")
-    return nbins
-
-
-def expected_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
-                    duration: float, sites, trace_resolution: float = None):
-    """Noiseless per-bin expected counts (lambda_i) for each channel, in
-    factored form: (times, table, inv, temps).
-
-    This is the per-bin view of the rates simulate_counts draws from.
-    times are the bin start times and temps the true temperatures of the
-    bins; table holds one row of (f1, f2, f_ref) expected counts per distinct
-    (snapped) temperature, and inv maps each bin to its row, so table[inv]
-    is the (n_bins, 3) array of per-bin expected counts.
-
-    temp_trace maps time (s) to true temperature (K).  It is evaluated on
-    consecutive blocks of bin midpoints, and may be called more than once
-    per bin, so it must be a pure elementwise function of time that returns
-    an array of its argument's shape or a scalar that broadcasts to it (a
-    constant trace); a scalar-only callable such as
-    `lambda t: a if t < 5 else b` does not work.  One line_centers call
-    covers the distinct temperatures, so constant and square-wave traces
-    cost only a handful of rows.  For smooth traces pass trace_resolution
-    (K) to snap temperatures to that grid first: 0.1 mK structure is far
-    below anything a single protocol bin can resolve, and the snap keeps
-    the evaluation count bounded.
-    """
-    nbins = _bin_count(cfg, duration)
-    distinct, table = _rate_table(asm, cfg, temp_trace, nbins,
-                                  _POISSON_BLOCK_BINS, sites, trace_resolution)
-    times, temps, keys = _bin_keys(cfg, temp_trace, 0, nbins, trace_resolution)
-    return times, table, np.searchsorted(distinct, keys), temps
 
 
 def _point_times(start: int, stop: int, bins_per_point: int,
@@ -224,11 +159,20 @@ def _count_blocks(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
     (n, 3) int64 counts) for consecutive blocks of whole points, each count
     the sum over its point's bins_per_point bins.  Blocks hold at most
     _POISSON_BLOCK_BINS bins (at least one point); the draws run in the
-    same order as one draw over all per-bin rates."""
+    same order as one draw over all per-bin rates.  The rates are one row of
+    (f1, f2, f_ref) expected counts per distinct (snapped) temperature, all
+    from one line_centers call; temp_trace is evaluated per block twice,
+    once for the table and once for the draw."""
     nbins = npts * bins_per_point
     block = max(1, _POISSON_BLOCK_BINS // bins_per_point) * bins_per_point
-    distinct, table = _rate_table(asm, cfg, temp_trace, nbins, block, sites,
-                                  trace_resolution)
+    distinct = _distinct(np.concatenate(
+        [_distinct(keys) for _, keys in
+         _key_blocks(cfg, temp_trace, nbins, block, trace_resolution)]))
+    probe = np.array([cfg.f1, cfg.f2, cfg.f_ref])
+    table = np.array([asm.photon_rate * cfg.dwell * _signal(asm, probe, *lines)
+                      for lines in zip(*line_centers(asm, distinct, sites))])
+    if np.any(table > _LAMBDA_GUARD):
+        raise DomainError("expected counts per bin exceed the overflow guard")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     for start, keys in _key_blocks(cfg, temp_trace, nbins, block,
                                    trace_resolution):
@@ -249,7 +193,15 @@ def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
     of points and distinct temperatures, not with the number of bins.  The
     draws run in the same order as one draw over all per-bin rates, so a
     point equals the sum of its bins in the bins_per_point = 1 record of the
-    same seed.  temp_trace is evaluated block-wise, as in expected_counts.
+    same seed.
+
+    temp_trace maps time (s) to true temperature (K).  It is evaluated per
+    block of bin midpoints, possibly twice, so it must be a pure elementwise
+    function of time that returns an array of its argument's shape or a
+    scalar that broadcasts to it; `lambda t: a if t < 5 else b` does not
+    work.  For smooth traces pass trace_resolution (K) to snap temperatures
+    to that grid first: 0.1 mK structure is far below anything one protocol
+    bin can resolve, and the snap bounds the rows of the rate table.
 
     This collects the whole record (24 bytes of counts and 8 of time per
     point).  track_square_wave consumes the same blocks without collecting
@@ -257,7 +209,10 @@ def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
     """
     if bins_per_point < 1:
         raise DomainError(f"bins_per_point must be >= 1, got {bins_per_point}")
-    npts = _bin_count(cfg, duration) // bins_per_point
+    nbins = int(np.floor(duration / cfg.bin_duration))
+    if nbins < 1:
+        raise DomainError("duration shorter than one protocol cycle")
+    npts = nbins // bins_per_point
     if npts == 0:
         raise DomainError("duration shorter than one point")
     counts = np.empty((npts, 3), dtype=np.int64)
@@ -270,7 +225,6 @@ def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
         counts_f1=counts[:, 0],
         counts_f2=counts[:, 1],
         counts_ref=counts[:, 2],
-        dwell=cfg.dwell,
         bins_per_point=bins_per_point,
     )
 
@@ -337,7 +291,7 @@ def shot_noise_curve(asm: SensorAssembly, cfg: ThreePointConfig,
     One long record at (by default) constant calibration temperature is cut
     into non-overlapping windows of each requested length; window lengths
     snap to whole protocol cycles.  A given temp_trace is evaluated on
-    blocks of bin midpoints, as in expected_counts.  Also reports the
+    blocks of bin midpoints, as in simulate_counts.  Also reports the
     fitted sensitivity eta = delta_T sqrt(dt) and the log-log slope (-0.5
     for pure shot noise).
     """
@@ -397,25 +351,21 @@ _LOW, _HIGH, _MIXED = 0, 1, 2                 # level codes of track points
 _LABELS = np.array(["low", "high", "mixed"])  # indexed by level code
 
 
-def _point_levels(level, high: float, span: float, times: np.ndarray):
-    """(t_true, codes) of square-wave track points of `span` seconds that
-    start at `times`: the trace at the point midpoints and the int8 level
-    code, _MIXED when the point's span straddles a level switch."""
-    t_true = level(times + 0.5 * span)
-    switched = level(times) != level(times + span * 0.999)
-    return t_true, np.where(switched, _MIXED, t_true == high).astype(np.int8)
-
-
 def _level_codes(low: float, high: float, period: float, bpw: int,
                  cycle: float, npts: int) -> np.ndarray:
-    """Level code of each of npts points of bpw cycles, block by block, so
-    no per-point time or temperature array is held."""
+    """Level code of each of npts points of bpw cycles: the square wave at
+    the point midpoint, _MIXED when the point's span straddles a level
+    switch.  Built block by block, so no per-point time or temperature
+    array is held."""
     level = square_wave_trace(low, high, period)
+    span = bpw * cycle
     codes = np.empty(npts, dtype=np.int8)
     for start in range(0, npts, _POISSON_BLOCK_BINS):
-        stop = min(start + _POISSON_BLOCK_BINS, npts)
-        codes[start:stop] = _point_levels(
-            level, high, bpw * cycle, _point_times(start, stop, bpw, cycle))[1]
+        times = _point_times(start, min(start + _POISSON_BLOCK_BINS, npts),
+                             bpw, cycle)
+        switched = level(times) != level(times + span * 0.999)
+        codes[start:start + len(times)] = np.where(
+            switched, _MIXED, level(times + 0.5 * span) == high)
     return codes
 
 
@@ -438,17 +388,12 @@ class TrackResult:
     """A square-wave track.  It holds 9 bytes per data point: the estimates,
     grouped by level code (8 B), and the 1-byte level code.  Grouped, each
     level's statistics run on its own contiguous array rather than on a
-    masked copy of t_hat.  t_hat, labels, t_true and point_times are built
-    when read.  The count record is not kept; track_square_wave writes it
-    to its trace file while drawing."""
+    masked copy of all estimates.  labels are built when read.  The count
+    record is not kept; track_square_wave writes it to its trace file while
+    drawing."""
 
     level_codes: np.ndarray   # int8 per point: 0 low, 1 high, 2 mixed
     estimates: dict           # label -> t_hat (K) of its points, in order
-    low: float                # K
-    high: float               # K
-    period: float             # s
-    bins_per_point: int       # protocol cycles per data point
-    bin_duration: float       # s per protocol cycle
     level_means: dict         # label -> mean(K)
     level_stds: dict          # label -> std(K)
     separation_sigma: float
@@ -456,30 +401,9 @@ class TrackResult:
     max_period_spread: float  # K, worst inter-period mean difference
 
     @property
-    def point_times(self) -> np.ndarray:
-        """s, one per reported data point"""
-        return _point_times(0, len(self.level_codes), self.bins_per_point,
-                            self.bin_duration)
-
-    @property
-    def t_true(self) -> np.ndarray:
-        """K at point midpoints"""
-        level = square_wave_trace(self.low, self.high, self.period)
-        span = self.bins_per_point * self.bin_duration
-        return level(self.point_times + 0.5 * span)
-
-    @property
     def labels(self) -> np.ndarray:
         """'high' / 'low' / 'mixed' strings, one per point"""
         return _LABELS[self.level_codes]
-
-    @property
-    def t_hat(self) -> np.ndarray:
-        """K, one estimate per point"""
-        t_hat = np.empty(len(self.level_codes))
-        for code, lab in enumerate(_LABELS.tolist()):
-            t_hat[self.level_codes == code] = self.estimates[lab]
-        return t_hat
 
 
 def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
@@ -520,7 +444,7 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
         times = _point_times(first, stop, bpw, cfg.bin_duration)
         rec = CountRecord(times=times, counts_f1=counts[:, 0],
                           counts_f2=counts[:, 1], counts_ref=counts[:, 2],
-                          dwell=cfg.dwell, bins_per_point=bpw)
+                          bins_per_point=bpw)
         est = window_estimates(rec, cfg, 1)
         if trace is not None:
             export_trace_csv(trace, rec, est, level(times + 0.5 * span))
@@ -557,11 +481,6 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
     return TrackResult(
         level_codes=codes,
         estimates=estimates,
-        low=float(low),
-        high=float(high),
-        period=float(period),
-        bins_per_point=bpw,
-        bin_duration=cfg.bin_duration,
         level_means=level_means,
         level_stds=level_stds,
         separation_sigma=float(separation),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ThermoError, UnmeasurableError
-from .magnet_model import M_SAT_NI, Magnet, curie_temperature
+from .magnet_model import M_SAT_NI, curie_temperature
 from .ensemble_spectrum import (
     SensorAssembly,
     _spectrum,
@@ -173,15 +173,10 @@ def _sweep_cell(template: SensorAssembly, sites, x: float, temp_policy) -> Desig
     if tc <= 0:
         return DesignPoint(x, tc, np.nan, np.nan, np.nan,
                            status="error: non-ferromagnetic composition")
-    base = template.magnet
-    magnet = Magnet(
-        m_sat=x * M_SAT_NI,  # CuNi m_sat scaled from Ni by the Ni fraction
-        radius=base.radius,
-        tc=tc,
-        spin_j=base.spin_j,
-        center=base.center,
-        easy_axis=base.easy_axis,
-    )
+    # CuNi m_sat scaled from Ni by the Ni fraction; a template composition_x
+    # would override tc
+    magnet = replace(template.magnet, m_sat=x * M_SAT_NI, tc=tc,
+                     composition_x=None)
     asm = replace(template, magnet=magnet)
     temps = temp_policy(tc)
     best = None

@@ -82,8 +82,9 @@ class LevelSet:
 
 def d_of_t(sys: SpinSystem, temp):
     """Zero-field splitting D(T) in Hz; strictly linear in (array) temp."""
-    if np.any(np.asarray(temp) <= 0):
-        raise DomainError(f"temperature must be positive, got {temp}")
+    t = np.asarray(temp, dtype=float)
+    if np.any(t <= 0):
+        raise DomainError(f"temperature must be positive, got {t[t <= 0][0]}")
     return sys.d0 + sys.dd_dt * (temp - sys.t_ref)
 
 

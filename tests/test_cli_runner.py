@@ -152,6 +152,13 @@ TRACK_ALL_MIXED = TRACK.replace("period_s = 4.8", "period_s = 0.1")
 TRACK_63C = (SCENARIO_DIR / "track_63c.cfg").read_text()
 
 
+def shipped(name, old, new):
+    """A shipped scenario with one edit."""
+    text = (SCENARIO_DIR / f"{name}.cfg").read_text()
+    assert old in text
+    return text.replace(old, new)
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -474,9 +481,26 @@ class TestMainExitCodes:
         (MAGNETIZE.replace("temp_start_k = 300.0", "temp_start_k = 0.0"),
          "grids.temp_start_k"),
         (SPECTRUM.replace("temp_k = 336.15", "temp_k = -3.0"), "grids.temp_k"),
+        # positive, but a finite-difference row below it is not: 10 mK dS/dT
+        # steps, 1 mK dw/dT and dm/dT steps, and the track calibration row
+        # t0 - cal_step, exactly 0 here
+        (shipped("spectrum_63c", "temp_k = 336.15", "temp_k = 0.005"),
+         "grids.temp_k"),
+        (shipped("shot_noise", "temp_k = 339.0", "temp_k = 0.005"),
+         "grids.temp_k"),
+        (shipped("sensitivity_vs_temp", "temp_start_k = 320.0",
+                 "temp_start_k = 0.005"), "grids.temp_start_k"),
+        (shipped("gd_susceptibility", "temp_start_k = 280.0",
+                 "temp_start_k = 0.0005"), "grids.temp_start_k"),
+        (shipped("magnetize_cuni", "temp_start_k = 300.0",
+                 "temp_start_k = 0.0005"), "grids.temp_start_k"),
+        (shipped("track_63c", "low_k = 335.40\nhigh_k = 336.90",
+                 "low_k = 1e-20\nhigh_k = 1.0"), "protocol.low_k"),
     ], ids=["shot-noise-no-window", "track-all-mixed", "negative-dwell",
             "zero-period", "bin-below-cycle", "zero-low", "zero-start",
-            "negative-temp"])
+            "negative-temp", "spectrum-slope-row", "shot-noise-slope-row",
+            "sensitivity-slope-row", "susceptibility-dt-row",
+            "magnetize-dt-row", "track-calibration-row"])
     def test_unusable_protocol_exit_2(self, tmp_path, capsys, text, key):
         # every precondition validate can check: run never starts
         p = write(tmp_path, "bad.cfg", text)

@@ -7,10 +7,12 @@ import pytest
 
 from critherm.ensemble_spectrum import (
     TETRAHEDRAL_AXES,
+    Ensemble,
     SensorAssembly,
     _signal,
     absorption_second_moment,
     default_freq_grid,
+    domega_dtemp,
     line_centers,
     measure_fwhm,
     nv_frame,
@@ -426,3 +428,70 @@ class TestHelpers:
         spec = synthesize_spectrum(asm, temp, freqs, sites=sites)
         assert freqs[0] < spec.meta["centers_minus_hz"].min()
         assert freqs[-1] > spec.meta["centers_plus_hz"].max()
+
+
+def rotation(axis, angle):
+    """Rodrigues rotation matrix about `axis` by `angle` (rad)."""
+    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * cross + (1.0 - np.cos(angle)) * cross @ cross
+
+
+class TestMetamorphicInvariants:
+    """Physics that holds without a stored answer: explicit Ensemble records
+    transformed in ways the forward model must not see."""
+
+    TEMPS = [330.0, 336.15, 339.5]
+
+    @staticmethod
+    def biased_assembly():
+        return replace(cuni_tracking_assembly(seed=3), n_nv=50,
+                       bias_field=(2e-3, -1e-3, 1.5e-3))
+
+    def test_rigid_rotation_keeps_line_centres(self):
+        # rotate the magnet centre and easy axis, the FND, the bias field and
+        # every site; measured 6.0e-15 relative
+        asm = self.biased_assembly()
+        sites = sample_ensemble(asm)
+        rot = rotation((1.0, -2.0, 0.5), 0.7)
+        mag = asm.magnet
+        turned = replace(asm, magnet=replace(mag, center=tuple(rot @ mag.center),
+                                             easy_axis=tuple(rot @ mag.easy_axis)),
+                         fnd_center=tuple(rot @ asm.fnd_center),
+                         bias_field=tuple(rot @ asm.bias_field))
+        turned_sites = Ensemble(positions=sites.positions @ rot.T,
+                                frames=sites.frames @ rot.T,
+                                strains=sites.strains.copy())
+        for want, got in zip(line_centers(asm, self.TEMPS, sites),
+                             line_centers(turned, self.TEMPS, turned_sites)):
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    @pytest.mark.parametrize("rebuild", [
+        lambda a: a[np.random.default_rng(5).permutation(len(a))],
+        lambda a: np.concatenate([a, a]),
+    ], ids=["permuted", "duplicated"])
+    def test_site_order_and_multiplicity_keep_spectrum(self, rebuild):
+        # the same lines summed in another order, or each twice at half the
+        # weight; measured 1.1e-16
+        asm = self.biased_assembly()
+        sites = sample_ensemble(asm)
+        other = Ensemble(positions=rebuild(sites.positions),
+                         frames=rebuild(sites.frames), strains=rebuild(sites.strains))
+        for temp in self.TEMPS:
+            freqs = default_freq_grid(asm, temp, sites)
+            diff = signal_at(asm, temp, freqs, other) - signal_at(asm, temp, freqs, sites)
+            assert np.max(np.abs(diff)) < 1e-15
+
+    def test_distant_magnet_leaves_bare_dd_dt(self):
+        # a strained NV off the axis, no bias: |dw/dT - dD/dT| falls from
+        # 934 Hz/K at 1 um to the finite-difference floor, 0.015 Hz/K
+        # measured, at 10 um
+        asm = replace(cuni_tracking_assembly(seed=3), n_nv=1)
+        excess = []
+        for dist in (1e-6, 3e-6, 1e-5):
+            far = replace(asm, fnd_center=(0.0, 0.0, dist))
+            site = nv_site((0.3 * dist, 0.0, dist), (1.0, 1.0, 1.0), 4e6)
+            lines = np.concatenate(domega_dtemp(far, self.TEMPS, site))
+            excess.append(np.max(np.abs(lines - asm.spin.dd_dt)))
+        assert excess[0] > excess[1] > excess[2]
+        assert excess[2] < 0.1

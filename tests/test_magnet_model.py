@@ -12,7 +12,6 @@ from critherm.magnet_model import (
     dipole_field_many,
     dm_dtemp,
     load_materials,
-    magnet_from_material,
     magnetic_moment,
     magnetization_curve,
     solve_magnetization,
@@ -346,9 +345,3 @@ class TestMaterialsTable:
         assert table["gd"].tc == pytest.approx(292.0)
         assert table["cuni74"].composition_x == pytest.approx(0.74)
         assert table["cuni74_milled"].tc == pytest.approx(340.0)
-
-    def test_magnet_from_material(self):
-        mag = magnet_from_material("cuni74", radius=100e-9)
-        assert mag.tc == pytest.approx(curie_temperature(0.74))
-        mag2 = magnet_from_material("gd", radius=1e-3)
-        assert mag2.m_sat == pytest.approx(2.1e6)

@@ -13,7 +13,6 @@ from critherm.protocol_sim import (
     CountRecord,
     ThreePointConfig,
     calibrate_three_point,
-    expected_counts,
     fewest_unmixed_points,
     reference_detuning_ok,
     shot_noise_curve,
@@ -36,20 +35,11 @@ def single_lorentzian_assembly(contrast=0.05, seed=4):
                           rng_seed=seed)
 
 
-def noiseless_record(asm, cfg, temp, sites, duration=None):
-    nbins = 10
-    duration = duration or nbins * cfg.bin_duration
-    times, table, inv, _ = expected_counts(asm, cfg, lambda t: temp, duration,
-                                           sites)
-    lam = table[inv]
-    return CountRecord(times=times, counts_f1=lam[:, 0], counts_f2=lam[:, 1],
-                       counts_ref=lam[:, 2], dwell=cfg.dwell)
-
-
 def expected_counts_per_bin(asm, cfg, temp_trace, duration, sites,
                             trace_resolution=None):
-    """Oracle for expected_counts: the trace called once per bin midpoint
-    and S cached per distinct (snapped) temperature."""
+    """Oracle for the rates simulate_counts draws from: (bin start times,
+    (n_bins, 3) expected counts, true temperatures), the trace called once
+    per bin midpoint and S cached per distinct (snapped) temperature."""
     nbins = int(np.floor(duration / cfg.bin_duration))
     times = np.arange(nbins) * cfg.bin_duration
     temps = np.array([float(temp_trace(t + 0.5 * cfg.bin_duration))
@@ -66,13 +56,22 @@ def expected_counts_per_bin(asm, cfg, temp_trace, duration, sites,
     return times, lam, temps
 
 
+def noiseless_record(asm, cfg, temp, sites):
+    """Ten bins of the oracle's expected counts as a count record."""
+    times, lam, _ = expected_counts_per_bin(asm, cfg, lambda t: temp,
+                                            10 * cfg.bin_duration, sites)
+    return CountRecord(times=times, counts_f1=lam[:, 0], counts_f2=lam[:, 1],
+                       counts_ref=lam[:, 2])
+
+
 def poisson_one_draw(asm, cfg, temp_trace, duration, seed, sites,
                      trace_resolution=None):
-    """Oracle for simulate_counts: one Poisson draw over every per-bin rate."""
-    _, table, inv, _ = expected_counts(asm, cfg, temp_trace, duration, sites,
-                                       trace_resolution)
+    """Oracle for simulate_counts: (bin start times, one Poisson draw over
+    every per-bin rate of the oracle)."""
+    times, lam, _ = expected_counts_per_bin(asm, cfg, temp_trace, duration,
+                                            sites, trace_resolution)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return rng.poisson(table[inv])
+    return times, rng.poisson(lam)
 
 
 def trace_csv_per_row(rec, t_hat, t_true):
@@ -141,7 +140,8 @@ class TestForwardModelEvaluations:
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
-        expected_counts(asm, cfg, square_wave_trace(335.4, 336.9, 0.9), 4.0, sites)
+        simulate_counts(asm, cfg, square_wave_trace(335.4, 336.9, 0.9), 4.0,
+                        seed=1, sites=sites)
         assert forward_model_calls == {"batches": [3, 2], "rows": 5}
 
     @pytest.mark.parametrize("run", [
@@ -167,8 +167,7 @@ class TestSimulateCounts:
         asm = single_lorentzian_assembly(contrast=1e-9)
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, T0, dwell=0.002, sites=sites)
-        _, table, inv, _ = expected_counts(asm, cfg, lambda t: T0, 0.3, sites)
-        lam = table[inv]
+        _, lam, _ = expected_counts_per_bin(asm, cfg, lambda t: T0, 0.3, sites)
         # S = 1 everywhere: every channel expects L * dwell per cycle
         assert np.allclose(lam, asm.photon_rate * cfg.dwell, rtol=1e-6)
 
@@ -177,8 +176,8 @@ class TestSimulateCounts:
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         rec = simulate_counts(asm, cfg, lambda t: T0, 60.0, seed=8, sites=sites)
-        _, table, inv, _ = expected_counts(asm, cfg, lambda t: T0, 60.0, sites)
-        lam = table[inv]
+        _, lam, _ = expected_counts_per_bin(asm, cfg, lambda t: T0,
+                                            cfg.bin_duration, sites)
         for counts, expect in ((rec.counts_f1, lam[0, 0]),
                                (rec.counts_f2, lam[0, 1]),
                                (rec.counts_ref, lam[0, 2])):
@@ -209,51 +208,56 @@ class TestSimulateCounts:
         cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         big = ThreePointConfig(f1=cfg.f1, f2=cfg.f2, f_ref=cfg.f_ref,
                                dwell=1e9, calibration=cfg.calibration)
-        with pytest.raises(DomainError):
-            expected_counts(asm, big, lambda t: T0, 1e10, sites)
+        with pytest.raises(DomainError, match="overflow guard"):
+            simulate_counts(asm, big, lambda t: T0, 1e10, seed=0, sites=sites)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("counts", [
         lambda asm, cfg, trace, sites: simulate_counts(asm, cfg, trace, 1.0, 0,
                                                        sites=sites),
-        lambda asm, cfg, trace, sites: expected_counts(asm, cfg, trace, 1.0, sites),
-    ], ids=["simulate_counts", "expected_counts"])
+        lambda asm, cfg, trace, sites: simulate_counts(asm, cfg, trace, 1.0, 0,
+                                                       sites=sites,
+                                                       bins_per_point=4),
+    ], ids=["simulate_counts", "point_record"])
     def test_non_finite_trace_rejected(self, counts, bad):
         asm = single_lorentzian_assembly()
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         trace = lambda t: np.where(t > 0.5, bad, T0)
-        # the first bad bin is bin 33, midpoint 33.5 x 15 ms
+        # the first bad bin is bin 33, midpoint 33.5 x 15 ms, also inside
+        # the ninth point of four bins
         with pytest.raises(DomainError,
                            match=rf"temperature trace is {bad} at t = 0\.5025"):
             counts(asm, cfg, trace, sites)
 
-    def test_trace_resolution_snaps_cache(self):
+    def test_trace_resolution_snaps_cache(self, forward_model_calls):
         asm = single_lorentzian_assembly()
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
-        # snapped to 0.1 mK the microkelvin wobble collapses onto one key
-        _, table, inv, _ = expected_counts(asm, cfg,
-                                           lambda t: T0 + 1e-6 * np.sin(t),
-                                           1.0, sites, trace_resolution=1e-4)
-        lam = table[inv]
-        assert np.all(lam == lam[0])
+        # snapped to 0.1 mK the microkelvin wobble collapses onto one row of
+        # the rate table
+        simulate_counts(asm, cfg, lambda t: T0 + 1e-6 * np.sin(t), 1.0, seed=0,
+                        trace_resolution=1e-4, sites=sites)
+        assert forward_model_calls["batches"] == [3, 1]
 
     @pytest.mark.parametrize("trace, resolution", [
         (square_wave_trace(335.4, 336.9, 0.9), None),
         (lambda t: 336.15 + 0.3 * np.sin(2 * np.pi * t / 1.7), 1e-4),
     ])
     def test_matches_per_bin_oracle(self, trace, resolution):
+        # one draw block; the 0.3 K sine puts nearly every bin on its own
+        # row of the rate table
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
-        times, table, inv, temps = expected_counts(asm, cfg, trace, 4.0, sites,
-                                                   resolution)
-        got = (times, table[inv], temps)
-        want = expected_counts_per_bin(asm, cfg, trace, 4.0, sites, resolution)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
+        rec = simulate_counts(asm, cfg, trace, 4.0, seed=12,
+                              trace_resolution=resolution, sites=sites)
+        times, want = poisson_one_draw(asm, cfg, trace, 4.0, 12, sites,
+                                       resolution)
+        assert rec.times.dtype == times.dtype
+        assert rec.times.tobytes() == times.tobytes()
+        for got, w in zip((rec.counts_f1, rec.counts_f2, rec.counts_ref), want.T):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
 
     @pytest.mark.parametrize("trace, resolution", [
         (square_wave_trace(335.4, 336.9, 0.9), None),
@@ -267,7 +271,8 @@ class TestSimulateCounts:
         duration = (2 * 8192 + 1.5) * cfg.bin_duration
         rec = simulate_counts(asm, cfg, trace, duration, seed=12,
                               trace_resolution=resolution, sites=sites)
-        want = poisson_one_draw(asm, cfg, trace, duration, 12, sites, resolution)
+        _, want = poisson_one_draw(asm, cfg, trace, duration, 12, sites,
+                                   resolution)
         assert want.shape == (2 * 8192 + 1, 3)
         for got, w in zip((rec.counts_f1, rec.counts_f2, rec.counts_ref), want.T):
             assert got.dtype == w.dtype and np.array_equal(got, w)
@@ -349,8 +354,7 @@ class TestEstimateTemperature:
         scaled = CountRecord(times=rec.times,
                              counts_f1=rec.counts_f1 * drift,
                              counts_f2=rec.counts_f2 * drift,
-                             counts_ref=rec.counts_ref * drift,
-                             dwell=rec.dwell)
+                             counts_ref=rec.counts_ref * drift)
         assert abs(window_estimates(scaled, cfg, len(rec))[0] - base) < 1e-12
 
     def test_noiseless_drift_on_rates(self):
@@ -362,8 +366,7 @@ class TestEstimateTemperature:
         drifted = CountRecord(times=rec.times,
                               counts_f1=rec.counts_f1 * per_bin,
                               counts_f2=rec.counts_f2 * per_bin,
-                              counts_ref=rec.counts_ref * per_bin,
-                              dwell=rec.dwell)
+                              counts_ref=rec.counts_ref * per_bin)
         # common per-bin factor cancels only for window = one bin; for the
         # summed window it still cancels to first order
         a = window_estimates(rec, cfg, 1)
@@ -375,8 +378,7 @@ class TestEstimateTemperature:
         cfg = ThreePointConfig(f1=1e9, f2=1.1e9, f_ref=2e9, dwell=0.01,
                                calibration=cal)
         rec = CountRecord(times=np.array([0.0]), counts_f1=np.array([5]),
-                          counts_f2=np.array([5]), counts_ref=np.array([0]),
-                          dwell=0.01)
+                          counts_f2=np.array([5]), counts_ref=np.array([0]))
         with pytest.raises(EstimationError):
             window_estimates(rec, cfg, len(rec))
 
@@ -529,18 +531,21 @@ class TestTrackSquareWave:
             track_square_wave(asm, cfg, 335.4, 336.9, period=0.1, bin=0.06,
                               duration=9.6, seed=1, sites=sites)
 
-    def test_labels_match_square_wave_trace(self):
+    def test_labels_match_square_wave_trace(self, tmp_path):
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
-        res = track_square_wave(asm, cfg, 335.4, 336.9, period=0.9, bin=0.06,
-                                duration=3.0, seed=2, sites=sites)
+        path = tmp_path / "trace.csv"
+        res = streamed_track(path, asm, cfg, 335.4, 336.9, period=0.9, bin=0.06,
+                             duration=3.0, seed=2, sites=sites)
+        rows = np.loadtxt(path, delimiter=",")
+        times, t_true = rows[:, 0], rows[:, 5]
         trace = square_wave_trace(335.4, 336.9, 0.9)
-        assert list(res.t_true) == [trace(t + 0.03) for t in res.point_times]
+        assert list(t_true) == [trace(t + 0.03) for t in times]
         # a point is mixed when its span straddles a switch
         labels = ["mixed" if trace(t) != trace(t + 0.06 * 0.999)
                   else "high" if trace(t + 0.03) == 336.9 else "low"
-                  for t in res.point_times]
+                  for t in times]
         assert list(res.labels) == labels
         assert {"high", "low", "mixed"} == set(labels)
         assert fewest_unmixed_points(335.4, 336.9, 0.9, 0.06, 0.005, 3.0) == min(
@@ -556,8 +561,8 @@ class TestTrackSquareWave:
                              bin=0.09, duration=0.44, seed=3, sites=sites)
         per_bin = simulate_counts(asm, cfg, square_wave_trace(335.4, 336.9, 0.36),
                                   0.44, seed=3, sites=sites)
-        assert (len(per_bin), len(res.t_hat), res.bins_per_point) == (29, 4, 6)
         rows = np.loadtxt(path, delimiter=",")
+        assert (len(per_bin), len(res.level_codes), len(rows)) == (29, 4, 4)
         for col, counts in zip((1, 2, 3), (per_bin.counts_f1, per_bin.counts_f2,
                                            per_bin.counts_ref)):
             assert np.array_equal(rows[:, col],
@@ -574,7 +579,7 @@ class TestTrackSquareWave:
         args = (low, high, 0.9, 0.015, (npts + 0.5) * 0.015, 4, sites)
         path = tmp_path / "trace.csv"
         res = streamed_track(path, asm, cfg, *args)
-        assert len(res.t_hat) == npts
+        assert len(res.level_codes) == npts
         assert path.read_bytes() == trace_csv_per_row(
             *whole_record_track(asm, cfg, *args))
 
@@ -591,10 +596,10 @@ class TestTrackSquareWave:
         block_points = protocol_sim._POISSON_BLOCK_BINS // 4
         assert len(rec) == 10000 > 4 * block_points
         assert path.read_bytes() == trace_csv_per_row(rec, est, t_true)
-        assert np.array_equal(res.t_hat, est)
-        assert np.array_equal(res.point_times, rec.times)
+        for lab in ("high", "low", "mixed"):
+            assert np.array_equal(res.estimates[lab], est[res.labels == lab])
         for lab in ("high", "low"):
-            level_est = est[res.labels == lab]
+            level_est = res.estimates[lab]
             assert res.level_means[lab] == float(np.mean(level_est))
             assert res.level_stds[lab] == float(np.std(level_est, ddof=1))
 
@@ -603,12 +608,13 @@ class TestTrackSquareWave:
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         period = 0.9
-        res = track_square_wave(asm, cfg, 335.4, 336.9, period=period,
-                                bin=0.06, duration=30.0, seed=5, sites=sites)
+        args = (335.4, 336.9, period, 0.06, 30.0, 5, sites)
+        res = track_square_wave(asm, cfg, *args)
+        rec, est, _ = whole_record_track(asm, cfg, *args)
         for lab in ("high", "low"):
             sel = res.labels == lab
-            idx = np.floor(res.point_times[sel] / period).astype(int)
-            oracle = {int(p): float(np.mean(res.t_hat[sel][idx == p]))
+            idx = np.floor(rec.times[sel] / period).astype(int)
+            oracle = {int(p): float(np.mean(est[sel][idx == p]))
                       for p in np.unique(idx)}
             assert len(oracle) > 30
             assert res.period_means[lab] == oracle
@@ -626,7 +632,7 @@ class TestTrackSquareWave:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(res.t_hat) == 30000
+        assert len(res.level_codes) == 30000
         assert peak < 5e6
 
     def test_peak_memory_per_point(self, tmp_path):

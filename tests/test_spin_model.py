@@ -109,6 +109,11 @@ class TestDOfT:
         with pytest.raises(DomainError):
             d_of_t(SpinSystem(), -5.0)
 
+    def test_nonpositive_row_named(self):
+        # the first offending row, not the whole array
+        with pytest.raises(DomainError, match=r"got -0\.005$"):
+            d_of_t(SpinSystem(), np.array([0.005, 0.015, -0.005, -1.0]))
+
 
 class TestBuildHamiltonian:
     def test_zero_field_diagonal(self):
