@@ -33,7 +33,6 @@ import numpy as np
 from .errors import GeometryError, SchemaError, ThermoError
 from . import magnet_model
 from .ensemble_spectrum import (
-    _DT_STEP,
     _SLOPE_STEP,
     SensorAssembly,
     _spectrum,
@@ -42,8 +41,9 @@ from .ensemble_spectrum import (
     sample_ensemble,
     slope_scan,
 )
-from .magnet_model import Magnet, magnetization_curve
+from .magnet_model import _DT_STEP, M_SAT_NI, Magnet, dm_dtemp, solve_magnetization
 from .protocol_sim import (
+    _LAMBDA_GUARD,
     TRACE_COLUMNS,
     calibrate_three_point,
     fewest_unmixed_points,
@@ -57,8 +57,7 @@ from .spin_model import SpinSystem
 
 FORMAT_VERSION = 1
 
-STOCHASTIC_KINDS = ("spectrum", "sensitivity", "design-sweep", "shot-noise",
-                    "track")
+_FLOOR_RESOLUTION = 1e-4  # K, the cache grid the shot-noise floor trace snaps to
 
 # ---------------------------------------------------------------------------
 # Schema: per kind, per section, key -> (type, required, default).
@@ -244,7 +243,7 @@ def resolve(raw: dict) -> dict:
 
 def _cross_checks(kind: str, resolved: dict):
     run = resolved["run"]
-    if kind in STOCHASTIC_KINDS and "seed" not in run:
+    if "assembly" in resolved and "seed" not in run:
         raise SchemaError(f"run.seed: required for stochastic kind {kind!r}")
 
     if "magnet" in resolved and kind != "design-sweep":
@@ -309,22 +308,31 @@ def _cross_checks(kind: str, resolved: dict):
         raise SchemaError("protocol.f1_hz/f2_hz/f_ref_hz: give all three or none")
     # the lowest temperature row each kind solves, finite-difference rows
     # included; the track's is its calibration row t0 - cal_step (as in
-    # _run_track), and the design sweep picks its own temperatures
+    # _run_track), a shot-noise floor's then its snapped trough, and the
+    # design sweep picks its own temperatures
     key, lowest = None, 1.0
     if kind == "track":
         low, high = proto["low_k"], proto["high_k"]
         key, lowest = "protocol.low_k", 0.5 * (low + high) - 0.5 * (high - low)
     elif kind != "design-sweep":
         name = "temp_k" if "temp_k" in grids else "temp_start_k"
-        step = {"susceptibility": _DT_STEP,
-                "magnetize": magnet_model._DT_STEP}.get(kind, _SLOPE_STEP)
+        step = _DT_STEP if kind in ("susceptibility", "magnetize") else _SLOPE_STEP
         key, lowest = f"grids.{name}", grids[name] - step
+        if "floor_rms_k" in proto and lowest > 0.0:
+            trough = grids[name] - np.sqrt(2.0) * abs(proto["floor_rms_k"])
+            key, lowest = "protocol.floor_rms_k", float(
+                np.round(trough / _FLOOR_RESOLUTION) * _FLOOR_RESOLUTION)
     if lowest <= 0.0:
         raise SchemaError(f"{key}: temperature too low: the run solves a row "
                           f"at {lowest!r} K, and temperatures must be positive")
-    for key in ("dwell_s", "period_s"):
+    for key in ("dwell_s", "period_s", "floor_period_s"):
         if proto.get(key, 1.0) <= 0.0:
             raise SchemaError(f"protocol.{key}: must be positive")
+    # S <= 1 at every probe, so this bounds every expected count per bin
+    if "dwell_s" in proto and (resolved["assembly"]["photon_rate_cps"]
+                               * proto["dwell_s"] > _LAMBDA_GUARD):
+        raise SchemaError("assembly.photon_rate_cps: the counts per protocol.dwell_s "
+                          f"exceed the overflow guard of {_LAMBDA_GUARD:g}")
     if "bin_s" in proto and proto["bin_s"] < 3.0 * proto["dwell_s"]:
         raise SchemaError("protocol.bin_s: shorter than one protocol cycle "
                           "(3 protocol.dwell_s)")
@@ -464,8 +472,9 @@ def _write_csv(path: Path, resolved: dict, columns, rows, extra=()):
 
 def _run_magnetize(resolved, out_csv, threads):
     magnet = build_magnet(resolved["magnet"])
-    curve = magnetization_curve(magnet, _temp_grid(resolved["grids"]))
-    rows = zip(curve.temps.tolist(), curve.reduced_m.tolist(), curve.dm_dt.tolist())
+    temps = _temp_grid(resolved["grids"])
+    rows = zip(temps.tolist(), solve_magnetization(magnet, temps).tolist(),
+               dm_dtemp(magnet, temps).tolist())
     _write_csv(out_csv, resolved, ["t_k", "m_reduced", "dm_dt_per_k"], rows)
     return {"tc_k": magnet.tc}
 
@@ -521,16 +530,9 @@ def _run_sensitivity(resolved, out_csv, threads):
 def _run_design_sweep(resolved, out_csv, threads):
     grids = resolved["grids"]
     xs = _float_range(grids["x_start"], grids["x_stop"], grids["x_step"])
-    mt = resolved["magnet"]
-    template_magnet = Magnet(
-        m_sat=magnet_model.M_SAT_NI,  # placeholder; the sweep rebuilds it per x
-        radius=mt["radius_m"],
-        tc=1.0,
-        spin_j=mt["spin_j"],
-        center=tuple(mt["center_m"]),
-        easy_axis=tuple(mt["easy_axis"]),
-    )
-    asm = build_assembly(resolved, template_magnet)
+    # placeholder m_sat and Tc: the sweep rebuilds both per x
+    asm = build_assembly(resolved, build_magnet(
+        dict(resolved["magnet"], m_sat_apm=M_SAT_NI, tc_k=1.0)))
     points = design_sweep(asm, xs, threads=threads)
     h = assumptions_hash(resolved)
     rows = [(p.x, p.tc_k, p.t_opt_k, p.eta_opt, p.domega_dt, p.status, h)
@@ -563,7 +565,7 @@ def _run_shot_noise(resolved, out_csv, threads):
     if "floor_rms_k" in proto:
         rms, per = proto["floor_rms_k"], proto["floor_period_s"]
         temp_trace = lambda t: t0 + np.sqrt(2.0) * rms * np.sin(2 * np.pi * t / per)
-        resolution = 1e-4  # snap the smooth trace to a 0.1 mK cache grid
+        resolution = _FLOOR_RESOLUTION
     result = shot_noise_curve(asm, cfg, proto["total_time_s"],
                               proto["window_grid_s"],
                               seed=resolved["run"]["seed"],

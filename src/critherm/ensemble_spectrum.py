@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .magnet_model import Magnet, dipole_field_many, solve_magnetization
+from .magnet_model import _DT_STEP, Magnet, dipole_field_many, solve_magnetization
 from .spin_model import SpinSystem, d_of_t, transition_pairs
 
 # The four NV symmetry axes (<111> family) in the crystal frame.
@@ -34,9 +34,6 @@ _LINE_CHUNK = 256
 # grid [f; 1] that the line offsets are multiplied from adds 16 B per point.
 _FREQ_TILE = 256
 _SLOPE_STEP = 0.01  # K, step of the central-difference dS/dT
-# Finite-difference step of domega_dtemp (K): far below the kelvin-scale
-# magnetization structure, far above double precision noise at GHz scale.
-_DT_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,7 @@ class SensorAssembly:
     diameter, 50 nm gap, 100 nm FND with 500 NV centres.  line_width is the
     intrinsic per-NV ODMR FWHM (microwave power broadening folded in);
     contrast is the full-coincidence dip depth and is held temperature
-    independent (flagged in report headers).
+    independent.
     """
 
     magnet: Magnet = None                  # None = bare FND
@@ -328,16 +325,8 @@ def _spectrum(asm: SensorAssembly, temp: float, freqs, om, op) -> OdmrSpectrum:
         "effective_contrast": float(1.0 - signal.min()),
         "effective_width_hz": measure_fwhm(freqs, signal),
         "d_of_t_hz": d_of_t(asm.spin, temp),
-        "contrast_model": "temperature independent (no published functional form)",
     }
     return OdmrSpectrum(freqs=freqs, signal=signal, meta=meta)
-
-
-def signal_temperature_slope(asm: SensorAssembly, temp: float, freqs, *,
-                             sites: Ensemble) -> np.ndarray:
-    """Central finite difference dS/dT per grid frequency (1/K) with a
-    _SLOPE_STEP step: the one-temperature view of slope_scan."""
-    return next(slope_scan(asm, [temp], sites, freqs))[3]
 
 
 def slope_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None,

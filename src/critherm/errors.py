@@ -14,11 +14,7 @@ class GeometryError(ThermoError):
 
 
 class SolverError(ThermoError):
-    """A self-consistent solver failed to converge; carries the last bracket."""
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
+    """The mean-field root is not bracketed by the solver's fixed bracket."""
 
 
 class LabelingAmbiguityError(ThermoError):

@@ -35,10 +35,15 @@ M_SAT_GD = 2.1e6
 M_SAT_NI = 4.9e5
 
 _BISECT_LO = 1e-12
-_BISECT_MAX_ITERS = 200
-_BISECT_TOL = 1e-10
+# Every bracket starts as [_BISECT_LO, 1] and is halved on every step, so all
+# temperatures pass the solver's 1e-10 width on the same step: after 34 steps
+# it is 5.8e-11 on every path, after 33 steps 1.2e-10.
+_BISECT_STEPS = 34
 
-_DT_STEP = 1e-3  # finite-difference step of dm_dtemp (K)
+# Finite-difference step (K) of dm_dtemp and of ensemble_spectrum.domega_dtemp:
+# far below the kelvin-scale magnetization structure, far above double
+# precision noise at GHz scale.
+_DT_STEP = 1e-3
 
 
 def curie_temperature(x: float) -> float:
@@ -100,23 +105,18 @@ class Magnet:
         return 4.0 / 3.0 * np.pi * self.radius ** 3
 
 
-@dataclass(frozen=True)
-class MagnetizationCurve:
-    temps: np.ndarray       # K
-    reduced_m: np.ndarray   # M(T)/M_sat in [0, 1]
-    dm_dt: np.ndarray       # 1/K
-
-
 def brillouin(j: float, x):
-    """Brillouin function B_J(x); series expansion near x = 0 where the coth
-    form is 0/0."""
+    """Brillouin function B_J(x).  Below |x| = 1e-3, where the two coth terms
+    cancel to a relative error of about eps / x^2, it is the series
+    (a^2 - b^2) x / 3 - (a^4 - b^4) x^3 / 45, whose relative error is O(x^4)."""
     x = np.asarray(x, dtype=float)
     a = (2.0 * j + 1.0) / (2.0 * j)
     b = 1.0 / (2.0 * j)
-    small = np.abs(x) < 1e-8
+    small = np.abs(x) < 1e-3
     safe = np.where(small, 1.0, x)
     out = a / np.tanh(a * safe) - b / np.tanh(b * safe)
-    out = np.where(small, (j + 1.0) / (3.0 * j) * x, out)
+    series = (j + 1.0) / (3.0 * j) * x - (a ** 4 - b ** 4) / 45.0 * x ** 3
+    out = np.where(small, series, out)
     return out if out.ndim else float(out)
 
 
@@ -125,9 +125,9 @@ def solve_magnetization(mag: Magnet, temp):
     mean-field equation; identically 0 for T >= Tc.  A scalar temp gives a
     float, an array an array of its shape.
 
-    Bracketed bisection on [1e-12, 1] with a fixed iteration schedule, run on
-    all temperatures in lockstep; each stops when its own bracket is narrow
-    enough, so a temperature gives bit-identical output in any array.
+    Bracketed bisection on [1e-12, 1] for _BISECT_STEPS steps, run on all
+    temperatures in lockstep, so a temperature gives bit-identical output in
+    any array.
     """
     shape = np.shape(temp)
     t = np.asarray(temp, dtype=float).ravel()
@@ -139,30 +139,19 @@ def solve_magnetization(mag: Magnet, temp):
     def f(m):
         return m - brillouin(j, coef * m)
 
-    def fail(mask, what):
-        k = np.flatnonzero(mask)[0]
-        raise SolverError(f"mean-field {what} at T = {t[k]} K",
-                          bracket=(lo[k], hi[k]))
-
-    m, active = np.zeros_like(t), t < mag.tc
     lo, hi = np.full_like(t, _BISECT_LO), np.ones_like(t)
     flo = f(lo)
-    unbracketed = active & ((flo > 0) | (f(hi) < 0))
+    unbracketed = (t < mag.tc) & ((flo > 0) | (f(hi) < 0))
     if unbracketed.any():
-        fail(unbracketed, "root not bracketed")
-    for _ in range(_BISECT_MAX_ITERS):
-        if not active.any():
-            break
+        k = np.flatnonzero(unbracketed)[0]
+        raise SolverError(f"mean-field root not bracketed at T = {t[k]} K")
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         left = flo * fmid <= 0
         lo, hi, flo = (np.where(left, lo, mid), np.where(left, mid, hi),
                        np.where(left, flo, fmid))
-        done = active & (hi - lo < _BISECT_TOL)
-        m[done] = 0.5 * (lo[done] + hi[done])
-        active &= ~done
-    if active.any():
-        fail(active, "solver did not converge")
+    m = np.where(t < mag.tc, 0.5 * (lo + hi), 0.0)
     return m.reshape(shape) if shape else float(m[0])
 
 
@@ -177,12 +166,6 @@ def dm_dtemp(mag: Magnet, temp):
     out = np.where(above, 0.0,
                    (m_hi - m_lo) / np.where(one_sided, _DT_STEP, 2.0 * _DT_STEP))
     return out if t.ndim else float(out)
-
-
-def magnetization_curve(mag: Magnet, temps) -> MagnetizationCurve:
-    temps = np.asarray(temps, dtype=float)
-    return MagnetizationCurve(temps=temps, reduced_m=solve_magnetization(mag, temps),
-                              dm_dt=dm_dtemp(mag, temps))
 
 
 def magnetic_moment(mag: Magnet, temp: float) -> np.ndarray:

@@ -61,9 +61,9 @@ def eta_ramsey(photon_rate: float, contrast: float, t2_star: float,
                tau: float = None, domega_dt: float = None) -> float:
     """Projected Ramsey sensitivity (K/sqrt(Hz)).
 
-    tau defaults to the optimum T2*/2 (optimal_ramsey_tau).
-    domega_dt is the transition-frequency susceptibility in ordinary
-    frequency units (Hz/K).
+    tau defaults to the optimum T2*/2, where d/dtau of (tau/T2*)^2 - ln(tau)/2
+    vanishes.  domega_dt is the transition-frequency susceptibility in
+    ordinary frequency units (Hz/K).
     """
     if t2_star <= 0:
         raise DomainError(f"t2_star must be positive, got {t2_star}")
@@ -71,25 +71,13 @@ def eta_ramsey(photon_rate: float, contrast: float, t2_star: float,
         raise UnmeasurableError("domega_dt is zero: no temperature response")
     if contrast <= 0 or photon_rate <= 0:
         raise DomainError("contrast and photon_rate must be positive")
-
-    def eta_at(t):
-        return (np.exp((t / t2_star) ** 2)
-                / (2.0 * np.pi * contrast * np.sqrt(photon_rate * t)
-                   * abs(domega_dt)))
-
     if tau is None:
-        tau = optimal_ramsey_tau(t2_star)
+        tau = 0.5 * t2_star
     elif tau <= 0:
         raise DomainError(f"tau must be positive, got {tau}")
-    return float(eta_at(tau))
-
-
-def optimal_ramsey_tau(t2_star: float) -> float:
-    """Interrogation time minimizing the Ramsey eta: d/dtau of
-    (tau/T2*)^2 - ln(tau)/2 vanishes at tau = T2*/2."""
-    if t2_star <= 0:
-        raise DomainError(f"t2_star must be positive, got {t2_star}")
-    return 0.5 * t2_star
+    return float(np.exp((tau / t2_star) ** 2)
+                 / (2.0 * np.pi * contrast * np.sqrt(photon_rate * tau)
+                    * abs(domega_dt)))
 
 
 @dataclass(frozen=True)
@@ -137,12 +125,6 @@ def sensitivity_scan(asm: SensorAssembly, temps, *, sites):
             eta_three_point=float(THREE_POINT_FACTOR * eta_num),
             max_dsdt_per_k=float(np.max(np.abs(slope))),
             domega_dt_hz_per_k=dom)
-
-
-def sensitivity_report(asm: SensorAssembly, temp: float, *, sites) -> SensitivityReport:
-    """Every CW estimator for one assembly and temperature: the one-row view
-    of sensitivity_scan."""
-    return next(sensitivity_scan(asm, [temp], sites=sites))
 
 
 # Operating points probed below each composition's transition.  Absolute

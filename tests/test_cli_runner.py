@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from critherm.cli_runner import (
     main,
@@ -496,11 +501,23 @@ class TestMainExitCodes:
                  "temp_start_k = 0.0005"), "grids.temp_start_k"),
         (shipped("track_63c", "low_k = 335.40\nhigh_k = 336.90",
                  "low_k = 1e-20\nhigh_k = 1.0"), "protocol.low_k"),
+        # the floor trace t0 + sqrt(2) rms sin(...) dips below 0 K
+        (shipped("shot_noise", "floor_rms_k = 0.010", "floor_rms_k = 300.0"),
+         "protocol.floor_rms_k"),
+        (shipped("shot_noise", "floor_period_s = 30.0", "floor_period_s = 0"),
+         "protocol.floor_period_s"),
+        # photon_rate_cps * dwell_s above the count guard of the rate table
+        (shipped("track_63c", "n_nv = 500", "n_nv = 500\nphoton_rate_cps = 1e16"),
+         "assembly.photon_rate_cps"),
+        (shipped("shot_noise", "n_nv = 500", "n_nv = 500\nphoton_rate_cps = 1e16"),
+         "assembly.photon_rate_cps"),
     ], ids=["shot-noise-no-window", "track-all-mixed", "negative-dwell",
             "zero-period", "bin-below-cycle", "zero-low", "zero-start",
             "negative-temp", "spectrum-slope-row", "shot-noise-slope-row",
             "sensitivity-slope-row", "susceptibility-dt-row",
-            "magnetize-dt-row", "track-calibration-row"])
+            "magnetize-dt-row", "track-calibration-row", "shot-noise-floor-trough",
+            "shot-noise-zero-floor-period", "track-count-guard",
+            "shot-noise-count-guard"])
     def test_unusable_protocol_exit_2(self, tmp_path, capsys, text, key):
         # every precondition validate can check: run never starts
         p = write(tmp_path, "bad.cfg", text)
@@ -602,3 +619,69 @@ class TestMainExitCodes:
         p = write(tmp_path, "mag.cfg", MAGNETIZE)
         main(["validate", str(p)])
         assert list(tmp_path.glob("*.csv")) == []
+
+
+# Small shot-noise and track files around the edges of what validate checks:
+# the 10 mK slope rows, the mean-field solver at tens of mK, Tc = 340 K of
+# cuni74_milled, a floor trace that dips below 0 K and the count guard
+# photon_rate_cps * dwell_s <= 1e12 (2e14 * 0.005 sits on it).
+SMALL_ASSEMBLY = """\
+[run]
+kind = {kind}
+seed = 3
+
+[magnet]
+material = cuni74_milled
+radius_m = 100e-9
+
+[assembly]
+n_nv = {n_nv}
+photon_rate_cps = {rate!r}
+"""
+EDGE_TEMPS = st.sampled_from([0.0099, 0.0101, 0.02, 1.0, 336.0, 340.0, 345.0])
+RATES = st.sampled_from([1e5, 12e6, 2e14, 1e16])
+
+
+def small_shot_noise(n_nv, rate, dwell, temp, rms):
+    return SMALL_ASSEMBLY.format(kind="shot-noise", n_nv=n_nv, rate=rate) \
+        + f"\n[grids]\ntemp_k = {temp!r}\n\n[protocol]\ndwell_s = {dwell!r}\n" \
+        "total_time_s = 3.0\nwindow_grid_s = 0.06 0.12 0.3\n" \
+        + ("" if rms is None else f"floor_rms_k = {rms!r}\nfloor_period_s = 1.5\n")
+
+
+def small_track(n_nv, rate, dwell, low, high):
+    return SMALL_ASSEMBLY.format(kind="track", n_nv=n_nv, rate=rate) \
+        + f"\n[protocol]\ndwell_s = {dwell!r}\nlow_k = {low!r}\nhigh_k = {high!r}\n" \
+        "period_s = 1.2\nbin_s = 0.06\nduration_s = 3.6\n"
+
+
+SMALL_FILES = st.builds(
+    small_shot_noise, n_nv=st.integers(1, 5), rate=RATES,
+    dwell=st.sampled_from([1e-4, 0.005, 0.02, 0.5]), temp=EDGE_TEMPS,
+    rms=st.sampled_from([None, 0.0, 0.007, 1.0, 300.0])) | st.builds(
+    small_track, n_nv=st.integers(1, 5), rate=RATES,
+    dwell=st.sampled_from([1e-4, 0.005, 0.02]),
+    low=st.sampled_from([1e-20, 0.0101]) | EDGE_TEMPS, high=EDGE_TEMPS)
+
+
+class TestValidatePredictsRun:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(text=SMALL_FILES)
+    @example(text=shipped("shot_noise", "floor_rms_k = 0.010", "floor_rms_k = 300.0"))
+    @example(text=shipped("track_63c", "n_nv = 500", "n_nv = 500\nphoton_rate_cps = 1e16"))
+    # the floor trace reaches 0.024 K, where f(1e-12) needs the series branch
+    # of brillouin to keep the mean-field root bracketed
+    @example(text=small_shot_noise(1, 12e6, 0.005, 0.02, 0.007))
+    def test_validate_ok_means_run_exits_0(self, text):
+        # exit 0, 2 or 3 from both commands, never a traceback (an exception
+        # out of main), and run exits 0 whenever validate said ok; warnings
+        # only print from the command line
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            p = write(Path(tmp), "gen.cfg", text)
+            checked = main(["validate", str(p)])
+            ran = main(["run", str(p), "--out", str(Path(tmp) / "out")])
+        assert checked in (0, 2, 3) and ran in (0, 2, 3)
+        assert checked != 0 or ran == 0, text

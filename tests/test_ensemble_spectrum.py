@@ -19,7 +19,6 @@ from critherm.ensemble_spectrum import (
     nv_site,
     sample_ensemble,
     signal_at,
-    signal_temperature_slope,
     site_transition_pairs,
     slope_scan,
     synthesize_spectrum,
@@ -354,14 +353,14 @@ class TestTemperatureSlope:
     def test_zero_for_temperature_independent_system(self):
         asm = bare_assembly(spin=SpinSystem(dd_dt=0.0))
         freqs = np.linspace(D0 - 50e6, D0 + 50e6, 501)
-        slope = signal_temperature_slope(asm, 400.0, freqs, sites=sample_ensemble(asm))
+        slope = next(slope_scan(asm, [400.0], sample_ensemble(asm), freqs))[3]
         assert np.all(slope == 0.0)
 
     def test_bare_fnd_matches_lorentzian_derivative(self):
         # single rigid Lorentzian: max|dS/dT| = (3 sqrt3/4) C |dD/dT| / dw
         asm = bare_assembly()
         freqs = np.linspace(D0 - 60e6, D0 + 60e6, 12001)
-        slope = signal_temperature_slope(asm, 300.0, freqs, sites=sample_ensemble(asm))
+        slope = next(slope_scan(asm, [300.0], sample_ensemble(asm), freqs))[3]
         expect = (3 * np.sqrt(3) / 4) * asm.contrast * 74e3 / asm.line_width
         assert np.max(np.abs(slope)) == pytest.approx(expect, rel=0.05)
 
@@ -373,7 +372,7 @@ class TestTemperatureSlope:
         sites = sample_ensemble(asm)
         freqs = default_freq_grid(asm, temp, sites)
         spec = synthesize_spectrum(asm, temp, freqs, sites=sites)
-        slope = signal_temperature_slope(asm, temp, freqs, sites=sites)
+        slope = next(slope_scan(asm, [temp], sites, freqs))[3]
         f_peak_slope = freqs[np.argmax(np.abs(slope))]
         f_dip = freqs[np.argmin(spec.signal)]
         assert abs(f_peak_slope - f_dip) < spec.meta["effective_width_hz"]
@@ -383,7 +382,7 @@ class TestTemperatureSlope:
         temp = asm.magnet.tc - 10.0
         sites = sample_ensemble(asm)
         freqs = default_freq_grid(asm, temp, sites)
-        s1 = np.max(np.abs(signal_temperature_slope(asm, temp, freqs, sites=sites)))
+        s1 = np.max(np.abs(next(slope_scan(asm, [temp], sites, freqs))[3]))
         s2 = np.max(np.abs(next(slope_scan(asm, [temp], sites, freqs, 0.005))[3]))
         assert abs(s2 - s1) / s1 < 0.02
 
@@ -495,3 +494,23 @@ class TestMetamorphicInvariants:
             excess.append(np.max(np.abs(lines - asm.spin.dd_dt)))
         assert excess[0] > excess[1] > excess[2]
         assert excess[2] < 0.1
+
+    def test_vanishing_moment_gives_bare_lines(self):
+        # m_sat -> 0 at fixed geometry, no bias: the line centres tend to the
+        # bare lines and dw/dT to dD/dT; at 1e-6 of the design m_sat measured
+        # 4.4e-13 relative and 0.13 Hz/K, the closed-form roots' floor
+        asm = replace(cuni_tracking_assembly(seed=3), n_nv=50)
+        sites = sample_ensemble(asm)
+        bare = line_centers(replace(asm, magnet=None), self.TEMPS, sites)
+        shift, excess = [], []
+        for scale in (1e-2, 1e-4, 1e-6):
+            weak = replace(asm, magnet=replace(asm.magnet,
+                                               m_sat=scale * asm.magnet.m_sat))
+            shift.append(max(np.max(np.abs(got - want) / want) for got, want
+                             in zip(line_centers(weak, self.TEMPS, sites), bare)))
+            excess.append(np.max(np.abs(np.concatenate(
+                domega_dtemp(weak, self.TEMPS, sites)) - asm.spin.dd_dt)))
+        assert shift[0] > shift[1] > shift[2]
+        assert shift[2] < 1e-12
+        assert excess[0] > excess[1] > excess[2]
+        assert excess[2] < 0.5

@@ -404,12 +404,11 @@ class TestShotNoise:
                                sites=sites)
         assert res.loglog_slope == pytest.approx(-0.5, abs=0.02)
         # MC eta against the analytic three-point formula: within 15%
-        from critherm.ensemble_spectrum import (default_freq_grid,
-                                                signal_temperature_slope)
+        from critherm.ensemble_spectrum import default_freq_grid, slope_scan
         from critherm.sensitivity import eta_cw_numeric
         sites = sample_ensemble(asm)
         freqs = default_freq_grid(asm, T0, sites)
-        slope = signal_temperature_slope(asm, T0, freqs, sites=sites)
+        slope = next(slope_scan(asm, [T0], sites, freqs))[3]
         eta3 = np.sqrt(1.5) * eta_cw_numeric(slope, asm.photon_rate)
         assert res.eta_fit == pytest.approx(eta3, rel=0.15)
 

@@ -6,8 +6,9 @@ import pytest
 
 from critherm.ensemble_spectrum import (
     SensorAssembly,
+    nv_site,
     sample_ensemble,
-    signal_temperature_slope,
+    slope_scan,
     synthesize_spectrum,
 )
 from critherm.errors import DomainError, UnmeasurableError
@@ -19,9 +20,7 @@ from critherm.sensitivity import (
     eta_cw_lorentzian,
     eta_cw_numeric,
     eta_ramsey,
-    optimal_ramsey_tau,
     representative_domega_dt,
-    sensitivity_report,
     sensitivity_scan,
 )
 
@@ -114,6 +113,28 @@ class TestCrossEstimatorAgreement:
             eta_lor = eta_cw_lorentzian(fwhm, depth, photons, rate)
             assert eta_num == pytest.approx(eta_lor, rel=0.01)
 
+    @pytest.mark.parametrize("bias, points, bound", [
+        (0.0, None, 2.5e-4), (5e-3, None, 1.5e-4),
+        (0.0, 20001, 2e-7), (5e-3, 20001, 6e-6),
+    ], ids=["zero-field", "axial-5mT", "zero-field-fine", "axial-5mT-fine"])
+    def test_single_strain_free_nv_matches_closed_form(self, bias, points, bound):
+        # one unstrained NV through the forward model: one dip of depth C at
+        # zero field, two of depth C/2 under an axial bias, each moving at
+        # dD/dT; measured 1.2e-4 and 6.2e-5 on the default 801-point grid,
+        # 7.6e-8 and 2.6e-6 on 20001 points
+        asm = SensorAssembly(magnet=None, n_nv=1, strain_mean=0.0, strain_sd=0.0,
+                             bias_field=(0.0, 0.0, bias))
+        site = nv_site(asm.fnd_center, (0.0, 0.0, 1.0), 0.0)
+        freqs = next(slope_scan(asm, [300.0], site))[2]
+        if points is not None:
+            freqs = np.linspace(freqs[0], freqs[-1], points)
+        slope = next(slope_scan(asm, [300.0], site, freqs))[3]
+        depth = asm.contrast if bias == 0.0 else 0.5 * asm.contrast
+        eta_lor = eta_cw_lorentzian(asm.line_width, depth, asm.photon_rate,
+                                    asm.spin.dd_dt)
+        assert eta_cw_numeric(slope, asm.photon_rate) == pytest.approx(
+            eta_lor, rel=bound)
+
 
 class TestEtaRamsey:
     def test_t2_ratio_is_sqrt(self):
@@ -127,7 +148,10 @@ class TestEtaRamsey:
         assert e1 / e4 == pytest.approx(2.0, rel=0.10)
 
     def test_optimal_tau_is_half_t2(self):
-        assert optimal_ramsey_tau(10e-6) == 5e-6
+        # the default tau is T2*/2, and eta rises on either side of it
+        eta = lambda **kw: eta_ramsey(1.7e6, 0.3, 10e-6, domega_dt=1e8, **kw)
+        assert eta() == eta(tau=5e-6)
+        assert eta(tau=4.9e-6) > eta() < eta(tau=5.1e-6)
 
     def test_fixed_tau_formula_value(self):
         # direct evaluation at tau = T2*/2
@@ -158,13 +182,14 @@ class TestEtaRamsey:
 class TestSensitivityReport:
     def test_three_point_bound(self):
         asm = cuni_design_assembly(seed=41)
-        rep = sensitivity_report(asm, asm.magnet.tc - 5.0, sites=sample_ensemble(asm))
+        rep = next(sensitivity_scan(asm, [asm.magnet.tc - 5.0],
+                                    sites=sample_ensemble(asm)))
         assert rep.eta_three_point >= rep.eta_cw_numeric
         assert rep.eta_three_point == pytest.approx(
             np.sqrt(1.5) * rep.eta_cw_numeric, rel=1e-12)
 
     def test_scan_rows_bitwise_equal_to_one_temperature_path(self):
-        # each row rebuilt from synthesize_spectrum, signal_temperature_slope,
+        # each row rebuilt from synthesize_spectrum, a one-temperature slope_scan,
         # representative_domega_dt and the eta functions at its temperature
         hybrid = replace(cuni_design_assembly(seed=41), n_nv=60)
         temps = hybrid.magnet.tc - np.array([0.4, 3.0, 12.0])
@@ -174,7 +199,7 @@ class TestSensitivityReport:
             assert len(reports) == 3
             for temp, rep in zip(temps.tolist(), reports):
                 spec = synthesize_spectrum(asm, temp, sites=sites)
-                slope = signal_temperature_slope(asm, temp, spec.freqs, sites=sites)
+                slope = next(slope_scan(asm, [temp], sites, spec.freqs))[3]
                 dom = representative_domega_dt(asm, temp)
                 eta_num = eta_cw_numeric(slope, asm.photon_rate)
                 assert rep == SensitivityReport(
@@ -186,12 +211,12 @@ class TestSensitivityReport:
                     eta_three_point=float(np.sqrt(1.5) * eta_num),
                     max_dsdt_per_k=float(np.max(np.abs(slope))),
                     domega_dt_hz_per_k=dom)
-                assert sensitivity_report(asm, temp, sites=sites) == rep
+                assert next(sensitivity_scan(asm, [temp], sites=sites)) == rep
 
     def test_round_trip_json(self):
         asm = cuni_design_assembly(seed=43)
-        rep = sensitivity_report(asm, asm.magnet.tc - 5.0,
-                                 sites=sample_ensemble(asm))
+        rep = next(sensitivity_scan(asm, [asm.magnet.tc - 5.0],
+                                    sites=sample_ensemble(asm)))
         # the report holds plain JSON values only
         clone = SensitivityReport(**json.loads(json.dumps(asdict(rep))))
         assert clone == rep
@@ -250,15 +275,15 @@ class TestDesignSweep:
                               strain_mean=asm.strain_mean, strain_sd=asm.strain_sd,
                               line_width=asm.line_width, contrast=asm.contrast,
                               photon_rate=asm.photon_rate, rng_seed=61)
-        rep = sensitivity_report(bare, 300.0, sites=sample_ensemble(bare))
+        rep = next(sensitivity_scan(bare, [300.0], sites=sample_ensemble(bare)))
         assert rep.eta_cw_numeric > 0.1
         small = SensorAssembly(
             magnet=asm.magnet, fnd_center=asm.fnd_center,
             fnd_radius=asm.fnd_radius, n_nv=120, strain_mean=asm.strain_mean,
             strain_sd=asm.strain_sd, line_width=asm.line_width,
             contrast=asm.contrast, photon_rate=asm.photon_rate, rng_seed=61)
-        hybrid = sensitivity_report(small, small.magnet.tc - 0.5,
-                                    sites=sample_ensemble(small))
+        hybrid = next(sensitivity_scan(small, [small.magnet.tc - 0.5],
+                                       sites=sample_ensemble(small)))
         assert rep.eta_cw_numeric / hybrid.eta_cw_numeric >= 30.0
 
     def test_default_policy_below_tc(self):

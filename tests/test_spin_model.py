@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from critherm.ensemble_spectrum import (
-    _DT_STEP,
     Ensemble,
     SensorAssembly,
     domega_dtemp,
@@ -15,7 +14,7 @@ from critherm.ensemble_spectrum import (
     sample_ensemble,
 )
 from critherm.errors import DomainError, LabelingAmbiguityError
-from critherm.magnet_model import dipole_field, dm_dtemp, magnetic_moment
+from critherm.magnet_model import _DT_STEP, dipole_field, dm_dtemp, magnetic_moment
 from critherm.presets import (
     cuni_design_assembly,
     cuni_tracking_assembly,
