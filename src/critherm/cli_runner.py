@@ -16,7 +16,9 @@ typos in physics constants are the main failure mode this format guards
 against.  Each run writes the kind's CSV (with a '#'-prefixed metadata
 header) plus a JSON run manifest holding every resolved parameter, the seed
 and the assumptions hash; the manifest alone is enough to reproduce the
-outputs bit-identically.
+outputs bit-identically.  `thermo validate` is everything `thermo run` does
+before it writes anything (_prepare: the run plan, the builds, the ensemble
+sample), so a file it passes fails in run only on what the run computes.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import sys
 from dataclasses import astuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,6 +61,13 @@ from .spin_model import SpinSystem
 FORMAT_VERSION = 1
 
 _FLOOR_RESOLUTION = 1e-4  # K, the cache grid the shot-noise floor trace snaps to
+# The most points of any one grid or record of a run: temperatures,
+# compositions, frequencies, NV sites or protocol cycles.  The shipped sizes
+# sit far inside it (the automatic frequency grid has at most 30,001 points,
+# the benchmark's long track 576,000 cycles); a larger one is rejected
+# before anything is allocated.
+_MAX_POINTS = 10_000_000
+_PROBE_KEYS = ("f1_hz", "f2_hz", "f_ref_hz")
 
 # ---------------------------------------------------------------------------
 # Schema: per kind, per section, key -> (type, required, default).
@@ -66,7 +76,7 @@ _FLOOR_RESOLUTION = 1e-4  # K, the cache grid the shot-noise floor trace snaps t
 _MAGNET_FULL = {
     "material": ("s", False, None),
     "m_sat_apm": ("f", False, None),
-    "radius_m": ("f", False, None),
+    "radius_m": ("f", True, None),
     "tc_k": ("f", False, None),
     "composition_x": ("f", False, None),
     "spin_j": ("f", False, 0.5),
@@ -263,8 +273,6 @@ def _cross_checks(kind: str, resolved: dict):
                 mag.setdefault("composition_x", rec.composition_x)
         if "m_sat_apm" not in mag:
             raise SchemaError("magnet.m_sat_apm: required (directly or via material)")
-        if "radius_m" not in mag:
-            raise SchemaError("magnet.radius_m: required")
         if ("tc_k" in mag) == ("composition_x" in mag):
             raise SchemaError(
                 "magnet.tc_k / magnet.composition_x: exactly one must be given")
@@ -303,28 +311,9 @@ def _cross_checks(kind: str, resolved: dict):
     if ("floor_rms_k" in proto) != ("floor_period_s" in proto):
         raise SchemaError("protocol.floor_rms_k and protocol.floor_period_s "
                           "must be given together")
-    explicit = [k for k in ("f1_hz", "f2_hz", "f_ref_hz") if k in proto]
+    explicit = [k for k in _PROBE_KEYS if k in proto]
     if explicit and len(explicit) != 3:
         raise SchemaError("protocol.f1_hz/f2_hz/f_ref_hz: give all three or none")
-    # the lowest temperature row each kind solves, finite-difference rows
-    # included; the track's is its calibration row t0 - cal_step (as in
-    # _run_track), a shot-noise floor's then its snapped trough, and the
-    # design sweep picks its own temperatures
-    key, lowest = None, 1.0
-    if kind == "track":
-        low, high = proto["low_k"], proto["high_k"]
-        key, lowest = "protocol.low_k", 0.5 * (low + high) - 0.5 * (high - low)
-    elif kind != "design-sweep":
-        name = "temp_k" if "temp_k" in grids else "temp_start_k"
-        step = _DT_STEP if kind in ("susceptibility", "magnetize") else _SLOPE_STEP
-        key, lowest = f"grids.{name}", grids[name] - step
-        if "floor_rms_k" in proto and lowest > 0.0:
-            trough = grids[name] - np.sqrt(2.0) * abs(proto["floor_rms_k"])
-            key, lowest = "protocol.floor_rms_k", float(
-                np.round(trough / _FLOOR_RESOLUTION) * _FLOOR_RESOLUTION)
-    if lowest <= 0.0:
-        raise SchemaError(f"{key}: temperature too low: the run solves a row "
-                          f"at {lowest!r} K, and temperatures must be positive")
     for key in ("dwell_s", "period_s", "floor_period_s"):
         if proto.get(key, 1.0) <= 0.0:
             raise SchemaError(f"protocol.{key}: must be positive")
@@ -336,72 +325,31 @@ def _cross_checks(kind: str, resolved: dict):
     if "bin_s" in proto and proto["bin_s"] < 3.0 * proto["dwell_s"]:
         raise SchemaError("protocol.bin_s: shorter than one protocol cycle "
                           "(3 protocol.dwell_s)")
-    if "window_grid_s" in proto and fittable_windows(
-            proto["window_grid_s"], proto["dwell_s"], proto["total_time_s"]) < 2:
-        raise SchemaError(
-            "protocol.window_grid_s: fewer than two window lengths fit two "
-            "windows into protocol.total_time_s")
-    if "period_s" in proto:
-        # the labels of a shorter track are a prefix of the full labels, so
-        # three periods settle a long track without labelling every point
-        full = proto["duration_s"]
-        for duration in (min(full, 3.0 * proto["period_s"]), full):
-            if fewest_unmixed_points(proto["low_k"], proto["high_k"],
-                                     proto["period_s"], proto["bin_s"],
-                                     proto["dwell_s"], duration) >= 2:
-                break
-        else:
-            raise SchemaError(
-                "protocol.period_s/bin_s/duration_s: a level gets fewer than "
-                "two data points that do not straddle a switch")
 
 
 # ---------------------------------------------------------------------------
 # Builders from the resolved tree.
 
 def build_magnet(p: dict) -> Magnet:
-    return Magnet(
-        m_sat=p["m_sat_apm"],
-        radius=p["radius_m"],
-        tc=p.get("tc_k"),
-        composition_x=p.get("composition_x"),
-        spin_j=p["spin_j"],
-        center=tuple(p["center_m"]),
-        easy_axis=tuple(p["easy_axis"]),
-    )
+    return Magnet(m_sat=p["m_sat_apm"], radius=p["radius_m"], tc=p.get("tc_k"),
+                  composition_x=p.get("composition_x"), spin_j=p["spin_j"],
+                  center=tuple(p["center_m"]), easy_axis=tuple(p["easy_axis"]))
 
 
 def build_spin(p: dict) -> SpinSystem:
-    return SpinSystem(
-        d0=p["d0_hz"],
-        t_ref=p["t_ref_k"],
-        dd_dt=p["dd_dt_hz_per_k"],
-        gamma=p["gamma_hz_per_t"],
-    )
+    return SpinSystem(d0=p["d0_hz"], t_ref=p["t_ref_k"],
+                      dd_dt=p["dd_dt_hz_per_k"], gamma=p["gamma_hz_per_t"])
 
 
 def build_assembly(resolved: dict, magnet: Magnet) -> SensorAssembly:
     p = resolved["assembly"]
     return SensorAssembly(
-        magnet=magnet,
-        fnd_center=tuple(p["fnd_center_m"]),
-        fnd_radius=p["fnd_radius_m"],
-        n_nv=p["n_nv"],
-        strain_mean=p["strain_mean_hz"],
-        strain_sd=p["strain_sd_hz"],
-        line_width=p["line_width_hz"],
-        contrast=p["contrast"],
-        photon_rate=p["photon_rate_cps"],
-        rng_seed=resolved["run"]["seed"],
-        bias_field=tuple(p["bias_field_t"]),
-        spin=build_spin(resolved["spin"]),
-    )
-
-
-def _ensemble(resolved: dict):
-    """(assembly, sampled NV sites) of an ensemble kind."""
-    asm = build_assembly(resolved, build_magnet(resolved["magnet"]))
-    return asm, sample_ensemble(asm)
+        magnet=magnet, fnd_center=tuple(p["fnd_center_m"]),
+        fnd_radius=p["fnd_radius_m"], n_nv=p["n_nv"],
+        strain_mean=p["strain_mean_hz"], strain_sd=p["strain_sd_hz"],
+        line_width=p["line_width_hz"], contrast=p["contrast"],
+        photon_rate=p["photon_rate_cps"], rng_seed=resolved["run"]["seed"],
+        bias_field=tuple(p["bias_field_t"]), spin=build_spin(resolved["spin"]))
 
 
 def build_single_nv(resolved: dict, magnet: Magnet):
@@ -419,16 +367,127 @@ def build_single_nv(resolved: dict, magnet: Magnet):
     return asm, nv_site(asm.fnd_center, p["nv_axis"], p["strain_e_hz"])
 
 
-def _float_range(start: float, stop: float, step: float) -> np.ndarray:
-    """start, start+step, ... up to stop inclusive, clipped so accumulated
-    rounding never overshoots the endpoint."""
-    n = int(np.floor((stop - start) / step + 0.5))
-    return np.minimum(start + step * np.arange(n + 1), stop)
+def _bound(key: str, span: float, unit: float):
+    """SchemaError naming key when span holds more than _MAX_POINTS units;
+    compared without dividing, so a tiny unit cannot overflow."""
+    if span > _MAX_POINTS * unit:
+        raise SchemaError(f"{key}: the run would hold more than {_MAX_POINTS} "
+                          "points in one grid or record")
 
 
-def _temp_grid(grids: dict) -> np.ndarray:
-    return _float_range(grids["temp_start_k"], grids["temp_stop_k"],
-                        grids["temp_step_k"])
+def _grid(grids: dict, start: str, stop: str, step: str) -> np.ndarray:
+    """grids[start], then every grids[step] up to grids[stop] inclusive,
+    clipped so accumulated rounding never overshoots the endpoint."""
+    lo, hi, h = grids[start], grids[stop], grids[step]
+    _bound(f"grids.{step}", hi - lo, h)
+    return np.minimum(lo + h * np.arange(int(np.floor((hi - lo) / h + 0.5)) + 1), hi)
+
+
+def _plan(resolved: dict) -> SimpleNamespace:
+    """What a run derives from `resolved`, worked out once and before
+    anything is built: temps (the temperature rows; for shot-noise and track
+    the calibration temperature t0, the track's drive midpoint), xs (the
+    design sweep's compositions), freqs (an explicit spectrum grid, else
+    None), step (the finite difference: 1 mK for dm/dT and dw/dT, 10 mK for
+    dS/dT, the track's secant cal_step of half the swing), probes (an
+    explicit (f1, f2, f_ref), else None), trace and resolution (the
+    shot-noise floor and its 0.1 mK snap) and ref_temps (where an explicit
+    f_ref must clear every line).  SchemaError, naming the key, for a
+    negative seed, a grid or record above _MAX_POINTS, a protocol
+    layout that leaves no statistics, or a lowest forward-model row at or
+    below 0 K."""
+    kind = resolved["run"]["kind"]
+    grids, proto = resolved.get("grids", {}), resolved.get("protocol", {})
+    if resolved["run"].get("seed", 0) < 0:
+        raise SchemaError("run.seed: must be >= 0")
+    if "assembly" in resolved:
+        _bound("assembly.n_nv", resolved["assembly"]["n_nv"], 1.0)
+    plan = SimpleNamespace(
+        temps=None, xs=None, freqs=None, trace=None, resolution=None, ref_temps=[],
+        step=_DT_STEP if kind in ("magnetize", "susceptibility") else _SLOPE_STEP,
+        probes=tuple(proto[k] for k in _PROBE_KEYS) if "f1_hz" in proto else None)
+    if "temp_k" in grids:
+        key, plan.temps = "grids.temp_k", [grids["temp_k"]]
+    elif "temp_step_k" in grids:
+        key, plan.temps = "grids.temp_start_k", _grid(
+            grids, "temp_start_k", "temp_stop_k", "temp_step_k")
+    elif kind == "track":
+        low, high = proto["low_k"], proto["high_k"]
+        # linearize across the full drive span: a secant through the two
+        # levels keeps the recovered swing unattenuated by lineshape curvature
+        key, plan.temps = "protocol.low_k", [0.5 * (low + high)]
+        plan.step = 0.5 * (high - low)
+    else:
+        key, plan.xs = None, _grid(grids, "x_start", "x_stop", "x_step")
+    if "freq_points" in grids:
+        _bound("grids.freq_points", grids["freq_points"], 1.0)
+        plan.freqs = np.linspace(grids["freq_start_hz"], grids["freq_stop_hz"],
+                                 grids["freq_points"])
+    if plan.probes is not None:
+        plan.ref_temps = [proto["low_k"], proto["high_k"]] if kind == "track" else plan.temps
+
+    if "dwell_s" in proto:
+        record = "duration_s" if kind == "track" else "total_time_s"
+        _bound(f"protocol.{record}", proto[record], 3.0 * proto["dwell_s"])
+    if "window_grid_s" in proto and fittable_windows(
+            proto["window_grid_s"], proto["dwell_s"], proto["total_time_s"]) < 2:
+        raise SchemaError(
+            "protocol.window_grid_s: fewer than two window lengths fit two "
+            "windows into protocol.total_time_s")
+    if kind == "track":
+        # the labels of a shorter track are a prefix of the full labels, so
+        # three periods settle a long track without labelling every point
+        full = proto["duration_s"]
+        for duration in (min(full, 3.0 * proto["period_s"]), full):
+            if fewest_unmixed_points(low, high, proto["period_s"], proto["bin_s"],
+                                     proto["dwell_s"], duration) >= 2:
+                break
+        else:
+            raise SchemaError(
+                "protocol.period_s/bin_s/duration_s: a level gets fewer than "
+                "two data points that do not straddle a switch")
+
+    # the lowest row each kind solves is its first temperature less the
+    # step, and then a shot-noise floor's snapped trough
+    rows = [] if key is None else [(key, float(plan.temps[0]) - plan.step)]
+    if "floor_rms_k" in proto:
+        t0, rms, per = grids["temp_k"], proto["floor_rms_k"], proto["floor_period_s"]
+        plan.trace = lambda t: t0 + np.sqrt(2.0) * rms * np.sin(2 * np.pi * t / per)
+        plan.resolution = _FLOOR_RESOLUTION
+        trough = t0 - np.sqrt(2.0) * abs(rms)
+        rows.append(("protocol.floor_rms_k", float(
+            np.round(trough / _FLOOR_RESOLUTION) * _FLOOR_RESOLUTION)))
+    for key, lowest in rows:
+        if lowest <= 0.0:
+            raise SchemaError(f"{key}: temperature too low: the run solves a row "
+                              f"at {lowest!r} K, and temperatures must be positive")
+    return plan
+
+
+def _prepare(resolved: dict) -> SimpleNamespace:
+    """The plan plus everything a run builds before it writes anything: the
+    magnet; the single NV, or the assembly and its sites, sampled once (the
+    design sweep samples inside design_sweep); and the check that an
+    explicit f_ref clears every resonance at the operating temperatures.
+    `validate` stops here, and `run_resolved` runs the kind from it."""
+    plan = _plan(resolved)
+    kind = resolved["run"]["kind"]
+    mag = resolved["magnet"]
+    if kind == "design-sweep":
+        # placeholder m_sat and Tc: the sweep rebuilds both per x
+        mag = dict(mag, m_sat_apm=M_SAT_NI, tc_k=1.0)
+    plan.magnet, plan.asm, plan.sites = build_magnet(mag), None, None
+    if kind == "susceptibility":
+        plan.asm, plan.sites = build_single_nv(resolved, plan.magnet)
+    elif "assembly" in resolved:
+        plan.asm = build_assembly(resolved, plan.magnet)
+        if kind != "design-sweep":
+            plan.sites = sample_ensemble(plan.asm)
+    for temp in plan.ref_temps:
+        if not reference_detuning_ok(plan.asm, plan.probes[2], temp, plan.sites):
+            raise SchemaError("protocol.f_ref_hz: reference frequency within 50 "
+                              f"linewidths of a resonance at T = {temp} K")
+    return plan
 
 
 def assumptions_hash(resolved: dict) -> str:
@@ -468,25 +527,21 @@ def _write_csv(path: Path, resolved: dict, columns, rows, extra=()):
 
 
 # ---------------------------------------------------------------------------
-# Kind runners.  Each returns (output paths, results summary for the manifest).
+# Kind runners.  Each runs from the prepared plan and returns the results
+# summary for the manifest.
 
-def _run_magnetize(resolved, out_csv, threads):
-    magnet = build_magnet(resolved["magnet"])
-    temps = _temp_grid(resolved["grids"])
+def _run_magnetize(resolved, plan, out_csv, threads):
+    magnet, temps = plan.magnet, plan.temps
     rows = zip(temps.tolist(), solve_magnetization(magnet, temps).tolist(),
                dm_dtemp(magnet, temps).tolist())
     _write_csv(out_csv, resolved, ["t_k", "m_reduced", "dm_dt_per_k"], rows)
     return {"tc_k": magnet.tc}
 
 
-def _run_spectrum(resolved, out_csv, threads):
-    asm, sites = _ensemble(resolved)
-    grids = resolved["grids"]
-    temp = grids["temp_k"]
-    freqs = np.linspace(grids["freq_start_hz"], grids["freq_stop_hz"],
-                        grids["freq_points"]) if "freq_start_hz" in grids else None
-    om, op, freqs, slope = next(slope_scan(asm, [temp], sites, freqs))
-    spec = _spectrum(asm, temp, freqs, om[0], op[0])
+def _run_spectrum(resolved, plan, out_csv, threads):
+    om, op, freqs, slope = next(slope_scan(plan.asm, plan.temps, plan.sites,
+                                           plan.freqs, plan.step))
+    spec = _spectrum(plan.asm, plan.temps[0], freqs, om[0], op[0])
     extra = [f"{key} = {spec.meta[key]!r}" for key in (
         "temp_k", "line_width_hz", "contrast", "n_nv", "rng_seed",
         "effective_contrast", "effective_width_hz", "d_of_t_hz")]
@@ -500,24 +555,21 @@ def _run_spectrum(resolved, out_csv, threads):
     }
 
 
-def _run_susceptibility(resolved, out_csv, threads):
-    asm, site = build_single_nv(resolved, build_magnet(resolved["magnet"]))
-    temps = _temp_grid(resolved["grids"])
-    dm, dp = (a[:, 0] for a in domega_dtemp(asm, temps, site))
+def _run_susceptibility(resolved, plan, out_csv, threads):
+    dm, dp = (a[:, 0] for a in domega_dtemp(plan.asm, plan.temps, plan.sites))
     _write_csv(out_csv, resolved,
                ["t_k", "domega_minus_hz_per_k", "domega_plus_hz_per_k"],
-               zip(temps.tolist(), dm.tolist(), dp.tolist()))
+               zip(plan.temps.tolist(), dm.tolist(), dp.tolist()))
     peak = float(max(np.abs(dm).max(), np.abs(dp).max()))
     return {
         "peak_abs_domega_dt_hz_per_k": peak,
-        "enhancement_over_bare": peak / abs(asm.spin.dd_dt),
+        "enhancement_over_bare": peak / abs(plan.asm.spin.dd_dt),
     }
 
 
-def _run_sensitivity(resolved, out_csv, threads):
-    asm, sites = _ensemble(resolved)
+def _run_sensitivity(resolved, plan, out_csv, threads):
     rows = [astuple(rep) for rep in
-            sensitivity_scan(asm, _temp_grid(resolved["grids"]), sites=sites)]
+            sensitivity_scan(plan.asm, plan.temps, sites=plan.sites)]
     _write_csv(out_csv, resolved,
                ["t_k", "eta_cw_numeric_k_per_sqrthz",
                 "eta_cw_lorentzian_k_per_sqrthz",
@@ -527,13 +579,8 @@ def _run_sensitivity(resolved, out_csv, threads):
     return {"eta_opt_k_per_sqrthz": best[1], "t_opt_k": best[0]}
 
 
-def _run_design_sweep(resolved, out_csv, threads):
-    grids = resolved["grids"]
-    xs = _float_range(grids["x_start"], grids["x_stop"], grids["x_step"])
-    # placeholder m_sat and Tc: the sweep rebuilds both per x
-    asm = build_assembly(resolved, build_magnet(
-        dict(resolved["magnet"], m_sat_apm=M_SAT_NI, tc_k=1.0)))
-    points = design_sweep(asm, xs, threads=threads)
+def _run_design_sweep(resolved, plan, out_csv, threads):
+    points = design_sweep(plan.asm, plan.xs, threads=threads)
     h = assumptions_hash(resolved)
     rows = [(p.x, p.tc_k, p.t_opt_k, p.eta_opt, p.domega_dt, p.status, h)
             for p in points]
@@ -548,29 +595,15 @@ def _run_design_sweep(resolved, out_csv, threads):
     return summary
 
 
-def _probes(proto: dict):
-    """The explicit (f1, f2, f_ref) probes, or None to choose them."""
-    keys = ("f1_hz", "f2_hz", "f_ref_hz")
-    return tuple(proto[k] for k in keys) if "f1_hz" in proto else None
-
-
-def _run_shot_noise(resolved, out_csv, threads):
-    asm, sites = _ensemble(resolved)
+def _run_shot_noise(resolved, plan, out_csv, threads):
     proto = resolved["protocol"]
-    t0 = resolved["grids"]["temp_k"]
-    cfg = calibrate_three_point(asm, t0, proto["dwell_s"], probes=_probes(proto),
-                                sites=sites)
-    temp_trace = None
-    resolution = None
-    if "floor_rms_k" in proto:
-        rms, per = proto["floor_rms_k"], proto["floor_period_s"]
-        temp_trace = lambda t: t0 + np.sqrt(2.0) * rms * np.sin(2 * np.pi * t / per)
-        resolution = _FLOOR_RESOLUTION
-    result = shot_noise_curve(asm, cfg, proto["total_time_s"],
+    cfg = calibrate_three_point(plan.asm, plan.temps[0], proto["dwell_s"],
+                                probes=plan.probes, dt_step=plan.step, sites=plan.sites)
+    result = shot_noise_curve(plan.asm, cfg, proto["total_time_s"],
                               proto["window_grid_s"],
                               seed=resolved["run"]["seed"],
-                              temp_trace=temp_trace,
-                              trace_resolution=resolution, sites=sites)
+                              temp_trace=plan.trace,
+                              trace_resolution=plan.resolution, sites=plan.sites)
     extra = [f"eta_fit_k_per_sqrthz = {result.eta_fit!r}",
              f"loglog_slope = {result.loglog_slope!r}"]
     rows = [(r.window_s, r.delta_t_k, r.n_windows, int(r.flagged))
@@ -582,15 +615,10 @@ def _run_shot_noise(resolved, out_csv, threads):
             "probes_hz": [cfg.f1, cfg.f2, cfg.f_ref]}
 
 
-def _run_track(resolved, out_csv, threads):
-    asm, sites = _ensemble(resolved)
+def _run_track(resolved, plan, out_csv, threads):
     proto = resolved["protocol"]
-    t0 = 0.5 * (proto["low_k"] + proto["high_k"])
-    # linearize across the full drive span: a secant through the two levels
-    # keeps the recovered swing unattenuated by lineshape curvature
-    cal_step = 0.5 * (proto["high_k"] - proto["low_k"])
-    cfg = calibrate_three_point(asm, t0, proto["dwell_s"], probes=_probes(proto),
-                                dt_step=cal_step, sites=sites)
+    cfg = calibrate_three_point(plan.asm, plan.temps[0], proto["dwell_s"],
+                                probes=plan.probes, dt_step=plan.step, sites=plan.sites)
     # the rows are written while the counts are drawn; a failed track
     # leaves no partial trace behind
     part = out_csv.with_name(out_csv.name + ".part")
@@ -599,10 +627,10 @@ def _run_track(resolved, out_csv, threads):
             _write_header(fh, resolved, TRACE_COLUMNS,
                           [f"dwell_s = {cfg.dwell!r}"])
             result = track_square_wave(
-                asm, cfg, low=proto["low_k"], high=proto["high_k"],
+                plan.asm, cfg, low=proto["low_k"], high=proto["high_k"],
                 period=proto["period_s"], bin=proto["bin_s"],
                 duration=proto["duration_s"], seed=resolved["run"]["seed"],
-                sites=sites, trace=fh)
+                sites=plan.sites, trace=fh)
         part.replace(out_csv)
     finally:
         part.unlink(missing_ok=True)
@@ -641,12 +669,15 @@ def _finite_or_null(value):
 
 
 def run_resolved(resolved: dict, stem: str, out_dir=None, threads: int = 1):
-    """Dispatch a resolved scenario; returns (csv_path, manifest_path)."""
+    """Prepare a resolved scenario as `validate` does, then run its kind
+    from the prepared plan; returns (csv_path, manifest_path).  Nothing is
+    written when the preparation fails."""
     kind = resolved["run"]["kind"]
+    plan = _prepare(resolved)
     out = Path(out_dir if out_dir is not None else resolved["run"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{stem}.csv"
-    results = _RUNNERS[kind](resolved, csv_path, threads)
+    results = _RUNNERS[kind](resolved, plan, csv_path, threads)
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -679,44 +710,22 @@ def replay_manifest(manifest_file, out_dir, threads: int = 1):
                         out_dir=out_dir, threads=threads)
 
 
-def _operating_temps(resolved):
-    grids = resolved.get("grids", {})
-    proto = resolved.get("protocol", {})
-    if "temp_k" in grids:
-        return [grids["temp_k"]]
-    if "low_k" in proto:
-        return [proto["low_k"], proto["high_k"]]
-    return []
-
-
 def validate(scenario_file) -> str:
-    """Schema plus physics-precondition checks; no outputs, no Monte Carlo
-    (only cheap forward evaluations such as the line positions that the
-    reference-detuning check needs)."""
+    """Everything `run` does before it writes anything: resolve, plan, build
+    and sample, and the reference-detuning check (see _prepare), reported.
+    It writes nothing and draws no counts, so when it says ok, run fails
+    only on what the run itself computes."""
     path = Path(scenario_file)
     resolved = resolve(parse_config(path.read_text()))
+    plan = _prepare(resolved)
     kind = resolved["run"]["kind"]
     report = [f"kind: {kind}"]
-
-    if "magnet" in resolved and kind != "design-sweep":
-        magnet = build_magnet(resolved["magnet"])  # raises DomainError on bad values
-        report.append(f"magnet: ok (tc = {magnet.tc:.2f} K)")
-        if kind == "susceptibility":
-            # raises GeometryError inside the magnet, DomainError on a zero axis
-            asm, _ = build_single_nv(resolved, magnet)
-            report.append(f"nv: ok (distance to magnet surface = {asm.gap:.3e} m)")
-        if "assembly" in resolved:
-            asm = build_assembly(resolved, magnet)  # raises GeometryError on overlap
-            report.append(f"assembly: ok (gap = {asm.gap:.3e} m)")
-            proto = resolved.get("protocol", {})
-            if "f_ref_hz" in proto:
-                sites = sample_ensemble(asm)
-                for temp in _operating_temps(resolved):
-                    if not reference_detuning_ok(asm, proto["f_ref_hz"], temp, sites):
-                        raise SchemaError(
-                            "protocol.f_ref_hz: reference frequency within 50 "
-                            f"linewidths of a resonance at T = {temp} K")
-                report.append("protocol: reference detuning ok")
+    if kind != "design-sweep":  # the sweep's magnet is a placeholder
+        report.append(f"magnet: ok (tc = {plan.magnet.tc:.2f} K)")
+    if plan.asm is not None:  # the assembly, or the single NV's point-like FND
+        report.append(f"geometry: ok (gap to the magnet = {plan.asm.gap:.3e} m)")
+    if plan.ref_temps:
+        report.append("protocol: reference detuning ok")
     report.append("resolved defaults:")
     report += [f"  {line}" for line in _flatten(resolved)]
     report.append("ok")
@@ -741,12 +750,10 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            paths = run(args.scenario, out_dir=args.out, seed=args.seed,
-                        threads=args.threads)
-            for p in paths:
-                print(p)
-            return 0
-        print(validate(args.scenario))
+            print(*run(args.scenario, out_dir=args.out, seed=args.seed,
+                       threads=args.threads), sep="\n")
+        else:
+            print(validate(args.scenario))
         return 0
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

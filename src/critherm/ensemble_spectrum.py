@@ -375,16 +375,3 @@ def measure_fwhm(freqs, signal) -> float:
             break
     return float(right - left)
 
-
-def absorption_second_moment(freqs, signal, lo: float, hi: float) -> float:
-    """Second moment (Hz^2) of the absorption 1 - S about its centroid,
-    restricted to [lo, hi].  Used to quantify gradient broadening."""
-    freqs = np.asarray(freqs)
-    a = 1.0 - np.asarray(signal)
-    mask = (freqs >= lo) & (freqs <= hi)
-    f, w = freqs[mask], a[mask]
-    total = np.trapezoid(w, f)
-    if total <= 0:
-        raise DomainError("no absorption weight in the requested window")
-    centroid = np.trapezoid(w * f, f) / total
-    return float(np.trapezoid(w * (f - centroid) ** 2, f) / total)

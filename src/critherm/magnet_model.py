@@ -106,16 +106,19 @@ class Magnet:
 
 
 def brillouin(j: float, x):
-    """Brillouin function B_J(x).  Below |x| = 1e-3, where the two coth terms
-    cancel to a relative error of about eps / x^2, it is the series
-    (a^2 - b^2) x / 3 - (a^4 - b^4) x^3 / 45, whose relative error is O(x^4)."""
+    """Brillouin function B_J(x).  The two coth terms cancel to a relative
+    error of about eps / (a x)^2, so below |a x| = 0.032 (|x| = 0.016 at
+    J = 1/2) it is the series (a^2 - b^2) x / 3 - (a^4 - b^4) x^3 / 45
+    + 2 (a^6 - b^6) x^5 / 945, whose relative error is O((a x)^6): both
+    stay near 1e-12 at the switch."""
     x = np.asarray(x, dtype=float)
     a = (2.0 * j + 1.0) / (2.0 * j)
     b = 1.0 / (2.0 * j)
-    small = np.abs(x) < 1e-3
+    small = np.abs(a * x) < 0.032
     safe = np.where(small, 1.0, x)
     out = a / np.tanh(a * safe) - b / np.tanh(b * safe)
-    series = (j + 1.0) / (3.0 * j) * x - (a ** 4 - b ** 4) / 45.0 * x ** 3
+    series = ((j + 1.0) / (3.0 * j) * x - (a ** 4 - b ** 4) / 45.0 * x ** 3
+              + 2.0 * (a ** 6 - b ** 6) / 945.0 * x ** 5)
     out = np.where(small, series, out)
     return out if out.ndim else float(out)
 

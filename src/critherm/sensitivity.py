@@ -170,6 +170,9 @@ def _sweep_cell(template: SensorAssembly, sites, x: float, temp_policy) -> Desig
     except ThermoError as exc:
         return DesignPoint(x, tc, np.nan, np.nan, np.nan,
                            status=f"error: {exc}")
+    if best is None:  # Tc too low for any offset of the policy
+        return DesignPoint(x, tc, np.nan, np.nan, np.nan,
+                           status="error: no operating temperature below Tc")
     dom = representative_domega_dt(asm, best[1])
     return DesignPoint(x=float(x), tc_k=float(tc), t_opt_k=float(best[1]),
                        eta_opt=float(best[0]), domega_dt=float(dom))

@@ -170,6 +170,20 @@ def write(tmp_path, name, text):
     return p
 
 
+# design-sweep assemblies that cannot be built, which validate once passed
+# because it built nothing for the sweep
+BAD_SWEEPS = [
+    shipped("design_sweep", "fnd_center_m = 0 0 200e-9", "fnd_center_m = 0 0 120e-9"),
+    shipped("design_sweep", "n_nv = 500", "n_nv = 0"),
+    shipped("design_sweep", "n_nv = 500", "n_nv = 500\ncontrast = 1.5"),
+    shipped("design_sweep", "radius_m = 100e-9", "radius_m = 100e-9\nspin_j = -1"),
+]
+
+# explicit probes whose reference sits 8 MHz above D(T), inside the dip
+TRACK_BAD_REF = TRACK.replace(
+    "dwell_s = 0.005", "dwell_s = 0.005\nf1_hz = 2.87e9\nf2_hz = 2.868e9\nf_ref_hz = 2.875e9")
+
+
 class TestParsing:
     def test_round_trip_values(self):
         raw = parse_config(MAGNETIZE)
@@ -266,9 +280,7 @@ class TestValidate:
         assert validate(write(tmp_path, "rare.cfg", rare)).endswith("ok")
 
     def test_reference_detuning_checked(self, tmp_path):
-        text = TRACK.replace("dwell_s = 0.005",
-                             "dwell_s = 0.005\nf1_hz = 2.87e9\nf2_hz = 2.868e9\nf_ref_hz = 2.875e9")
-        p = write(tmp_path, "badref.cfg", text)
+        p = write(tmp_path, "badref.cfg", TRACK_BAD_REF)
         with pytest.raises(SchemaError, match="f_ref"):
             validate(p)
 
@@ -511,13 +523,27 @@ class TestMainExitCodes:
          "assembly.photon_rate_cps"),
         (shipped("shot_noise", "n_nv = 500", "n_nv = 500\nphoton_rate_cps = 1e16"),
          "assembly.photon_rate_cps"),
+        # run checks the reference too, rather than probing inside the dip
+        (TRACK_BAD_REF, "protocol.f_ref_hz"),
+        # sizes no machine can allocate, rejected before allocating:
+        # 6e16 temperatures, 6.7e26 protocol cycles and 1e15 NV sites
+        (shipped("magnetize_cuni", "temp_step_k = 0.5", "temp_step_k = 1e-15"),
+         "grids.temp_step_k"),
+        (shipped("track_63c", "duration_s = 28.8", "duration_s = 1e25"),
+         "protocol.duration_s"),
+        (shipped("spectrum_63c", "n_nv = 500", "n_nv = 1000000000000000"),
+         "assembly.n_nv"),
+        # numpy seeds only from non-negative integers
+        (shipped("spectrum_63c", "seed = 2026", "seed = -1"), "run.seed"),
     ], ids=["shot-noise-no-window", "track-all-mixed", "negative-dwell",
             "zero-period", "bin-below-cycle", "zero-low", "zero-start",
             "negative-temp", "spectrum-slope-row", "shot-noise-slope-row",
             "sensitivity-slope-row", "susceptibility-dt-row",
             "magnetize-dt-row", "track-calibration-row", "shot-noise-floor-trough",
             "shot-noise-zero-floor-period", "track-count-guard",
-            "shot-noise-count-guard"])
+            "shot-noise-count-guard", "track-reference-in-dip",
+            "magnetize-oversize-grid", "track-oversize-record",
+            "spectrum-oversize-ensemble", "negative-seed"])
     def test_unusable_protocol_exit_2(self, tmp_path, capsys, text, key):
         # every precondition validate can check: run never starts
         p = write(tmp_path, "bad.cfg", text)
@@ -568,16 +594,20 @@ class TestMainExitCodes:
             parse_constant=reject)
         assert manifest["results"][key] is None
 
-    @pytest.mark.parametrize("old, new", [
-        ("nv_position_m = 0 0 6.2e-3", "nv_position_m = 0 0 0.5e-3"),
-        ("nv_axis = 0 0 1", "nv_axis = 0 0 0"),
-        ("nv_axis = 0 0 1", "nv_axis = 0 0 1\nstrain_e_hz = -1e6"),
-    ], ids=["nv-inside-magnet", "zero-nv-axis", "negative-strain"])
+    @pytest.mark.parametrize("text", [
+        shipped("gd_susceptibility", "nv_position_m = 0 0 6.2e-3",
+                "nv_position_m = 0 0 0.5e-3"),
+        shipped("gd_susceptibility", "nv_axis = 0 0 1", "nv_axis = 0 0 0"),
+        shipped("gd_susceptibility", "nv_axis = 0 0 1",
+                "nv_axis = 0 0 1\nstrain_e_hz = -1e6"),
+        *BAD_SWEEPS,
+    ], ids=["nv-inside-magnet", "zero-nv-axis", "negative-strain",
+            "sweep-overlap", "sweep-no-nv", "sweep-contrast", "sweep-spin-j"])
     def test_bad_single_nv_exit_3_from_validate_and_run(self, tmp_path, capsys,
-                                                        old, new):
-        text = (SCENARIO_DIR / "gd_susceptibility.cfg").read_text()
-        assert old in text
-        p = write(tmp_path, "bad.cfg", text.replace(old, new))
+                                                        text):
+        # the single NV, and the design sweep's template assembly: both
+        # commands build them before anything is written
+        p = write(tmp_path, "bad.cfg", text)
         assert main(["validate", str(p)]) == 3
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
@@ -664,9 +694,63 @@ SMALL_FILES = st.builds(
     low=st.sampled_from([1e-20, 0.0101]) | EDGE_TEMPS, high=EDGE_TEMPS)
 
 
+def small_file(kind, **sections):
+    """A seeded scenario of `kind` with the given {key: value} sections."""
+    return f"[run]\nkind = {kind}\nseed = 3\n" + "".join(
+        f"\n[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items())
+
+
+def temp_range(start):
+    return {"temp_start_k": start, "temp_stop_k": start + 1.0, "temp_step_k": 0.5}
+
+
+def small_sweep(assembly, spin_j, x):
+    # one composition: below the ferromagnetic threshold, with Tc = 0.23 K
+    # too low for any offset of the temperature policy, or ordinary
+    return small_file("design-sweep", magnet={"radius_m": "100e-9", "spin_j": spin_j},
+                      assembly=assembly,
+                      grids={"x_start": x, "x_stop": x + 0.01, "x_step": 1.0})
+
+
+# The other five kinds around the same edges: the 1 mK dm/dT and dw/dT rows,
+# an NV inside the magnet or on a zero axis, and assemblies that cannot be
+# built (an FND overlapping the magnet, no NV, contrast above 1).
+CUNI = {"material": "cuni74_milled", "radius_m": "100e-9"}
+DT_EDGE_TEMPS = st.sampled_from([0.0009, 0.0011, 0.02, 339.999, 340.0])
+ASSEMBLIES = st.fixed_dictionaries({
+    "n_nv": st.integers(0, 5),
+    "fnd_center_m": st.sampled_from(["0 0 120e-9", "0 0 200e-9", "0 0 1e-6"]),
+    "contrast": st.sampled_from([0.05, 0.2, 0.9, 1.5])})
+OTHER_FILES = st.one_of(
+    st.builds(lambda j, t: small_file("magnetize", magnet=dict(CUNI, spin_j=j),
+                                      grids=temp_range(t)),
+              st.sampled_from([0.5, 3.5, -1.0]), DT_EDGE_TEMPS),
+    st.builds(lambda z, axis, t: small_file(
+        "susceptibility", magnet={"material": "gd", "radius_m": "1e-3"},
+        spin={"nv_position_m": f"0 0 {z!r}", "nv_axis": axis}, grids=temp_range(t)),
+        st.sampled_from([0.5e-3, 1.2e-3, 6.2e-3]),
+        st.sampled_from(["0 0 1", "1 0 0", "0 0 0"]), DT_EDGE_TEMPS),
+    st.builds(lambda asm, t, freqs: small_file(
+        "spectrum", magnet=CUNI, assembly=asm, grids=dict(freqs, temp_k=t)),
+        ASSEMBLIES, EDGE_TEMPS, st.sampled_from([{}, {
+            "freq_start_hz": 2.8e9, "freq_stop_hz": 2.95e9, "freq_points": 11}])),
+    st.builds(lambda asm, t: small_file("sensitivity", magnet=CUNI, assembly=asm,
+                                        grids=temp_range(t)),
+              ASSEMBLIES, EDGE_TEMPS),
+    st.builds(small_sweep, ASSEMBLIES, st.sampled_from([0.5, -1.0]),
+              st.sampled_from([0.3, 0.4502, 0.6])))
+
+
 class TestValidatePredictsRun:
-    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-    @given(text=SMALL_FILES)
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(text=SMALL_FILES | OTHER_FILES)
+    @example(text=BAD_SWEEPS[0])
+    @example(text=BAD_SWEEPS[1])
+    @example(text=BAD_SWEEPS[2])
+    @example(text=BAD_SWEEPS[3])
+    @example(text=TRACK_BAD_REF)
+    @example(text=small_sweep({"n_nv": 3}, 0.5, 0.4502))
     @example(text=shipped("shot_noise", "floor_rms_k = 0.010", "floor_rms_k = 300.0"))
     @example(text=shipped("track_63c", "n_nv = 500", "n_nv = 500\nphoton_rate_cps = 1e16"))
     # the floor trace reaches 0.024 K, where f(1e-12) needs the series branch

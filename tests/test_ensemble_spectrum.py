@@ -10,7 +10,6 @@ from critherm.ensemble_spectrum import (
     Ensemble,
     SensorAssembly,
     _signal,
-    absorption_second_moment,
     default_freq_grid,
     domega_dtemp,
     line_centers,
@@ -403,6 +402,20 @@ class TestTemperatureSlope:
             m2[name] = (absorption_second_moment(freqs, spec.signal, freqs[0], d_mid)
                         + absorption_second_moment(freqs, spec.signal, d_mid, freqs[-1]))
         assert m2["near"] >= m2["far"]
+
+
+def absorption_second_moment(freqs, signal, lo: float, hi: float) -> float:
+    """Second moment (Hz^2) of the absorption 1 - S about its centroid,
+    restricted to [lo, hi]: the gradient broadening of a spectrum."""
+    freqs = np.asarray(freqs)
+    a = 1.0 - np.asarray(signal)
+    mask = (freqs >= lo) & (freqs <= hi)
+    f, w = freqs[mask], a[mask]
+    total = np.trapezoid(w, f)
+    if total <= 0:
+        raise DomainError("no absorption weight in the requested window")
+    centroid = np.trapezoid(w * f, f) / total
+    return float(np.trapezoid(w * (f - centroid) ** 2, f) / total)
 
 
 def _with_gap(gap, seed):

@@ -98,9 +98,10 @@ class TestBrillouin:
         assert brillouin(1.5, 50.0) == pytest.approx(1.0, rel=1e-10)
 
     def test_half_spin_is_tanh_to_rounding_at_small_x(self):
-        # the coth difference cancels to eps / x^2 relative; the series
-        # branch below 1e-3 measured 1.3e-13
-        x = np.geomspace(1e-12, 9.9e-4, 91)
+        # the coth difference cancels to eps / x^2 relative: a two-term
+        # series below |x| = 1e-3 left it 2.4e-10 off just above the switch;
+        # three terms up to |x| = 0.016 measured 8.6e-13 on this grid
+        x = np.logspace(-12, 0, 2001)
         assert np.max(np.abs(brillouin(0.5, x) / np.tanh(x) - 1.0)) < 1e-12
 
     def test_small_x_slope(self):
