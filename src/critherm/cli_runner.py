@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -33,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import GeometryError, SchemaError, ThermoError
+from .errors import GeometryError, SchemaError, ThermoError, UsageError
 from . import magnet_model
 from .ensemble_spectrum import (
     _SLOPE_STEP,
@@ -675,7 +676,10 @@ def run_resolved(resolved: dict, stem: str, out_dir=None, threads: int = 1):
     kind = resolved["run"]["kind"]
     plan = _prepare(resolved)
     out = Path(out_dir if out_dir is not None else resolved["run"]["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise UsageError(f"{out}: not a directory") from None
     csv_path = out / f"{stem}.csv"
     results = _RUNNERS[kind](resolved, plan, csv_path, threads)
     manifest = {
@@ -694,10 +698,21 @@ def run_resolved(resolved: dict, stem: str, out_dir=None, threads: int = 1):
     return csv_path, manifest_path
 
 
+def _read_scenario(path: Path) -> str:
+    """The text of a scenario file; UsageError names a file that cannot be
+    read or is not UTF-8 text."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def run(scenario_file, out_dir=None, seed=None, threads: int = 1):
     """Run a scenario file; returns the paths written."""
     path = Path(scenario_file)
-    resolved = resolve(parse_config(path.read_text()))
+    resolved = resolve(parse_config(_read_scenario(path)))
     if seed is not None:
         resolved["run"]["seed"] = int(seed)
     return run_resolved(resolved, path.stem, out_dir=out_dir, threads=threads)
@@ -715,8 +730,7 @@ def validate(scenario_file) -> str:
     and sample, and the reference-detuning check (see _prepare), reported.
     It writes nothing and draws no counts, so when it says ok, run fails
     only on what the run itself computes."""
-    path = Path(scenario_file)
-    resolved = resolve(parse_config(path.read_text()))
+    resolved = resolve(parse_config(_read_scenario(Path(scenario_file))))
     plan = _prepare(resolved)
     kind = resolved["run"]["kind"]
     report = [f"kind: {kind}"]
@@ -750,17 +764,26 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            print(*run(args.scenario, out_dir=args.out, seed=args.seed,
-                       threads=args.threads), sep="\n")
+            lines = run(args.scenario, out_dir=args.out, seed=args.seed,
+                        threads=args.threads)
         else:
-            print(validate(args.scenario))
-        return 0
+            lines = [validate(args.scenario)]
+    except UsageError as exc:  # exit 2, as argparse's own errors
+        print(f"thermo: error: {exc}", file=sys.stderr)
+        return 2
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
     except ThermoError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        # the reader closed early (`thermo validate f | head -1`); point
+        # stdout at devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0
 
 
 if __name__ == "__main__":

@@ -32,3 +32,9 @@ class EstimationError(ThermoError):
 
 class SchemaError(ThermoError):
     """Scenario configuration violates the schema; message carries the field path."""
+
+
+class UsageError(Exception):
+    """The command line names a scenario file that cannot be read as UTF-8
+    text, or an output directory with a file in its path; message names the
+    path."""

@@ -370,7 +370,8 @@ def _level_codes(low: float, high: float, period: float, bpw: int,
 
 
 def _fewest_unmixed(codes: np.ndarray) -> int:
-    return int(np.bincount(codes, minlength=3)[[_LOW, _HIGH]].min())
+    # np.bincount would copy the codes to 8-byte integers first
+    return min(np.count_nonzero(codes == _LOW), np.count_nonzero(codes == _HIGH))
 
 
 def fewest_unmixed_points(low: float, high: float, period: float, bin: float,
@@ -385,15 +386,12 @@ def fewest_unmixed_points(low: float, high: float, period: float, bin: float,
 
 @dataclass(frozen=True)
 class TrackResult:
-    """A square-wave track.  It holds 9 bytes per data point: the estimates,
-    grouped by level code (8 B), and the 1-byte level code.  Grouped, each
-    level's statistics run on its own contiguous array rather than on a
-    masked copy of all estimates.  labels are built when read.  The count
-    record is not kept; track_square_wave writes it to its trace file while
-    drawing."""
+    """A square-wave track.  It holds 1 byte per data point, the level code
+    (labels are built from it when read), and one mean per level per
+    period.  The count record and the estimates are not kept:
+    track_square_wave writes them to its trace file while drawing."""
 
     level_codes: np.ndarray   # int8 per point: 0 low, 1 high, 2 mixed
-    estimates: dict           # label -> t_hat (K) of its points, in order
     level_means: dict         # label -> mean(K)
     level_stds: dict          # label -> std(K)
     separation_sigma: float
@@ -416,8 +414,11 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
     'mixed' and excluded from the level statistics.  The counts are drawn
     block by block, as in simulate_counts, and each block is estimated and,
     when `trace` (an open text file, after its header) is given, written
-    to it as trace CSV rows before the next block is drawn.  Only
-    the estimates and a level code are kept per point.
+    to it as trace CSV rows before the next block is drawn.  Per point only
+    the level code is kept: each level buffers its current run (its unmixed
+    points in one period) and, when the run closes, keeps its mean and
+    merges its length, mean and sum of squared deviations into the level
+    statistics (Chan, Golub & LeVeque, Am. Stat. 37, 1983).
     """
     if bin < cfg.bin_duration:
         raise DomainError("tracking bin shorter than one protocol cycle")
@@ -429,15 +430,21 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
             "shorten bin")
     level = square_wave_trace(low, high, period)
     span = bpw * cfg.bin_duration
-    sizes = np.bincount(codes, minlength=3).tolist()
-    labels = _LABELS.tolist()
-    estimates = {lab: np.empty(n) for lab, n in zip(labels, sizes)}
-    filled = dict.fromkeys(labels, 0)
-    # (period index, first position in the level's estimates) of each run of
-    # points in one period; period indices never decrease along the points
-    run_ids = {"high": [], "low": []}
-    run_firsts = {"high": [], "low": []}
-    last_id = {"high": -1, "low": -1}
+    levels = {"high": _HIGH, "low": _LOW}
+    period_means = {lab: {} for lab in levels}
+    merged = dict.fromkeys(levels, (0, 0.0, 0.0))  # n, mean, sum sq dev
+    current = {lab: [-1] for lab in levels}  # [period, estimates...] of the open run
+
+    def close(lab):
+        p, *pieces = current[lab]
+        run = np.concatenate(pieces)
+        mean = period_means[lab][p] = float(np.mean(run))
+        dev = run - mean
+        n, level_mean, sq_dev = merged[lab]
+        total, delta = n + run.size, mean - level_mean
+        merged[lab] = (total, level_mean + delta * run.size / total,
+                       sq_dev + float(dev @ dev) + delta ** 2 * n * run.size / total)
+
     for first, counts in _count_blocks(asm, cfg, level, npts, seed,
                                        sites=sites, bins_per_point=bpw):
         stop = first + len(counts)
@@ -449,29 +456,22 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
         if trace is not None:
             export_trace_csv(trace, rec, est, level(times + 0.5 * span))
         period_idx = np.floor(times / period).astype(int)
-        for code, lab in enumerate(labels):
+        for lab, code in levels.items():
             sel = codes[first:stop] == code
-            n = filled[lab]
-            level_est = est[sel]
-            estimates[lab][n:n + len(level_est)] = level_est
-            filled[lab] += len(level_est)
-            if lab in run_ids and level_est.size:
-                ids = period_idx[sel]
-                new = np.flatnonzero(np.diff(ids, prepend=last_id[lab]))
-                run_ids[lab] += ids[new].tolist()
-                run_firsts[lab] += (n + new).tolist()
-                last_id[lab] = ids[-1]
+            ids = period_idx[sel]
+            new = np.flatnonzero(np.diff(ids, prepend=current[lab][0]))
+            head, *rest = np.split(est[sel], new)
+            current[lab].append(head)
+            for p, piece in zip(ids[new].tolist(), rest):
+                if current[lab][0] >= 0:
+                    close(lab)
+                current[lab] = [p, piece]
 
-    level_means, level_stds, period_means = {}, {}, {}
-    for lab in ("high", "low"):
-        level_est = estimates[lab]
-        level_means[lab] = float(np.mean(level_est))
-        level_stds[lab] = float(np.std(level_est, ddof=1))
-        period_means[lab] = {
-            p: float(np.mean(run))
-            for p, run in zip(run_ids[lab],
-                              np.split(level_est, run_firsts[lab][1:]))
-        }
+    level_means, level_stds = {}, {}
+    for lab in levels:
+        close(lab)
+        n, level_means[lab], sq_dev = merged[lab]
+        level_stds[lab] = float(np.sqrt(sq_dev / (n - 1)))
     pooled = np.sqrt(0.5 * (level_stds["high"] ** 2 + level_stds["low"] ** 2))
     separation = abs(level_means["high"] - level_means["low"]) / pooled
     spreads = [
@@ -480,7 +480,6 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
     ]
     return TrackResult(
         level_codes=codes,
-        estimates=estimates,
         level_means=level_means,
         level_stds=level_stds,
         separation_sigma=float(separation),

@@ -15,7 +15,6 @@ minimized at tau = T2*/2, so eta scales as 1/sqrt(T2*).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -194,6 +193,8 @@ def design_sweep(template: SensorAssembly, x_grid, temp_policy=None,
     x_grid = [float(x) for x in x_grid]
     sites = sample_ensemble(template)
     if threads > 1:
+        # imported here: it loads logging, 0.5 MB that serial runs skip
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(
                 lambda x: _sweep_cell(template, sites, x, temp_policy), x_grid))

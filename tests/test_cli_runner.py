@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -553,6 +555,42 @@ class TestMainExitCodes:
         assert err.count(f"schema error: {key}: ") == 2
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content, named", [
+        (None, "bad.cfg"),
+        ((MAGNETIZE + "# 63 \u00b0C\n").encode("latin-1"), "bad.cfg"),
+        (MAGNETIZE.encode(), "out"),
+    ], ids=["missing-file", "not-utf-8", "out-is-a-file"])
+    def test_unusable_path_exit_2(self, tmp_path, capsys, content, named):
+        # invocation errors, exit 2 as argparse's own, naming the path;
+        # validate takes no --out, so it passes the last file
+        p, out = tmp_path / "bad.cfg", tmp_path / "out"
+        if content is not None:
+            p.write_bytes(content)
+        out.write_text("a file\n")
+        codes = [main(["validate", str(p)]),
+                 main(["run", str(p), "--out", str(out)])]
+        assert codes == ([0, 2] if named == "out" else [2, 2])
+        err = capsys.readouterr().err
+        assert err.count(f"thermo: error: {tmp_path / named}: ") == codes.count(2)
+        assert "Traceback" not in err
+        assert out.read_text() == "a file\n"
+
+    def test_closed_stdout_no_traceback(self, tmp_path):
+        # `thermo validate f | head -1`: the reader is gone before the
+        # report is written
+        p = write(tmp_path, "mag.cfg", MAGNETIZE)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "critherm.cli_runner", "validate", str(p)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=str(SCENARIO_DIR.parent / "src")))
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     @pytest.mark.parametrize("text, key", [
         (SPECTRUM.replace("n_nv = 120", "n_nv = 120\nline_width_hz = nan"),

@@ -595,12 +595,14 @@ class TestTrackSquareWave:
         block_points = protocol_sim._POISSON_BLOCK_BINS // 4
         assert len(rec) == 10000 > 4 * block_points
         assert path.read_bytes() == trace_csv_per_row(rec, est, t_true)
-        for lab in ("high", "low", "mixed"):
-            assert np.array_equal(res.estimates[lab], est[res.labels == lab])
+        # merged from per-period runs, so the summation order differs from
+        # one pass over the level; a single misfiled point moves them ~1e-6
         for lab in ("high", "low"):
-            level_est = res.estimates[lab]
-            assert res.level_means[lab] == float(np.mean(level_est))
-            assert res.level_stds[lab] == float(np.std(level_est, ddof=1))
+            level_est = est[res.labels == lab]
+            assert res.level_means[lab] == pytest.approx(np.mean(level_est),
+                                                         rel=1e-12)
+            assert res.level_stds[lab] == pytest.approx(
+                np.std(level_est, ddof=1), rel=1e-12)
 
     def test_period_means_match_masked_oracle(self):
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
@@ -635,10 +637,11 @@ class TestTrackSquareWave:
         assert peak < 5e6
 
     def test_peak_memory_per_point(self, tmp_path):
-        # the track keeps 9 bytes per point (estimates and a level code); the
-        # count record, its times, true temperatures and label strings are
-        # never held whole, so the peak grows by far less than their 60 B
-        # (about 9.6 B per point measured; 214 B when the record was kept)
+        # the track keeps 1 byte per point (the level code) plus one mean
+        # per level per period; the count record, the estimates, times, true
+        # temperatures and label strings are never held whole, so the peak
+        # grows by far less than their 68 B (1.8 B per point measured; 9.7 B
+        # when the estimates were kept, 214 B with the record)
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
@@ -654,7 +657,7 @@ class TestTrackSquareWave:
                 tracemalloc.stop()
             npts.append(len(res.level_codes))
         assert npts == [5000, 15000]
-        assert (peaks[1] - peaks[0]) / (npts[1] - npts[0]) < 16
+        assert (peaks[1] - peaks[0]) / (npts[1] - npts[0]) < 4
 
     def test_bin_shorter_than_cycle_rejected(self):
         asm = cuni_tracking_assembly(seed=1)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -248,6 +251,26 @@ class TestDesignSweep:
         serial = design_sweep(small, [0.6, 0.8, 1.0], temp_policy=policy, threads=1)
         parallel = design_sweep(small, [0.6, 0.8, 1.0], temp_policy=policy, threads=3)
         assert serial == parallel
+
+    def test_serial_sweep_leaves_thread_pool_unloaded(self):
+        # concurrent.futures (with logging) is imported only for threads > 1
+        code = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "import critherm.cli_runner\n"
+            "from critherm.presets import cuni_design_assembly\n"
+            "from critherm.sensitivity import design_sweep\n"
+            "small = replace(cuni_design_assembly(seed=53), n_nv=5)\n"
+            "points = design_sweep(small, [0.8], temp_policy=lambda tc: "
+            "[tc - 5.0], threads=1)\n"
+            "assert points[0].status == 'ok', points\n"
+            "print('concurrent.futures' in sys.modules)\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src),
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_one_forward_model_batch_per_composition(self, forward_model_calls):
         # each composition evaluates its temperatures and both +- steps of
