@@ -681,6 +681,10 @@ def run_resolved(resolved: dict, stem: str, out_dir=None, threads: int = 1):
     except (FileExistsError, NotADirectoryError):
         raise UsageError(f"{out}: not a directory") from None
     csv_path = out / f"{stem}.csv"
+    manifest_path = out / f"{stem}.manifest.json"
+    for path in (csv_path, manifest_path):
+        if path.is_dir():
+            raise UsageError(f"{path}: is a directory")
     results = _RUNNERS[kind](resolved, plan, csv_path, threads)
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -692,7 +696,6 @@ def run_resolved(resolved: dict, stem: str, out_dir=None, threads: int = 1):
         "outputs": [csv_path.name],
         "results": _finite_or_null(results),
     }
-    manifest_path = out / f"{stem}.manifest.json"
     manifest_path.write_text(
         json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return csv_path, manifest_path

@@ -33,6 +33,9 @@ _LINE_CHUNK = 256
 # buffer (256 x 256 float64 = 512 KiB), whatever the grid size; the stacked
 # grid [f; 1] that the line offsets are multiplied from adds 16 B per point.
 _FREQ_TILE = 256
+# Grid points per tile of the |dS/dT| bound of _peak_slope; divides
+# _FREQ_TILE.
+_BOUND_TILE = 32
 _SLOPE_STEP = 0.01  # K, step of the central-difference dS/dT
 
 
@@ -329,27 +332,139 @@ def _spectrum(asm: SensorAssembly, temp: float, freqs, om, op) -> OdmrSpectrum:
     return OdmrSpectrum(freqs=freqs, signal=signal, meta=meta)
 
 
-def slope_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None,
-               step: float = _SLOPE_STEP):
-    """Yield (om, op, freqs, slope) at each of the 1-D `temps`: om and op
-    hold the line centres of the rows T, T + step and T - step, from one
-    line_centers call for all of `temps`; slope is the central difference
-    dS/dT (1/K) of the signals of rows T + step and T - step on `freqs`,
-    or on the default_freq_grid of row T when freqs is None.  One grid is
-    held at a time.
+def line_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None,
+              step: float = _SLOPE_STEP):
+    """Yield (om, op, freqs) at each of the 1-D `temps`: om and op hold the
+    line centres of the rows T, T + step and T - step, from one line_centers
+    call for all of `temps`; freqs is the given grid, or the
+    default_freq_grid of row T when None.  One grid is held at a time.
 
-    Every row uses the same ensemble sample (common random numbers), so the
-    difference isolates the physics, not the sampling.
+    Every row uses the same ensemble sample (common random numbers), so a
+    difference of rows isolates the physics, not the sampling.
     """
     temps = np.asarray(temps, dtype=float)
     rows = np.stack([temps, temps + step, temps - step], axis=1)
-    om, op = (a.reshape(temps.size, 3, -1)
+    om, op = (a.reshape(temps.size, 3, len(sites))
               for a in line_centers(asm, rows.ravel(), sites))
     for om_t, op_t in zip(om, op):
-        grid = _grid_for_lines(asm, om_t[0], op_t[0]) if freqs is None \
-            else np.asarray(freqs, dtype=float)
-        yield om_t, op_t, grid, (_signal(asm, grid, om_t[1], op_t[1])
-                                 - _signal(asm, grid, om_t[2], op_t[2])) / (2.0 * step)
+        yield om_t, op_t, (_grid_for_lines(asm, om_t[0], op_t[0]) if freqs is None
+                           else np.asarray(freqs, dtype=float))
+
+
+def slope_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None,
+               step: float = _SLOPE_STEP):
+    """Yield (om, op, freqs, slope) at each of the 1-D `temps`: line_scan
+    plus slope, the central difference dS/dT (1/K) of the signals of rows
+    T + step and T - step on freqs."""
+    for om, op, grid in line_scan(asm, temps, sites, freqs, step):
+        yield om, op, grid, _slope(asm, grid, om, op, step)
+
+
+def _slope(asm: SensorAssembly, freqs, om, op, step: float = _SLOPE_STEP):
+    """dS/dT on freqs from rows 1 (T + step) and 2 (T - step) of om, op."""
+    return (_signal(asm, freqs, om[1], op[1])
+            - _signal(asm, freqs, om[2], op[2])) / (2.0 * step)
+
+
+def _bound_tiles(n: int) -> np.ndarray:
+    """Start of each bound tile of an n-point grid: every whole _FREQ_TILE
+    tile of _signal in _BOUND_TILE-point pieces, then the last, partial
+    tile, if any, in one piece."""
+    starts = np.arange(0, n, _BOUND_TILE)
+    return starts[starts <= n - n % _FREQ_TILE]
+
+
+def _tile_bounds(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
+    """Upper bound on the computed |_slope| over each tile of
+    _bound_tiles(freqs.size); inf where the bound is not finite, so that
+    such a tile is never skipped.
+
+    With L(u) = hw^2 / (u^2 + hw^2) and line l centred at c+ in row T + h
+    and c- in row T - h (h = _SLOPE_STEP), the mean value theorem gives
+    |L(f - c+) - L(f - c-)| <= |c+ - c-| g(D), where D is the distance from
+    the tile's [min f, max f] to [c-, c+] and g(D) is the largest |L'(u)|
+    at |u| >= D: 3 sqrt(3) / (8 hw) up to D = hw / sqrt(3), where |L'|
+    peaks, and 2 hw^2 D / (D^2 + hw^2)^2 beyond.  So a tile's |dS/dT| is at
+    most weight / (2h) sum_l |c+ - c-| g(D_l), summed over blocks of 256
+    lines by 256 tiles: no temporary outgrows _signal's 512 KiB buffer.
+    """
+    c_hi, c_lo = np.concatenate([om[1], op[1]]), np.concatenate([om[2], op[2]])
+    shift = np.abs(c_hi - c_lo)
+    c_hi, c_lo = np.maximum(c_hi, c_lo), np.minimum(c_hi, c_lo)
+    starts = _bound_tiles(freqs.size)
+    f_lo = np.minimum.reduceat(freqs, starts)
+    f_hi = np.maximum.reduceat(freqs, starts)
+    half2 = (0.5 * asm.line_width) ** 2
+    knee = np.sqrt(half2 / 3.0)
+    total = np.zeros(starts.size)
+    n, eps, h = shift.size, np.finfo(float).eps / 2.0, _SLOPE_STEP
+    buf = np.empty((2, _LINE_CHUNK, min(starts.size, _LINE_CHUNK)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _LINE_CHUNK):
+            lines = slice(start, start + _LINE_CHUNK)
+            for tile in range(0, starts.size, _LINE_CHUNK):
+                tiles = slice(tile, tile + _LINE_CHUNK)
+                d, q = buf[:, :shift[lines].size, :f_lo[tiles].size]
+                np.subtract(c_lo[lines, None], f_hi[tiles], out=d)
+                np.subtract(f_lo[tiles], c_hi[lines, None], out=q)
+                np.maximum(d, q, out=d)
+                np.maximum(d, knee, out=d)  # g(D) = g(knee) below the knee
+                np.multiply(d, d, out=q)
+                q += half2
+                q *= q
+                d *= 2.0 * half2
+                d /= q
+                total[tiles] += shift[lines] @ d
+        # Safety margin, with eps = 2^-53, N lines and c = contrast.
+        # _signal computes S = 1 - w sum_l L_l: each term is within 5 eps
+        # relative of its exact value (at most 1), the N terms are summed
+        # in some order (gamma_(N-1)), and w = c / N and the product and
+        # 1 - x round once each, so |S~ - S| <= c (N + 6) eps + eps.  The
+        # difference of two rows and its division by 2h add 2 eps relative:
+        # the computed |dS/dT| exceeds the exact one by at most
+        # 2 eps |dS/dT| + (c (N + 6) + 1) eps / h, to first order.  The
+        # bound sums N terms of about a dozen roundings each and is scaled
+        # three times, so it is within (N + 16) eps of its exact value.
+        # Twice both, a relative 2 (N + 32) eps and an absolute
+        # 2 (c (N + 8) + 1) eps / h, cover them, the second order and the
+        # three roundings of this line.
+        bound = (asm.contrast / n / (2.0 * h)) * total * (1.0 + 2 * (n + 32) * eps) \
+            + 2.0 * (asm.contrast * (n + 8) + 1.0) * eps / h
+    bound[~np.isfinite(bound)] = np.inf
+    return bound
+
+
+def _peak_slope(asm: SensorAssembly, freqs, om, op, floor: float = 0.0,
+                bounds=None) -> float:
+    """max |_slope| on freqs, bitwise np.max(np.abs(_slope(...))) whenever
+    that is >= floor; otherwise some value below floor.
+
+    Branch and bound over the tiles of _tile_bounds (`bounds`, computed
+    here when None): the tile of the highest bound is evaluated first, then,
+    in one _signal pair, the gathered columns of every tile whose bound
+    still reaches both floor and the peak so far.  Each column of _signal
+    is summed over the same line blocks in the same order whatever the
+    tile it sits in, as long as that tile has two or more columns; a
+    one-column tile is summed pairwise.  So the grid's last, partial
+    _signal tile is one bound tile and, when kept, is preceded by whole
+    _FREQ_TILE tiles, topped up with skipped tiles: it stays a tile of its
+    own and every column comes out bitwise as on the whole grid.
+    """
+    if bounds is None:
+        bounds = _tile_bounds(asm, freqs, om, op)
+    starts = _bound_tiles(freqs.size)
+    tile_of = np.repeat(np.arange(starts.size), np.diff(starts, append=freqs.size))
+    first = int(np.argmax(bounds))
+    peak = np.max(np.abs(_slope(asm, freqs[tile_of == first], om, op)))
+    keep = bounds >= max(floor, peak)
+    keep[first] = False
+    if freqs.size % _FREQ_TILE and keep[-1]:
+        short = -np.count_nonzero(keep[:-1]) % (_FREQ_TILE // _BOUND_TILE)
+        keep[np.flatnonzero(~keep[:-1])[:short]] = True
+    if keep.any():
+        peak = np.maximum(peak, np.max(np.abs(_slope(asm, freqs[keep[tile_of]],
+                                                      om, op))))
+    return float(peak)
 
 
 def measure_fwhm(freqs, signal) -> float:

@@ -25,8 +25,10 @@ from .errors import DomainError, EstimationError
 from .ensemble_spectrum import (
     _SLOPE_STEP,
     SensorAssembly,
+    _peak_slope,
     _signal,
     line_centers,
+    line_scan,
     sample_ensemble,
     site_transition_pairs,
     slope_scan,
@@ -330,7 +332,8 @@ def three_point_penalty(asm: SensorAssembly, cfg: ThreePointConfig, seed: int,
     est = window_estimates(rec, cfg, 1)
     eta_mc = float(np.std(est, ddof=1)
                    * np.sqrt(cycles_per_window * cfg.bin_duration))
-    return eta_mc / eta_cw_numeric(next(slope_scan(asm, [t0], sites))[3],
+    om, op, freqs = next(line_scan(asm, [t0], sites))
+    return eta_mc / eta_cw_numeric(_peak_slope(asm, freqs, om, op),
                                    asm.photon_rate)
 
 

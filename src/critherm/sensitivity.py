@@ -23,11 +23,13 @@ from .errors import DomainError, ThermoError, UnmeasurableError
 from .magnet_model import M_SAT_NI, curie_temperature
 from .ensemble_spectrum import (
     SensorAssembly,
+    _peak_slope,
     _spectrum,
+    _tile_bounds,
     domega_dtemp,
+    line_scan,
     nv_site,
     sample_ensemble,
-    slope_scan,
 )
 
 LORENTZIAN_SLOPE_FACTOR = 4.0 / (3.0 * np.sqrt(3.0))
@@ -35,7 +37,8 @@ THREE_POINT_FACTOR = np.sqrt(1.5)
 
 
 def eta_cw_numeric(spectrum_slope, photon_rate: float) -> float:
-    """CW sensitivity (K/sqrt(Hz)) from a dS/dT grid: 1/(sqrt(L) max|dS/dT|)."""
+    """CW sensitivity (K/sqrt(Hz)) from a dS/dT grid or its peak:
+    1/(sqrt(L) max|dS/dT|)."""
     if photon_rate <= 0:
         raise DomainError(f"photon_rate must be positive, got {photon_rate}")
     peak = float(np.max(np.abs(spectrum_slope)))
@@ -108,13 +111,16 @@ def representative_domega_dt(asm: SensorAssembly, temp):
 
 def sensitivity_scan(asm: SensorAssembly, temps, *, sites):
     """Yield the SensitivityReport at each of the 1-D `temps`, from one
-    slope_scan and one representative_domega_dt call."""
+    line_scan and one representative_domega_dt call: the spectrum of row T
+    on its default grid, and max|dS/dT| from _peak_slope, which evaluates
+    the slope only on the grid tiles that can hold the peak."""
     temps = np.asarray(temps, dtype=float)
-    for temp, dom, (om, op, freqs, slope) in zip(
+    for temp, dom, (om, op, freqs) in zip(
             temps.tolist(), representative_domega_dt(asm, temps).tolist(),
-            slope_scan(asm, temps, sites)):
+            line_scan(asm, temps, sites)):
         meta = _spectrum(asm, temp, freqs, om[0], op[0]).meta
-        eta_num = eta_cw_numeric(slope, asm.photon_rate)
+        peak = _peak_slope(asm, freqs, om, op)
+        eta_num = eta_cw_numeric(peak, asm.photon_rate)
         yield SensitivityReport(
             temp=temp,
             eta_cw_numeric=eta_num,
@@ -122,7 +128,7 @@ def sensitivity_scan(asm: SensorAssembly, temps, *, sites):
                 meta["effective_width_hz"], meta["effective_contrast"],
                 asm.photon_rate, dom),
             eta_three_point=float(THREE_POINT_FACTOR * eta_num),
-            max_dsdt_per_k=float(np.max(np.abs(slope))),
+            max_dsdt_per_k=peak,
             domega_dt_hz_per_k=dom)
 
 
@@ -160,20 +166,41 @@ def _sweep_cell(template: SensorAssembly, sites, x: float, temp_policy) -> Desig
                      composition_x=None)
     asm = replace(template, magnet=magnet)
     temps = temp_policy(tc)
+    # branch and bound: every row's tile bounds first (one grid held at a
+    # time, kept as its linspace arguments), then the temperatures in
+    # descending order of their highest bound, each against the best peak
+    # so far.  eta = 1 / (sqrt(L) peak) rounds twice, so a peak less than
+    # 2^-50 (8 unit roundoffs) below the best can still tie with it in eta;
+    # the floor lets those through.  What is skipped is strictly worse, and
+    # the first minimal eta in temperature order wins, as in a full scan.
     best = None
     try:
-        for temp, (*_, slope) in zip(temps, slope_scan(asm, temps, sites)):
-            eta = eta_cw_numeric(slope, asm.photon_rate)
-            if best is None or eta < best[0]:
-                best = (eta, temp)
+        rows = []
+        for om, op, freqs in line_scan(asm, temps, sites):
+            rows.append((om, op, (freqs[0], freqs[-1], freqs.size),
+                         _tile_bounds(asm, freqs, om, op)))
+        best_peak = 0.0
+        for k in sorted(range(len(rows)), key=lambda k: -rows[k][3].max()):
+            om, op, grid, bounds = rows[k]
+            floor = best_peak * (1.0 - 2.0 ** -50)
+            if bounds.max() < floor:
+                break
+            peak = _peak_slope(asm, np.linspace(*grid), om, op, floor, bounds)
+            if peak < floor:
+                continue
+            best_peak = max(best_peak, peak)
+            eta = eta_cw_numeric(peak, asm.photon_rate)
+            if best is None or (eta, k) < best:
+                best = (eta, k)
     except ThermoError as exc:
         return DesignPoint(x, tc, np.nan, np.nan, np.nan,
                            status=f"error: {exc}")
     if best is None:  # Tc too low for any offset of the policy
         return DesignPoint(x, tc, np.nan, np.nan, np.nan,
                            status="error: no operating temperature below Tc")
-    dom = representative_domega_dt(asm, best[1])
-    return DesignPoint(x=float(x), tc_k=float(tc), t_opt_k=float(best[1]),
+    t_opt = temps[best[1]]
+    dom = representative_domega_dt(asm, t_opt)
+    return DesignPoint(x=float(x), tc_k=float(tc), t_opt_k=float(t_opt),
                        eta_opt=float(best[0]), domega_dt=float(dom))
 
 
@@ -182,10 +209,13 @@ def design_sweep(template: SensorAssembly, x_grid, temp_policy=None,
     """Optimal sensitivity versus Cu(1-x)Ni(x) composition.
 
     The ensemble is sampled once from the template (sampling never reads the
-    magnet).  For each x the magnet is rebuilt from the composition map, the
-    spectrum slope is evaluated over the operating-temperature grid, and the
-    minimum eta with its temperature is reported.  Per-x failures are
-    recorded in the row status without aborting the sweep.  Results are
+    magnet).  For each x the magnet is rebuilt from the composition map and
+    the minimum eta over the operating-temperature grid is reported with its
+    temperature.  max|dS/dT| comes from _peak_slope, by branch and bound
+    over the temperatures and the grid tiles: it is bitwise that of the
+    whole slope grid at every temperature that can hold the optimum, and
+    the others are skipped.  Per-x failures are recorded in the row status
+    without aborting the sweep.  Results are
     gathered in input order, so the thread count changes speed only.
     """
     if temp_policy is None:

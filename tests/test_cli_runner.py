@@ -560,21 +560,31 @@ class TestMainExitCodes:
         (None, "bad.cfg"),
         ((MAGNETIZE + "# 63 \u00b0C\n").encode("latin-1"), "bad.cfg"),
         (MAGNETIZE.encode(), "out"),
-    ], ids=["missing-file", "not-utf-8", "out-is-a-file"])
+        (MAGNETIZE.encode(), "out/bad.csv"),
+        (MAGNETIZE.encode(), "out/bad.manifest.json"),
+    ], ids=["missing-file", "not-utf-8", "out-is-a-file", "csv-is-a-directory",
+            "manifest-is-a-directory"])
     def test_unusable_path_exit_2(self, tmp_path, capsys, content, named):
         # invocation errors, exit 2 as argparse's own, naming the path;
-        # validate takes no --out, so it passes the last file
+        # validate takes no --out, so it passes the last three files
         p, out = tmp_path / "bad.cfg", tmp_path / "out"
         if content is not None:
             p.write_bytes(content)
-        out.write_text("a file\n")
+        if named.startswith("out/"):  # an output file's name is a directory
+            (tmp_path / named).mkdir(parents=True)
+        else:
+            out.write_text("a file\n")
         codes = [main(["validate", str(p)]),
                  main(["run", str(p), "--out", str(out)])]
-        assert codes == ([0, 2] if named == "out" else [2, 2])
+        assert codes == ([2, 2] if named == "bad.cfg" else [0, 2])
         err = capsys.readouterr().err
         assert err.count(f"thermo: error: {tmp_path / named}: ") == codes.count(2)
         assert "Traceback" not in err
-        assert out.read_text() == "a file\n"
+        if out.is_file():
+            assert out.read_text() == "a file\n"
+        else:  # nothing written, nothing removed
+            assert [q.name for q in out.iterdir()] == [Path(named).name]
+            assert not any((tmp_path / named).iterdir())
 
     def test_closed_stdout_no_traceback(self, tmp_path):
         # `thermo validate f | head -1`: the reader is gone before the

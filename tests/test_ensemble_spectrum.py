@@ -4,15 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from critherm import ensemble_spectrum
 from critherm.ensemble_spectrum import (
     TETRAHEDRAL_AXES,
     Ensemble,
     SensorAssembly,
+    _bound_tiles,
+    _peak_slope,
     _signal,
+    _tile_bounds,
     default_freq_grid,
     domega_dtemp,
     line_centers,
+    line_scan,
     measure_fwhm,
     nv_frame,
     nv_site,
@@ -402,6 +408,79 @@ class TestTemperatureSlope:
             m2[name] = (absorption_second_moment(freqs, spec.signal, freqs[0], d_mid)
                         + absorption_second_moment(freqs, spec.signal, d_mid, freqs[-1]))
         assert m2["near"] >= m2["far"]
+
+
+def tile_index(n_points):
+    """The bound tile of each grid point."""
+    starts = _bound_tiles(n_points)
+    return np.repeat(np.arange(starts.size), np.diff(starts, append=n_points))
+
+
+class TestPeakSlope:
+    """_tile_bounds and _peak_slope: max|dS/dT| by branch and bound."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(n_nv=st.integers(1, 5), gap=st.floats(2e-9, 40e-9),
+           offset=st.floats(0.02, 30.0), seed=st.integers(0, 1000),
+           n_points=st.sampled_from([0, 1, 2, 33, 257, 300, 545]),
+           shuffle=st.booleans())
+    @example(n_nv=5, gap=2e-9, offset=0.02, seed=3, n_points=545, shuffle=True)
+    def test_bound_holds_on_every_tile(self, n_nv, gap, offset, seed,
+                                       n_points, shuffle):
+        # n_points = 0: the default grid of row T; otherwise an explicit
+        # grid over the lines, in grid order or shuffled
+        asm = replace(cuni_design_assembly(seed=seed), n_nv=n_nv,
+                      fnd_center=(0.0, 0.0, 150e-9 + gap))
+        sites, temps = sample_ensemble(asm), [asm.magnet.tc - offset]
+        om, op, freqs = next(line_scan(asm, temps, sites))
+        if n_points:
+            freqs = np.linspace(freqs[0], freqs[-1], n_points)
+            if shuffle:
+                freqs = np.random.default_rng(seed).permutation(freqs)
+        slope = np.abs(next(slope_scan(asm, temps, sites, freqs))[3])
+        bounds = _tile_bounds(asm, freqs, om, op)
+        assert bounds.shape == (_bound_tiles(freqs.size).size,)
+        assert np.all(slope <= bounds[tile_index(freqs.size)])
+        peak = np.max(slope)
+        assert _peak_slope(asm, freqs, om, op) == peak
+        assert _peak_slope(asm, freqs, om, op, peak, bounds) == peak
+
+    def test_non_finite_bound_never_prunes(self):
+        asm = SensorAssembly(n_nv=2)
+        om, op = np.array([[D0 - 5e6] * 2] * 3), np.array([[D0 + 5e6] * 2] * 3)
+        om[2, 0] = np.nan
+        freqs = np.linspace(D0 - 1e9, D0 + 1e9, 1000)
+        assert np.all(_tile_bounds(asm, freqs, om, op) == np.inf)
+        assert np.isnan(_peak_slope(asm, freqs, om, op, 1.0))
+
+    @pytest.mark.parametrize("n_points", [256, 300, 513, 769, 801])
+    def test_gathered_columns_bitwise_equal_to_whole_grid(self, monkeypatch,
+                                                          n_points):
+        # any set of kept tiles, the last partial (or one-point) tile among
+        # them or not: every slope column _peak_slope evaluates is the
+        # whole grid's, bit for bit.  A deep dip of narrowly spread lines
+        # lets a one-ulp change in a column's line sum reach the signal.
+        asm = SensorAssembly(contrast=0.99)
+        lines = np.random.default_rng(1).normal(D0, 2e6, (3, 1000))
+        om, op = lines[:, :500], lines[:, 500:]
+        freqs = np.linspace(D0 - 30e6, D0, n_points)
+        whole = dict(zip(freqs.tolist(), ensemble_spectrum._slope(asm, freqs, om, op)))
+        seen = []
+        slope = ensemble_spectrum._slope
+
+        def recording(asm, freqs, om, op):
+            got = slope(asm, freqs, om, op)
+            seen.append(np.array_equal(got, [whole[f] for f in freqs.tolist()]))
+            return got
+
+        monkeypatch.setattr(ensemble_spectrum, "_slope", recording)
+        rng = np.random.default_rng(n_points)
+        n_tiles = _bound_tiles(n_points).size
+        for _ in range(6):
+            bounds = np.where(rng.random(n_tiles) < 0.5, np.inf, 0.0)
+            bounds[rng.integers(n_tiles)] = np.inf
+            _peak_slope(asm, freqs, om, op, 0.0, bounds)
+        assert len(seen) >= 6 and all(seen)
 
 
 def absorption_second_moment(freqs, signal, lo: float, hi: float) -> float:

@@ -3,21 +3,28 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from critherm import ensemble_spectrum
+from critherm.cli_runner import _prepare, parse_config, resolve
 from critherm.ensemble_spectrum import (
     SensorAssembly,
+    _peak_slope,
     nv_site,
     sample_ensemble,
     slope_scan,
     synthesize_spectrum,
 )
 from critherm.errors import DomainError, UnmeasurableError
+from critherm.magnet_model import M_SAT_NI, curie_temperature
 from critherm.presets import cuni_design_assembly
 from critherm.sensitivity import (
+    DesignPoint,
     SensitivityReport,
+    _sweep_cell,
     default_temp_policy,
     design_sweep,
     eta_cw_lorentzian,
@@ -313,3 +320,106 @@ class TestDesignSweep:
         temps = default_temp_policy(340.0)
         assert np.all(temps < 340.0)
         assert np.all(np.diff(temps) < 0)
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def shipped_plan(name):
+    return _prepare(resolve(parse_config((SCENARIO_DIR / f"{name}.cfg").read_text())))
+
+
+def composition_assembly(template, x):
+    """The assembly of composition x, as the design sweep builds it."""
+    tc = curie_temperature(x)
+    return replace(template, magnet=replace(
+        template.magnet, m_sat=x * M_SAT_NI, tc=tc, composition_x=None))
+
+
+def design_point(asm, x, temps, peaks):
+    """A design-sweep row from the full-grid max|dS/dT| at each of temps:
+    the first minimal eta wins."""
+    etas = [eta_cw_numeric(peak, asm.photon_rate) for peak in peaks]
+    k = int(np.argmin(etas))
+    return DesignPoint(x=float(x), tc_k=float(asm.magnet.tc),
+                       t_opt_k=float(temps[k]), eta_opt=float(etas[k]),
+                       domega_dt=float(representative_domega_dt(asm, temps[k])))
+
+
+def full_grid_scan(asm, temps, sites):
+    """(om, op, freqs, max|dS/dT| of the whole slope grid) at each of temps."""
+    return [(om, op, freqs, np.max(np.abs(slope)))
+            for om, op, freqs, slope in slope_scan(asm, temps, sites)]
+
+
+@pytest.fixture(scope="module")
+def design_cfg():
+    """design_sweep.cfg: per composition its assembly, temperatures and
+    full_grid_scan, and the row _sweep_cell gives, with the number of
+    _signal columns the cells evaluated in all."""
+    plan = shipped_plan("design_sweep")
+    sites = sample_ensemble(plan.asm)
+    columns = [0]
+    signal = ensemble_spectrum._signal
+
+    def counting(asm, freqs, om, op):
+        columns[0] += freqs.size
+        return signal(asm, freqs, om, op)
+
+    cells = []
+    for x in plan.xs:
+        asm = composition_assembly(plan.asm, x)
+        temps = default_temp_policy(asm.magnet.tc)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble_spectrum, "_signal", counting)
+            point = _sweep_cell(plan.asm, sites, x, default_temp_policy)
+        cells.append((x, asm, temps, full_grid_scan(asm, temps, sites), point))
+    return plan.asm, sites, cells, columns[0]
+
+
+class TestPrunedPeakSlope:
+    """The design sweep and the sensitivity kind take max|dS/dT| from
+    _peak_slope, which skips the grid tiles whose bound cannot reach it."""
+
+    def test_design_cells_equal_full_grid_oracle(self, design_cfg):
+        *_, cells, _ = design_cfg
+        assert len(cells) == 11
+        for x, asm, temps, scan, point in cells:
+            assert point.status == "ok"
+            assert point == design_point(asm, x, temps, [row[3] for row in scan])
+
+    def test_design_cells_evaluate_at_most_half_the_grid(self, design_cfg):
+        *_, cells, columns = design_cfg
+        full = 2 * sum(row[2].size for *_, scan, _ in cells for row in scan)
+        assert 0 < columns <= 0.5 * full
+
+    def test_repeated_temperature_cell_equals_oracle(self, design_cfg):
+        template, sites, *_ = design_cfg
+        policy = lambda tc: tc - np.array([2.0, 0.5, 8.0, 0.5, 2.0])
+        for x in (0.55, 0.8):
+            asm = composition_assembly(template, x)
+            temps = policy(asm.magnet.tc)
+            peaks = [row[3] for row in full_grid_scan(asm, temps, sites)]
+            assert _sweep_cell(template, sites, x, policy) == \
+                design_point(asm, x, temps, peaks)
+
+    @pytest.mark.parametrize("name", ["design_sweep", "sensitivity_vs_temp"])
+    def test_peak_bitwise_at_every_shipped_temperature(self, design_cfg, name):
+        # exact at the floor the sensitivity kind uses, 0, and at the
+        # highest floor a sweep can pass, the peak itself; on the sensitivity
+        # rows, below a floor just above the peak
+        if name == "design_sweep":
+            rows = [(asm, row) for _, asm, _, scan, _ in design_cfg[2]
+                    for row in scan]
+        else:
+            plan = shipped_plan(name)
+            rows = [(plan.asm, row)
+                    for row in full_grid_scan(plan.asm, plan.temps, plan.sites)]
+        assert len(rows) == (99 if name == "design_sweep" else 40)
+        for asm, (om, op, freqs, peak) in rows:
+            if name == "design_sweep":
+                assert _peak_slope(asm, freqs, om, op, peak) == peak
+            else:
+                assert _peak_slope(asm, freqs, om, op) == peak
+                above = np.nextafter(peak, np.inf)
+                assert _peak_slope(asm, freqs, om, op, above) < above
