@@ -39,11 +39,12 @@ from . import magnet_model
 from .ensemble_spectrum import (
     _SLOPE_STEP,
     SensorAssembly,
+    _slope,
     _spectrum,
     domega_dtemp,
+    line_scan,
     nv_site,
     sample_ensemble,
-    slope_scan,
 )
 from .magnet_model import _DT_STEP, M_SAT_NI, Magnet, dm_dtemp, solve_magnetization
 from .protocol_sim import (
@@ -56,17 +57,19 @@ from .protocol_sim import (
     shot_noise_curve,
     track_square_wave,
 )
-from .sensitivity import design_sweep, sensitivity_scan
+from .sensitivity import DEFAULT_TC_OFFSETS_K, design_sweep, sensitivity_scan
 from .spin_model import SpinSystem
 
 FORMAT_VERSION = 1
 
 _FLOOR_RESOLUTION = 1e-4  # K, the cache grid the shot-noise floor trace snaps to
-# The most points of any one grid or record of a run: temperatures,
-# compositions, frequencies, NV sites or protocol cycles.  The shipped sizes
-# sit far inside it (the automatic frequency grid has at most 30,001 points,
-# the benchmark's long track 576,000 cycles); a larger one is rejected
-# before anything is allocated.
+# The most points of any one grid or record of a run (temperatures,
+# compositions, frequencies or protocol cycles) and the most line pairs,
+# temperature rows times NV sites, of any one line_centers call.  The
+# shipped sizes sit far inside it (the automatic frequency grid has at most
+# 30,001 points, the benchmark's long track 576,000 cycles, the shot-noise
+# floor 283 rows of 500 sites); a larger one is rejected before anything is
+# allocated.
 _MAX_POINTS = 10_000_000
 _PROBE_KEYS = ("f1_hz", "f2_hz", "f_ref_hz")
 
@@ -373,7 +376,7 @@ def _bound(key: str, span: float, unit: float):
     compared without dividing, so a tiny unit cannot overflow."""
     if span > _MAX_POINTS * unit:
         raise SchemaError(f"{key}: the run would hold more than {_MAX_POINTS} "
-                          "points in one grid or record")
+                          "points in one grid, record or forward-model call")
 
 
 def _grid(grids: dict, start: str, stop: str, step: str) -> np.ndarray:
@@ -394,15 +397,13 @@ def _plan(resolved: dict) -> SimpleNamespace:
     explicit (f1, f2, f_ref), else None), trace and resolution (the
     shot-noise floor and its 0.1 mK snap) and ref_temps (where an explicit
     f_ref must clear every line).  SchemaError, naming the key, for a
-    negative seed, a grid or record above _MAX_POINTS, a protocol
-    layout that leaves no statistics, or a lowest forward-model row at or
-    below 0 K."""
+    negative seed, a grid, record or line_centers call above _MAX_POINTS, a
+    protocol layout that leaves no statistics, or a lowest forward-model row
+    at or below 0 K."""
     kind = resolved["run"]["kind"]
     grids, proto = resolved.get("grids", {}), resolved.get("protocol", {})
     if resolved["run"].get("seed", 0) < 0:
         raise SchemaError("run.seed: must be >= 0")
-    if "assembly" in resolved:
-        _bound("assembly.n_nv", resolved["assembly"]["n_nv"], 1.0)
     plan = SimpleNamespace(
         temps=None, xs=None, freqs=None, trace=None, resolution=None, ref_temps=[],
         step=_DT_STEP if kind in ("magnetize", "susceptibility") else _SLOPE_STEP,
@@ -448,6 +449,16 @@ def _plan(resolved: dict) -> SimpleNamespace:
                 "protocol.period_s/bin_s/duration_s: a level gets fewer than "
                 "two data points that do not straddle a switch")
 
+    # the rows of the largest line_centers call: T, T + h and T - h per
+    # temperature (per composition for the sweep, three for the protocol
+    # calibration), T - h and T + h per temperature for dw/dT, and a
+    # shot-noise floor's distinct snapped rows
+    n_rows, row_key = 3, None
+    if kind in ("sensitivity", "susceptibility"):
+        n_rows = (3 if kind == "sensitivity" else 2) * len(plan.temps)
+        row_key = "grids.temp_step_k"
+    elif kind == "design-sweep":
+        n_rows = 3 * len(DEFAULT_TC_OFFSETS_K)
     # the lowest row each kind solves is its first temperature less the
     # step, and then a shot-noise floor's snapped trough
     rows = [] if key is None else [(key, float(plan.temps[0]) - plan.step)]
@@ -455,13 +466,21 @@ def _plan(resolved: dict) -> SimpleNamespace:
         t0, rms, per = grids["temp_k"], proto["floor_rms_k"], proto["floor_period_s"]
         plan.trace = lambda t: t0 + np.sqrt(2.0) * rms * np.sin(2 * np.pi * t / per)
         plan.resolution = _FLOOR_RESOLUTION
-        trough = t0 - np.sqrt(2.0) * abs(rms)
-        rows.append(("protocol.floor_rms_k", float(
-            np.round(trough / _FLOOR_RESOLUTION) * _FLOOR_RESOLUTION)))
+        trough = np.round((t0 - np.sqrt(2.0) * abs(rms)) / _FLOOR_RESOLUTION)
+        crest = np.round((t0 + np.sqrt(2.0) * abs(rms)) / _FLOOR_RESOLUTION)
+        rows.append(("protocol.floor_rms_k", float(trough * _FLOOR_RESOLUTION)))
+        cycles = np.floor(proto["total_time_s"] / (3.0 * proto["dwell_s"]))
+        n_rows = max(n_rows, int(min(crest - trough + 1.0, cycles)))
+        row_key = "protocol.floor_rms_k"
     for key, lowest in rows:
         if lowest <= 0.0:
             raise SchemaError(f"{key}: temperature too low: the run solves a row "
                               f"at {lowest!r} K, and temperatures must be positive")
+    # rows times sites, named by the larger factor (magnetize solves no
+    # line centres; its 3 rows of 1 site never reach the bound)
+    sites = resolved["assembly"]["n_nv"] if "assembly" in resolved else 1
+    _bound(row_key if row_key and n_rows > sites else "assembly.n_nv",
+           n_rows * sites, 1.0)
     return plan
 
 
@@ -540,8 +559,8 @@ def _run_magnetize(resolved, plan, out_csv, threads):
 
 
 def _run_spectrum(resolved, plan, out_csv, threads):
-    om, op, freqs, slope = next(slope_scan(plan.asm, plan.temps, plan.sites,
-                                           plan.freqs, plan.step))
+    om, op, freqs = next(line_scan(plan.asm, plan.temps, plan.sites, plan.freqs))
+    slope = _slope(plan.asm, freqs, om, op)
     spec = _spectrum(plan.asm, plan.temps[0], freqs, om[0], op[0])
     extra = [f"{key} = {spec.meta[key]!r}" for key in (
         "temp_k", "line_width_hz", "contrast", "n_nv", "rng_seed",

@@ -54,7 +54,6 @@ class SensorAssembly:
     fnd_center: tuple = (0.0, 0.0, 200e-9)
     fnd_radius: float = 50e-9
     n_nv: int = 500
-    crystal_orientation: tuple = None      # 3x3 rotation crystal -> lab; None = identity
     strain_mean: float = 4e6               # Hz
     strain_sd: float = 2e6                 # Hz
     line_width: float = 8e6                # Hz FWHM per NV
@@ -85,14 +84,6 @@ class SensorAssembly:
             raise DomainError("strain parameters must be >= 0")
         object.__setattr__(self, "fnd_center",
                            tuple(float(c) for c in self.fnd_center))
-        if self.crystal_orientation is not None:
-            rot = np.asarray(self.crystal_orientation, dtype=float)
-            if rot.shape != (3, 3):
-                raise DomainError("crystal_orientation must be a 3x3 rotation")
-            if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-9):
-                raise DomainError("crystal_orientation is not orthogonal")
-            object.__setattr__(self, "crystal_orientation",
-                               tuple(tuple(float(x) for x in row) for row in rot))
         if self.magnet is not None and self.gap < 0:
             raise GeometryError(
                 f"FND and magnet overlap: surface gap {self.gap:.3e} m"
@@ -106,11 +97,6 @@ class SensorAssembly:
         d = np.linalg.norm(np.asarray(self.fnd_center)
                            - np.asarray(self.magnet.center))
         return float(d - self.fnd_radius - self.magnet.radius)
-
-    def rotation(self) -> np.ndarray:
-        if self.crystal_orientation is None:
-            return np.eye(3)
-        return np.asarray(self.crystal_orientation, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +125,11 @@ class OdmrSpectrum:
 
 def sample_ensemble(asm: SensorAssembly) -> Ensemble:
     """Draw the NV sites: positions uniform in the FND ball, axes uniform on
-    the four rotated <111> directions (one frame built per axis), strain
+    the four <111> directions (one frame built per axis), strain
     from a truncated-at-zero normal.  Each site uses its own RNG stream
     spawned from the master seed, so any execution order (or parallel map)
     reproduces the same ensemble."""
-    axis_frames = [nv_frame(a) for a in TETRAHEDRAL_AXES @ asm.rotation().T]
+    axis_frames = [nv_frame(a) for a in TETRAHEDRAL_AXES]
     center = np.asarray(asm.fnd_center)
     positions = np.empty((asm.n_nv, 3))
     frames = np.empty((asm.n_nv, 3, 3))
@@ -332,32 +318,23 @@ def _spectrum(asm: SensorAssembly, temp: float, freqs, om, op) -> OdmrSpectrum:
     return OdmrSpectrum(freqs=freqs, signal=signal, meta=meta)
 
 
-def line_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None,
-              step: float = _SLOPE_STEP):
+def line_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None):
     """Yield (om, op, freqs) at each of the 1-D `temps`: om and op hold the
-    line centres of the rows T, T + step and T - step, from one line_centers
-    call for all of `temps`; freqs is the given grid, or the
-    default_freq_grid of row T when None.  One grid is held at a time.
+    line centres of the rows T, T + h and T - h (h = _SLOPE_STEP, the step
+    that _slope and _tile_bounds assume), from one line_centers call for
+    all of `temps`; freqs is the given grid, or the default_freq_grid of
+    row T when None.  One grid is held at a time.
 
     Every row uses the same ensemble sample (common random numbers), so a
     difference of rows isolates the physics, not the sampling.
     """
     temps = np.asarray(temps, dtype=float)
-    rows = np.stack([temps, temps + step, temps - step], axis=1)
+    rows = np.stack([temps, temps + _SLOPE_STEP, temps - _SLOPE_STEP], axis=1)
     om, op = (a.reshape(temps.size, 3, len(sites))
               for a in line_centers(asm, rows.ravel(), sites))
     for om_t, op_t in zip(om, op):
         yield om_t, op_t, (_grid_for_lines(asm, om_t[0], op_t[0]) if freqs is None
                            else np.asarray(freqs, dtype=float))
-
-
-def slope_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None,
-               step: float = _SLOPE_STEP):
-    """Yield (om, op, freqs, slope) at each of the 1-D `temps`: line_scan
-    plus slope, the central difference dS/dT (1/K) of the signals of rows
-    T + step and T - step on freqs."""
-    for om, op, grid in line_scan(asm, temps, sites, freqs, step):
-        yield om, op, grid, _slope(asm, grid, om, op, step)
 
 
 def _slope(asm: SensorAssembly, freqs, om, op, step: float = _SLOPE_STEP):

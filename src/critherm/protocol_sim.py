@@ -25,13 +25,14 @@ from .errors import DomainError, EstimationError
 from .ensemble_spectrum import (
     _SLOPE_STEP,
     SensorAssembly,
+    _grid_for_lines,
     _peak_slope,
     _signal,
+    _slope,
     line_centers,
     line_scan,
     sample_ensemble,
     site_transition_pairs,
-    slope_scan,
 )
 from .sensitivity import eta_cw_numeric
 
@@ -78,7 +79,6 @@ class CountRecord:
     counts_f1: np.ndarray    # counts per point, summed over its bins
     counts_f2: np.ndarray
     counts_ref: np.ndarray
-    bins_per_point: int = 1  # protocol cycles (record bins) per point
 
     def __len__(self):
         return len(self.times)
@@ -94,16 +94,20 @@ def reference_detuning_ok(asm: SensorAssembly, f_ref: float, temp: float, sites)
 def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
                           probes=None, dt_step: float = _SLOPE_STEP, *,
                           sites) -> ThreePointConfig:
-    """Linearize the protocol around t0 from one forward-model evaluation
-    at t0 and t0 +- dt_step.
+    """Linearize the protocol around t0 from one line_centers call with
+    the rows t0, t0 + dt_step and t0 - dt_step: the signals of the three
+    probes in each row give the anchors and the secant slope.
 
-    probes is an explicit (f1, f2, f_ref) in Hz; by default the two
-    extreme-slope frequencies and an off-resonant reference are picked.
+    probes is an explicit (f1, f2, f_ref) in Hz; by default f1 and f2 are
+    the extreme-slope frequencies of the default_freq_grid of row t0 (the
+    same secant, by _slope) and f_ref sits off every resonance.
     """
     if dt_step <= 0:
         raise DomainError(f"dt_step must be positive, got {dt_step}")
-    om, op, freqs, slope_grid = next(slope_scan(asm, [t0], sites, probes, dt_step))
+    om, op = line_centers(asm, [t0, t0 + dt_step, t0 - dt_step], sites)
     if probes is None:
+        freqs = _grid_for_lines(asm, om[0], op[0])
+        slope_grid = _slope(asm, freqs, om, op, dt_step)
         f1 = float(freqs[int(np.argmax(slope_grid))])
         f2 = float(freqs[int(np.argmin(slope_grid))])
         f_ref = float(np.max(op[0]) + 1.2 * _REF_DETUNING_LINEWIDTHS * asm.line_width)
@@ -227,7 +231,6 @@ def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
         counts_f1=counts[:, 0],
         counts_f2=counts[:, 1],
         counts_ref=counts[:, 2],
-        bins_per_point=bins_per_point,
     )
 
 
@@ -453,8 +456,7 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
         stop = first + len(counts)
         times = _point_times(first, stop, bpw, cfg.bin_duration)
         rec = CountRecord(times=times, counts_f1=counts[:, 0],
-                          counts_f2=counts[:, 1], counts_ref=counts[:, 2],
-                          bins_per_point=bpw)
+                          counts_f2=counts[:, 1], counts_ref=counts[:, 2])
         est = window_estimates(rec, cfg, 1)
         if trace is not None:
             export_trace_csv(trace, rec, est, level(times + 0.5 * span))

@@ -535,6 +535,14 @@ class TestMainExitCodes:
          "protocol.duration_s"),
         (shipped("spectrum_63c", "n_nv = 500", "n_nv = 1000000000000000"),
          "assembly.n_nv"),
+        # each a few million temperature rows of 500 sites in one forward-
+        # model call: 1,950,001 temperatures of 3 rows, and the distinct
+        # 0.1 mK rows of a 100 K floor
+        (shipped("sensitivity_vs_temp", "temp_step_k = 0.5", "temp_step_k = 1e-5"),
+         "grids.temp_step_k"),
+        (shipped("shot_noise", "floor_rms_k = 0.010\n", "floor_rms_k = 100\n")
+         .replace("total_time_s = 400.0", "total_time_s = 100000"),
+         "protocol.floor_rms_k"),
         # numpy seeds only from non-negative integers
         (shipped("spectrum_63c", "seed = 2026", "seed = -1"), "run.seed"),
     ], ids=["shot-noise-no-window", "track-all-mixed", "negative-dwell",
@@ -545,7 +553,8 @@ class TestMainExitCodes:
             "shot-noise-zero-floor-period", "track-count-guard",
             "shot-noise-count-guard", "track-reference-in-dip",
             "magnetize-oversize-grid", "track-oversize-record",
-            "spectrum-oversize-ensemble", "negative-seed"])
+            "spectrum-oversize-ensemble", "sensitivity-oversize-rows",
+            "shot-noise-oversize-floor-rows", "negative-seed"])
     def test_unusable_protocol_exit_2(self, tmp_path, capsys, text, key):
         # every precondition validate can check: run never starts
         p = write(tmp_path, "bad.cfg", text)

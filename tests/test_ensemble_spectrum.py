@@ -14,6 +14,7 @@ from critherm.ensemble_spectrum import (
     _bound_tiles,
     _peak_slope,
     _signal,
+    _slope,
     _tile_bounds,
     default_freq_grid,
     domega_dtemp,
@@ -25,7 +26,6 @@ from critherm.ensemble_spectrum import (
     sample_ensemble,
     signal_at,
     site_transition_pairs,
-    slope_scan,
     synthesize_spectrum,
 )
 from critherm.errors import DomainError, GeometryError
@@ -102,16 +102,6 @@ class TestSampleEnsemble:
         with pytest.raises(DomainError, match="axis"):
             nv_site((0.0, 0.0, 1e-3), (0.0, 0.0, 0.0), 0.0)
 
-    def test_crystal_rotation_applied(self):
-        theta = 0.3
-        rot = ((np.cos(theta), -np.sin(theta), 0.0),
-               (np.sin(theta), np.cos(theta), 0.0),
-               (0.0, 0.0, 1.0))
-        asm = bare_assembly(n_nv=50, crystal_orientation=rot, rng_seed=2)
-        expected = TETRAHEDRAL_AXES @ np.asarray(rot).T
-        for axis in sample_ensemble(asm).frames[:, 2]:
-            assert np.min(np.linalg.norm(expected - axis, axis=1)) < 1e-12
-
 
 class TestFrameProjection:
     def test_per_axis_projection_matches_single_nv_oracle(self):
@@ -123,10 +113,11 @@ class TestFrameProjection:
                       [-axis[1], axis[0], 0.0]])
         rot = np.eye(3) + np.sin(0.7) * k + (1.0 - np.cos(0.7)) * k @ k
         asm = replace(cuni_tracking_assembly(seed=3), n_nv=120,
-                      crystal_orientation=tuple(map(tuple, rot)),
                       bias_field=(1.0e-3, -2.0e-3, 1.5e-3))
         temp = 336.0
         sites = sample_ensemble(asm)
+        sites = Ensemble(positions=sites.positions, strains=sites.strains,
+                         frames=np.array([nv_frame(rot @ f[2]) for f in sites.frames]))
         assert len(np.unique(sites.frames[:, 2], axis=0)) == 4
         om, op = site_transition_pairs(asm, temp, sites)
         moment = magnetic_moment(asm.magnet, temp)
@@ -154,16 +145,17 @@ class TestBatchedForwardModel:
             om_k, op_k = site_transition_pairs(asm, temp, sites)
             assert np.array_equal(om[k], om_k) and np.array_equal(op[k], op_k)
 
-    def test_slope_scan_bitwise_equal_to_public_path(self):
+    def test_line_scan_slope_bitwise_equal_to_public_path(self):
         # oracle: two signal_at spectra on default_freq_grid, T +- h apart
         hybrid = replace(cuni_design_assembly(seed=5), n_nv=60)
         temps = hybrid.magnet.tc - np.array([0.4, 3.0, 12.0])
         h = 0.01
         for asm in (hybrid, replace(hybrid, magnet=None)):
             sites = sample_ensemble(asm)
-            scan = list(slope_scan(asm, temps, sites))
+            scan = list(line_scan(asm, temps, sites))
             assert len(scan) == 3
-            for temp, (om, op, freqs, slope) in zip(temps.tolist(), scan):
+            for temp, (om, op, freqs) in zip(temps.tolist(), scan):
+                slope = _slope(asm, freqs, om, op)
                 for k, row in enumerate([temp, temp + h, temp - h]):
                     om_k, op_k = site_transition_pairs(asm, row, sites)
                     assert np.array_equal(om[k], om_k) and np.array_equal(op[k], op_k)
@@ -347,25 +339,30 @@ class TestDefaultFreqGrid:
 def _asm_kwargs(asm):
     return dict(magnet=asm.magnet, fnd_center=asm.fnd_center,
                 fnd_radius=asm.fnd_radius, n_nv=asm.n_nv,
-                crystal_orientation=asm.crystal_orientation,
                 strain_mean=asm.strain_mean, strain_sd=asm.strain_sd,
                 line_width=asm.line_width, contrast=asm.contrast,
                 photon_rate=asm.photon_rate, rng_seed=asm.rng_seed,
                 spin=asm.spin)
 
 
+def slope_on(asm, temp, sites, freqs):
+    """dS/dT on freqs at temp: line_scan's rows and _slope."""
+    om, op, grid = next(line_scan(asm, [temp], sites, freqs))
+    return _slope(asm, grid, om, op)
+
+
 class TestTemperatureSlope:
     def test_zero_for_temperature_independent_system(self):
         asm = bare_assembly(spin=SpinSystem(dd_dt=0.0))
         freqs = np.linspace(D0 - 50e6, D0 + 50e6, 501)
-        slope = next(slope_scan(asm, [400.0], sample_ensemble(asm), freqs))[3]
+        slope = slope_on(asm, 400.0, sample_ensemble(asm), freqs)
         assert np.all(slope == 0.0)
 
     def test_bare_fnd_matches_lorentzian_derivative(self):
         # single rigid Lorentzian: max|dS/dT| = (3 sqrt3/4) C |dD/dT| / dw
         asm = bare_assembly()
         freqs = np.linspace(D0 - 60e6, D0 + 60e6, 12001)
-        slope = next(slope_scan(asm, [300.0], sample_ensemble(asm), freqs))[3]
+        slope = slope_on(asm, 300.0, sample_ensemble(asm), freqs)
         expect = (3 * np.sqrt(3) / 4) * asm.contrast * 74e3 / asm.line_width
         assert np.max(np.abs(slope)) == pytest.approx(expect, rel=0.05)
 
@@ -377,7 +374,7 @@ class TestTemperatureSlope:
         sites = sample_ensemble(asm)
         freqs = default_freq_grid(asm, temp, sites)
         spec = synthesize_spectrum(asm, temp, freqs, sites=sites)
-        slope = next(slope_scan(asm, [temp], sites, freqs))[3]
+        slope = slope_on(asm, temp, sites, freqs)
         f_peak_slope = freqs[np.argmax(np.abs(slope))]
         f_dip = freqs[np.argmin(spec.signal)]
         assert abs(f_peak_slope - f_dip) < spec.meta["effective_width_hz"]
@@ -387,8 +384,10 @@ class TestTemperatureSlope:
         temp = asm.magnet.tc - 10.0
         sites = sample_ensemble(asm)
         freqs = default_freq_grid(asm, temp, sites)
-        s1 = np.max(np.abs(next(slope_scan(asm, [temp], sites, freqs))[3]))
-        s2 = np.max(np.abs(next(slope_scan(asm, [temp], sites, freqs, 0.005))[3]))
+        s1 = np.max(np.abs(slope_on(asm, temp, sites, freqs)))
+        # oracle: the rows T, T +- 5 mK from line_centers
+        om, op = line_centers(asm, [temp, temp + 0.005, temp - 0.005], sites)
+        s2 = np.max(np.abs(_slope(asm, freqs, om, op, 0.005)))
         assert abs(s2 - s1) / s1 < 0.02
 
     def test_gradient_broadening_monotone_in_gap(self):
@@ -437,7 +436,7 @@ class TestPeakSlope:
             freqs = np.linspace(freqs[0], freqs[-1], n_points)
             if shuffle:
                 freqs = np.random.default_rng(seed).permutation(freqs)
-        slope = np.abs(next(slope_scan(asm, temps, sites, freqs))[3])
+        slope = np.abs(_slope(asm, freqs, om, op))
         bounds = _tile_bounds(asm, freqs, om, op)
         assert bounds.shape == (_bound_tiles(freqs.size).size,)
         assert np.all(slope <= bounds[tile_index(freqs.size)])

@@ -296,8 +296,7 @@ class TestSimulateCounts:
                               trace_resolution=resolution, sites=sites,
                               bins_per_point=bins_per_point)
         npts = (3 * 8193 + 5) // bins_per_point
-        assert (len(per_bin), len(rec), rec.bins_per_point) == \
-            (3 * 8193 + 5, npts, bins_per_point)
+        assert (len(per_bin), len(rec)) == (3 * 8193 + 5, npts)
         want = protocol_sim.window_counts(per_bin, bins_per_point)
         for got, w in zip((rec.counts_f1, rec.counts_f2, rec.counts_ref), want):
             assert got.dtype == w.dtype and np.array_equal(got, w)
@@ -404,11 +403,11 @@ class TestShotNoise:
                                sites=sites)
         assert res.loglog_slope == pytest.approx(-0.5, abs=0.02)
         # MC eta against the analytic three-point formula: within 15%
-        from critherm.ensemble_spectrum import default_freq_grid, slope_scan
+        from critherm.ensemble_spectrum import _slope, line_scan
         from critherm.sensitivity import eta_cw_numeric
         sites = sample_ensemble(asm)
-        freqs = default_freq_grid(asm, T0, sites)
-        slope = next(slope_scan(asm, [T0], sites, freqs))[3]
+        om, op, freqs = next(line_scan(asm, [T0], sites))
+        slope = _slope(asm, freqs, om, op)
         eta3 = np.sqrt(1.5) * eta_cw_numeric(slope, asm.photon_rate)
         assert res.eta_fit == pytest.approx(eta3, rel=0.15)
 
@@ -658,6 +657,20 @@ class TestTrackSquareWave:
             npts.append(len(res.level_codes))
         assert npts == [5000, 15000]
         assert (peaks[1] - peaks[0]) / (npts[1] - npts[0]) < 4
+
+    def test_level_count_memory_per_point(self):
+        # the level codes (1 B per point) and one boolean mask at a time:
+        # 2.0 B per point measured at a million points, where the per-block
+        # buffers no longer hide a copy of the codes (np.bincount's 8 B)
+        tracemalloc.start()
+        try:
+            fewest = fewest_unmixed_points(335.4, 336.9, period=9.6, bin=0.06,
+                                           dwell=0.005, duration=60_000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fewest > 2
+        assert peak / 1_000_000 < 3
 
     def test_bin_shorter_than_cycle_rejected(self):
         asm = cuni_tracking_assembly(seed=1)

@@ -13,9 +13,10 @@ from critherm.cli_runner import _prepare, parse_config, resolve
 from critherm.ensemble_spectrum import (
     SensorAssembly,
     _peak_slope,
+    _slope,
+    line_scan,
     nv_site,
     sample_ensemble,
-    slope_scan,
     synthesize_spectrum,
 )
 from critherm.errors import DomainError, UnmeasurableError
@@ -135,10 +136,10 @@ class TestCrossEstimatorAgreement:
         asm = SensorAssembly(magnet=None, n_nv=1, strain_mean=0.0, strain_sd=0.0,
                              bias_field=(0.0, 0.0, bias))
         site = nv_site(asm.fnd_center, (0.0, 0.0, 1.0), 0.0)
-        freqs = next(slope_scan(asm, [300.0], site))[2]
+        om, op, freqs = next(line_scan(asm, [300.0], site))
         if points is not None:
             freqs = np.linspace(freqs[0], freqs[-1], points)
-        slope = next(slope_scan(asm, [300.0], site, freqs))[3]
+        slope = _slope(asm, freqs, om, op)
         depth = asm.contrast if bias == 0.0 else 0.5 * asm.contrast
         eta_lor = eta_cw_lorentzian(asm.line_width, depth, asm.photon_rate,
                                     asm.spin.dd_dt)
@@ -199,7 +200,7 @@ class TestSensitivityReport:
             np.sqrt(1.5) * rep.eta_cw_numeric, rel=1e-12)
 
     def test_scan_rows_bitwise_equal_to_one_temperature_path(self):
-        # each row rebuilt from synthesize_spectrum, a one-temperature slope_scan,
+        # each row rebuilt from synthesize_spectrum, a one-temperature line_scan,
         # representative_domega_dt and the eta functions at its temperature
         hybrid = replace(cuni_design_assembly(seed=41), n_nv=60)
         temps = hybrid.magnet.tc - np.array([0.4, 3.0, 12.0])
@@ -209,7 +210,8 @@ class TestSensitivityReport:
             assert len(reports) == 3
             for temp, rep in zip(temps.tolist(), reports):
                 spec = synthesize_spectrum(asm, temp, sites=sites)
-                slope = next(slope_scan(asm, [temp], sites, spec.freqs))[3]
+                om, op, freqs = next(line_scan(asm, [temp], sites, spec.freqs))
+                slope = _slope(asm, freqs, om, op)
                 dom = representative_domega_dt(asm, temp)
                 eta_num = eta_cw_numeric(slope, asm.photon_rate)
                 assert rep == SensitivityReport(
@@ -348,8 +350,8 @@ def design_point(asm, x, temps, peaks):
 
 def full_grid_scan(asm, temps, sites):
     """(om, op, freqs, max|dS/dT| of the whole slope grid) at each of temps."""
-    return [(om, op, freqs, np.max(np.abs(slope)))
-            for om, op, freqs, slope in slope_scan(asm, temps, sites)]
+    return [(om, op, freqs, np.max(np.abs(_slope(asm, freqs, om, op))))
+            for om, op, freqs in line_scan(asm, temps, sites)]
 
 
 @pytest.fixture(scope="module")

@@ -240,17 +240,24 @@ class TestBatchTransitions:
             assert op[i] == pytest.approx(lev.omega_plus, rel=1e-12)
 
 
-def rotated_bias_assembly():
-    """Tracking assembly on a rotated crystal (all four lab-frame NV axes off
-    the <111> set) with a uniform bias field on top of the dipole field."""
+def rotated_bias_case():
+    """Tracking assembly with a uniform bias field on top of the dipole
+    field, and its ensemble on a rotated crystal: every frame built on the
+    rotated NV axis, so all four lab-frame axes are off the <111> set."""
     axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
     k = np.array([[0.0, -axis[2], axis[1]],
                   [axis[2], 0.0, -axis[0]],
                   [-axis[1], axis[0], 0.0]])
     rot = np.eye(3) + np.sin(0.7) * k + (1.0 - np.cos(0.7)) * k @ k
-    return replace(cuni_tracking_assembly(seed=3),
-                   crystal_orientation=tuple(map(tuple, rot)),
-                   bias_field=(1.0e-3, -2.0e-3, 1.5e-3))
+    asm = replace(cuni_tracking_assembly(seed=3),
+                  bias_field=(1.0e-3, -2.0e-3, 1.5e-3))
+    sites = sample_ensemble(asm)
+    return asm, Ensemble(positions=sites.positions, strains=sites.strains,
+                         frames=np.array([nv_frame(rot @ f[2]) for f in sites.frames]))
+
+
+def sampled(asm):
+    return asm, sample_ensemble(asm)
 
 
 def oracle_fields(asm, sites, temp):
@@ -266,13 +273,12 @@ def oracle_fields(asm, sites, temp):
 
 class TestClosedForm:
     @pytest.mark.parametrize("make", [
-        lambda: cuni_design_assembly(seed=5),
-        lambda: single_nv_pillar_assembly(seed=1),
-        rotated_bias_assembly,
+        lambda: sampled(cuni_design_assembly(seed=5)),
+        lambda: sampled(single_nv_pillar_assembly(seed=1)),
+        rotated_bias_case,
     ], ids=["design", "pillar", "rotated_bias"])
     def test_matches_eigh_oracle_on_assemblies(self, make):
-        asm = make()
-        sites = sample_ensemble(asm)
+        asm, sites = make()
         tc = asm.magnet.tc
         temps = np.array([tc - 30.0, tc - 3.0, tc - 0.5, tc - 0.01, tc + 1.0])
         om_all, op_all = line_centers(asm, temps, sites)
