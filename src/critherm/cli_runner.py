@@ -72,6 +72,7 @@ _FLOOR_RESOLUTION = 1e-4  # K, the cache grid the shot-noise floor trace snaps t
 # allocated.
 _MAX_POINTS = 10_000_000
 _PROBE_KEYS = ("f1_hz", "f2_hz", "f_ref_hz")
+_FREQ_KEYS = ("freq_start_hz", "freq_stop_hz", "freq_points")
 
 # ---------------------------------------------------------------------------
 # Schema: per kind, per section, key -> (type, required, default).
@@ -223,8 +224,11 @@ def _parse_value(path: str, kind: str, raw: str):
 
 
 def resolve(raw: dict) -> dict:
-    """Validate against the kind's schema and return the fully resolved
-    parameter tree (defaults applied, everything JSON-serializable)."""
+    """Check raw against the kind's schema (known sections and keys, value
+    types and finiteness, required keys) and return the fully resolved
+    parameter tree: defaults and the materials table applied, everything
+    JSON-serializable.  Every check that compares one value with another
+    is the run plan's (_plan), which replayed manifests pass through too."""
     if "run" not in raw or "kind" not in raw.get("run", {}):
         raise SchemaError("run.kind: required")
     kind = raw["run"]["kind"]
@@ -251,84 +255,30 @@ def resolve(raw: dict) -> dict:
                 raise SchemaError(f"{path}: required for kind {kind!r}")
             elif default is not None:
                 resolved[section][key] = default
-    _cross_checks(kind, resolved)
-    return resolved
-
-
-def _cross_checks(kind: str, resolved: dict):
-    run = resolved["run"]
-    if "assembly" in resolved and "seed" not in run:
+    if "assembly" in resolved and "seed" not in resolved["run"]:
         raise SchemaError(f"run.seed: required for stochastic kind {kind!r}")
-
-    if "magnet" in resolved and kind != "design-sweep":
-        mag = resolved["magnet"]
-        if "material" in mag:
-            table = magnet_model.load_materials()
-            if mag["material"] not in table:
-                raise SchemaError(
-                    f"magnet.material: unknown material {mag['material']!r}; "
-                    f"known: {', '.join(sorted(table))}")
-            rec = table[mag["material"]]
-            mag.setdefault("m_sat_apm", rec.m_sat)
-            mag.setdefault("spin_j", rec.spin_j)
-            if rec.tc is not None:
-                mag.setdefault("tc_k", rec.tc)
-            if rec.composition_x is not None:
-                mag.setdefault("composition_x", rec.composition_x)
-        if "m_sat_apm" not in mag:
-            raise SchemaError("magnet.m_sat_apm: required (directly or via material)")
-        if ("tc_k" in mag) == ("composition_x" in mag):
+    if kind == "design-sweep":  # the sweep's magnet is a template
+        return resolved
+    mag = resolved["magnet"]
+    if "material" in mag:
+        table = magnet_model.load_materials()
+        if mag["material"] not in table:
             raise SchemaError(
-                "magnet.tc_k / magnet.composition_x: exactly one must be given")
-
-    grids = resolved.get("grids", {})
-    if "temp_start_k" in grids:
-        if not grids["temp_start_k"] < grids["temp_stop_k"]:
-            raise SchemaError(
-                "grids.temp_start_k: temperature grid must be strictly "
-                f"ascending (start {grids['temp_start_k']} >= stop {grids['temp_stop_k']})")
-        if grids["temp_step_k"] <= 0:
-            raise SchemaError("grids.temp_step_k: must be positive")
-    if "x_start" in grids:
-        if not grids["x_start"] < grids["x_stop"]:
-            raise SchemaError("grids.x_start: composition grid must be strictly ascending")
-        if grids["x_step"] <= 0:
-            raise SchemaError("grids.x_step: must be positive")
-        if grids["x_start"] < 0.0 or grids["x_stop"] > 1.0:
-            raise SchemaError("grids.x_start/x_stop: Ni fraction must stay in [0, 1]")
-    if "freq_start_hz" in grids or "freq_stop_hz" in grids:
-        for key in ("freq_start_hz", "freq_stop_hz", "freq_points"):
-            if key not in grids:
-                raise SchemaError(f"grids.{key}: required when any freq_* key is given")
-        if not grids["freq_start_hz"] < grids["freq_stop_hz"]:
-            raise SchemaError("grids.freq_start_hz: frequency grid must be strictly ascending")
-        if grids["freq_points"] < 2:
-            raise SchemaError("grids.freq_points: need at least 2 points")
-
-    proto = resolved.get("protocol", {})
-    if "window_grid_s" in proto:
-        wg = proto["window_grid_s"]
-        if any(b <= a for a, b in zip(wg, wg[1:])):
-            raise SchemaError("protocol.window_grid_s: must be strictly ascending")
-    if "low_k" in proto and not proto["low_k"] < proto["high_k"]:
-        raise SchemaError("protocol.low_k: must be below protocol.high_k")
-    if ("floor_rms_k" in proto) != ("floor_period_s" in proto):
-        raise SchemaError("protocol.floor_rms_k and protocol.floor_period_s "
-                          "must be given together")
-    explicit = [k for k in _PROBE_KEYS if k in proto]
-    if explicit and len(explicit) != 3:
-        raise SchemaError("protocol.f1_hz/f2_hz/f_ref_hz: give all three or none")
-    for key in ("dwell_s", "period_s", "floor_period_s"):
-        if proto.get(key, 1.0) <= 0.0:
-            raise SchemaError(f"protocol.{key}: must be positive")
-    # S <= 1 at every probe, so this bounds every expected count per bin
-    if "dwell_s" in proto and (resolved["assembly"]["photon_rate_cps"]
-                               * proto["dwell_s"] > _LAMBDA_GUARD):
-        raise SchemaError("assembly.photon_rate_cps: the counts per protocol.dwell_s "
-                          f"exceed the overflow guard of {_LAMBDA_GUARD:g}")
-    if "bin_s" in proto and proto["bin_s"] < 3.0 * proto["dwell_s"]:
-        raise SchemaError("protocol.bin_s: shorter than one protocol cycle "
-                          "(3 protocol.dwell_s)")
+                f"magnet.material: unknown material {mag['material']!r}; "
+                f"known: {', '.join(sorted(table))}")
+        rec = table[mag["material"]]
+        mag.setdefault("m_sat_apm", rec.m_sat)
+        mag.setdefault("spin_j", rec.spin_j)
+        if rec.tc is not None:
+            mag.setdefault("tc_k", rec.tc)
+        if rec.composition_x is not None:
+            mag.setdefault("composition_x", rec.composition_x)
+    if "m_sat_apm" not in mag:
+        raise SchemaError("magnet.m_sat_apm: required (directly or via material)")
+    if ("tc_k" in mag) == ("composition_x" in mag):
+        raise SchemaError(
+            "magnet.tc_k / magnet.composition_x: exactly one must be given")
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +331,14 @@ def _bound(key: str, span: float, unit: float):
 
 def _grid(grids: dict, start: str, stop: str, step: str) -> np.ndarray:
     """grids[start], then every grids[step] up to grids[stop] inclusive,
-    clipped so accumulated rounding never overshoots the endpoint."""
+    clipped so accumulated rounding never overshoots the endpoint;
+    SchemaError, naming the key, unless start < stop and step > 0."""
     lo, hi, h = grids[start], grids[stop], grids[step]
+    if not lo < hi:
+        raise SchemaError(f"grids.{start}: grid must be strictly ascending "
+                          f"(start {lo} >= stop {hi})")
+    if h <= 0:
+        raise SchemaError(f"grids.{step}: must be positive")
     _bound(f"grids.{step}", hi - lo, h)
     return np.minimum(lo + h * np.arange(int(np.floor((hi - lo) / h + 0.5)) + 1), hi)
 
@@ -396,47 +352,78 @@ def _plan(resolved: dict) -> SimpleNamespace:
     dS/dT, the track's secant cal_step of half the swing), probes (an
     explicit (f1, f2, f_ref), else None), trace and resolution (the
     shot-noise floor and its 0.1 mK snap) and ref_temps (where an explicit
-    f_ref must clear every line).  SchemaError, naming the key, for a
-    negative seed, a grid, record or line_centers call above _MAX_POINTS, a
+    f_ref must clear every line).  Every check that compares values sits
+    beside the value it guards: SchemaError, naming the key, for a negative
+    seed, a grid or track swing that does not ascend, a composition outside
+    [0, 1], a partial frequency grid, probe triple or floor, a duration that
+    is not positive, counts above the
+    overflow guard, a grid, record or line_centers call above _MAX_POINTS, a
     protocol layout that leaves no statistics, or a lowest forward-model row
     at or below 0 K."""
     kind = resolved["run"]["kind"]
     grids, proto = resolved.get("grids", {}), resolved.get("protocol", {})
     if resolved["run"].get("seed", 0) < 0:
         raise SchemaError("run.seed: must be >= 0")
+    explicit = [k for k in _PROBE_KEYS if k in proto]
+    if 0 < len(explicit) < 3:
+        raise SchemaError("protocol.f1_hz/f2_hz/f_ref_hz: give all three or none")
     plan = SimpleNamespace(
         temps=None, xs=None, freqs=None, trace=None, resolution=None, ref_temps=[],
         step=_DT_STEP if kind in ("magnetize", "susceptibility") else _SLOPE_STEP,
-        probes=tuple(proto[k] for k in _PROBE_KEYS) if "f1_hz" in proto else None)
-    if "temp_k" in grids:
-        key, plan.temps = "grids.temp_k", [grids["temp_k"]]
-    elif "temp_step_k" in grids:
-        key, plan.temps = "grids.temp_start_k", _grid(
-            grids, "temp_start_k", "temp_stop_k", "temp_step_k")
-    elif kind == "track":
+        probes=tuple(proto[k] for k in _PROBE_KEYS) if explicit else None)
+    if kind == "track":
         low, high = proto["low_k"], proto["high_k"]
+        if not low < high:
+            raise SchemaError("protocol.low_k: must be below protocol.high_k")
         # linearize across the full drive span: a secant through the two
         # levels keeps the recovered swing unattenuated by lineshape curvature
         key, plan.temps = "protocol.low_k", [0.5 * (low + high)]
         plan.step = 0.5 * (high - low)
-    else:
+    elif kind == "design-sweep":
         key, plan.xs = None, _grid(grids, "x_start", "x_stop", "x_step")
-    if "freq_points" in grids:
+        if grids["x_start"] < 0.0 or grids["x_stop"] > 1.0:
+            raise SchemaError("grids.x_start/x_stop: Ni fraction must stay in [0, 1]")
+    elif kind in ("spectrum", "shot-noise"):
+        key, plan.temps = "grids.temp_k", [grids["temp_k"]]
+    else:
+        key, plan.temps = "grids.temp_start_k", _grid(
+            grids, "temp_start_k", "temp_stop_k", "temp_step_k")
+    missing = [k for k in _FREQ_KEYS if k not in grids]
+    if 0 < len(missing) < 3:
+        raise SchemaError(f"grids.{missing[0]}: required when any freq_* key is given")
+    if not missing:
+        if not grids["freq_start_hz"] < grids["freq_stop_hz"]:
+            raise SchemaError("grids.freq_start_hz: frequency grid must be strictly ascending")
+        if grids["freq_points"] < 2:
+            raise SchemaError("grids.freq_points: need at least 2 points")
         _bound("grids.freq_points", grids["freq_points"], 1.0)
         plan.freqs = np.linspace(grids["freq_start_hz"], grids["freq_stop_hz"],
                                  grids["freq_points"])
     if plan.probes is not None:
-        plan.ref_temps = [proto["low_k"], proto["high_k"]] if kind == "track" else plan.temps
+        plan.ref_temps = [low, high] if kind == "track" else plan.temps
 
-    if "dwell_s" in proto:
+    if kind in ("shot-noise", "track"):
         record = "duration_s" if kind == "track" else "total_time_s"
+        for name in ("dwell_s", "period_s") if kind == "track" else ("dwell_s",):
+            if proto[name] <= 0.0:
+                raise SchemaError(f"protocol.{name}: must be positive")
+        # S <= 1 at every probe, so this bounds every expected count per bin
+        if resolved["assembly"]["photon_rate_cps"] * proto["dwell_s"] > _LAMBDA_GUARD:
+            raise SchemaError("assembly.photon_rate_cps: the counts per protocol.dwell_s "
+                              f"exceed the overflow guard of {_LAMBDA_GUARD:g}")
         _bound(f"protocol.{record}", proto[record], 3.0 * proto["dwell_s"])
-    if "window_grid_s" in proto and fittable_windows(
-            proto["window_grid_s"], proto["dwell_s"], proto["total_time_s"]) < 2:
-        raise SchemaError(
-            "protocol.window_grid_s: fewer than two window lengths fit two "
-            "windows into protocol.total_time_s")
+    if kind == "shot-noise":
+        wg = proto["window_grid_s"]
+        if any(b <= a for a, b in zip(wg, wg[1:])):
+            raise SchemaError("protocol.window_grid_s: must be strictly ascending")
+        if fittable_windows(wg, proto["dwell_s"], proto["total_time_s"]) < 2:
+            raise SchemaError(
+                "protocol.window_grid_s: fewer than two window lengths fit two "
+                "windows into protocol.total_time_s")
     if kind == "track":
+        if proto["bin_s"] < 3.0 * proto["dwell_s"]:
+            raise SchemaError("protocol.bin_s: shorter than one protocol cycle "
+                              "(3 protocol.dwell_s)")
         # the labels of a shorter track are a prefix of the full labels, so
         # three periods settle a long track without labelling every point
         full = proto["duration_s"]
@@ -462,8 +449,13 @@ def _plan(resolved: dict) -> SimpleNamespace:
     # the lowest row each kind solves is its first temperature less the
     # step, and then a shot-noise floor's snapped trough
     rows = [] if key is None else [(key, float(plan.temps[0]) - plan.step)]
+    if ("floor_rms_k" in proto) != ("floor_period_s" in proto):
+        raise SchemaError("protocol.floor_rms_k and protocol.floor_period_s "
+                          "must be given together")
     if "floor_rms_k" in proto:
         t0, rms, per = grids["temp_k"], proto["floor_rms_k"], proto["floor_period_s"]
+        if per <= 0.0:
+            raise SchemaError("protocol.floor_period_s: must be positive")
         plan.trace = lambda t: t0 + np.sqrt(2.0) * rms * np.sin(2 * np.pi * t / per)
         plan.resolution = _FLOOR_RESOLUTION
         trough = np.round((t0 - np.sqrt(2.0) * abs(rms)) / _FLOOR_RESOLUTION)

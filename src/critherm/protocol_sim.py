@@ -32,7 +32,6 @@ from .ensemble_spectrum import (
     line_centers,
     line_scan,
     sample_ensemble,
-    site_transition_pairs,
 )
 from .sensitivity import eta_cw_numeric
 
@@ -86,7 +85,7 @@ class CountRecord:
 
 def reference_detuning_ok(asm: SensorAssembly, f_ref: float, temp: float, sites) -> bool:
     """True when f_ref sits more than 50 linewidths from every resonance."""
-    centers = np.concatenate(site_transition_pairs(asm, temp, sites))
+    centers = np.concatenate(line_centers(asm, [temp], sites))
     return bool(np.min(np.abs(centers - f_ref))
                 > _REF_DETUNING_LINEWIDTHS * asm.line_width)
 

@@ -60,7 +60,7 @@ def eta_cw_lorentzian(delta_omega: float, contrast: float, photon_rate: float,
 
 
 def eta_ramsey(photon_rate: float, contrast: float, t2_star: float,
-               tau: float = None, domega_dt: float = None) -> float:
+               tau: float = None, *, domega_dt: float) -> float:
     """Projected Ramsey sensitivity (K/sqrt(Hz)).
 
     tau defaults to the optimum T2*/2, where d/dtau of (tau/T2*)^2 - ln(tau)/2
@@ -69,7 +69,7 @@ def eta_ramsey(photon_rate: float, contrast: float, t2_star: float,
     """
     if t2_star <= 0:
         raise DomainError(f"t2_star must be positive, got {t2_star}")
-    if domega_dt is None or domega_dt == 0.0:
+    if domega_dt == 0.0:
         raise UnmeasurableError("domega_dt is zero: no temperature response")
     if contrast <= 0 or photon_rate <= 0:
         raise DomainError("contrast and photon_rate must be positive")

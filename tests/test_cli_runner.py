@@ -207,10 +207,10 @@ class TestParsing:
         with pytest.raises(SchemaError, match="grids.temp_step_k"):
             resolve(parse_config(bad))
 
-    def test_descending_grid_names_field(self):
+    def test_descending_grid_names_field(self, tmp_path):
         bad = MAGNETIZE.replace("temp_stop_k = 360.0", "temp_stop_k = 250.0")
         with pytest.raises(SchemaError, match="temp_start_k"):
-            resolve(parse_config(bad))
+            validate(write(tmp_path, "bad.cfg", bad))
 
     def test_missing_seed_on_stochastic_kind(self):
         bad = SPECTRUM.replace("seed = 41\n", "")
@@ -454,6 +454,82 @@ class TestRun:
         for i, text in enumerate((SUSCEPTIBILITY, SENSITIVITY, SWEEP)):
             p = write(tmp_path, f"scenario{i}.cfg", text)
             assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
+
+
+def scenario_text(resolved):
+    """A scenario file whose resolved tree is `resolved`."""
+    return "".join(f"[{section}]\n" + "".join(
+        f"{k} = {' '.join(map(repr, v)) if isinstance(v, list) else v}\n"
+        for k, v in keys.items()) for section, keys in resolved.items())
+
+
+@pytest.fixture(scope="module")
+def shipped_manifest(tmp_path_factory):
+    """name -> a fresh copy of the manifest of one run of that shipped
+    scenario; each scenario runs once per module."""
+    out, texts = tmp_path_factory.mktemp("shipped"), {}
+
+    def manifest(name):
+        if name not in texts:
+            _, path = run(SCENARIO_DIR / f"{name}.cfg", out_dir=out)
+            texts[name] = path.read_text()
+        return json.loads(texts[name])
+    return manifest
+
+
+class TestReplayChecksThePlan:
+    # scenario, section, {key: new value, or None to delete it}, the key the
+    # SchemaError names
+    @pytest.mark.parametrize("name, section, edit, key", [
+        ("magnetize_cuni", "grids", {"temp_stop_k": 250.0}, "grids.temp_start_k"),
+        ("spectrum_63c", "grids", {"freq_points": 11}, "grids.freq_start_hz"),
+        ("spectrum_63c", "grids", {"freq_start_hz": 2.8e9}, "grids.freq_stop_hz"),
+        ("spectrum_63c", "grids", {"freq_start_hz": 2.9e9, "freq_stop_hz": 2.8e9,
+                                   "freq_points": 11}, "grids.freq_start_hz"),
+        ("spectrum_63c", "grids", {"freq_start_hz": 2.8e9, "freq_stop_hz": 2.9e9,
+                                   "freq_points": 1}, "grids.freq_points"),
+        ("design_sweep", "grids", {"x_stop": 0.4}, "grids.x_start"),
+        ("design_sweep", "grids", {"x_stop": 1.2}, "grids.x_start/x_stop"),
+        ("track_63c", "protocol", {"f1_hz": 2.87e9}, "protocol.f1_hz/f2_hz/f_ref_hz"),
+        ("shot_noise", "protocol", {"f_ref_hz": 3.0e9}, "protocol.f1_hz/f2_hz/f_ref_hz"),
+        ("shot_noise", "protocol", {"window_grid_s": [2.4, 1.2, 0.6, 0.24, 0.12, 0.06]},
+         "protocol.window_grid_s"),
+        ("shot_noise", "protocol", {"floor_period_s": -30.0}, "protocol.floor_period_s"),
+        ("shot_noise", "protocol", {"floor_period_s": None},
+         "protocol.floor_rms_k and protocol.floor_period_s"),
+        ("shot_noise", "protocol", {"dwell_s": -0.005}, "protocol.dwell_s"),
+        ("track_63c", "protocol", {"dwell_s": -0.005}, "protocol.dwell_s"),
+        ("track_63c", "protocol", {"period_s": 0.0}, "protocol.period_s"),
+        ("track_63c", "protocol", {"bin_s": 0.001}, "protocol.bin_s"),
+        ("track_63c", "protocol", {"low_k": 337.0}, "protocol.low_k"),
+        ("track_63c", "assembly", {"photon_rate_cps": 1e16}, "assembly.photon_rate_cps"),
+    ], ids=["descending-temps", "lone-freq-points", "lone-freq-start",
+            "descending-freqs", "one-freq-point", "descending-compositions",
+            "composition-above-1", "lone-f1", "lone-f-ref", "descending-windows",
+            "negative-floor-period", "floor-without-period",
+            "shot-noise-negative-dwell", "track-negative-dwell", "zero-period",
+            "bin-below-cycle", "low-above-high", "count-guard"])
+    def test_edited_manifest_fails_as_validate(self, tmp_path, shipped_manifest,
+                                               name, section, edit, key):
+        # replay runs the plan that validate checks: an edited manifest
+        # fails before anything is written, naming the key validate names
+        # for the same scenario
+        manifest = shipped_manifest(name)
+        values = manifest["resolved"][section]
+        for k, v in edit.items():
+            if v is None:
+                del values[k]
+            else:
+                values[k] = v
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError) as replayed:
+            replay_manifest(path, tmp_path / "out")
+        with pytest.raises(SchemaError) as checked:
+            validate(write(tmp_path, "edited.cfg", scenario_text(manifest["resolved"])))
+        assert str(replayed.value).startswith(key)
+        assert str(checked.value).startswith(key)
+        assert not (tmp_path / "out").exists()
 
 
 class TestShippedScenarios:
