@@ -30,11 +30,10 @@ TETRAHEDRAL_AXES = np.array(
 # order of every spectrum: changing it changes the output bits.
 _LINE_CHUNK = 256
 # Grid points per tile.  One block times one tile is the kernel's working
-# buffer (256 x 256 float64 = 512 KiB), whatever the grid size; the stacked
-# grid [f; 1] that the line offsets are multiplied from adds 16 B per point.
+# buffer (256 x 256 float64 = 512 KiB), whatever the grid size, holding as
+# many rows as fit; the stacked grid [f; 1] adds 16 B per point.
 _FREQ_TILE = 256
-# Grid points per tile of the |dS/dT| bound of _peak_slope; divides
-# _FREQ_TILE.
+# Grid points per tile of the |dS/dT| bound of _peak_slope.
 _BOUND_TILE = 32
 _SLOPE_STEP = 0.01  # K, step of the central-difference dS/dT
 
@@ -233,32 +232,49 @@ def site_transition_pairs(asm: SensorAssembly, temp: float, sites: Ensemble):
 
 
 def _signal(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
-    """1 - weight * (sum of unit-peak Lorentzians centred on every line).
+    """1 - weight * (sum of unit-peak Lorentzians centred on every line), on
+    the line centres om, op of one row (1-D: one spectrum) or of many rows
+    ((rows, lines): (rows, grid)).
 
-    Each block of lines is evaluated tile by tile along the grid in one
-    preallocated buffer.  The offsets f - c of a tile are one rank-2 matrix
-    product [1, -c] . [f; 1], faster than a broadcast subtraction and bitwise
-    equal to it: 1*f and (-c)*1 are exact products, so their sum is rounded
-    once, to fl(f - c), in any BLAS or numpy loop.
+    Tile by tile along the grid, _FREQ_TILE // tile width rows at a time,
+    the blocks of lines are evaluated in one preallocated buffer, every row
+    over the same blocks in the same order.  numpy sums a one-column tile
+    pairwise and a wider one line by line, so no tile has one column: a
+    grid of n % _FREQ_TILE == 1 points gives its last tile one point of the
+    tile before, and a one-point grid is evaluated as two equal points.
+    Each (row, column) is then bitwise the same in any batch.  The offsets
+    f - c of a tile are one rank-2 matrix product [1, -c] . [f; 1], faster
+    than a broadcast subtraction and bitwise equal to it: 1*f and (-c)*1
+    are exact products, so their sum is rounded once, to fl(f - c), in any
+    BLAS or numpy loop.
     """
-    centers = np.concatenate([om, op])
-    weight = asm.contrast / centers.size
+    shape = np.shape(om)[:-1] + freqs.shape
+    om, op = np.atleast_2d(om, op)
+    weight = asm.contrast / (om.shape[1] + op.shape[1])
     half2 = (0.5 * asm.line_width) ** 2
-    total = np.zeros_like(freqs)
     grid = np.stack([freqs, np.ones_like(freqs)])
-    buf = np.empty((_LINE_CHUNK, _FREQ_TILE))
-    for start in range(0, centers.size, _LINE_CHUNK):
-        block = centers[start:start + _LINE_CHUNK]
-        lines = np.stack([np.ones_like(block), -block], axis=1)
-        for col in range(0, freqs.size, _FREQ_TILE):
-            tile = grid[:, col:col + _FREQ_TILE]
-            b = buf[:block.size, :tile.shape[1]]
-            np.matmul(lines, tile, out=b)
-            np.square(b, out=b)
-            b += half2
-            np.divide(half2, b, out=b)
-            total[col:col + b.shape[1]] += b.sum(axis=0)
-    return 1.0 - weight * total
+    if freqs.size == 1:
+        grid = np.repeat(grid, 2, axis=1)
+    n = grid.shape[1]
+    starts = np.arange(0, n, _FREQ_TILE)
+    if n % _FREQ_TILE == 1:
+        starts[-1] -= 1
+    total = np.zeros((om.shape[0], n))
+    buf = np.empty(_LINE_CHUNK * _FREQ_TILE)
+    for col, end in zip(starts.tolist(), starts[1:].tolist() + [n]):
+        step = _FREQ_TILE // (end - col)
+        for row in range(0, om.shape[0], step):
+            centers = np.concatenate([om[row:row + step], op[row:row + step]], axis=1)
+            for start in range(0, centers.shape[1], _LINE_CHUNK):
+                block = centers[:, start:start + _LINE_CHUNK]
+                lines = np.stack([np.ones_like(block), -block], axis=-1)
+                b = buf[:block.size * (end - col)].reshape(*block.shape, -1)
+                np.matmul(lines, grid[:, col:end], out=b)
+                np.square(b, out=b)
+                b += half2
+                np.divide(half2, b, out=b)
+                total[row:row + step, col:end] += b.sum(axis=1)
+    return 1.0 - weight * total[:, :freqs.size].reshape(shape)
 
 
 def signal_at(asm: SensorAssembly, temp: float, freqs, sites: Ensemble) -> np.ndarray:
@@ -339,22 +355,14 @@ def line_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None):
 
 def _slope(asm: SensorAssembly, freqs, om, op, step: float = _SLOPE_STEP):
     """dS/dT on freqs from rows 1 (T + step) and 2 (T - step) of om, op."""
-    return (_signal(asm, freqs, om[1], op[1])
-            - _signal(asm, freqs, om[2], op[2])) / (2.0 * step)
-
-
-def _bound_tiles(n: int) -> np.ndarray:
-    """Start of each bound tile of an n-point grid: every whole _FREQ_TILE
-    tile of _signal in _BOUND_TILE-point pieces, then the last, partial
-    tile, if any, in one piece."""
-    starts = np.arange(0, n, _BOUND_TILE)
-    return starts[starts <= n - n % _FREQ_TILE]
+    hi, lo = _signal(asm, freqs, om[1:3], op[1:3])
+    return (hi - lo) / (2.0 * step)
 
 
 def _tile_bounds(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
-    """Upper bound on the computed |_slope| over each tile of
-    _bound_tiles(freqs.size); inf where the bound is not finite, so that
-    such a tile is never skipped.
+    """Upper bound on the computed |_slope| over each _BOUND_TILE-point tile
+    of freqs (the last may be shorter); inf where the bound is not finite,
+    so that such a tile is never skipped.
 
     With L(u) = hw^2 / (u^2 + hw^2) and line l centred at c+ in row T + h
     and c- in row T - h (h = _SLOPE_STEP), the mean value theorem gives
@@ -368,7 +376,7 @@ def _tile_bounds(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
     c_hi, c_lo = np.concatenate([om[1], op[1]]), np.concatenate([om[2], op[2]])
     shift = np.abs(c_hi - c_lo)
     c_hi, c_lo = np.maximum(c_hi, c_lo), np.minimum(c_hi, c_lo)
-    starts = _bound_tiles(freqs.size)
+    starts = np.arange(0, freqs.size, _BOUND_TILE)
     f_lo = np.minimum.reduceat(freqs, starts)
     f_hi = np.maximum.reduceat(freqs, starts)
     half2 = (0.5 * asm.line_width) ** 2
@@ -418,26 +426,17 @@ def _peak_slope(asm: SensorAssembly, freqs, om, op, floor: float = 0.0,
 
     Branch and bound over the tiles of _tile_bounds (`bounds`, computed
     here when None): the tile of the highest bound is evaluated first, then,
-    in one _signal pair, the gathered columns of every tile whose bound
-    still reaches both floor and the peak so far.  Each column of _signal
-    is summed over the same line blocks in the same order whatever the
-    tile it sits in, as long as that tile has two or more columns; a
-    one-column tile is summed pairwise.  So the grid's last, partial
-    _signal tile is one bound tile and, when kept, is preceded by whole
-    _FREQ_TILE tiles, topped up with skipped tiles: it stays a tile of its
-    own and every column comes out bitwise as on the whole grid.
+    in one _slope call, the gathered columns of every tile whose bound
+    still reaches both floor and the peak so far.  A column of _signal is
+    bitwise the same in any batch, so each is as on the whole grid.
     """
     if bounds is None:
         bounds = _tile_bounds(asm, freqs, om, op)
-    starts = _bound_tiles(freqs.size)
-    tile_of = np.repeat(np.arange(starts.size), np.diff(starts, append=freqs.size))
+    tile_of = np.arange(freqs.size) // _BOUND_TILE
     first = int(np.argmax(bounds))
     peak = np.max(np.abs(_slope(asm, freqs[tile_of == first], om, op)))
     keep = bounds >= max(floor, peak)
     keep[first] = False
-    if freqs.size % _FREQ_TILE and keep[-1]:
-        short = -np.count_nonzero(keep[:-1]) % (_FREQ_TILE // _BOUND_TILE)
-        keep[np.flatnonzero(~keep[:-1])[:short]] = True
     if keep.any():
         peak = np.maximum(peak, np.max(np.abs(_slope(asm, freqs[keep[tile_of]],
                                                       om, op))))

@@ -93,9 +93,9 @@ def reference_detuning_ok(asm: SensorAssembly, f_ref: float, temp: float, sites)
 def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
                           probes=None, dt_step: float = _SLOPE_STEP, *,
                           sites) -> ThreePointConfig:
-    """Linearize the protocol around t0 from one line_centers call with
-    the rows t0, t0 + dt_step and t0 - dt_step: the signals of the three
-    probes in each row give the anchors and the secant slope.
+    """Linearize the protocol around t0 from one line_centers call with the
+    rows t0, t0 + dt_step and t0 - dt_step: the signals of the three probes
+    in each row (one _signal call) give the anchors and the secant slope.
 
     probes is an explicit (f1, f2, f_ref) in Hz; by default f1 and f2 are
     the extreme-slope frequencies of the default_freq_grid of row t0 (the
@@ -113,13 +113,11 @@ def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
     else:
         f1, f2, f_ref = (float(f) for f in probes)
 
-    probe = np.array([f1, f2, f_ref])
-    s_mid, s_hi, s_lo = (_signal(asm, probe, *lines) for lines in zip(om, op))
-    d_lo = s_lo[0] / s_lo[2] - s_lo[1] / s_lo[2]
-    d_hi = s_hi[0] / s_hi[2] - s_hi[1] / s_hi[2]
-    cal = Calibration(t0=float(t0), s1_0=float(s_mid[0] / s_mid[2]),
-                      s2_0=float(s_mid[1] / s_mid[2]),
-                      slope=float((d_hi - d_lo) / (2.0 * dt_step)))
+    s = _signal(asm, np.array([f1, f2, f_ref]), om, op)
+    s1, s2 = s[:, 0] / s[:, 2], s[:, 1] / s[:, 2]
+    d = s1 - s2
+    cal = Calibration(t0=float(t0), s1_0=float(s1[0]), s2_0=float(s2[0]),
+                      slope=float((d[1] - d[2]) / (2.0 * dt_step)))
     return ThreePointConfig(f1=f1, f2=f2, f_ref=f_ref, dwell=float(dwell),
                             calibration=cal)
 
@@ -166,16 +164,16 @@ def _count_blocks(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
     _POISSON_BLOCK_BINS bins (at least one point); the draws run in the
     same order as one draw over all per-bin rates.  The rates are one row of
     (f1, f2, f_ref) expected counts per distinct (snapped) temperature, all
-    from one line_centers call; temp_trace is evaluated per block twice,
-    once for the table and once for the draw."""
+    from one line_centers and one _signal call; temp_trace is evaluated per
+    block twice, once for the table and once for the draw."""
     nbins = npts * bins_per_point
     block = max(1, _POISSON_BLOCK_BINS // bins_per_point) * bins_per_point
     distinct = _distinct(np.concatenate(
         [_distinct(keys) for _, keys in
          _key_blocks(cfg, temp_trace, nbins, block, trace_resolution)]))
     probe = np.array([cfg.f1, cfg.f2, cfg.f_ref])
-    table = np.array([asm.photon_rate * cfg.dwell * _signal(asm, probe, *lines)
-                      for lines in zip(*line_centers(asm, distinct, sites))])
+    table = asm.photon_rate * cfg.dwell * _signal(
+        asm, probe, *line_centers(asm, distinct, sites))
     if np.any(table > _LAMBDA_GUARD):
         raise DomainError("expected counts per bin exceed the overflow guard")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

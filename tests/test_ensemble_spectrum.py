@@ -11,7 +11,7 @@ from critherm.ensemble_spectrum import (
     TETRAHEDRAL_AXES,
     Ensemble,
     SensorAssembly,
-    _bound_tiles,
+    _BOUND_TILE,
     _peak_slope,
     _signal,
     _slope,
@@ -272,6 +272,21 @@ def signal_whole_blocks(asm, freqs, om, op):
     return 1.0 - weight * total
 
 
+def signal_line_by_line(asm, freqs, om, op):
+    """Oracle for _signal on the centres of one row (1-D) or of many rows
+    (rows, lines): per row and grid point, the lines of each 256-line block
+    added one at a time, then the block sums added in order."""
+    centers = np.concatenate([om, op], axis=-1)
+    half2 = (0.5 * asm.line_width) ** 2
+    total = np.zeros(centers.shape[:-1] + freqs.shape)
+    for start in range(0, centers.shape[-1], 256):
+        block = half2 / ((freqs - centers[..., start, None]) ** 2 + half2)
+        for c in np.moveaxis(centers[..., start + 1:start + 256], -1, 0):
+            block += half2 / ((freqs - c[..., None]) ** 2 + half2)
+        total += block
+    return 1.0 - asm.contrast / centers.shape[-1] * total
+
+
 def random_lines(n_lines, seed=0):
     centers = np.random.default_rng(seed).normal(D0, 30e6, n_lines)
     return centers[:n_lines // 2], centers[n_lines // 2:]
@@ -305,6 +320,31 @@ class TestLorentzianKernel:
             freqs = np.linspace(D0 - 150e6, D0 + 150e6, 3075)[::-3]
         got = _signal(asm, freqs, om, op)
         assert np.array_equal(got, signal_whole_blocks(asm, freqs, om, op))
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 85, 86, 300])
+    def test_each_row_and_column_bitwise_in_any_batch(self, n_rows):
+        # A deep dip of narrowly spread lines lets a one-ulp change in a
+        # line sum reach the signal.  Each (row, column) equals the oracle
+        # whatever it is batched with: grids of one column, of a last tile
+        # one column wide (257, 513), and 2, 3 and 32 columns, whose tiles
+        # run 128, 85 and 8 rows per pass.  Beyond three rows the grid is
+        # held to 32 columns, to keep the oracle cheap.
+        asm = SensorAssembly(contrast=0.99)
+        lines = np.random.default_rng(2).normal(D0, 2e6, (n_rows, 1000))
+        om, op = lines[:, :500], lines[:, 500:]
+        if n_rows == 1:  # one row as 1-D centres: one spectrum
+            om, op = om[0], op[0]
+        grid = np.linspace(D0 - 5e6, D0 + 5e6, 513)
+        if n_rows > 3:
+            grid = grid[240:272]
+        expect = signal_line_by_line(asm, grid, om, op)
+        mid = grid.size // 2
+        for n in (1, 2, 3, 32, 255, 256, 257, 513):
+            for lo in range(mid - 16, mid + 16, 4) if n == 1 else [mid - n // 2]:
+                if lo >= 0 and lo + n <= grid.size:
+                    got = _signal(asm, grid[lo:lo + n], om, op)
+                    assert np.array_equal(got, expect[..., lo:lo + n]), \
+                        f"{n_rows} rows, columns {lo}:{lo + n}"
 
     def test_memory_fixed_on_large_grid(self):
         asm = SensorAssembly()
@@ -411,8 +451,7 @@ class TestTemperatureSlope:
 
 def tile_index(n_points):
     """The bound tile of each grid point."""
-    starts = _bound_tiles(n_points)
-    return np.repeat(np.arange(starts.size), np.diff(starts, append=n_points))
+    return np.arange(n_points) // _BOUND_TILE
 
 
 class TestPeakSlope:
@@ -438,7 +477,7 @@ class TestPeakSlope:
                 freqs = np.random.default_rng(seed).permutation(freqs)
         slope = np.abs(_slope(asm, freqs, om, op))
         bounds = _tile_bounds(asm, freqs, om, op)
-        assert bounds.shape == (_bound_tiles(freqs.size).size,)
+        assert bounds.shape == (-(-freqs.size // _BOUND_TILE),)
         assert np.all(slope <= bounds[tile_index(freqs.size)])
         peak = np.max(slope)
         assert _peak_slope(asm, freqs, om, op) == peak
@@ -474,11 +513,15 @@ class TestPeakSlope:
 
         monkeypatch.setattr(ensemble_spectrum, "_slope", recording)
         rng = np.random.default_rng(n_points)
-        n_tiles = _bound_tiles(n_points).size
+        n_tiles = -(-n_points // _BOUND_TILE)
         for _ in range(6):
             bounds = np.where(rng.random(n_tiles) < 0.5, np.inf, 0.0)
             bounds[rng.integers(n_tiles)] = np.inf
             _peak_slope(asm, freqs, om, op, 0.0, bounds)
+        # the highest tile is the last, one point wide for 513, 769 and 801
+        bounds = np.zeros(n_tiles)
+        bounds[-1] = np.inf
+        _peak_slope(asm, freqs, om, op, 0.0, bounds)
         assert len(seen) >= 6 and all(seen)
 
 
