@@ -17,8 +17,8 @@ against.  Each run writes the kind's CSV (with a '#'-prefixed metadata
 header) plus a JSON run manifest holding every resolved parameter, the seed
 and the assumptions hash; the manifest alone is enough to reproduce the
 outputs bit-identically.  `thermo validate` is everything `thermo run` does
-before it writes anything (_prepare: the run plan, the builds, the ensemble
-sample), so a file it passes fails in run only on what the run computes.
+before it writes anything (_prepare: resolve, plan, build, sample and
+calibrate), so a file it passes fails in run only on what the run computes.
 """
 
 from __future__ import annotations
@@ -203,11 +203,15 @@ def parse_config(text: str) -> dict:
     return sections
 
 
-def _parse_value(path: str, kind: str, raw: str):
+def _parse_value(path: str, kind: str, raw):
     if kind == "s":
+        if not isinstance(raw, str):
+            raise SchemaError(f"{path}: must be a string, got {raw!r}")
         return raw
     if kind not in ("i", "f", "v3", "fl"):
         raise SchemaError(f"{path}: unknown value type {kind!r}")
+    if not isinstance(raw, str):  # a resolved value: read the text a file holds
+        raw = " ".join(map(repr, raw)) if isinstance(raw, list) else repr(raw)
     try:
         if kind == "i":
             return int(raw)
@@ -227,8 +231,8 @@ def resolve(raw: dict) -> dict:
     """Check raw against the kind's schema (known sections and keys, value
     types and finiteness, required keys) and return the fully resolved
     parameter tree: defaults and the materials table applied, everything
-    JSON-serializable.  Every check that compares one value with another
-    is the run plan's (_plan), which replayed manifests pass through too."""
+    JSON-serializable, and a resolved tree resolves to itself.  Every check
+    that compares one value with another is the run plan's (_plan)."""
     if "run" not in raw or "kind" not in raw.get("run", {}):
         raise SchemaError("run.kind: required")
     kind = raw["run"]["kind"]
@@ -476,13 +480,14 @@ def _plan(resolved: dict) -> SimpleNamespace:
     return plan
 
 
-def _prepare(resolved: dict) -> SimpleNamespace:
-    """The plan plus everything a run builds before it writes anything: the
-    magnet; the single NV, or the assembly and its sites, sampled once (the
-    design sweep samples inside design_sweep); and the check that an
-    explicit f_ref clears every resonance at the operating temperatures.
-    `validate` stops here, and `run_resolved` runs the kind from it."""
+def _prepare(tree: dict) -> SimpleNamespace:
+    """The one gate of every run, before it writes: resolve tree (a parsed
+    file or a resolved tree) into plan.resolved, plan, build, sample the
+    sites once (the design sweep samples its own), check an explicit f_ref
+    against every resonance, and calibrate a protocol into plan.cfg."""
+    resolved = resolve(tree)
     plan = _plan(resolved)
+    plan.resolved = resolved
     kind = resolved["run"]["kind"]
     mag = resolved["magnet"]
     if kind == "design-sweep":
@@ -499,6 +504,10 @@ def _prepare(resolved: dict) -> SimpleNamespace:
         if not reference_detuning_ok(plan.asm, plan.probes[2], temp, plan.sites):
             raise SchemaError("protocol.f_ref_hz: reference frequency within 50 "
                               f"linewidths of a resonance at T = {temp} K")
+    if kind in ("shot-noise", "track"):
+        plan.cfg = calibrate_three_point(
+            plan.asm, plan.temps[0], resolved["protocol"]["dwell_s"],
+            probes=plan.probes, dt_step=plan.step, sites=plan.sites)
     return plan
 
 
@@ -608,9 +617,7 @@ def _run_design_sweep(resolved, plan, out_csv, threads):
 
 
 def _run_shot_noise(resolved, plan, out_csv, threads):
-    proto = resolved["protocol"]
-    cfg = calibrate_three_point(plan.asm, plan.temps[0], proto["dwell_s"],
-                                probes=plan.probes, dt_step=plan.step, sites=plan.sites)
+    proto, cfg = resolved["protocol"], plan.cfg
     result = shot_noise_curve(plan.asm, cfg, proto["total_time_s"],
                               proto["window_grid_s"],
                               seed=resolved["run"]["seed"],
@@ -628,9 +635,7 @@ def _run_shot_noise(resolved, plan, out_csv, threads):
 
 
 def _run_track(resolved, plan, out_csv, threads):
-    proto = resolved["protocol"]
-    cfg = calibrate_three_point(plan.asm, plan.temps[0], proto["dwell_s"],
-                                probes=plan.probes, dt_step=plan.step, sites=plan.sites)
+    proto, cfg = resolved["protocol"], plan.cfg
     # the rows are written while the counts are drawn; a failed track
     # leaves no partial trace behind
     part = out_csv.with_name(out_csv.name + ".part")
@@ -680,12 +685,13 @@ def _finite_or_null(value):
     return value
 
 
-def run_resolved(resolved: dict, stem: str, out_dir=None, threads: int = 1):
-    """Prepare a resolved scenario as `validate` does, then run its kind
-    from the prepared plan; returns (csv_path, manifest_path).  Nothing is
-    written when the preparation fails."""
+def run_resolved(tree: dict, stem: str, out_dir=None, threads: int = 1):
+    """Pass tree through _prepare, the gate `validate` runs, then run its
+    kind and write the CSV and manifest from plan.resolved; returns
+    (csv_path, manifest_path).  A failed gate writes nothing, not even out_dir."""
+    plan = _prepare(tree)
+    resolved = plan.resolved
     kind = resolved["run"]["kind"]
-    plan = _prepare(resolved)
     out = Path(out_dir if out_dir is not None else resolved["run"]["out_dir"])
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -724,28 +730,28 @@ def _read_scenario(path: Path) -> str:
 
 
 def run(scenario_file, out_dir=None, seed=None, threads: int = 1):
-    """Run a scenario file; returns the paths written."""
+    """Run a scenario file, seed (if given) as its run.seed; returns the paths."""
     path = Path(scenario_file)
-    resolved = resolve(parse_config(_read_scenario(path)))
+    tree = parse_config(_read_scenario(path))
     if seed is not None:
-        resolved["run"]["seed"] = int(seed)
-    return run_resolved(resolved, path.stem, out_dir=out_dir, threads=threads)
+        tree.setdefault("run", {})["seed"] = int(seed)
+    return run_resolved(tree, path.stem, out_dir=out_dir, threads=threads)
 
 
 def replay_manifest(manifest_file, out_dir, threads: int = 1):
-    """Re-run a scenario from its manifest alone (bit-identical outputs)."""
+    """Re-run a manifest's resolved tree through a file's gate (bit-identical)."""
     manifest = json.loads(Path(manifest_file).read_text())
     return run_resolved(manifest["resolved"], manifest["stem"],
                         out_dir=out_dir, threads=threads)
 
 
 def validate(scenario_file) -> str:
-    """Everything `run` does before it writes anything: resolve, plan, build
-    and sample, and the reference-detuning check (see _prepare), reported.
-    It writes nothing and draws no counts, so when it says ok, run fails
-    only on what the run itself computes."""
-    resolved = resolve(parse_config(_read_scenario(Path(scenario_file))))
-    plan = _prepare(resolved)
+    """Everything `run` does before it writes anything, reported: the gate
+    _prepare (resolve, plan, build and sample, the reference-detuning check
+    and the protocol calibration).  It writes nothing and draws no counts,
+    so when it says ok, run fails only on what the run itself computes."""
+    plan = _prepare(parse_config(_read_scenario(Path(scenario_file))))
+    resolved = plan.resolved
     kind = resolved["run"]["kind"]
     report = [f"kind: {kind}"]
     if kind != "design-sweep":  # the sweep's magnet is a placeholder

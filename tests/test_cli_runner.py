@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from critherm.cli_runner import (
+    assumptions_hash,
     main,
     parse_config,
     replay_manifest,
@@ -186,6 +187,15 @@ TRACK_BAD_REF = TRACK.replace(
     "dwell_s = 0.005", "dwell_s = 0.005\nf1_hz = 2.87e9\nf2_hz = 2.868e9\nf_ref_hz = 2.875e9")
 
 
+# explicit probes with f1 == f2: the three-point calibration has no slope
+SHOT_NOISE_EQUAL_PROBES = shipped(
+    "shot_noise", "dwell_s = 0.005", "dwell_s = 0.005\nf1_hz = 2.868e9\n"
+    "f2_hz = 2.868e9\nf_ref_hz = 3.5e9")
+TRACK_EQUAL_PROBES = TRACK.replace(
+    "dwell_s = 0.005", "dwell_s = 0.005\nf1_hz = 2.868e9\nf2_hz = 2.868e9\n"
+    "f_ref_hz = 3.5e9")
+
+
 class TestParsing:
     def test_round_trip_values(self):
         raw = parse_config(MAGNETIZE)
@@ -321,6 +331,19 @@ class TestRun:
         assert a.read_bytes() != b.read_bytes()
         c, _ = run(p, out_dir=tmp_path / "c", seed=41)
         assert a.read_bytes() == c.read_bytes()
+
+    def test_seed_supplies_a_missing_seed(self, tmp_path, capsys):
+        # --seed is set on the file before it is resolved, so it also
+        # supplies the seed a stochastic file lacks
+        p = write(tmp_path, "spec.cfg", shipped("spectrum_63c", "seed = 2026\n", ""))
+        assert main(["validate", str(p)]) == 2
+        assert "run.seed: required" in capsys.readouterr().err
+        assert main(["run", str(p), "--seed", "5", "--out", str(tmp_path / "a")]) == 0
+        seeded = write(tmp_path, "seeded.cfg",
+                       shipped("spectrum_63c", "seed = 2026", "seed = 5"))
+        run(seeded, out_dir=tmp_path / "b")
+        assert (tmp_path / "a" / "spec.csv").read_bytes() \
+            == (tmp_path / "b" / "seeded.csv").read_bytes()
 
     def test_sweep_threads_identical(self, tmp_path):
         p = write(tmp_path, "sweep.cfg", SWEEP)
@@ -503,12 +526,19 @@ class TestReplayChecksThePlan:
         ("track_63c", "protocol", {"bin_s": 0.001}, "protocol.bin_s"),
         ("track_63c", "protocol", {"low_k": 337.0}, "protocol.low_k"),
         ("track_63c", "assembly", {"photon_rate_cps": 1e16}, "assembly.photon_rate_cps"),
+        # these five fail in the schema half of the gate, resolve
+        ("track_63c", "protocol", {"dwell_s": None}, "protocol.dwell_s"),
+        ("track_63c", "protocol", {"dwel_s": 0.005}, "protocol.dwel_s"),
+        ("track_63c", "assembly", {"n_nv": 500.0}, "assembly.n_nv"),
+        ("track_63c", "magnet", {"center_m": [0.0, 0.0]}, "magnet.center_m"),
+        ("track_63c", "protocol", {"period_s": True}, "protocol.period_s"),
     ], ids=["descending-temps", "lone-freq-points", "lone-freq-start",
             "descending-freqs", "one-freq-point", "descending-compositions",
             "composition-above-1", "lone-f1", "lone-f-ref", "descending-windows",
             "negative-floor-period", "floor-without-period",
             "shot-noise-negative-dwell", "track-negative-dwell", "zero-period",
-            "bin-below-cycle", "low-above-high", "count-guard"])
+            "bin-below-cycle", "low-above-high", "count-guard", "deleted-key",
+            "unknown-key", "float-for-int", "two-component-vector", "bool-for-float"])
     def test_edited_manifest_fails_as_validate(self, tmp_path, shipped_manifest,
                                                name, section, edit, key):
         # replay runs the plan that validate checks: an edited manifest
@@ -530,6 +560,27 @@ class TestReplayChecksThePlan:
         assert str(replayed.value).startswith(key)
         assert str(checked.value).startswith(key)
         assert not (tmp_path / "out").exists()
+
+    def test_number_for_string_fails(self, tmp_path, shipped_manifest):
+        # a file's value is always text, so only a manifest can hold this
+        manifest = shipped_manifest("track_63c")
+        manifest["resolved"]["run"]["out_dir"] = 5
+        path = write(tmp_path, "edited.manifest.json", json.dumps(manifest))
+        with pytest.raises(SchemaError, match="^run.out_dir: must be a string"):
+            replay_manifest(path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_number_as_text_reads_as_a_file_would(self, tmp_path, shipped_manifest):
+        # "0.005" is what a file holds for dwell_s, and validate passes that
+        # file, so the replay equals the replay of the unedited manifest
+        manifest = shipped_manifest("track_63c")
+        plain = write(tmp_path, "plain.manifest.json", json.dumps(manifest))
+        manifest["resolved"]["protocol"]["dwell_s"] = "0.005"
+        edited = write(tmp_path, "edited.manifest.json", json.dumps(manifest))
+        a = replay_manifest(plain, tmp_path / "a")
+        b = replay_manifest(edited, tmp_path / "b")
+        for x, y in zip(a, b):
+            assert x.read_bytes() == y.read_bytes()
 
 
 class TestShippedScenarios:
@@ -889,6 +940,8 @@ class TestValidatePredictsRun:
     # the floor trace reaches 0.024 K, where f(1e-12) needs the series branch
     # of brillouin to keep the mean-field root bracketed
     @example(text=small_shot_noise(1, 12e6, 0.005, 0.02, 0.007))
+    @example(text=SHOT_NOISE_EQUAL_PROBES)
+    @example(text=TRACK_EQUAL_PROBES)
     def test_validate_ok_means_run_exits_0(self, text):
         # exit 0, 2 or 3 from both commands, never a traceback (an exception
         # out of main), and run exits 0 whenever validate said ok; warnings
@@ -902,3 +955,36 @@ class TestValidatePredictsRun:
             ran = main(["run", str(p), "--out", str(Path(tmp) / "out")])
         assert checked in (0, 2, 3) and ran in (0, 2, 3)
         assert checked != 0 or ran == 0, text
+
+    @pytest.mark.parametrize("text", [SHOT_NOISE_EQUAL_PROBES, TRACK_EQUAL_PROBES],
+                             ids=["shot-noise", "track"])
+    def test_zero_calibration_slope_fails_both(self, tmp_path, capsys, text):
+        # the calibration is part of the gate: validate fails as run does,
+        # and run writes nothing, not even its --out directory
+        p = write(tmp_path, "equal.cfg", text)
+        assert main(["validate", str(p)]) == 3
+        assert "calibration slope must be nonzero" in capsys.readouterr().err
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+        assert "calibration slope must be nonzero" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [p]
+
+
+class TestResolveAcceptsItsOwnOutput:
+    @pytest.mark.parametrize("name", sorted(f.stem for f in SCENARIO_DIR.glob("*.cfg")))
+    def test_shipped_scenarios(self, name):
+        resolved = resolve(parse_config((SCENARIO_DIR / f"{name}.cfg").read_text()))
+        again = resolve(json.loads(json.dumps(resolved)))
+        assert again == resolved
+        assert assumptions_hash(again) == assumptions_hash(resolved)
+        assert resolve(resolved) == resolved
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(text=SMALL_FILES | OTHER_FILES)
+    def test_generated_files(self, text):
+        try:
+            resolved = resolve(parse_config(text))
+        except SchemaError:
+            return
+        again = resolve(resolved)
+        assert again == resolved
+        assert assumptions_hash(again) == assumptions_hash(resolved)

@@ -261,7 +261,11 @@ class TestSynthesizeSpectrum:
 
 def signal_whole_blocks(asm, freqs, om, op):
     """Oracle for _signal: each 256-line block evaluated over the whole grid
-    at once, as one (lines, grid) expression."""
+    at once, as one (lines, grid) expression.  A one-point grid is evaluated
+    as two equal points, as _signal does: numpy sums a one-column block
+    pairwise, a wider one line by line."""
+    if freqs.size == 1:
+        return signal_whole_blocks(asm, np.repeat(freqs, 2), om, op)[:1]
     centers = np.concatenate([om, op])
     weight = asm.contrast / centers.size
     half = 0.5 * asm.line_width
@@ -303,7 +307,8 @@ class TestLorentzianKernel:
             assert np.array_equal(got, signal_whole_blocks(asm, freqs, om, op)), \
                 f"{n_lines} lines, {n_points} points"
 
-    @pytest.mark.parametrize("case", ["on-grid", "far-off", "one-nv", "strided"])
+    @pytest.mark.parametrize("case", ["on-grid", "far-off", "one-nv", "strided",
+                                      "deep-dip-one-point"])
     def test_bitwise_equal_on_edge_inputs(self, case):
         asm = SensorAssembly()
         freqs = np.linspace(D0 - 150e6, D0 + 150e6, 1025)
@@ -316,8 +321,13 @@ class TestLorentzianKernel:
         elif case == "one-nv":
             asm = SensorAssembly(n_nv=1)
             om, op = om[:1], op[:1]
-        else:
+        elif case == "strided":
             freqs = np.linspace(D0 - 150e6, D0 + 150e6, 3075)[::-3]
+        else:
+            # a one-ulp change in a line sum reaches this signal
+            asm = SensorAssembly(contrast=0.99)
+            lines = np.random.default_rng(2).normal(D0, 2e6, 1000)
+            om, op, freqs = lines[:500], lines[500:], np.array([D0])
         got = _signal(asm, freqs, om, op)
         assert np.array_equal(got, signal_whole_blocks(asm, freqs, om, op))
 
