@@ -233,9 +233,14 @@ def resolve(raw: dict) -> dict:
     parameter tree: defaults and the materials table applied, everything
     JSON-serializable, and a resolved tree resolves to itself.  Every check
     that compares one value with another is the run plan's (_plan)."""
-    if "run" not in raw or "kind" not in raw.get("run", {}):
+    if not isinstance(raw, dict):
+        raise SchemaError(f"the tree must map sections to keys, got {raw!r}")
+    for section, keys in raw.items():
+        if not isinstance(keys, dict):
+            raise SchemaError(f"{section}: must map keys to values, got {keys!r}")
+    if "kind" not in raw.get("run", {}):
         raise SchemaError("run.kind: required")
-    kind = raw["run"]["kind"]
+    kind = _parse_value("run.kind", "s", raw["run"]["kind"])
     if kind not in SCHEMAS:
         raise SchemaError(
             f"run.kind: unknown kind {kind!r}; valid: {', '.join(SCHEMAS)}")
@@ -359,11 +364,11 @@ def _plan(resolved: dict) -> SimpleNamespace:
     f_ref must clear every line).  Every check that compares values sits
     beside the value it guards: SchemaError, naming the key, for a negative
     seed, a grid or track swing that does not ascend, a composition outside
-    [0, 1], a partial frequency grid, probe triple or floor, a duration that
-    is not positive, counts above the
-    overflow guard, a grid, record or line_centers call above _MAX_POINTS, a
-    protocol layout that leaves no statistics, or a lowest forward-model row
-    at or below 0 K."""
+    [0, 1], a partial frequency grid, probe triple or floor, a duration or
+    window length that is not positive, counts above the overflow guard, a
+    grid, record or line_centers call above _MAX_POINTS, a protocol layout
+    that leaves no statistics, or a lowest forward-model row at or below
+    0 K."""
     kind = resolved["run"]["kind"]
     grids, proto = resolved.get("grids", {}), resolved.get("protocol", {})
     if resolved["run"].get("seed", 0) < 0:
@@ -420,6 +425,8 @@ def _plan(resolved: dict) -> SimpleNamespace:
         wg = proto["window_grid_s"]
         if any(b <= a for a, b in zip(wg, wg[1:])):
             raise SchemaError("protocol.window_grid_s: must be strictly ascending")
+        if wg[0] <= 0.0:
+            raise SchemaError("protocol.window_grid_s: window lengths must be positive")
         if fittable_windows(wg, proto["dwell_s"], proto["total_time_s"]) < 2:
             raise SchemaError(
                 "protocol.window_grid_s: fewer than two window lengths fit two "

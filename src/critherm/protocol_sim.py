@@ -41,10 +41,15 @@ _POISSON_BLOCK_BINS = 8192  # record bins per draw, rounded down to whole points
 
 
 @dataclass(frozen=True)
-class Calibration:
-    """Linearization anchors: baseline normalized signals at T0 and the
-    temperature slope of their difference."""
+class ThreePointConfig:
+    """The probes and dwell of a protocol cycle, and the linearization
+    anchors: baseline normalized signals at t0 and the temperature slope of
+    their difference."""
 
+    f1: float        # Hz
+    f2: float
+    f_ref: float
+    dwell: float     # s per frequency per cycle
     t0: float        # K
     s1_0: float      # S(f1;T0)/S(fref;T0)
     s2_0: float
@@ -53,34 +58,12 @@ class Calibration:
     def __post_init__(self):
         if self.slope == 0.0:
             raise DomainError("calibration slope must be nonzero")
-
-
-@dataclass(frozen=True)
-class ThreePointConfig:
-    f1: float        # Hz
-    f2: float
-    f_ref: float
-    dwell: float     # s per frequency per cycle
-    calibration: Calibration
-
-    def __post_init__(self):
         if self.dwell <= 0:
             raise DomainError(f"dwell must be positive, got {self.dwell}")
 
     @property
     def bin_duration(self) -> float:
         return 3.0 * self.dwell
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    times: np.ndarray        # point start times, s
-    counts_f1: np.ndarray    # counts per point, summed over its bins
-    counts_f2: np.ndarray
-    counts_ref: np.ndarray
-
-    def __len__(self):
-        return len(self.times)
 
 
 def reference_detuning_ok(asm: SensorAssembly, f_ref: float, temp: float, sites) -> bool:
@@ -116,10 +99,9 @@ def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
     s = _signal(asm, np.array([f1, f2, f_ref]), om, op)
     s1, s2 = s[:, 0] / s[:, 2], s[:, 1] / s[:, 2]
     d = s1 - s2
-    cal = Calibration(t0=float(t0), s1_0=float(s1[0]), s2_0=float(s2[0]),
-                      slope=float((d[1] - d[2]) / (2.0 * dt_step)))
     return ThreePointConfig(f1=f1, f2=f2, f_ref=f_ref, dwell=float(dwell),
-                            calibration=cal)
+                            t0=float(t0), s1_0=float(s1[0]), s2_0=float(s2[0]),
+                            slope=float((d[1] - d[2]) / (2.0 * dt_step)))
 
 
 def _key_blocks(cfg: ThreePointConfig, temp_trace, nbins: int, block: int,
@@ -186,17 +168,11 @@ def _count_blocks(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
 
 def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
                     duration: float, seed: int, trace_resolution: float = None,
-                    *, sites, bins_per_point: int = 1) -> CountRecord:
-    """Poisson-sampled three-channel count record; deterministic under seed.
-
-    Each record entry is the count sum over one point of bins_per_point
-    consecutive bins; the bins after the last whole point are not drawn.
-    The counts are drawn block by block, in whole points, and each block is
-    summed into its points as it is drawn, so memory grows with the number
-    of points and distinct temperatures, not with the number of bins.  The
-    draws run in the same order as one draw over all per-bin rates, so a
-    point equals the sum of its bins in the bins_per_point = 1 record of the
-    same seed.
+                    *, sites) -> np.ndarray:
+    """Poisson-sampled count record, deterministic under seed: an (n, 3)
+    int64 array of the (f1, f2, f_ref) counts of each of the n protocol
+    cycles (record bins) in `duration`.  The counts are drawn block by
+    block, in the same order as one draw over all per-bin rates.
 
     temp_trace maps time (s) to true temperature (K).  It is evaluated per
     block of bin midpoints, possibly twice, so it must be a pure elementwise
@@ -206,29 +182,19 @@ def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
     to that grid first: 0.1 mK structure is far below anything one protocol
     bin can resolve, and the snap bounds the rows of the rate table.
 
-    This collects the whole record (24 bytes of counts and 8 of time per
-    point).  track_square_wave consumes the same blocks without collecting
-    them: it writes each block to its trace file while drawing.
+    This collects the whole record (24 bytes per bin).  track_square_wave
+    draws per data point from the same blocks without collecting them: it
+    writes each block to its trace file while drawing.
     """
-    if bins_per_point < 1:
-        raise DomainError(f"bins_per_point must be >= 1, got {bins_per_point}")
     nbins = int(np.floor(duration / cfg.bin_duration))
     if nbins < 1:
         raise DomainError("duration shorter than one protocol cycle")
-    npts = nbins // bins_per_point
-    if npts == 0:
-        raise DomainError("duration shorter than one point")
-    counts = np.empty((npts, 3), dtype=np.int64)
-    for first, block in _count_blocks(asm, cfg, temp_trace, npts, seed,
+    counts = np.empty((nbins, 3), dtype=np.int64)
+    for first, block in _count_blocks(asm, cfg, temp_trace, nbins, seed,
                                       trace_resolution, sites=sites,
-                                      bins_per_point=bins_per_point):
+                                      bins_per_point=1):
         counts[first:first + len(block)] = block
-    return CountRecord(
-        times=_point_times(0, npts, bins_per_point, cfg.bin_duration),
-        counts_f1=counts[:, 0],
-        counts_f2=counts[:, 1],
-        counts_ref=counts[:, 2],
-    )
+    return counts
 
 
 def window_layout(window: float, dwell: float, duration: float):
@@ -246,27 +212,25 @@ def fittable_windows(window_grid, dwell: float, duration: float) -> int:
     return len({bpw for bpw, nwin in layouts if nwin >= 2})
 
 
-def window_counts(rec: CountRecord, bins_per_window: int):
-    """(n1, n2, nref) summed over consecutive complete windows of
-    bins_per_window record entries."""
-    take = len(rec) // bins_per_window * bins_per_window
-    return [c[:take].reshape(-1, bins_per_window).sum(axis=1)
-            for c in (rec.counts_f1, rec.counts_f2, rec.counts_ref)]
+def window_counts(counts: np.ndarray, bins_per_window: int) -> np.ndarray:
+    """The (n, 3) counts summed over consecutive complete windows of
+    bins_per_window rows."""
+    take = len(counts) // bins_per_window * bins_per_window
+    return counts[:take].reshape(-1, bins_per_window, 3).sum(axis=1)
 
 
-def window_estimates(rec: CountRecord, cfg: ThreePointConfig,
+def window_estimates(counts: np.ndarray, cfg: ThreePointConfig,
                      bins_per_window: int) -> np.ndarray:
     """Per-window estimates over consecutive complete windows (vectorized)."""
     if bins_per_window < 1:
         raise DomainError("bins_per_window must be >= 1")
-    n1, n2, nref = window_counts(rec, bins_per_window)
+    n1, n2, nref = window_counts(counts, bins_per_window).T
     if nref.size == 0:
         raise EstimationError("record shorter than one window")
     if np.any(nref == 0):
         raise EstimationError("reference channel collected zero counts in a window")
-    cal = cfg.calibration
     delta = (n1 - n2) / nref
-    return cal.t0 + (delta - (cal.s1_0 - cal.s2_0)) / cal.slope
+    return cfg.t0 + (delta - (cfg.s1_0 - cfg.s2_0)) / cfg.slope
 
 
 @dataclass(frozen=True)
@@ -301,14 +265,13 @@ def shot_noise_curve(asm: SensorAssembly, cfg: ThreePointConfig,
         raise EstimationError(
             "fewer than two window lengths fit two windows into the record")
     if temp_trace is None:
-        t0 = cfg.calibration.t0
-        temp_trace = lambda t: t0
-    rec = simulate_counts(asm, cfg, temp_trace, total_time, seed,
-                          trace_resolution, sites=sites)
+        temp_trace = lambda t: cfg.t0
+    counts = simulate_counts(asm, cfg, temp_trace, total_time, seed,
+                             trace_resolution, sites=sites)
     rows = []
     for window in window_grid:
         bpw, nwin = window_layout(window, cfg.dwell, total_time)
-        delta = np.std(window_estimates(rec, cfg, bpw), ddof=1) if nwin >= 2 else np.nan
+        delta = np.std(window_estimates(counts, cfg, bpw), ddof=1) if nwin >= 2 else np.nan
         rows.append(ShotNoiseRow(bpw * cfg.bin_duration, float(delta), nwin,
                                  flagged=nwin < 10))
     good = [r for r in rows if np.isfinite(r.delta_t_k)]
@@ -325,11 +288,10 @@ def three_point_penalty(asm: SensorAssembly, cfg: ThreePointConfig, seed: int,
     """Monte-Carlo eta of the three-point protocol over the ideal CW bound
     eta_cw_numeric, at the same photon rate and temperature."""
     sites = sample_ensemble(asm)
-    t0 = cfg.calibration.t0
+    t0 = cfg.t0
     total = n_windows * cycles_per_window * cfg.bin_duration
-    rec = simulate_counts(asm, cfg, lambda t: t0, total, seed, sites=sites,
-                          bins_per_point=cycles_per_window)
-    est = window_estimates(rec, cfg, 1)
+    counts = simulate_counts(asm, cfg, lambda t: t0, total, seed, sites=sites)
+    est = window_estimates(counts, cfg, cycles_per_window)
     eta_mc = float(np.std(est, ddof=1)
                    * np.sqrt(cycles_per_window * cfg.bin_duration))
     om, op, freqs = next(line_scan(asm, [t0], sites))
@@ -350,16 +312,16 @@ def square_wave_trace(low: float, high: float, period: float):
     return trace
 
 
-_LOW, _HIGH, _MIXED = 0, 1, 2                 # level codes of track points
-_LABELS = np.array(["low", "high", "mixed"])  # indexed by level code
+_LOW, _HIGH, _MIXED = 0, 1, 2  # level code bits of track points
+_LABELS = np.array(["low", "high", "mixed", "mixed"])  # indexed by level code
 
 
 def _level_codes(low: float, high: float, period: float, bpw: int,
                  cycle: float, npts: int) -> np.ndarray:
-    """Level code of each of npts points of bpw cycles: the square wave at
-    the point midpoint, _MIXED when the point's span straddles a level
-    switch.  Built block by block, so no per-point time or temperature
-    array is held."""
+    """Level code of each of npts points of bpw cycles: bit 0 is the square
+    wave at the point midpoint (_HIGH or _LOW), and the _MIXED bit is set
+    when the point's span straddles a level switch.  Built block by block,
+    so no per-point time or temperature array is held."""
     level = square_wave_trace(low, high, period)
     span = bpw * cycle
     codes = np.empty(npts, dtype=np.int8)
@@ -367,8 +329,8 @@ def _level_codes(low: float, high: float, period: float, bpw: int,
         times = _point_times(start, min(start + _POISSON_BLOCK_BINS, npts),
                              bpw, cycle)
         switched = level(times) != level(times + span * 0.999)
-        codes[start:start + len(times)] = np.where(
-            switched, _MIXED, level(times + 0.5 * span) == high)
+        codes[start:start + len(times)] = _MIXED * switched + (
+            level(times + 0.5 * span) == high)
     return codes
 
 
@@ -394,7 +356,7 @@ class TrackResult:
     period.  The count record and the estimates are not kept:
     track_square_wave writes them to its trace file while drawing."""
 
-    level_codes: np.ndarray   # int8 per point: 0 low, 1 high, 2 mixed
+    level_codes: np.ndarray   # int8 per point: 0 low, 1 high, 2 or 3 mixed
     level_means: dict         # label -> mean(K)
     level_stds: dict          # label -> std(K)
     separation_sigma: float
@@ -432,7 +394,7 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
             "a level has fewer than two unmixed points: lengthen period or "
             "shorten bin")
     level = square_wave_trace(low, high, period)
-    span = bpw * cfg.bin_duration
+    level_text = [repr(float(low)), repr(float(high))]  # t_true_k by code & 1
     levels = {"high": _HIGH, "low": _LOW}
     period_means = {lab: {} for lab in levels}
     merged = dict.fromkeys(levels, (0, 0.0, 0.0))  # n, mean, sum sq dev
@@ -452,11 +414,10 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
                                        sites=sites, bins_per_point=bpw):
         stop = first + len(counts)
         times = _point_times(first, stop, bpw, cfg.bin_duration)
-        rec = CountRecord(times=times, counts_f1=counts[:, 0],
-                          counts_f2=counts[:, 1], counts_ref=counts[:, 2])
-        est = window_estimates(rec, cfg, 1)
+        est = window_estimates(counts, cfg, 1)
         if trace is not None:
-            export_trace_csv(trace, rec, est, level(times + 0.5 * span))
+            export_trace_csv(trace, times, counts, est, codes[first:stop],
+                             level_text)
         period_idx = np.floor(times / period).astype(int)
         for lab, code in levels.items():
             sel = codes[first:stop] == code
@@ -494,18 +455,12 @@ TRACE_COLUMNS = ("t_s", "counts_f1", "counts_f2", "counts_fref", "t_hat_k",
                  "t_true_k")
 
 
-def export_trace_csv(fh, rec: CountRecord, t_hat: np.ndarray,
-                     t_true: np.ndarray):
-    """Append one trace CSV row per point of the record block rec, in the
-    order of TRACE_COLUMNS.
-
-    Counts are the record's per-point sums over the bins inside each point.
-    A track has few true temperatures, so each is formatted once per block.
-    """
-    levels = _distinct(t_true)
-    level_text = [repr(v) for v in levels.tolist()]
-    columns = [c.tolist() for c in (rec.times, rec.counts_f1, rec.counts_f2,
-                                    rec.counts_ref, t_hat)]
+def export_trace_csv(fh, times: np.ndarray, counts: np.ndarray,
+                     t_hat: np.ndarray, codes: np.ndarray, level_text):
+    """Append one trace CSV row per point of a block, in the order of
+    TRACE_COLUMNS: its start time, its (n, 3) counts (sums over the bins
+    inside the point), its estimate, and as t_true_k level_text[code & 1],
+    the true temperature at its midpoint formatted once per track."""
+    columns = [c.tolist() for c in (times, *counts.T, t_hat, codes & 1)]
     fh.writelines(f"{t!r},{n1},{n2},{nr},{est!r},{level_text[k]}\n"
-                  for t, n1, n2, nr, est, k in
-                  zip(*columns, np.searchsorted(levels, t_true).tolist()))
+                  for t, n1, n2, nr, est, k in zip(*columns))

@@ -517,6 +517,8 @@ class TestReplayChecksThePlan:
         ("shot_noise", "protocol", {"f_ref_hz": 3.0e9}, "protocol.f1_hz/f2_hz/f_ref_hz"),
         ("shot_noise", "protocol", {"window_grid_s": [2.4, 1.2, 0.6, 0.24, 0.12, 0.06]},
          "protocol.window_grid_s"),
+        ("shot_noise", "protocol", {"window_grid_s": [-0.06, 0.3, 1.5, 3.0]},
+         "protocol.window_grid_s"),
         ("shot_noise", "protocol", {"floor_period_s": -30.0}, "protocol.floor_period_s"),
         ("shot_noise", "protocol", {"floor_period_s": None},
          "protocol.floor_rms_k and protocol.floor_period_s"),
@@ -535,7 +537,7 @@ class TestReplayChecksThePlan:
     ], ids=["descending-temps", "lone-freq-points", "lone-freq-start",
             "descending-freqs", "one-freq-point", "descending-compositions",
             "composition-above-1", "lone-f1", "lone-f-ref", "descending-windows",
-            "negative-floor-period", "floor-without-period",
+            "negative-window", "negative-floor-period", "floor-without-period",
             "shot-noise-negative-dwell", "track-negative-dwell", "zero-period",
             "bin-below-cycle", "low-above-high", "count-guard", "deleted-key",
             "unknown-key", "float-for-int", "two-component-vector", "bool-for-float"])
@@ -567,6 +569,23 @@ class TestReplayChecksThePlan:
         manifest["resolved"]["run"]["out_dir"] = 5
         path = write(tmp_path, "edited.manifest.json", json.dumps(manifest))
         with pytest.raises(SchemaError, match="^run.out_dir: must be a string"):
+            replay_manifest(path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    # an edit of the tree's structure, not of a value, and what the
+    # SchemaError names
+    @pytest.mark.parametrize("edit, named", [
+        (lambda tree: tree["run"].update(kind=["track"]), "run.kind"),
+        (lambda tree: tree.update(protocol=5), "protocol"),
+        (lambda tree: tree.update(protocol=list(tree["protocol"])), "protocol"),
+        (lambda tree: tree.update(run=list(tree["run"])), "run"),
+    ], ids=["kind-as-list", "section-as-number", "section-as-key-list",
+            "run-as-list"])
+    def test_structure_edit_fails(self, tmp_path, shipped_manifest, edit, named):
+        manifest = shipped_manifest("track_63c")
+        edit(manifest["resolved"])
+        path = write(tmp_path, "edited.manifest.json", json.dumps(manifest))
+        with pytest.raises(SchemaError, match=f"^{named}: must"):
             replay_manifest(path, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 

@@ -9,8 +9,6 @@ from critherm.errors import DomainError, EstimationError
 from critherm.presets import cuni_tracking_assembly
 from critherm import protocol_sim
 from critherm.protocol_sim import (
-    Calibration,
-    CountRecord,
     ThreePointConfig,
     calibrate_three_point,
     fewest_unmixed_points,
@@ -25,6 +23,9 @@ from critherm.protocol_sim import (
 )
 
 T0 = 300.0
+# probes, dwell and linearization anchors for the estimator alone
+CONFIG = ThreePointConfig(f1=1e9, f2=1.1e9, f_ref=2e9, dwell=0.01, t0=300.0,
+                          s1_0=0.9, s2_0=0.9, slope=1e-3)
 
 
 def single_lorentzian_assembly(contrast=0.05, seed=4):
@@ -57,42 +58,42 @@ def expected_counts_per_bin(asm, cfg, temp_trace, duration, sites,
 
 
 def noiseless_record(asm, cfg, temp, sites):
-    """Ten bins of the oracle's expected counts as a count record."""
-    times, lam, _ = expected_counts_per_bin(asm, cfg, lambda t: temp,
-                                            10 * cfg.bin_duration, sites)
-    return CountRecord(times=times, counts_f1=lam[:, 0], counts_f2=lam[:, 1],
-                       counts_ref=lam[:, 2])
+    """Ten bins of the oracle's expected counts as an (n, 3) count record."""
+    return expected_counts_per_bin(asm, cfg, lambda t: temp,
+                                   10 * cfg.bin_duration, sites)[1]
 
 
 def poisson_one_draw(asm, cfg, temp_trace, duration, seed, sites,
                      trace_resolution=None):
-    """Oracle for simulate_counts: (bin start times, one Poisson draw over
-    every per-bin rate of the oracle)."""
-    times, lam, _ = expected_counts_per_bin(asm, cfg, temp_trace, duration,
-                                            sites, trace_resolution)
+    """Oracle for simulate_counts: one Poisson draw over every per-bin rate
+    of the oracle."""
+    _, lam, _ = expected_counts_per_bin(asm, cfg, temp_trace, duration,
+                                        sites, trace_resolution)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return times, rng.poisson(lam)
+    return rng.poisson(lam)
 
 
-def trace_csv_per_row(rec, t_hat, t_true):
-    """Oracle for the streamed trace rows: built row by row from a whole
-    count record, its estimates and true temperatures."""
-    c1, c2, cr = rec.counts_f1, rec.counts_f2, rec.counts_ref
-    return "".join(f"{float(t)!r},{c1[i]},{c2[i]},{cr[i]},"
+def trace_csv_per_row(times, counts, t_hat, t_true):
+    """Oracle for the streamed trace rows: built row by row from the point
+    times, the whole (n, 3) count record, its estimates and true
+    temperatures."""
+    return "".join(f"{float(t)!r},{counts[i, 0]},{counts[i, 1]},{counts[i, 2]},"
                    f"{float(t_hat[i])!r},{float(t_true[i])!r}\n"
-                   for i, t in enumerate(rec.times)).encode()
+                   for i, t in enumerate(times)).encode()
 
 
 def whole_record_track(asm, cfg, low, high, period, bin, duration, seed, sites):
-    """(record, estimates, true temperatures) of a track from the collected
-    record: simulate_counts at the track's points plus window_estimates, and
-    the square wave at the point midpoints."""
+    """(point times, point counts, estimates, true temperatures) of a track
+    from the collected per-bin record: simulate_counts summed into the
+    track's points by window_counts, window_estimates of the points, and the
+    square wave at the point midpoints."""
     bpw, _ = window_layout(bin, cfg.dwell, duration)
     trace = square_wave_trace(low, high, period)
-    rec = simulate_counts(asm, cfg, trace, duration, seed, sites=sites,
-                          bins_per_point=bpw)
-    t_true = trace(rec.times + 0.5 * bpw * cfg.bin_duration)
-    return rec, window_estimates(rec, cfg, 1), t_true
+    counts = protocol_sim.window_counts(
+        simulate_counts(asm, cfg, trace, duration, seed, sites=sites), bpw)
+    times = np.arange(len(counts)) * bpw * cfg.bin_duration
+    t_true = trace(times + 0.5 * bpw * cfg.bin_duration)
+    return times, counts, window_estimates(counts, cfg, 1), t_true
 
 
 def streamed_track(path, asm, cfg, low, high, period, bin, duration, seed,
@@ -114,16 +115,15 @@ class TestCalibration:
         assert cfg.f1 - d == pytest.approx(-(cfg.f2 - d), rel=0.05)
         assert abs(cfg.f1 - d) == pytest.approx(8e6 / (2 * np.sqrt(3)), rel=0.05)
         assert reference_detuning_ok(asm, cfg.f_ref, T0, sites)
-        assert cfg.calibration.slope != 0.0
+        assert cfg.slope != 0.0
 
     def test_zero_slope_rejected(self):
-        with pytest.raises(DomainError):
-            Calibration(t0=300.0, s1_0=0.9, s2_0=0.9, slope=0.0)
+        with pytest.raises(DomainError, match="calibration slope must be nonzero"):
+            replace(CONFIG, slope=0.0)
 
     def test_dwell_positive(self):
-        cal = Calibration(t0=300.0, s1_0=0.9, s2_0=0.9, slope=1e-3)
         with pytest.raises(DomainError):
-            ThreePointConfig(f1=1e9, f2=1.1e9, f_ref=2e9, dwell=0.0, calibration=cal)
+            replace(CONFIG, dwell=0.0)
 
 
 class TestForwardModelEvaluations:
@@ -145,13 +145,13 @@ class TestForwardModelEvaluations:
         assert forward_model_calls == {"batches": [3, 2], "rows": 5}
 
     @pytest.mark.parametrize("run", [
-        lambda asm, cfg, sites: simulate_counts(
-            asm, cfg, square_wave_trace(335.4, 336.9, 0.9), 4.0, seed=1,
-            sites=sites, bins_per_point=4),
+        lambda asm, cfg, sites: list(protocol_sim._count_blocks(
+            asm, cfg, square_wave_trace(335.4, 336.9, 0.9), 66, 1,
+            sites=sites, bins_per_point=4)),
         lambda asm, cfg, sites: track_square_wave(
             asm, cfg, 335.4, 336.9, period=0.9, bin=0.06, duration=4.0, seed=1,
             sites=sites),
-    ], ids=["simulate_counts", "track"])
+    ], ids=["count_blocks", "track"])
     def test_point_record_evaluates_each_distinct_temperature_once(
             self, forward_model_calls, run):
         # the rate table is built once, before the blocks are drawn
@@ -175,14 +175,12 @@ class TestSimulateCounts:
         asm = single_lorentzian_assembly()
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
-        rec = simulate_counts(asm, cfg, lambda t: T0, 60.0, seed=8, sites=sites)
+        counts = simulate_counts(asm, cfg, lambda t: T0, 60.0, seed=8, sites=sites)
         _, lam, _ = expected_counts_per_bin(asm, cfg, lambda t: T0,
                                             cfg.bin_duration, sites)
-        for counts, expect in ((rec.counts_f1, lam[0, 0]),
-                               (rec.counts_f2, lam[0, 1]),
-                               (rec.counts_ref, lam[0, 2])):
-            n = len(counts)
-            assert abs(counts.mean() - expect) < 3 * np.sqrt(expect / n)
+        n = len(counts)
+        for got, expect in zip(counts.mean(axis=0), lam[0]):
+            assert abs(got - expect) < 3 * np.sqrt(expect / n)
 
     def test_seeded_determinism(self):
         asm = single_lorentzian_assembly()
@@ -190,24 +188,21 @@ class TestSimulateCounts:
         cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         a = simulate_counts(asm, cfg, lambda t: T0, 3.0, seed=55, sites=sites)
         b = simulate_counts(asm, cfg, lambda t: T0, 3.0, seed=55, sites=sites)
-        assert np.array_equal(a.counts_f1, b.counts_f1)
-        assert np.array_equal(a.counts_f2, b.counts_f2)
-        assert np.array_equal(a.counts_ref, b.counts_ref)
+        assert np.array_equal(a, b)
 
     def test_counts_are_integers(self):
         asm = single_lorentzian_assembly()
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
-        rec = simulate_counts(asm, cfg, lambda t: T0, 1.0, seed=3, sites=sites)
-        assert np.issubdtype(rec.counts_f1.dtype, np.integer)
-        assert np.all(rec.counts_f1 >= 0)
+        counts = simulate_counts(asm, cfg, lambda t: T0, 1.0, seed=3, sites=sites)
+        assert counts.shape == (66, 3) and counts.dtype == np.int64
+        assert np.all(counts >= 0)
 
     def test_overflow_guard(self):
         asm = single_lorentzian_assembly()
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
-        big = ThreePointConfig(f1=cfg.f1, f2=cfg.f2, f_ref=cfg.f_ref,
-                               dwell=1e9, calibration=cfg.calibration)
+        big = replace(cfg, dwell=1e9)
         with pytest.raises(DomainError, match="overflow guard"):
             simulate_counts(asm, big, lambda t: T0, 1e10, seed=0, sites=sites)
 
@@ -215,9 +210,8 @@ class TestSimulateCounts:
     @pytest.mark.parametrize("counts", [
         lambda asm, cfg, trace, sites: simulate_counts(asm, cfg, trace, 1.0, 0,
                                                        sites=sites),
-        lambda asm, cfg, trace, sites: simulate_counts(asm, cfg, trace, 1.0, 0,
-                                                       sites=sites,
-                                                       bins_per_point=4),
+        lambda asm, cfg, trace, sites: list(protocol_sim._count_blocks(
+            asm, cfg, trace, 16, 0, sites=sites, bins_per_point=4)),
     ], ids=["simulate_counts", "point_record"])
     def test_non_finite_trace_rejected(self, counts, bad):
         asm = single_lorentzian_assembly()
@@ -225,7 +219,7 @@ class TestSimulateCounts:
         cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
         trace = lambda t: np.where(t > 0.5, bad, T0)
         # the first bad bin is bin 33, midpoint 33.5 x 15 ms, also inside
-        # the ninth point of four bins
+        # the ninth of the 16 points of four bins in 66 bins
         with pytest.raises(DomainError,
                            match=rf"temperature trace is {bad} at t = 0\.5025"):
             counts(asm, cfg, trace, sites)
@@ -250,14 +244,10 @@ class TestSimulateCounts:
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
-        rec = simulate_counts(asm, cfg, trace, 4.0, seed=12,
-                              trace_resolution=resolution, sites=sites)
-        times, want = poisson_one_draw(asm, cfg, trace, 4.0, 12, sites,
-                                       resolution)
-        assert rec.times.dtype == times.dtype
-        assert rec.times.tobytes() == times.tobytes()
-        for got, w in zip((rec.counts_f1, rec.counts_f2, rec.counts_ref), want.T):
-            assert got.dtype == w.dtype and np.array_equal(got, w)
+        counts = simulate_counts(asm, cfg, trace, 4.0, seed=12,
+                                 trace_resolution=resolution, sites=sites)
+        want = poisson_one_draw(asm, cfg, trace, 4.0, 12, sites, resolution)
+        assert counts.dtype == want.dtype and np.array_equal(counts, want)
 
     @pytest.mark.parametrize("trace, resolution", [
         (square_wave_trace(335.4, 336.9, 0.9), None),
@@ -269,13 +259,11 @@ class TestSimulateCounts:
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         duration = (2 * 8192 + 1.5) * cfg.bin_duration
-        rec = simulate_counts(asm, cfg, trace, duration, seed=12,
-                              trace_resolution=resolution, sites=sites)
-        _, want = poisson_one_draw(asm, cfg, trace, duration, 12, sites,
-                                   resolution)
+        counts = simulate_counts(asm, cfg, trace, duration, seed=12,
+                                 trace_resolution=resolution, sites=sites)
+        want = poisson_one_draw(asm, cfg, trace, duration, 12, sites, resolution)
         assert want.shape == (2 * 8192 + 1, 3)
-        for got, w in zip((rec.counts_f1, rec.counts_f2, rec.counts_ref), want.T):
-            assert got.dtype == w.dtype and np.array_equal(got, w)
+        assert counts.dtype == want.dtype and np.array_equal(counts, want)
 
     @pytest.mark.parametrize("bins_per_point", [1, 3, 6, 8193])
     @pytest.mark.parametrize("trace, resolution", [
@@ -284,36 +272,36 @@ class TestSimulateCounts:
     ], ids=["square", "sine"])
     def test_point_record_sums_per_bin_record(self, trace, resolution,
                                               bins_per_point):
-        # 3 x 8193 + 5 bins: several draw blocks for every bins_per_point,
-        # and spare bins after the last whole point except at 1
+        # the points the track draws: 3 x 8193 + 5 bins give several draw
+        # blocks for every bins_per_point, and spare bins after the last
+        # whole point except at 1
         asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         duration = (3 * 8193 + 5.5) * cfg.bin_duration
         per_bin = simulate_counts(asm, cfg, trace, duration, seed=6,
                                   trace_resolution=resolution, sites=sites)
-        rec = simulate_counts(asm, cfg, trace, duration, seed=6,
-                              trace_resolution=resolution, sites=sites,
-                              bins_per_point=bins_per_point)
         npts = (3 * 8193 + 5) // bins_per_point
-        assert (len(per_bin), len(rec)) == (3 * 8193 + 5, npts)
+        blocks = list(protocol_sim._count_blocks(
+            asm, cfg, trace, npts, 6, resolution, sites=sites,
+            bins_per_point=bins_per_point))
+        sizes = [len(block) for _, block in blocks]
+        # whole points, at most 8192 bins (at least one point) per block
+        full = max(1, 8192 // bins_per_point)
+        assert set(sizes[:-1]) == {full} and sizes[-1] <= full
+        assert [first for first, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+        points = np.concatenate([block for _, block in blocks])
+        assert (len(per_bin), len(points)) == (3 * 8193 + 5, npts)
         want = protocol_sim.window_counts(per_bin, bins_per_point)
-        for got, w in zip((rec.counts_f1, rec.counts_f2, rec.counts_ref), want):
-            assert got.dtype == w.dtype and np.array_equal(got, w)
-        assert rec.times.tobytes() == per_bin.times[::bins_per_point][:npts].tobytes()
+        assert points.dtype == want.dtype and np.array_equal(points, want)
 
-    @pytest.mark.parametrize("duration, bins_per_point", [
-        (0.01, 1),    # shorter than one 15 ms cycle
-        (0.1, 7),     # six cycles, shorter than one point
-        (0.1, 0),
-    ])
-    def test_record_without_a_point_rejected(self, duration, bins_per_point):
+    def test_record_without_a_bin_rejected(self):
+        # shorter than one 15 ms cycle
         asm = single_lorentzian_assembly()
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
-        with pytest.raises(DomainError):
-            simulate_counts(asm, cfg, lambda t: T0, duration, seed=1,
-                            sites=sites, bins_per_point=bins_per_point)
+        with pytest.raises(DomainError, match="shorter than one protocol cycle"):
+            simulate_counts(asm, cfg, lambda t: T0, 0.01, seed=1, sites=sites)
 
     def test_passed_sites_equal_sampled(self):
         asm = single_lorentzian_assembly()
@@ -322,7 +310,7 @@ class TestSimulateCounts:
         a = simulate_counts(asm, cfg, lambda t: T0, 1.0, seed=3,
                             sites=sample_ensemble(asm))
         b = simulate_counts(asm, cfg, lambda t: T0, 1.0, seed=3, sites=sites)
-        assert np.array_equal(a.counts_f1, b.counts_f1)
+        assert np.array_equal(a, b)
         assert cfg == calibrate_three_point(asm, T0, dwell=0.005, sites=sites)
 
 
@@ -349,11 +337,7 @@ class TestEstimateTemperature:
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         rec = simulate_counts(asm, cfg, lambda t: 336.15, 1.0, seed=10, sites=sites)
         base = window_estimates(rec, cfg, len(rec))[0]
-        drift = 1.37
-        scaled = CountRecord(times=rec.times,
-                             counts_f1=rec.counts_f1 * drift,
-                             counts_f2=rec.counts_f2 * drift,
-                             counts_ref=rec.counts_ref * drift)
+        scaled = rec * 1.37
         assert abs(window_estimates(scaled, cfg, len(rec))[0] - base) < 1e-12
 
     def test_noiseless_drift_on_rates(self):
@@ -361,11 +345,7 @@ class TestEstimateTemperature:
         sites = sample_ensemble(asm)
         cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
         rec = noiseless_record(asm, cfg, 336.15, sites)
-        per_bin = 1.0 + 0.1 * np.sin(np.arange(len(rec)))
-        drifted = CountRecord(times=rec.times,
-                              counts_f1=rec.counts_f1 * per_bin,
-                              counts_f2=rec.counts_f2 * per_bin,
-                              counts_ref=rec.counts_ref * per_bin)
+        drifted = rec * (1.0 + 0.1 * np.sin(np.arange(len(rec))))[:, None]
         # common per-bin factor cancels only for window = one bin; for the
         # summed window it still cancels to first order
         a = window_estimates(rec, cfg, 1)
@@ -373,13 +353,8 @@ class TestEstimateTemperature:
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_zero_reference_raises(self):
-        cal = Calibration(t0=300.0, s1_0=0.9, s2_0=0.9, slope=1e-3)
-        cfg = ThreePointConfig(f1=1e9, f2=1.1e9, f_ref=2e9, dwell=0.01,
-                               calibration=cal)
-        rec = CountRecord(times=np.array([0.0]), counts_f1=np.array([5]),
-                          counts_f2=np.array([5]), counts_ref=np.array([0]))
         with pytest.raises(EstimationError):
-            window_estimates(rec, cfg, len(rec))
+            window_estimates(np.array([[5, 5, 0]]), CONFIG, 1)
 
     def test_unbiased_at_calibration_point(self):
         asm = single_lorentzian_assembly()
@@ -464,11 +439,10 @@ class TestThreePointPenalty:
         s_m = signal_at(asm, T0, shifted, sites)
         s_l = signal_at(asm, T0 - dt, shifted, sites)
         s_h = signal_at(asm, T0 + dt, shifted, sites)
-        cal = Calibration(
-            t0=T0, s1_0=s_m[0] / s_m[2], s2_0=s_m[1] / s_m[2],
+        cfg_off = replace(
+            cfg, f1=shifted[0], f2=shifted[1], t0=T0, s1_0=s_m[0] / s_m[2],
+            s2_0=s_m[1] / s_m[2],
             slope=((s_h[0] - s_h[1]) / s_h[2] - (s_l[0] - s_l[1]) / s_l[2]) / (2 * dt))
-        cfg_off = ThreePointConfig(f1=shifted[0], f2=shifted[1], f_ref=cfg.f_ref,
-                                   dwell=cfg.dwell, calibration=cal)
         off_ratio = three_point_penalty(asm, cfg_off, seed=21, n_windows=800,
                                         cycles_per_window=40)
         assert off_ratio > on_ratio
@@ -545,6 +519,8 @@ class TestTrackSquareWave:
                   else "high" if trace(t + 0.03) == 336.9 else "low"
                   for t in times]
         assert list(res.labels) == labels
+        # bit 0 of every code, mixed or not, is the level at the midpoint
+        assert list(res.level_codes & 1) == [int(v == 336.9) for v in t_true]
         assert {"high", "low", "mixed"} == set(labels)
         assert fewest_unmixed_points(335.4, 336.9, 0.9, 0.06, 0.005, 3.0) == min(
             labels.count("high"), labels.count("low"))
@@ -561,10 +537,7 @@ class TestTrackSquareWave:
                                   0.44, seed=3, sites=sites)
         rows = np.loadtxt(path, delimiter=",")
         assert (len(per_bin), len(res.level_codes), len(rows)) == (29, 4, 4)
-        for col, counts in zip((1, 2, 3), (per_bin.counts_f1, per_bin.counts_f2,
-                                           per_bin.counts_ref)):
-            assert np.array_equal(rows[:, col],
-                                  counts[:24].reshape(4, 6).sum(axis=1))
+        assert np.array_equal(rows[:, 1:4], per_bin[:24].reshape(4, 6, 3).sum(axis=1))
 
     # integer levels must still be written as floats (337.0, not 337)
     @pytest.mark.parametrize("low, high", [(335.4, 336.9), (335, 337)])
@@ -590,10 +563,10 @@ class TestTrackSquareWave:
         args = (335.4, 336.9, 9.6, 0.06, 600.0, 6, sites)
         path = tmp_path / "trace.csv"
         res = streamed_track(path, asm, cfg, *args)
-        rec, est, t_true = whole_record_track(asm, cfg, *args)
+        times, counts, est, t_true = whole_record_track(asm, cfg, *args)
         block_points = protocol_sim._POISSON_BLOCK_BINS // 4
-        assert len(rec) == 10000 > 4 * block_points
-        assert path.read_bytes() == trace_csv_per_row(rec, est, t_true)
+        assert len(counts) == 10000 > 4 * block_points
+        assert path.read_bytes() == trace_csv_per_row(times, counts, est, t_true)
         # merged from per-period runs, so the summation order differs from
         # one pass over the level; a single misfiled point moves them ~1e-6
         for lab in ("high", "low"):
@@ -610,10 +583,10 @@ class TestTrackSquareWave:
         period = 0.9
         args = (335.4, 336.9, period, 0.06, 30.0, 5, sites)
         res = track_square_wave(asm, cfg, *args)
-        rec, est, _ = whole_record_track(asm, cfg, *args)
+        times, _, est, _ = whole_record_track(asm, cfg, *args)
         for lab in ("high", "low"):
             sel = res.labels == lab
-            idx = np.floor(rec.times[sel] / period).astype(int)
+            idx = np.floor(times[sel] / period).astype(int)
             oracle = {int(p): float(np.mean(est[sel][idx == p]))
                       for p in np.unique(idx)}
             assert len(oracle) > 30
