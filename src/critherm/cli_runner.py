@@ -791,6 +791,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
+            if args.threads < 1:
+                raise UsageError(f"--threads must be at least 1, got {args.threads}")
             lines = run(args.scenario, out_dir=args.out, seed=args.seed,
                         threads=args.threads)
         else:

@@ -33,6 +33,10 @@ _LINE_CHUNK = 256
 # buffer (256 x 256 float64 = 512 KiB), whatever the grid size, holding as
 # many rows as fit; the stacked grid [f; 1] adds 16 B per point.
 _FREQ_TILE = 256
+# Row-sites per transition_pairs pass of line_centers (at least one row): each
+# temporary of the closed form stays near 32 KiB whatever the row count, and a
+# row-site is solved by the same operations in any pass, to the same bits.
+_PASS_SITES = 4096
 # Grid points per tile of the |dS/dT| bound of _peak_slope.
 _BOUND_TILE = 32
 _SLOPE_STEP = 0.01  # K, step of the central-difference dS/dT
@@ -182,7 +186,7 @@ def line_centers(asm: SensorAssembly, temps, sites: Ensemble):
     """(omega_minus, omega_plus) over the ensemble at each of the 1-D
     `temps`: two (n_temps, n_sites) arrays.  The moment stays on the easy
     axis, so the NV-frame field is bias_nv + m(T) g_nv, g_nv being the field
-    of the saturated particle; rows are solved one temperature at a time."""
+    of the saturated particle; rows are solved in passes of _PASS_SITES."""
     temps = np.asarray(temps, dtype=float)
     d = d_of_t(asm.spin, temps)
     bias_nv = sites.frames @ np.asarray(asm.bias_field)
@@ -194,9 +198,11 @@ def line_centers(asm: SensorAssembly, temps, sites: Ensemble):
             sites.positions, min_distance=mag.radius))
         m = solve_magnetization(mag, temps)
     om, op = np.empty((2, temps.size, len(sites)))
-    for k in range(temps.size):
-        om[k], op[k] = transition_pairs(d[k], sites.strains, asm.spin.gamma,
-                                        bias_nv + m[k] * g_nv)
+    step = max(_PASS_SITES // len(sites), 1)
+    for k in range(0, temps.size, step):
+        rows = slice(k, k + step)
+        om[rows], op[rows] = transition_pairs(d[rows], sites.strains, asm.spin.gamma,
+                                              bias_nv + m[rows, None, None] * g_nv)
     return om, op
 
 

@@ -97,18 +97,19 @@ def build_hamiltonian(sys: SpinSystem, temp: float) -> np.ndarray:
     return h
 
 
-def _label_levels(w, ov0):
-    """(omega_minus, omega_plus) from ascending eigenvalues w (n, 3) and each
-    level's |<0|psi>|^2 ov0 (n, 3): from the 0-like (largest-overlap) level
-    to the other two.  Degenerate (or NaN) top overlaps raise."""
-    top = np.sort(ov0, axis=1)
-    if not np.all(top[:, 2] - top[:, 1] >= _OVERLAP_TOL):
+def _label_levels(w, ov):
+    """(omega_minus, omega_plus) from the ascending eigenvalue columns
+    w = (w0, w1, w2) and each level's |<0|psi>|^2 ov = (ov0, ov1, ov2): from
+    the 0-like (largest-overlap) level to the other two.  Degenerate (or NaN)
+    top overlaps raise."""
+    lo, hi = np.minimum(ov[0], ov[1]), np.maximum(ov[0], ov[1])
+    top, second = np.maximum(hi, ov[2]), np.maximum(lo, np.minimum(hi, ov[2]))
+    if not np.all(top - second >= _OVERLAP_TOL):
         raise LabelingAmbiguityError("two levels overlap |m_s=0> equally; "
                                      "transition labels are undefined here")
-    idx0 = np.argmax(ov0, axis=1)
-    e0 = np.take_along_axis(w, idx0[:, None], axis=1)[:, 0]
-    others = w[np.arange(3) != idx0[:, None]].reshape(-1, 2)   # ascending
-    return others[:, 0] - e0, others[:, 1] - e0
+    first, last = ov[0] == top, ov[2] == top
+    e0 = np.where(first, w[0], np.where(last, w[2], w[1]))
+    return np.where(first, w[1], w[0]) - e0, np.where(last, w[1], w[2]) - e0
 
 
 def transition_frequencies(sys: SpinSystem, temp: float) -> LevelSet:
@@ -126,39 +127,47 @@ def transition_frequencies(sys: SpinSystem, temp: float) -> LevelSet:
             stacklevel=2,
         )
     w, v = np.linalg.eigh(build_hamiltonian(sys, temp))
-    om, op = _label_levels(w[None], np.abs(v[1:2, :]) ** 2)   # row 1 = <0|
+    om, op = _label_levels(w, np.abs(v[1]) ** 2)   # row 1 = <0|
     return LevelSet(eigenvalues=tuple(float(x) for x in w),
-                    omega_minus=float(om[0]), omega_plus=float(op[0]))
+                    omega_minus=float(om), omega_plus=float(op))
 
 
-def transition_pairs(d: float, strain_e, gamma: float, fields):
+def transition_pairs(d, strain_e, gamma: float, fields):
     """omega_minus/omega_plus for many NV sites at once, in closed form.
 
-    d: scalar D(T) in Hz; strain_e: (n,) per-site strain; fields: (n, 3)
-    NV-frame fields in tesla.  Returns two (n,) arrays.  With no transverse
-    field |0> is an eigenvector of eigenvalue 0 and the lines are exactly
-    the eigenvalues D -+ sqrt(E^2 + gamma^2 Bz^2) of the +-1 block.  Else the
-    eigenvalues are the trigonometric roots of the cubic of H - (2D/3) I
-    (Kopp, arXiv physics/0610206), and each level's |<0|psi>|^2 follows from
-    the eigenvector-eigenvalue identity (Denton, Parke, Tao, Zhang,
-    arXiv:1908.03795) with the +-1 block as the minor.
+    d: D(T) in Hz, a scalar or one per row; strain_e: (sites,) strains;
+    fields: (sites, 3) or (rows, sites, 3) NV-frame fields in tesla.  Returns
+    two arrays of shape fields.shape[:-1].  With no transverse field |0> is
+    an eigenvector of eigenvalue 0 and the lines are exactly the eigenvalues
+    D -+ sqrt(E^2 + gamma^2 Bz^2) of the +-1 block.  Else the eigenvalues are
+    three columns, the trigonometric roots of the cubic of H - (2D/3) I (Kopp,
+    arXiv physics/0610206) put in order by a sorting network, and each level's
+    |<0|psi>|^2 follows from the eigenvector-eigenvalue identity (Denton,
+    Parke, Tao, Zhang, arXiv:1908.03795) with the +-1 block as the minor.
     """
     fields = np.asarray(fields, dtype=float)
-    strain_e = np.broadcast_to(np.asarray(strain_e, dtype=float), fields.shape[:1])
-    axial = np.sqrt(strain_e ** 2 + (gamma * fields[:, 2]) ** 2)
+    d = np.asarray(d, dtype=float)[..., None]   # one D per row of sites
+    strain_e = np.broadcast_to(np.asarray(strain_e, dtype=float), fields.shape[:-1])
+    axial = np.sqrt(strain_e ** 2 + (gamma * fields[..., 2]) ** 2)
     om, op = d - axial, d + axial
-    c = (fields[:, 0] != 0.0) | (fields[:, 1] != 0.0)
+    c = (fields[..., 0] != 0.0) | (fields[..., 1] != 0.0)
     if np.any(c):
-        (bx, by, bz), e = fields[c].T, strain_e[c]
+        # D^3 per row by Python's float pow (object dtype): numpy's SIMD pow
+        # on an array can differ from the scalar pow in the last bit
+        d3 = (d.astype(object) ** 3).astype(float)
+        (bx, by, bz), e = (fields[..., i][c] for i in range(3)), strain_e[c]
+        d, d3, om_c, op_c = (np.broadcast_to(a, c.shape)[c] for a in (d, d3, om, op))
         g_perp2, g_z2 = gamma ** 2 * (bx * bx + by * by), (gamma * bz) ** 2
         p = np.sqrt(d * d / 9.0 + (g_perp2 + g_z2 + e * e) / 3.0)
-        half_det = (-d ** 3 / 27.0 + d / 3.0 * (g_z2 - 0.5 * g_perp2 + e * e)
+        half_det = (-d3 / 27.0 + d / 3.0 * (g_z2 - 0.5 * g_perp2 + e * e)
                     + 0.5 * e * gamma ** 2 * (bx * bx - by * by))
         phi = np.arccos(np.clip(half_det / p ** 3, -1.0, 1.0)) / 3.0
-        w = np.sort(2.0 * d / 3.0 + 2.0 * p[:, None] * np.cos(
-            phi[:, None] + np.array([0.0, 2.0, 4.0]) * np.pi / 3.0), axis=1)
-        ov0 = ((w - om[c, None]) * (w - op[c, None])
-               / ((w - np.roll(w, 1, axis=1)) * (w - np.roll(w, 2, axis=1))))
-        om[c], op[c] = _label_levels(w, ov0)
+        w0, w1, w2 = (2.0 * d / 3.0 + 2.0 * p * np.cos(phi + k * np.pi / 3.0)
+                      for k in (0.0, 2.0, 4.0))
+        w0, w1 = np.minimum(w0, w1), np.maximum(w0, w1)
+        w1, w2 = np.minimum(w1, w2), np.maximum(w1, w2)
+        w0, w1 = np.minimum(w0, w1), np.maximum(w0, w1)
+        ov = [(w - om_c) * (w - op_c) / ((w - u) * (w - v))
+              for w, u, v in ((w0, w2, w1), (w1, w0, w2), (w2, w1, w0))]
+        om[c], op[c] = _label_levels((w0, w1, w2), ov)
     return om, op
-

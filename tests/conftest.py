@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from critherm import ensemble_spectrum, protocol_sim
@@ -6,20 +7,21 @@ from critherm import ensemble_spectrum, protocol_sim
 @pytest.fixture
 def forward_model_calls(monkeypatch):
     """Count forward-model evaluations: the number of temperatures of every
-    line_centers call and every temperature row solved."""
+    line_centers call and the temperature rows solved, one per D that
+    transition_pairs is given."""
     calls = {"batches": [], "rows": 0}
     batched = ensemble_spectrum.line_centers
-    solve_row = ensemble_spectrum.transition_pairs
+    solve_rows = ensemble_spectrum.transition_pairs
 
     def count_batch(asm, temps, sites):
         calls["batches"].append(len(temps))
         return batched(asm, temps, sites)
 
-    def count_row(*args):
-        calls["rows"] += 1
-        return solve_row(*args)
+    def count_rows(d, *args):
+        calls["rows"] += np.size(d)
+        return solve_rows(d, *args)
 
     for module in (ensemble_spectrum, protocol_sim):
         monkeypatch.setattr(module, "line_centers", count_batch)
-    monkeypatch.setattr(ensemble_spectrum, "transition_pairs", count_row)
+    monkeypatch.setattr(ensemble_spectrum, "transition_pairs", count_rows)
     return calls

@@ -617,6 +617,14 @@ class TestMainExitCodes:
         assert code == 0
         assert "mag.csv" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        p = write(tmp_path, "mag.cfg", MAGNETIZE)
+        code = main(["run", str(p), "--out", str(tmp_path / "out"), "--threads", threads])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("thermo: error: --threads")
+        assert not (tmp_path / "out").exists()
+
     def test_schema_error_exit_2(self, tmp_path, capsys):
         p = write(tmp_path, "bad.cfg", MAGNETIZE.replace("temp_stop_k = 360.0",
                                                          "temp_stop_k = 250.0"))

@@ -291,6 +291,23 @@ class TestDesignSweep:
         assert all(p.status == "ok" for p in points)
         assert forward_model_calls == {"batches": [9, 2, 9, 2], "rows": 22}
 
+    def test_shipped_sweep_solves_rows_in_passes(self, forward_model_calls,
+                                                 monkeypatch):
+        # per composition 27 rows of 500 sites in passes of 8 rows, then
+        # the representative NV's two rows in one pass
+        passes = []
+        solve = ensemble_spectrum.transition_pairs
+
+        def count_pass(d, *args):
+            passes.append(np.size(d))
+            return solve(d, *args)
+
+        monkeypatch.setattr(ensemble_spectrum, "transition_pairs", count_pass)
+        plan = shipped_plan("design_sweep")
+        design_sweep(plan.asm, plan.xs)
+        assert forward_model_calls["rows"] == 319
+        assert passes == [8, 8, 8, 3, 2] * 11
+
     def test_non_ferromagnetic_row_recorded(self):
         asm = cuni_design_assembly(seed=59)
         with pytest.warns(UserWarning, match="ferromagnetic threshold"):

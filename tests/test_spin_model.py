@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from critherm.ensemble_spectrum import (
+    _PASS_SITES,
     Ensemble,
     SensorAssembly,
     domega_dtemp,
@@ -14,7 +16,14 @@ from critherm.ensemble_spectrum import (
     sample_ensemble,
 )
 from critherm.errors import DomainError, LabelingAmbiguityError
-from critherm.magnet_model import _DT_STEP, dipole_field, dm_dtemp, magnetic_moment
+from critherm.magnet_model import (
+    _DT_STEP,
+    dipole_field,
+    dipole_field_many,
+    dm_dtemp,
+    magnetic_moment,
+    solve_magnetization,
+)
 from critherm.presets import (
     cuni_design_assembly,
     cuni_tracking_assembly,
@@ -89,6 +98,55 @@ def transition_pair_batch(d, strain_e, gamma, fields):
     np.put_along_axis(mask, idx0[:, None], False, axis=1)
     others = w[mask].reshape(n, 2)           # ascending because w is ascending
     return others[:, 0] - e0, others[:, 1] - e0
+
+
+def transition_pairs_n3(d, strain_e, gamma, fields):
+    """Bitwise oracle for transition_pairs at one scalar D: the same closed
+    form with the three roots as one (n, 3) array, put in order by np.sort,
+    their overlaps paired by np.roll and the 0-like level found by
+    np.argmax."""
+    fields = np.asarray(fields, dtype=float)
+    strain_e = np.broadcast_to(np.asarray(strain_e, dtype=float), fields.shape[:1])
+    axial = np.sqrt(strain_e ** 2 + (gamma * fields[:, 2]) ** 2)
+    om, op = d - axial, d + axial
+    c = (fields[:, 0] != 0.0) | (fields[:, 1] != 0.0)
+    if np.any(c):
+        (bx, by, bz), e = fields[c].T, strain_e[c]
+        g_perp2, g_z2 = gamma ** 2 * (bx * bx + by * by), (gamma * bz) ** 2
+        p = np.sqrt(d * d / 9.0 + (g_perp2 + g_z2 + e * e) / 3.0)
+        half_det = (-d ** 3 / 27.0 + d / 3.0 * (g_z2 - 0.5 * g_perp2 + e * e)
+                    + 0.5 * e * gamma ** 2 * (bx * bx - by * by))
+        phi = np.arccos(np.clip(half_det / p ** 3, -1.0, 1.0)) / 3.0
+        w = np.sort(2.0 * d / 3.0 + 2.0 * p[:, None] * np.cos(
+            phi[:, None] + np.array([0.0, 2.0, 4.0]) * np.pi / 3.0), axis=1)
+        ov0 = ((w - om[c, None]) * (w - op[c, None])
+               / ((w - np.roll(w, 1, axis=1)) * (w - np.roll(w, 2, axis=1))))
+        top = np.sort(ov0, axis=1)
+        if not np.all(top[:, 2] - top[:, 1] >= _OVERLAP_TOL):
+            raise LabelingAmbiguityError("degenerate |m_s=0> overlap")
+        idx0 = np.argmax(ov0, axis=1)
+        e0 = np.take_along_axis(w, idx0[:, None], axis=1)[:, 0]
+        others = w[np.arange(3) != idx0[:, None]].reshape(-1, 2)   # ascending
+        om[c], op[c] = others[:, 0] - e0, others[:, 1] - e0
+    return om, op
+
+
+def line_centers_by_row(asm, temps, sites):
+    """Oracle for line_centers: the same NV-frame fields, one temperature
+    row at a time through transition_pairs_n3 at that row's scalar D."""
+    temps = np.asarray(temps, dtype=float)
+    d = d_of_t(asm.spin, temps)
+    bias_nv = sites.frames @ np.asarray(asm.bias_field)
+    m, g_nv = np.zeros_like(temps), np.zeros_like(bias_nv)
+    if asm.magnet is not None:
+        mag = asm.magnet
+        g_nv = np.einsum("nij,nj->ni", sites.frames, dipole_field_many(
+            mag.m_sat * mag.volume * np.asarray(mag.easy_axis), mag.center,
+            sites.positions, min_distance=mag.radius))
+        m = solve_magnetization(mag, temps)
+    rows = [transition_pairs_n3(d[k], sites.strains, asm.spin.gamma,
+                                bias_nv + m[k] * g_nv) for k in range(temps.size)]
+    return np.array([om for om, _ in rows]), np.array([op for _, op in rows])
 
 
 class TestDOfT:
@@ -321,6 +379,76 @@ class TestClosedForm:
     def test_nan_overlap_raises(self):
         with pytest.raises(LabelingAmbiguityError):
             transition_pairs(D0, 0.0, GAMMA, [[np.nan, 0.0, 0.0]])
+
+
+def mixed_axis_sites():
+    """Design ensemble in which every third NV sits on the magnet's easy
+    axis with its own axis along it: those feel no transverse field."""
+    sites = sample_ensemble(cuni_design_assembly(seed=9))
+    positions, frames = sites.positions.copy(), sites.frames.copy()
+    positions[::3, :2] = 0.0
+    frames[::3] = nv_frame((0.0, 0.0, 1.0))
+    return Ensemble(positions=positions, frames=frames, strains=sites.strains)
+
+
+class TestLineCenterPasses:
+    """line_centers solves its rows _PASS_SITES row-sites at a time with one
+    D per row; each row is bitwise transition_pairs_n3 at that row's D."""
+
+    @staticmethod
+    def assert_rows_bitwise(asm, temps, sites):
+        got, want = line_centers(asm, temps, sites), line_centers_by_row(asm, temps, sites)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_design_assembly(self):
+        # 27 rows of 500 sites: three full passes of 8 rows and one of 3
+        asm = cuni_design_assembly(seed=5)
+        tc = asm.magnet.tc
+        temps = np.stack([t + np.array([0.0, 0.01, -0.01])
+                          for t in tc - np.array([0.3, 0.7, 1.2, 2, 3, 5, 8, 12, 20])])
+        assert temps.size % (_PASS_SITES // 500) != 0
+        self.assert_rows_bitwise(asm, temps.ravel(), sample_ensemble(asm))
+
+    def test_one_site_rows_past_one_pass(self):
+        # 5003 distinct D values below Tc, so all in the cubic branch: D^3
+        # taken as an array power differs from the scalar one in the last
+        # bit on some of them
+        asm = cuni_design_assembly(seed=5)
+        site = nv_site(asm.fnd_center, (1.0, 1.0, 1.0), asm.strain_mean)
+        temps = np.linspace(asm.magnet.tc - 40.0, asm.magnet.tc - 0.01, _PASS_SITES + 907)
+        assert np.unique(d_of_t(asm.spin, temps)).size == temps.size
+        self.assert_rows_bitwise(asm, temps, site)
+
+    def test_axial_and_transverse_sites_mixed(self):
+        asm, sites = cuni_design_assembly(seed=9), mixed_axis_sites()
+        fields = oracle_fields(asm, sites, asm.magnet.tc - 2.0)
+        transverse = (fields[:, 0] != 0.0) | (fields[:, 1] != 0.0)
+        assert transverse.any() and not transverse.all()
+        self.assert_rows_bitwise(asm, asm.magnet.tc - np.linspace(0.1, 9.0, 21), sites)
+
+    def test_per_row_d_is_each_row_alone(self):
+        rng = np.random.default_rng(17)
+        fields = rng.uniform(-3e-3, 3e-3, (5, 64, 3))
+        fields[:, ::4, :2] = 0.0
+        strains, d = rng.uniform(0, 10e6, 64), D0 + rng.uniform(-1e6, 1e6, 5)
+        om, op = transition_pairs(d, strains, GAMMA, fields)
+        for k in range(5):
+            om_k, op_k = transition_pairs_n3(d[k], strains, GAMMA, fields[k])
+            assert np.array_equal(om[k], om_k) and np.array_equal(op[k], op_k)
+
+    def test_memory_of_2000_rows(self):
+        # beside the (2, rows, sites) output (16 MB) the solve holds the
+        # temporaries of one pass (about 1.2 MB here), not of every row
+        asm = cuni_design_assembly(seed=5)
+        sites = sample_ensemble(asm)
+        temps = asm.magnet.tc - np.linspace(0.1, 30.0, 2000)
+        tracemalloc.start()
+        try:
+            line_centers(asm, temps, sites)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * temps.size * len(sites) * 8 + 2 * 2 ** 20
 
 
 def nv_field_fn(magnet, position, axis, bias=(0.0, 0.0, 0.0)):
