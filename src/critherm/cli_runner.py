@@ -558,7 +558,7 @@ def _write_csv(path: Path, resolved: dict, columns, rows, extra=()):
 # Kind runners.  Each runs from the prepared plan and returns the results
 # summary for the manifest.
 
-def _run_magnetize(resolved, plan, out_csv, threads):
+def _run_magnetize(resolved, plan, out_csv):
     magnet, temps = plan.magnet, plan.temps
     rows = zip(temps.tolist(), solve_magnetization(magnet, temps).tolist(),
                dm_dtemp(magnet, temps).tolist())
@@ -566,7 +566,7 @@ def _run_magnetize(resolved, plan, out_csv, threads):
     return {"tc_k": magnet.tc}
 
 
-def _run_spectrum(resolved, plan, out_csv, threads):
+def _run_spectrum(resolved, plan, out_csv):
     om, op, freqs = next(line_scan(plan.asm, plan.temps, plan.sites, plan.freqs))
     slope = _slope(plan.asm, freqs, om, op)
     spec = _spectrum(plan.asm, plan.temps[0], freqs, om[0], op[0])
@@ -583,19 +583,20 @@ def _run_spectrum(resolved, plan, out_csv, threads):
     }
 
 
-def _run_susceptibility(resolved, plan, out_csv, threads):
+def _run_susceptibility(resolved, plan, out_csv):
     dm, dp = (a[:, 0] for a in domega_dtemp(plan.asm, plan.temps, plan.sites))
     _write_csv(out_csv, resolved,
                ["t_k", "domega_minus_hz_per_k", "domega_plus_hz_per_k"],
                zip(plan.temps.tolist(), dm.tolist(), dp.tolist()))
     peak = float(max(np.abs(dm).max(), np.abs(dp).max()))
+    bare = abs(plan.asm.spin.dd_dt)  # 0 leaves the enhancement undefined
     return {
         "peak_abs_domega_dt_hz_per_k": peak,
-        "enhancement_over_bare": peak / abs(plan.asm.spin.dd_dt),
+        "enhancement_over_bare": peak / bare if bare else float("nan"),
     }
 
 
-def _run_sensitivity(resolved, plan, out_csv, threads):
+def _run_sensitivity(resolved, plan, out_csv):
     rows = [astuple(rep) for rep in
             sensitivity_scan(plan.asm, plan.temps, sites=plan.sites)]
     _write_csv(out_csv, resolved,
@@ -607,8 +608,8 @@ def _run_sensitivity(resolved, plan, out_csv, threads):
     return {"eta_opt_k_per_sqrthz": best[1], "t_opt_k": best[0]}
 
 
-def _run_design_sweep(resolved, plan, out_csv, threads):
-    points = design_sweep(plan.asm, plan.xs, threads=threads)
+def _run_design_sweep(resolved, plan, out_csv):
+    points = design_sweep(plan.asm, plan.xs)
     h = assumptions_hash(resolved)
     rows = [(p.x, p.tc_k, p.t_opt_k, p.eta_opt, p.domega_dt, p.status, h)
             for p in points]
@@ -623,7 +624,7 @@ def _run_design_sweep(resolved, plan, out_csv, threads):
     return summary
 
 
-def _run_shot_noise(resolved, plan, out_csv, threads):
+def _run_shot_noise(resolved, plan, out_csv):
     proto, cfg = resolved["protocol"], plan.cfg
     result = shot_noise_curve(plan.asm, cfg, proto["total_time_s"],
                               proto["window_grid_s"],
@@ -641,7 +642,7 @@ def _run_shot_noise(resolved, plan, out_csv, threads):
             "probes_hz": [cfg.f1, cfg.f2, cfg.f_ref]}
 
 
-def _run_track(resolved, plan, out_csv, threads):
+def _run_track(resolved, plan, out_csv):
     proto, cfg = resolved["protocol"], plan.cfg
     # the rows are written while the counts are drawn; a failed track
     # leaves no partial trace behind
@@ -695,7 +696,8 @@ def _finite_or_null(value):
 def run_resolved(tree: dict, stem: str, out_dir=None, threads: int = 1):
     """Pass tree through _prepare, the gate `validate` runs, then run its
     kind and write the CSV and manifest from plan.resolved; returns
-    (csv_path, manifest_path).  A failed gate writes nothing, not even out_dir."""
+    (csv_path, manifest_path).  A failed gate writes nothing, not even out_dir.
+    threads is accepted and has no effect: every run is single-threaded."""
     plan = _prepare(tree)
     resolved = plan.resolved
     kind = resolved["run"]["kind"]
@@ -704,12 +706,14 @@ def run_resolved(tree: dict, stem: str, out_dir=None, threads: int = 1):
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise UsageError(f"{out}: not a directory") from None
+    except OSError as exc:
+        raise UsageError(f"{out}: {exc.strerror}") from None
     csv_path = out / f"{stem}.csv"
     manifest_path = out / f"{stem}.manifest.json"
     for path in (csv_path, manifest_path):
         if path.is_dir():
             raise UsageError(f"{path}: is a directory")
-    results = _RUNNERS[kind](resolved, plan, csv_path, threads)
+    results = _RUNNERS[kind](resolved, plan, csv_path)
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -737,19 +741,19 @@ def _read_scenario(path: Path) -> str:
 
 
 def run(scenario_file, out_dir=None, seed=None, threads: int = 1):
-    """Run a scenario file, seed (if given) as its run.seed; returns the paths."""
+    """Run a scenario file, seed (if given) as its run.seed; returns the
+    paths.  threads is accepted and has no effect, as in run_resolved."""
     path = Path(scenario_file)
     tree = parse_config(_read_scenario(path))
     if seed is not None:
         tree.setdefault("run", {})["seed"] = int(seed)
-    return run_resolved(tree, path.stem, out_dir=out_dir, threads=threads)
+    return run_resolved(tree, path.stem, out_dir=out_dir)
 
 
-def replay_manifest(manifest_file, out_dir, threads: int = 1):
+def replay_manifest(manifest_file, out_dir):
     """Re-run a manifest's resolved tree through a file's gate (bit-identical)."""
     manifest = json.loads(Path(manifest_file).read_text())
-    return run_resolved(manifest["resolved"], manifest["stem"],
-                        out_dir=out_dir, threads=threads)
+    return run_resolved(manifest["resolved"], manifest["stem"], out_dir=out_dir)
 
 
 def validate(scenario_file) -> str:
@@ -784,7 +788,8 @@ def main(argv=None) -> int:
                        help="override the scenario seed")
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads (speed only, never results)")
+                       help="accepted (at least 1) and without effect: every "
+                            "run is single-threaded")
     p_val = sub.add_parser("validate", help="check a scenario file")
     p_val.add_argument("scenario")
     args = parser.parse_args(argv)
@@ -793,8 +798,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             if args.threads < 1:
                 raise UsageError(f"--threads must be at least 1, got {args.threads}")
-            lines = run(args.scenario, out_dir=args.out, seed=args.seed,
-                        threads=args.threads)
+            lines = run(args.scenario, out_dir=args.out, seed=args.seed)
         else:
             lines = [validate(args.scenario)]
     except UsageError as exc:  # exit 2, as argparse's own errors

@@ -130,8 +130,8 @@ def sample_ensemble(asm: SensorAssembly) -> Ensemble:
     """Draw the NV sites: positions uniform in the FND ball, axes uniform on
     the four <111> directions (one frame built per axis), strain
     from a truncated-at-zero normal.  Each site uses its own RNG stream
-    spawned from the master seed, so any execution order (or parallel map)
-    reproduces the same ensemble."""
+    spawned from the master seed, so a site's draw depends on its index
+    only, never on the sites before it."""
     axis_frames = [nv_frame(a) for a in TETRAHEDRAL_AXES]
     center = np.asarray(asm.fnd_center)
     positions = np.empty((asm.n_nv, 3))

@@ -36,5 +36,5 @@ class SchemaError(ThermoError):
 
 class UsageError(Exception):
     """The command line names a scenario file that cannot be read as UTF-8
-    text, or an output directory with a file in its path; message names the
-    path."""
+    text, or an output directory that cannot be made (a file in its path, or
+    a path the OS rejects); message names the path."""

@@ -155,7 +155,7 @@ class DesignPoint:
     status: str = "ok"
 
 
-def _sweep_cell(template: SensorAssembly, sites, x: float, temp_policy) -> DesignPoint:
+def _sweep_cell(template: SensorAssembly, sites, x: float) -> DesignPoint:
     tc = curie_temperature(x)
     if tc <= 0:
         return DesignPoint(x, tc, np.nan, np.nan, np.nan,
@@ -165,7 +165,7 @@ def _sweep_cell(template: SensorAssembly, sites, x: float, temp_policy) -> Desig
     magnet = replace(template.magnet, m_sat=x * M_SAT_NI, tc=tc,
                      composition_x=None)
     asm = replace(template, magnet=magnet)
-    temps = temp_policy(tc)
+    temps = default_temp_policy(tc)
     # branch and bound: every row's tile bounds first (one grid held at a
     # time, kept as its linspace arguments), then the temperatures in
     # descending order of their highest bound, each against the best peak
@@ -195,7 +195,7 @@ def _sweep_cell(template: SensorAssembly, sites, x: float, temp_policy) -> Desig
     except ThermoError as exc:
         return DesignPoint(x, tc, np.nan, np.nan, np.nan,
                            status=f"error: {exc}")
-    if best is None:  # Tc too low for any offset of the policy
+    if best is None:  # Tc too low for any offset of the ladder
         return DesignPoint(x, tc, np.nan, np.nan, np.nan,
                            status="error: no operating temperature below Tc")
     t_opt = temps[best[1]]
@@ -204,28 +204,17 @@ def _sweep_cell(template: SensorAssembly, sites, x: float, temp_policy) -> Desig
                        eta_opt=float(best[0]), domega_dt=float(dom))
 
 
-def design_sweep(template: SensorAssembly, x_grid, temp_policy=None,
-                 threads: int = 1):
+def design_sweep(template: SensorAssembly, x_grid):
     """Optimal sensitivity versus Cu(1-x)Ni(x) composition.
 
     The ensemble is sampled once from the template (sampling never reads the
     magnet).  For each x the magnet is rebuilt from the composition map and
-    the minimum eta over the operating-temperature grid is reported with its
-    temperature.  max|dS/dT| comes from _peak_slope, by branch and bound
-    over the temperatures and the grid tiles: it is bitwise that of the
-    whole slope grid at every temperature that can hold the optimum, and
-    the others are skipped.  Per-x failures are recorded in the row status
-    without aborting the sweep.  Results are
-    gathered in input order, so the thread count changes speed only.
+    the minimum eta over the default_temp_policy ladder below its Tc is
+    reported with its temperature.  max|dS/dT| comes from _peak_slope, by
+    branch and bound over the temperatures and the grid tiles: it is bitwise
+    that of the whole slope grid at every temperature that can hold the
+    optimum, and the others are skipped.  Per-x failures are recorded in the
+    row status without aborting the sweep; rows come in input order.
     """
-    if temp_policy is None:
-        temp_policy = default_temp_policy
-    x_grid = [float(x) for x in x_grid]
     sites = sample_ensemble(template)
-    if threads > 1:
-        # imported here: it loads logging, 0.5 MB that serial runs skip
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda x: _sweep_cell(template, sites, x, temp_policy), x_grid))
-    return [_sweep_cell(template, sites, x, temp_policy) for x in x_grid]
+    return [_sweep_cell(template, sites, float(x)) for x in x_grid]

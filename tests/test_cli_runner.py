@@ -625,6 +625,31 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith("thermo: error: --threads")
         assert not (tmp_path / "out").exists()
 
+    def test_threads_load_no_thread_pool(self, tmp_path):
+        # --threads is accepted and has no effect: every run is serial
+        p = write(tmp_path, "sweep.cfg", SWEEP)
+        code = ("import sys\n"
+                "from critherm.cli_runner import main\n"
+                "code = main(['run', sys.argv[1], '--out', sys.argv[2], "
+                "'--threads', '4'])\n"
+                "print(code, 'concurrent.futures' in sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(p), str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SCENARIO_DIR.parent / "src")))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
+    def test_out_path_the_os_rejects_exit_2(self, tmp_path, capsys):
+        # a 300-byte name is longer than any file system allows (ENAMETOOLONG)
+        p = write(tmp_path, "mag.cfg", MAGNETIZE)
+        out = tmp_path / ("o" * 300)
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"thermo: error: {out}: ")
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [p]
+
     def test_schema_error_exit_2(self, tmp_path, capsys):
         p = write(tmp_path, "bad.cfg", MAGNETIZE.replace("temp_stop_k = 360.0",
                                                          "temp_stop_k = 250.0"))
@@ -791,7 +816,11 @@ class TestMainExitCodes:
         ("track_63c", lambda text: text.replace("duration_s = 28.8",
                                                 "duration_s = 9.6"),
          "max_period_spread_k"),
-    ], ids=["spectrum-width", "track-spread"])
+        # a bare dD/dT of 0: no enhancement over it
+        ("gd_susceptibility", lambda text: text.replace(
+            "nv_axis = 0 0 1", "nv_axis = 0 0 1\ndd_dt_hz_per_k = 0.0"),
+         "enhancement_over_bare"),
+    ], ids=["spectrum-width", "track-spread", "susceptibility-zero-dd-dt"])
     def test_undefined_result_is_null(self, tmp_path, name, edit, key):
         text = (SCENARIO_DIR / f"{name}.cfg").read_text()
         p = write(tmp_path, f"{name}.cfg", edit(text))
@@ -969,6 +998,8 @@ class TestValidatePredictsRun:
     @example(text=small_shot_noise(1, 12e6, 0.005, 0.02, 0.007))
     @example(text=SHOT_NOISE_EQUAL_PROBES)
     @example(text=TRACK_EQUAL_PROBES)
+    @example(text=shipped("gd_susceptibility", "nv_axis = 0 0 1",
+                          "nv_axis = 0 0 1\ndd_dt_hz_per_k = 0.0"))
     def test_validate_ok_means_run_exits_0(self, text):
         # exit 0, 2 or 3 from both commands, never a traceback (an exception
         # out of main), and run exits 0 whenever validate said ok; warnings

@@ -80,7 +80,8 @@ class TestSampleEnsemble:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_arrays_read_only(self):
-        # the design sweep's worker threads share one sample
+        # one sample is shared by every call that is given it, such as
+        # each composition of the design sweep
         sites = sample_ensemble(bare_assembly(n_nv=3))
         for array in (sites.positions, sites.frames, sites.strains):
             with pytest.raises(ValueError, match="read-only"):

@@ -1,14 +1,11 @@
 import json
-import os
-import subprocess
-import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from critherm import ensemble_spectrum
+from critherm import ensemble_spectrum, sensitivity
 from critherm.cli_runner import _prepare, parse_config, resolve
 from critherm.ensemble_spectrum import (
     SensorAssembly,
@@ -242,54 +239,20 @@ class TestDesignSweep:
             fnd_radius=asm.fnd_radius, n_nv=80, strain_mean=asm.strain_mean,
             strain_sd=asm.strain_sd, line_width=asm.line_width,
             contrast=asm.contrast, photon_rate=asm.photon_rate, rng_seed=47)
-        policy = lambda tc: tc - np.array([0.5, 2.0, 8.0])
-        points = design_sweep(small, [0.55, 0.75, 0.95], temp_policy=policy)
+        points = design_sweep(small, [0.55, 0.75, 0.95])
         assert all(p.status == "ok" for p in points)
         for p in points:
             assert 1e-4 < p.eta_opt < 0.05
             assert p.t_opt_k < p.tc_k
 
-    def test_threads_do_not_change_results(self):
-        asm = cuni_design_assembly(seed=53)
-        small = SensorAssembly(
-            magnet=asm.magnet, fnd_center=asm.fnd_center,
-            fnd_radius=asm.fnd_radius, n_nv=60, strain_mean=asm.strain_mean,
-            strain_sd=asm.strain_sd, line_width=asm.line_width,
-            contrast=asm.contrast, photon_rate=asm.photon_rate, rng_seed=53)
-        policy = lambda tc: tc - np.array([1.0, 5.0])
-        serial = design_sweep(small, [0.6, 0.8, 1.0], temp_policy=policy, threads=1)
-        parallel = design_sweep(small, [0.6, 0.8, 1.0], temp_policy=policy, threads=3)
-        assert serial == parallel
-
-    def test_serial_sweep_leaves_thread_pool_unloaded(self):
-        # concurrent.futures (with logging) is imported only for threads > 1
-        code = (
-            "import sys\n"
-            "from dataclasses import replace\n"
-            "import critherm.cli_runner\n"
-            "from critherm.presets import cuni_design_assembly\n"
-            "from critherm.sensitivity import design_sweep\n"
-            "small = replace(cuni_design_assembly(seed=53), n_nv=5)\n"
-            "points = design_sweep(small, [0.8], temp_policy=lambda tc: "
-            "[tc - 5.0], threads=1)\n"
-            "assert points[0].status == 'ok', points\n"
-            "print('concurrent.futures' in sys.modules)\n")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=src),
-                              timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
     def test_one_forward_model_batch_per_composition(self, forward_model_calls):
-        # each composition evaluates its temperatures and both +- steps of
-        # the slope in one call, then the representative NV's dw/dT at the
-        # optimum as a one-site call of its two steps
+        # each composition evaluates its nine ladder temperatures and both
+        # +- steps of the slope in one call, then the representative NV's
+        # dw/dT at the optimum as a one-site call of its two steps
         small = replace(cuni_design_assembly(seed=47), n_nv=40)
-        policy = lambda tc: tc - np.array([0.5, 2.0, 8.0])
-        points = design_sweep(small, [0.55, 0.95], temp_policy=policy)
+        points = design_sweep(small, [0.55, 0.95])
         assert all(p.status == "ok" for p in points)
-        assert forward_model_calls == {"batches": [9, 2, 9, 2], "rows": 22}
+        assert forward_model_calls == {"batches": [27, 2, 27, 2], "rows": 58}
 
     def test_shipped_sweep_solves_rows_in_passes(self, forward_model_calls,
                                                  monkeypatch):
@@ -311,8 +274,7 @@ class TestDesignSweep:
     def test_non_ferromagnetic_row_recorded(self):
         asm = cuni_design_assembly(seed=59)
         with pytest.warns(UserWarning, match="ferromagnetic threshold"):
-            points = design_sweep(asm, [0.40, 0.70],
-                                  temp_policy=lambda tc: tc - np.array([1.0]))
+            points = design_sweep(asm, [0.40, 0.70])
         assert points[0].status.startswith("error")
         assert points[1].status == "ok"
 
@@ -391,7 +353,7 @@ def design_cfg():
         temps = default_temp_policy(asm.magnet.tc)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ensemble_spectrum, "_signal", counting)
-            point = _sweep_cell(plan.asm, sites, x, default_temp_policy)
+            point = _sweep_cell(plan.asm, sites, x)
         cells.append((x, asm, temps, full_grid_scan(asm, temps, sites), point))
     return plan.asm, sites, cells, columns[0]
 
@@ -412,14 +374,17 @@ class TestPrunedPeakSlope:
         full = 2 * sum(row[2].size for *_, scan, _ in cells for row in scan)
         assert 0 < columns <= 0.5 * full
 
-    def test_repeated_temperature_cell_equals_oracle(self, design_cfg):
+    def test_repeated_temperature_cell_equals_oracle(self, design_cfg,
+                                                     monkeypatch):
+        # a ladder with ties: the first minimal eta in ladder order wins
         template, sites, *_ = design_cfg
-        policy = lambda tc: tc - np.array([2.0, 0.5, 8.0, 0.5, 2.0])
+        ladder = lambda tc: tc - np.array([2.0, 0.5, 8.0, 0.5, 2.0])
+        monkeypatch.setattr(sensitivity, "default_temp_policy", ladder)
         for x in (0.55, 0.8):
             asm = composition_assembly(template, x)
-            temps = policy(asm.magnet.tc)
+            temps = ladder(asm.magnet.tc)
             peaks = [row[3] for row in full_grid_scan(asm, temps, sites)]
-            assert _sweep_cell(template, sites, x, policy) == \
+            assert _sweep_cell(template, sites, x) == \
                 design_point(asm, x, temps, peaks)
 
     @pytest.mark.parametrize("name", ["design_sweep", "sensitivity_vs_temp"])
