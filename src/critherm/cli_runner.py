@@ -711,8 +711,11 @@ def run_resolved(tree: dict, stem: str, out_dir=None, threads: int = 1):
     csv_path = out / f"{stem}.csv"
     manifest_path = out / f"{stem}.manifest.json"
     for path in (csv_path, manifest_path):
-        if path.is_dir():
-            raise UsageError(f"{path}: is a directory")
+        try:
+            if path.is_dir():
+                raise UsageError(f"{path}: is a directory")
+        except OSError as exc:  # a file name the OS rejects
+            raise UsageError(f"{path}: {exc.strerror}") from None
     results = _RUNNERS[kind](resolved, plan, csv_path)
     manifest = {
         "format_version": FORMAT_VERSION,

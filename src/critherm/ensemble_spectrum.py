@@ -425,19 +425,20 @@ def _tile_bounds(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
     return bound
 
 
-def _peak_slope(asm: SensorAssembly, freqs, om, op, floor: float = 0.0,
-                bounds=None) -> float:
+def _peak_slope(asm: SensorAssembly, freqs, om, op, floor: float = 0.0) -> float:
     """max |_slope| on freqs, bitwise np.max(np.abs(_slope(...))) whenever
     that is >= floor; otherwise some value below floor.
 
-    Branch and bound over the tiles of _tile_bounds (`bounds`, computed
-    here when None): the tile of the highest bound is evaluated first, then,
-    in one _slope call, the gathered columns of every tile whose bound
-    still reaches both floor and the peak so far.  A column of _signal is
-    bitwise the same in any batch, so each is as on the whole grid.
+    Branch and bound over the tiles of _tile_bounds: when every bound is
+    below floor, the highest is returned and no column is evaluated.
+    Otherwise the tile of the highest bound is evaluated first, then, in one
+    _slope call, the gathered columns of every tile whose bound still
+    reaches both floor and the peak so far.  A column of _signal is bitwise
+    the same in any batch, so each is as on the whole grid.
     """
-    if bounds is None:
-        bounds = _tile_bounds(asm, freqs, om, op)
+    bounds = _tile_bounds(asm, freqs, om, op)
+    if bounds.max() < floor:
+        return float(bounds.max())
     tile_of = np.arange(freqs.size) // _BOUND_TILE
     first = int(np.argmax(bounds))
     peak = np.max(np.abs(_slope(asm, freqs[tile_of == first], om, op)))

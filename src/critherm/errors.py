@@ -36,5 +36,6 @@ class SchemaError(ThermoError):
 
 class UsageError(Exception):
     """The command line names a scenario file that cannot be read as UTF-8
-    text, or an output directory that cannot be made (a file in its path, or
-    a path the OS rejects); message names the path."""
+    text, an output directory that cannot be made (a file in its path, or
+    a path the OS rejects), or an output file that is a directory or whose
+    name the OS rejects; message names the path."""

@@ -25,7 +25,6 @@ from .ensemble_spectrum import (
     SensorAssembly,
     _peak_slope,
     _spectrum,
-    _tile_bounds,
     domega_dtemp,
     line_scan,
     nv_site,
@@ -166,26 +165,17 @@ def _sweep_cell(template: SensorAssembly, sites, x: float) -> DesignPoint:
                      composition_x=None)
     asm = replace(template, magnet=magnet)
     temps = default_temp_policy(tc)
-    # branch and bound: every row's tile bounds first (one grid held at a
-    # time, kept as its linspace arguments), then the temperatures in
-    # descending order of their highest bound, each against the best peak
-    # so far.  eta = 1 / (sqrt(L) peak) rounds twice, so a peak less than
-    # 2^-50 (8 unit roundoffs) below the best can still tie with it in eta;
-    # the floor lets those through.  What is skipped is strictly worse, and
-    # the first minimal eta in temperature order wins, as in a full scan.
-    best = None
+    # the ladder in order, each temperature against the best peak so far
+    # (_peak_slope skips the tiles, or the whole temperature, whose bound
+    # cannot reach it).  eta = 1 / (sqrt(L) peak) rounds twice, so a peak
+    # less than 2^-50 (8 unit roundoffs) below the best can still tie with
+    # it in eta; the floor lets those through.  What is skipped is strictly
+    # worse, and the first minimal eta in ladder order wins, as in a full scan.
+    best, best_peak = None, 0.0
     try:
-        rows = []
-        for om, op, freqs in line_scan(asm, temps, sites):
-            rows.append((om, op, (freqs[0], freqs[-1], freqs.size),
-                         _tile_bounds(asm, freqs, om, op)))
-        best_peak = 0.0
-        for k in sorted(range(len(rows)), key=lambda k: -rows[k][3].max()):
-            om, op, grid, bounds = rows[k]
+        for k, (om, op, freqs) in enumerate(line_scan(asm, temps, sites)):
             floor = best_peak * (1.0 - 2.0 ** -50)
-            if bounds.max() < floor:
-                break
-            peak = _peak_slope(asm, np.linspace(*grid), om, op, floor, bounds)
+            peak = _peak_slope(asm, freqs, om, op, floor)
             if peak < floor:
                 continue
             best_peak = max(best_peak, peak)
@@ -210,11 +200,12 @@ def design_sweep(template: SensorAssembly, x_grid):
     The ensemble is sampled once from the template (sampling never reads the
     magnet).  For each x the magnet is rebuilt from the composition map and
     the minimum eta over the default_temp_policy ladder below its Tc is
-    reported with its temperature.  max|dS/dT| comes from _peak_slope, by
-    branch and bound over the temperatures and the grid tiles: it is bitwise
-    that of the whole slope grid at every temperature that can hold the
-    optimum, and the others are skipped.  Per-x failures are recorded in the
-    row status without aborting the sweep; rows come in input order.
+    reported with its temperature.  The ladder is walked in order, and
+    max|dS/dT| comes from _peak_slope against the best peak so far: it is
+    bitwise that of the whole slope grid at every temperature that can hold
+    the optimum, and a temperature whose tile bounds all fall short costs no
+    slope column.  Per-x failures are recorded in the row status without
+    aborting the sweep; rows come in input order.
     """
     sites = sample_ensemble(template)
     return [_sweep_cell(template, sites, float(x)) for x in x_grid]

@@ -152,9 +152,9 @@ def transition_pairs(d, strain_e, gamma: float, fields):
     om, op = d - axial, d + axial
     c = (fields[..., 0] != 0.0) | (fields[..., 1] != 0.0)
     if np.any(c):
-        # D^3 per row by Python's float pow (object dtype): numpy's SIMD pow
-        # on an array can differ from the scalar pow in the last bit
-        d3 = (d.astype(object) ** 3).astype(float)
+        # D^3 per row by libm's pow, as Python's float pow: numpy's array
+        # ** 3 (a SIMD path) can differ from it in the last bit
+        d3 = np.float_power(d, 3)
         (bx, by, bz), e = (fields[..., i][c] for i in range(3)), strain_e[c]
         d, d3, om_c, op_c = (np.broadcast_to(a, c.shape)[c] for a in (d, d3, om, op))
         g_perp2, g_z2 = gamma ** 2 * (bx * bx + by * by), (gamma * bz) ** 2

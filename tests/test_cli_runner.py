@@ -650,6 +650,18 @@ class TestMainExitCodes:
         assert "Traceback" not in err
         assert sorted(tmp_path.iterdir()) == [p]
 
+    def test_output_name_the_os_rejects_exit_2(self, tmp_path, capsys):
+        # a 246-byte stem: the CSV name (250 bytes) is allowed, the
+        # manifest's (260) is longer than any file system allows
+        stem = "m" * 246
+        p = write(tmp_path, f"{stem}.cfg", MAGNETIZE)
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"thermo: error: {out / stem}.manifest.json: ")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_schema_error_exit_2(self, tmp_path, capsys):
         p = write(tmp_path, "bad.cfg", MAGNETIZE.replace("temp_stop_k = 360.0",
                                                          "temp_stop_k = 250.0"))

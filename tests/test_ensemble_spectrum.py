@@ -492,7 +492,7 @@ class TestPeakSlope:
         assert np.all(slope <= bounds[tile_index(freqs.size)])
         peak = np.max(slope)
         assert _peak_slope(asm, freqs, om, op) == peak
-        assert _peak_slope(asm, freqs, om, op, peak, bounds) == peak
+        assert _peak_slope(asm, freqs, om, op, peak) == peak
 
     def test_non_finite_bound_never_prunes(self):
         asm = SensorAssembly(n_nv=2)
@@ -523,17 +523,39 @@ class TestPeakSlope:
             return got
 
         monkeypatch.setattr(ensemble_spectrum, "_slope", recording)
+        # _peak_slope takes the tile bounds set last below
+        monkeypatch.setattr(ensemble_spectrum, "_tile_bounds",
+                            lambda *args: bounds)
         rng = np.random.default_rng(n_points)
         n_tiles = -(-n_points // _BOUND_TILE)
         for _ in range(6):
             bounds = np.where(rng.random(n_tiles) < 0.5, np.inf, 0.0)
             bounds[rng.integers(n_tiles)] = np.inf
-            _peak_slope(asm, freqs, om, op, 0.0, bounds)
+            _peak_slope(asm, freqs, om, op, 0.0)
         # the highest tile is the last, one point wide for 513, 769 and 801
         bounds = np.zeros(n_tiles)
         bounds[-1] = np.inf
-        _peak_slope(asm, freqs, om, op, 0.0, bounds)
+        _peak_slope(asm, freqs, om, op, 0.0)
         assert len(seen) >= 6 and all(seen)
+
+    def test_floor_above_every_bound_evaluates_no_column(self, monkeypatch):
+        # a temperature that cannot reach the floor costs no kernel column
+        asm = cuni_design_assembly(seed=4)
+        sites = sample_ensemble(asm)
+        om, op, freqs = next(line_scan(asm, [asm.magnet.tc - 2.0], sites))
+        above = np.nextafter(_tile_bounds(asm, freqs, om, op).max(), np.inf)
+        columns = []
+        slope = ensemble_spectrum._slope
+
+        def recording(asm, freqs, om, op):
+            columns.append(freqs.size)
+            return slope(asm, freqs, om, op)
+
+        monkeypatch.setattr(ensemble_spectrum, "_slope", recording)
+        assert _peak_slope(asm, freqs, om, op, above) < above
+        assert columns == []
+        assert _peak_slope(asm, freqs, om, op) > 0.0
+        assert columns and sum(columns) <= freqs.size
 
 
 def absorption_second_moment(freqs, signal, lo: float, hi: float) -> float:

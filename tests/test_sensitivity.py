@@ -336,15 +336,15 @@ def full_grid_scan(asm, temps, sites):
 @pytest.fixture(scope="module")
 def design_cfg():
     """design_sweep.cfg: per composition its assembly, temperatures and
-    full_grid_scan, and the row _sweep_cell gives, with the number of
-    _signal columns the cells evaluated in all."""
+    full_grid_scan, and the row _sweep_cell gives, with the column count of
+    each _signal call the cells made."""
     plan = shipped_plan("design_sweep")
     sites = sample_ensemble(plan.asm)
-    columns = [0]
+    columns = []
     signal = ensemble_spectrum._signal
 
     def counting(asm, freqs, om, op):
-        columns[0] += freqs.size
+        columns.append(freqs.size)
         return signal(asm, freqs, om, op)
 
     cells = []
@@ -355,7 +355,7 @@ def design_cfg():
             mp.setattr(ensemble_spectrum, "_signal", counting)
             point = _sweep_cell(plan.asm, sites, x)
         cells.append((x, asm, temps, full_grid_scan(asm, temps, sites), point))
-    return plan.asm, sites, cells, columns[0]
+    return plan.asm, sites, cells, columns
 
 
 class TestPrunedPeakSlope:
@@ -372,7 +372,14 @@ class TestPrunedPeakSlope:
     def test_design_cells_evaluate_at_most_half_the_grid(self, design_cfg):
         *_, cells, columns = design_cfg
         full = 2 * sum(row[2].size for *_, scan, _ in cells for row in scan)
-        assert 0 < columns <= 0.5 * full
+        assert 0 < sum(columns) <= 0.5 * full
+
+    def test_design_cells_make_at_most_94_kernel_calls(self, design_cfg):
+        # the sweep's count on this file (seed 2026: 94 calls over 15,232
+        # columns); a change that makes the ladder walk do more kernel work
+        # shows up here
+        *_, columns = design_cfg
+        assert len(columns) <= 94
 
     def test_repeated_temperature_cell_equals_oracle(self, design_cfg,
                                                      monkeypatch):
