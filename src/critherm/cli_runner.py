@@ -35,7 +35,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import GeometryError, SchemaError, ThermoError, UsageError
-from . import magnet_model
 from .ensemble_spectrum import (
     _SLOPE_STEP,
     SensorAssembly,
@@ -46,7 +45,15 @@ from .ensemble_spectrum import (
     nv_site,
     sample_ensemble,
 )
-from .magnet_model import _DT_STEP, M_SAT_NI, Magnet, dm_dtemp, solve_magnetization
+from .magnet_model import (
+    _DT_STEP,
+    M_SAT_GD,
+    M_SAT_NI,
+    Magnet,
+    curie_temperature,
+    dm_dtemp,
+    solve_magnetization,
+)
 from .protocol_sim import (
     _LAMBDA_GUARD,
     TRACE_COLUMNS,
@@ -88,6 +95,22 @@ _MAGNET_FULL = {
     "center_m": ("v3", False, [0.0, 0.0, 0.0]),
     "easy_axis": ("v3", False, [0.0, 0.0, 1.0]),
 }
+
+# magnet.material: the [magnet] keys each name sets where the scenario does
+# not (spin_j is the schema default's or the scenario's).  m_sat_apm is the
+# T = 0 saturation magnetization; it sets the absolute field scale only.
+# The cuni rows scale m_sat from nickel by the Ni fraction x and take their
+# Tc from the composition map.  cuni74_milled carries the effective remanent
+# scale of a ball-milled 200 nm particle (Tc measured 340 K); the ideal-alloy
+# rows keep the x-scaled values of the composition design sweep.
+MATERIALS = {
+    "gd": {"m_sat_apm": M_SAT_GD, "tc_k": 292.0},
+    "ni": {"m_sat_apm": M_SAT_NI, "tc_k": 637.0},
+    "cuni70": {"m_sat_apm": 3.43e5, "composition_x": 0.70},
+    "cuni74": {"m_sat_apm": 3.626e5, "composition_x": 0.74},
+    "cuni74_milled": {"m_sat_apm": 6.0e4, "tc_k": 340.0},
+}
+_CURIE_KEYS = {"tc_k", "composition_x"}
 
 # The sweep rebuilds m_sat and Tc from the composition grid, so those keys
 # are rejected rather than silently overridden.
@@ -270,18 +293,15 @@ def resolve(raw: dict) -> dict:
         return resolved
     mag = resolved["magnet"]
     if "material" in mag:
-        table = magnet_model.load_materials()
-        if mag["material"] not in table:
+        if mag["material"] not in MATERIALS:
             raise SchemaError(
                 f"magnet.material: unknown material {mag['material']!r}; "
-                f"known: {', '.join(sorted(table))}")
-        rec = table[mag["material"]]
-        mag.setdefault("m_sat_apm", rec.m_sat)
-        mag.setdefault("spin_j", rec.spin_j)
-        if rec.tc is not None:
-            mag.setdefault("tc_k", rec.tc)
-        if rec.composition_x is not None:
-            mag.setdefault("composition_x", rec.composition_x)
+                f"known: {', '.join(sorted(MATERIALS))}")
+        # a scenario's own tc_k or composition_x replaces the row's
+        own_curie = _CURIE_KEYS & mag.keys()
+        for key, value in MATERIALS[mag["material"]].items():
+            if not (own_curie and key in _CURIE_KEYS):
+                mag.setdefault(key, value)
     if "m_sat_apm" not in mag:
         raise SchemaError("magnet.m_sat_apm: required (directly or via material)")
     if ("tc_k" in mag) == ("composition_x" in mag):
@@ -294,9 +314,10 @@ def resolve(raw: dict) -> dict:
 # Builders from the resolved tree.
 
 def build_magnet(p: dict) -> Magnet:
-    return Magnet(m_sat=p["m_sat_apm"], radius=p["radius_m"], tc=p.get("tc_k"),
-                  composition_x=p.get("composition_x"), spin_j=p["spin_j"],
-                  center=tuple(p["center_m"]), easy_axis=tuple(p["easy_axis"]))
+    tc = p["tc_k"] if "tc_k" in p else curie_temperature(p["composition_x"])
+    return Magnet(m_sat=p["m_sat_apm"], radius=p["radius_m"], tc=tc,
+                  spin_j=p["spin_j"], center=tuple(p["center_m"]),
+                  easy_axis=tuple(p["easy_axis"]))
 
 
 def build_spin(p: dict) -> SpinSystem:
@@ -696,13 +717,15 @@ def _finite_or_null(value):
 def run_resolved(tree: dict, stem: str, out_dir=None, threads: int = 1):
     """Pass tree through _prepare, the gate `validate` runs, then run its
     kind and write the CSV and manifest from plan.resolved; returns
-    (csv_path, manifest_path).  A failed gate writes nothing, not even out_dir.
+    (csv_path, manifest_path).  A failed gate writes nothing, not even out_dir,
+    and neither does a refused output name.
     threads is accepted and has no effect: every run is single-threaded."""
     plan = _prepare(tree)
     resolved = plan.resolved
     kind = resolved["run"]["kind"]
     out = Path(out_dir if out_dir is not None else resolved["run"]["out_dir"])
     try:
+        made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise UsageError(f"{out}: not a directory") from None
@@ -715,6 +738,8 @@ def run_resolved(tree: dict, stem: str, out_dir=None, threads: int = 1):
             if path.is_dir():
                 raise UsageError(f"{path}: is a directory")
         except OSError as exc:  # a file name the OS rejects
+            for d in made:  # out first, then the parents it needed
+                d.rmdir()
             raise UsageError(f"{path}: {exc.strerror}") from None
     results = _RUNNERS[kind](resolved, plan, csv_path)
     manifest = {

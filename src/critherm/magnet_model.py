@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -30,7 +29,7 @@ _TC_HIGH = 637.0
 
 # Saturation magnetizations (A/m, T = 0).  The CuNi value scales from Ni by
 # the Ni fraction; all of these only set the absolute field scale and are
-# config-overridable (see materials.dat).
+# config-overridable (see cli_runner.MATERIALS).
 M_SAT_GD = 2.1e6
 M_SAT_NI = 4.9e5
 
@@ -68,23 +67,19 @@ def curie_temperature(x: float) -> float:
 class Magnet:
     """Magnetic nanoparticle description.
 
-    Give either composition_x (Ni fraction; Tc is derived) or tc directly.
     easy_axis is normalized on construction; below Tc the remanent moment is
     fully aligned with it (single domain, large anisotropy energy).
     """
 
     m_sat: float                    # A/m at T = 0
     radius: float                   # m
-    tc: float = None                # K; derived from composition_x if given
-    composition_x: float = None     # Ni fraction in [0, 1]
+    tc: float                       # K; curie_temperature(x) for a CuNi alloy
     spin_j: float = 0.5             # effective spin quantum number
     center: tuple = (0.0, 0.0, 0.0)
     easy_axis: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.composition_x is not None:
-            object.__setattr__(self, "tc", curie_temperature(self.composition_x))
-        if self.tc is None or self.tc <= 0:
+        if self.tc <= 0:
             raise DomainError(f"tc must be positive, got {self.tc}")
         if self.m_sat <= 0:
             raise DomainError(f"m_sat must be positive, got {self.m_sat}")
@@ -206,41 +201,3 @@ def dipole_field_many(moment, source, observers, min_distance: float = 0.0) -> n
     rhat = r_vec / r[:, None]
     mdotr = rhat @ moment
     return MU0 / (4.0 * np.pi) * (3.0 * mdotr[:, None] * rhat - moment) / r[:, None] ** 3
-
-
-# ---------------------------------------------------------------------------
-# Material constants table (versioned data file shipped with the package).
-# Format: whitespace columns  name  m_sat_apm  spin_j  tc_k  composition_x
-# with '-' for not-applicable; '#' starts a comment.
-
-@dataclass(frozen=True)
-class MaterialRecord:
-    name: str
-    m_sat: float
-    spin_j: float
-    tc: float = None
-    composition_x: float = None
-
-
-def load_materials() -> dict:
-    text = resources.files("critherm").joinpath("materials.dat").read_text()
-    table = {}
-    version = None
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("# format_version"):
-            version = int(line.split()[-1])
-        if not line or line.startswith("#"):
-            continue
-        name, msat, j, tc, x = line.split()
-        table[name] = MaterialRecord(
-            name=name,
-            m_sat=float(msat),
-            spin_j=float(j),
-            tc=None if tc == "-" else float(tc),
-            composition_x=None if x == "-" else float(x),
-        )
-    if version is None:
-        raise DomainError("materials.dat has no format_version line")
-    return table
-

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble_spectrum import SensorAssembly
-from .magnet_model import M_SAT_GD, M_SAT_NI, Magnet
+from .magnet_model import M_SAT_GD, M_SAT_NI, Magnet, curie_temperature
 from .spin_model import SpinSystem
 
 
@@ -60,7 +60,7 @@ def cuni_design_assembly(seed: int = 0, x: float = 0.70) -> SensorAssembly:
     magnet = Magnet(
         m_sat=x * M_SAT_NI,
         radius=100e-9,
-        composition_x=x,
+        tc=curie_temperature(x),
         spin_j=0.5,
         center=(0.0, 0.0, 0.0),
         easy_axis=(0.0, 0.0, 1.0),
@@ -124,7 +124,7 @@ def single_nv_pillar_assembly(seed: int = 0, x: float = 0.70) -> SensorAssembly:
     magnet = Magnet(
         m_sat=x * M_SAT_NI,
         radius=100e-9,
-        composition_x=x,
+        tc=curie_temperature(x),
         spin_j=0.5,
         center=(0.0, 0.0, 0.0),
         easy_axis=(0.0, 0.0, 1.0),

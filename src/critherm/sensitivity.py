@@ -159,10 +159,8 @@ def _sweep_cell(template: SensorAssembly, sites, x: float) -> DesignPoint:
     if tc <= 0:
         return DesignPoint(x, tc, np.nan, np.nan, np.nan,
                            status="error: non-ferromagnetic composition")
-    # CuNi m_sat scaled from Ni by the Ni fraction; a template composition_x
-    # would override tc
-    magnet = replace(template.magnet, m_sat=x * M_SAT_NI, tc=tc,
-                     composition_x=None)
+    # CuNi m_sat scaled from Ni by the Ni fraction
+    magnet = replace(template.magnet, m_sat=x * M_SAT_NI, tc=tc)
     asm = replace(template, magnet=magnet)
     temps = default_temp_policy(tc)
     # the ladder in order, each temperature against the best peak so far

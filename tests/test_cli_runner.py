@@ -12,6 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from critherm.cli_runner import (
+    MATERIALS,
+    SCHEMAS,
+    _prepare,
     assumptions_hash,
     main,
     parse_config,
@@ -21,6 +24,7 @@ from critherm.cli_runner import (
     validate,
 )
 from critherm.errors import SchemaError
+from critherm.magnet_model import curie_temperature
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -249,6 +253,50 @@ class TestParsing:
         bad = SWEEP.replace("radius_m = 100e-9", "radius_m = 100e-9\nm_sat_apm = 1e5")
         with pytest.raises(SchemaError, match="magnet.m_sat_apm"):
             resolve(parse_config(bad))
+
+
+def magnetize_plan(magnet_keys):
+    """The plan of MAGNETIZE with its Tc and m_sat lines replaced."""
+    text = MAGNETIZE.replace("m_sat_apm = 3.626e5\n", "").replace(
+        "tc_k = 340.0", magnet_keys)
+    return _prepare(resolve(parse_config(text)))
+
+
+class TestMaterials:
+    def test_every_row_resolves_and_builds(self):
+        curie_keys = {"tc_k", "composition_x"}
+        for name, row in MATERIALS.items():
+            assert set(row) <= set(SCHEMAS["magnetize"]["magnet"])
+            assert len(curie_keys & set(row)) == 1
+            plan = magnetize_plan(f"material = {name}")
+            assert plan.magnet.m_sat == row["m_sat_apm"]
+            tc = row["tc_k"] if "tc_k" in row else curie_temperature(
+                row["composition_x"])
+            assert plan.magnet.tc == tc
+        assert MATERIALS["gd"]["m_sat_apm"] == pytest.approx(2.1e6)
+        assert MATERIALS["gd"]["tc_k"] == pytest.approx(292.0)
+        assert MATERIALS["cuni74"]["composition_x"] == pytest.approx(0.74)
+        assert MATERIALS["cuni74_milled"]["tc_k"] == pytest.approx(340.0)
+
+    def test_composition_sets_tc(self):
+        plan = magnetize_plan("m_sat_apm = 3.626e5\ncomposition_x = 0.74")
+        assert plan.magnet.tc == curie_temperature(0.74)
+
+    def test_scenario_tc_overrides_material_composition(self):
+        plan = magnetize_plan("material = cuni74\ntc_k = 330.0")
+        assert "composition_x" not in plan.resolved["magnet"]
+        assert plan.magnet.tc == 330.0
+        assert plan.magnet.m_sat == MATERIALS["cuni74"]["m_sat_apm"]
+
+    def test_scenario_composition_overrides_material_tc(self):
+        plan = magnetize_plan("material = gd\ncomposition_x = 0.8")
+        assert "tc_k" not in plan.resolved["magnet"]
+        assert plan.magnet.tc == curie_temperature(0.8)
+        assert plan.magnet.m_sat == MATERIALS["gd"]["m_sat_apm"]
+
+    def test_material_does_not_admit_both_curie_keys(self):
+        with pytest.raises(SchemaError, match="exactly one"):
+            magnetize_plan("material = gd\ntc_k = 330.0\ncomposition_x = 0.8")
 
 
 class TestValidate:
@@ -660,7 +708,10 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"thermo: error: {out / stem}.manifest.json: ")
         assert "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+        # the same refusal under two missing levels removes both
+        assert main(["run", str(p), "--out", str(tmp_path / "new" / "out")]) == 2
+        assert sorted(tmp_path.iterdir()) == [p]
 
     def test_schema_error_exit_2(self, tmp_path, capsys):
         p = write(tmp_path, "bad.cfg", MAGNETIZE.replace("temp_stop_k = 360.0",

@@ -11,7 +11,6 @@ from critherm.magnet_model import (
     dipole_field,
     dipole_field_many,
     dm_dtemp,
-    load_materials,
     magnetic_moment,
     solve_magnetization,
 )
@@ -328,10 +327,6 @@ class TestDipoleField:
 
 
 class TestMagnetType:
-    def test_composition_sets_tc(self):
-        mag = Magnet(m_sat=1e5, radius=1e-7, composition_x=0.74)
-        assert mag.tc == pytest.approx(curie_temperature(0.74))
-
     def test_easy_axis_normalized(self):
         mag = Magnet(m_sat=1e5, radius=1e-7, tc=300.0, easy_axis=(0.0, 0.0, 10.0))
         assert np.linalg.norm(mag.easy_axis) == pytest.approx(1.0, abs=1e-12)
@@ -344,11 +339,3 @@ class TestMagnetType:
         with pytest.raises(DomainError):
             Magnet(m_sat=1e5, radius=1e-7, tc=300.0, easy_axis=(0, 0, 0))
 
-
-class TestMaterialsTable:
-    def test_loads_known_rows(self):
-        table = load_materials()
-        assert table["gd"].m_sat == pytest.approx(2.1e6)
-        assert table["gd"].tc == pytest.approx(292.0)
-        assert table["cuni74"].composition_x == pytest.approx(0.74)
-        assert table["cuni74_milled"].tc == pytest.approx(340.0)

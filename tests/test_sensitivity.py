@@ -314,7 +314,7 @@ def composition_assembly(template, x):
     """The assembly of composition x, as the design sweep builds it."""
     tc = curie_temperature(x)
     return replace(template, magnet=replace(
-        template.magnet, m_sat=x * M_SAT_NI, tc=tc, composition_x=None))
+        template.magnet, m_sat=x * M_SAT_NI, tc=tc))
 
 
 def design_point(asm, x, temps, peaks):
