@@ -114,12 +114,8 @@ _CURIE_KEYS = {"tc_k", "composition_x"}
 
 # The sweep rebuilds m_sat and Tc from the composition grid, so those keys
 # are rejected rather than silently overridden.
-_MAGNET_TEMPLATE = {
-    "radius_m": ("f", True, None),
-    "spin_j": ("f", False, 0.5),
-    "center_m": ("v3", False, [0.0, 0.0, 0.0]),
-    "easy_axis": ("v3", False, [0.0, 0.0, 1.0]),
-}
+_MAGNET_TEMPLATE = {key: spec for key, spec in _MAGNET_FULL.items()
+                    if key not in {"material", "m_sat_apm", *_CURIE_KEYS}}
 
 _ASSEMBLY = {
     "fnd_center_m": ("v3", False, [0.0, 0.0, 200e-9]),
@@ -779,9 +775,17 @@ def run(scenario_file, out_dir=None, seed=None, threads: int = 1):
 
 
 def replay_manifest(manifest_file, out_dir):
-    """Re-run a manifest's resolved tree through a file's gate (bit-identical)."""
+    """Re-run a manifest's resolved tree through a file's gate (bit-identical).
+    SchemaError names stem or resolved, before anything runs or is written,
+    when either is missing or stem is not a plain file name."""
     manifest = json.loads(Path(manifest_file).read_text())
-    return run_resolved(manifest["resolved"], manifest["stem"], out_dir=out_dir)
+    if not isinstance(manifest, dict) or "resolved" not in manifest:
+        raise SchemaError("resolved: the manifest must hold the resolved tree")
+    stem = manifest.get("stem")
+    if not (isinstance(stem, str) and stem not in ("", "..")
+            and Path(stem).name == stem):
+        raise SchemaError(f"stem: must be a plain file name, got {stem!r}")
+    return run_resolved(manifest["resolved"], stem, out_dir=out_dir)
 
 
 def validate(scenario_file) -> str:

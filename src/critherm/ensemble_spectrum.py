@@ -69,10 +69,11 @@ class SensorAssembly:
     def __post_init__(self):
         if self.n_nv < 1:
             raise DomainError(f"n_nv must be >= 1, got {self.n_nv}")
-        if any(c != 0.0 for c in self.spin.field):
+        if self.spin.strain_e != 0.0 or any(c != 0.0 for c in self.spin.field):
             raise DomainError(
-                "per-site fields are computed from the magnet and bias_field; "
-                "the spin template must carry a zero field")
+                "per-site fields come from the magnet and bias_field, and "
+                "strains from strain_mean and strain_sd; the spin template "
+                "must carry a zero field and zero strain_e")
         object.__setattr__(self, "bias_field",
                            tuple(float(c) for c in self.bias_field))
         if not 0.0 < self.contrast < 1.0:

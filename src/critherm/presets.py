@@ -4,6 +4,10 @@ None of these numbers are sacred: they are the artifact's published
 assumptions (the originals were measured on unpublished samples), chosen so
 the simulated observables land on the reported anchors, and every one can be
 overridden per scenario file.  Tests and the README examples build on them.
+
+The dataclass defaults of SensorAssembly, Magnet and SpinSystem carry the
+design point (a 200 nm particle 50 nm from a 100 nm FND of 500 NV centres,
+12 Mcps total); each preset states only what differs from them.
 """
 
 from __future__ import annotations
@@ -37,16 +41,8 @@ class GdBulkDemo:
 
 
 def gd_bulk_demo() -> GdBulkDemo:
-    magnet = Magnet(
-        m_sat=M_SAT_GD,
-        radius=1.0e-3,
-        tc=292.0,
-        spin_j=0.5,
-        center=(0.0, 0.0, 0.0),
-        easy_axis=(0.0, 0.0, 1.0),
-    )
     return GdBulkDemo(
-        magnet=magnet,
+        magnet=Magnet(m_sat=M_SAT_GD, radius=1.0e-3, tc=292.0),
         nv_position=(0.0, 0.0, 6.2e-3),
         nv_axis=(0.0, 0.0, 1.0),
         spin=SpinSystem(),  # bulk diamond: negligible strain
@@ -54,29 +50,12 @@ def gd_bulk_demo() -> GdBulkDemo:
     )
 
 
-def cuni_design_assembly(seed: int = 0, x: float = 0.70) -> SensorAssembly:
-    """Fig-1-style design point: 200 nm Cu(1-x)Ni(x) sphere, 50 nm gap,
-    100 nm FND with 500 NV centres, 12 Mcps total."""
-    magnet = Magnet(
-        m_sat=x * M_SAT_NI,
-        radius=100e-9,
-        tc=curie_temperature(x),
-        spin_j=0.5,
-        center=(0.0, 0.0, 0.0),
-        easy_axis=(0.0, 0.0, 1.0),
-    )
-    return SensorAssembly(
-        magnet=magnet,
-        fnd_center=(0.0, 0.0, 200e-9),
-        fnd_radius=50e-9,
-        n_nv=500,
-        strain_mean=4e6,
-        strain_sd=2e6,
-        line_width=8e6,
-        contrast=0.2,
-        photon_rate=12e6,
-        rng_seed=seed,
-    )
+def cuni_design_assembly(seed: int = 0) -> SensorAssembly:
+    """Fig-1-style design point: a 200 nm Cu(0.30)Ni(0.70) sphere at the
+    origin, easy axis +z, beside SensorAssembly's default FND."""
+    magnet = Magnet(m_sat=0.70 * M_SAT_NI, radius=100e-9,
+                    tc=curie_temperature(0.70))
+    return SensorAssembly(magnet=magnet, rng_seed=seed)
 
 
 def cuni_tracking_assembly(seed: int = 0) -> SensorAssembly:
@@ -89,48 +68,22 @@ def cuni_tracking_assembly(seed: int = 0) -> SensorAssembly:
     observed few-tens-of-MHz scale; the ideal alloy value (x * M_SAT_NI)
     over-predicts the splitting there by roughly 6x.
     """
-    magnet = Magnet(
-        m_sat=6e4,
-        radius=100e-9,
-        tc=340.0,
-        spin_j=0.5,
-        center=(0.0, 0.0, 0.0),
-        easy_axis=(0.0, 0.0, 1.0),
-    )
-    return SensorAssembly(
-        magnet=magnet,
-        fnd_center=(0.0, 0.0, 200e-9),
-        fnd_radius=50e-9,
-        n_nv=500,
-        strain_mean=4e6,
-        strain_sd=2e6,
-        line_width=8e6,
-        contrast=0.2,
-        photon_rate=12e6,
-        rng_seed=seed,
-    )
+    return SensorAssembly(magnet=Magnet(m_sat=6e4, radius=100e-9, tc=340.0),
+                          rng_seed=seed)
 
 
-# Single-NV pillar scenario (Ramsey projection): photon rate and the two
-# dephasing times to compare.
+# Single-NV pillar scenario (Ramsey projection): photon rate, natural
+# dephasing time and pulsed readout contrast.
 PILLAR_PHOTON_RATE = 1.7e6      # counts/s
 PILLAR_T2_NATURAL = 10e-6       # s, natural 1.1% 13C
-PILLAR_T2_PURIFIED = 250e-6     # s, isotopically purified
 PILLAR_CONTRAST = 0.3           # pulsed readout contrast
 
 
-def single_nv_pillar_assembly(seed: int = 0, x: float = 0.70) -> SensorAssembly:
-    """Single NV 25 nm under the pillar top, magnet resting above it."""
-    magnet = Magnet(
-        m_sat=x * M_SAT_NI,
-        radius=100e-9,
-        tc=curie_temperature(x),
-        spin_j=0.5,
-        center=(0.0, 0.0, 0.0),
-        easy_axis=(0.0, 0.0, 1.0),
-    )
+def single_nv_pillar_assembly(seed: int = 0) -> SensorAssembly:
+    """Single unstrained NV 25 nm under the pillar top, the design-point
+    magnet resting above it."""
     return SensorAssembly(
-        magnet=magnet,
+        magnet=cuni_design_assembly().magnet,
         fnd_center=(0.0, 0.0, -125e-9),
         fnd_radius=1e-9,
         n_nv=1,

@@ -27,11 +27,6 @@ SZ = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
 SZ2 = SZ @ SZ
 SX2_MINUS_SY2 = SX @ SX - SY @ SY  # couples |+1> and |-1>
 
-D0_DEFAULT = 2.87e9      # Hz
-T_REF_DEFAULT = 300.0    # K
-DD_DT_DEFAULT = -74e3    # Hz/K
-GAMMA_DEFAULT = 28e9     # Hz/T (= 28 MHz/mT)
-
 # Two eigenvectors whose |<0|psi>|^2 differ by less than this cannot be told
 # apart; the caller is probing a level crossing.
 _OVERLAP_TOL = 1e-9
@@ -45,11 +40,11 @@ class SpinSystem:
     z along the NV symmetry axis).
     """
 
-    d0: float = D0_DEFAULT
-    t_ref: float = T_REF_DEFAULT
-    dd_dt: float = DD_DT_DEFAULT
-    strain_e: float = 0.0
-    gamma: float = GAMMA_DEFAULT
+    d0: float = 2.87e9           # Hz
+    t_ref: float = 300.0         # K
+    dd_dt: float = -74e3         # Hz/K
+    strain_e: float = 0.0        # Hz
+    gamma: float = 28e9          # Hz/T (= 28 MHz/mT)
     field: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):

@@ -23,8 +23,10 @@ from critherm.cli_runner import (
     run,
     validate,
 )
+from critherm.ensemble_spectrum import SensorAssembly
 from critherm.errors import SchemaError
-from critherm.magnet_model import curie_temperature
+from critherm.magnet_model import Magnet, curie_temperature
+from critherm.spin_model import SpinSystem
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -253,6 +255,23 @@ class TestParsing:
         bad = SWEEP.replace("radius_m = 100e-9", "radius_m = 100e-9\nm_sat_apm = 1e5")
         with pytest.raises(SchemaError, match="magnet.m_sat_apm"):
             resolve(parse_config(bad))
+
+
+class TestSchemaDefaults:
+    def test_schema_defaults_are_the_dataclass_defaults(self):
+        # a scenario file leans on the schema defaults, a preset on the
+        # dataclass defaults: both describe the same design point
+        plan = _prepare(resolve(parse_config(
+            "[run]\nkind = spectrum\nseed = 7\n"
+            "[magnet]\nm_sat_apm = 6e4\nradius_m = 100e-9\ntc_k = 340.0\n"
+            "[grids]\ntemp_k = 336.15\n")))
+        magnet = plan.magnet
+        assert magnet == Magnet(m_sat=magnet.m_sat, radius=magnet.radius,
+                                tc=magnet.tc)
+        assert plan.asm == SensorAssembly(magnet=magnet, rng_seed=7)
+        assert plan.asm.spin == SpinSystem()
+        strain = SCHEMAS["susceptibility"]["spin"]["strain_e_hz"]
+        assert strain[2] == SpinSystem().strain_e
 
 
 def magnetize_plan(magnet_keys):
@@ -636,6 +655,28 @@ class TestReplayChecksThePlan:
         with pytest.raises(SchemaError, match=f"^{named}: must"):
             replay_manifest(path, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    # an edit of the manifest around the resolved tree, and the key the
+    # SchemaError names
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: [m], "resolved"),
+        (lambda m: {k: v for k, v in m.items() if k != "resolved"}, "resolved"),
+        (lambda m: {k: v for k, v in m.items() if k != "stem"}, "stem"),
+        (lambda m: dict(m, stem="../evil"), "stem"),
+        (lambda m: dict(m, stem="sub/x"), "stem"),
+        (lambda m: dict(m, stem=5), "stem"),
+        (lambda m: dict(m, stem=""), "stem"),
+        (lambda m: dict(m, stem=".."), "stem"),
+    ], ids=["not-an-object", "no-resolved", "no-stem", "parent-stem",
+            "nested-stem", "number-stem", "empty-stem", "dot-dot-stem"])
+    def test_manifest_edit_fails(self, tmp_path, shipped_manifest, edit, named):
+        # the stem names the output files inside out_dir and nowhere else
+        manifest = edit(shipped_manifest("magnetize_cuni"))
+        path = write(tmp_path, "edited.manifest.json", json.dumps(manifest))
+        with pytest.raises(SchemaError, match=f"^{named}: "):
+            replay_manifest(path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.manifest.json"]
 
     def test_number_as_text_reads_as_a_file_would(self, tmp_path, shipped_manifest):
         # "0.005" is what a file holds for dwell_s, and validate passes that

@@ -183,6 +183,15 @@ class TestAssemblyInvariants:
         asm = cuni_design_assembly(seed=0)
         assert asm.gap == pytest.approx(50e-9, rel=1e-9)
 
+    def test_spin_template_carries_no_field_or_strain(self):
+        # each site's field and strain come from the assembly, so a template
+        # that set either would be silently ignored
+        with pytest.raises(DomainError, match="zero field and zero strain_e"):
+            SensorAssembly(spin=SpinSystem(field=(0.0, 0.0, 1e-3)))
+        with pytest.raises(DomainError, match="zero field and zero strain_e"):
+            SensorAssembly(spin=SpinSystem(strain_e=5e6))
+        assert SensorAssembly(spin=SpinSystem()).spin == SpinSystem()
+
 
 class TestSynthesizeSpectrum:
     def test_single_dip_depth(self):
