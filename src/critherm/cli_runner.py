@@ -227,8 +227,6 @@ def _parse_value(path: str, kind: str, raw):
         if not isinstance(raw, str):
             raise SchemaError(f"{path}: must be a string, got {raw!r}")
         return raw
-    if kind not in ("i", "f", "v3", "fl"):
-        raise SchemaError(f"{path}: unknown value type {kind!r}")
     if not isinstance(raw, str):  # a resolved value: read the text a file holds
         raw = " ".join(map(repr, raw)) if isinstance(raw, list) else repr(raw)
     try:
@@ -430,8 +428,8 @@ def _plan(resolved: dict) -> SimpleNamespace:
 
     if kind in ("shot-noise", "track"):
         record = "duration_s" if kind == "track" else "total_time_s"
-        for name in ("dwell_s", "period_s") if kind == "track" else ("dwell_s",):
-            if proto[name] <= 0.0:
+        for name in ("dwell_s", record, "period_s"):  # period_s: track only
+            if name in proto and proto[name] <= 0.0:
                 raise SchemaError(f"protocol.{name}: must be positive")
         # S <= 1 at every probe, so this bounds every expected count per bin
         if resolved["assembly"]["photon_rate_cps"] * proto["dwell_s"] > _LAMBDA_GUARD:
@@ -563,34 +561,33 @@ def _write_header(fh, resolved: dict, columns, extra=()):
     fh.write(",".join(columns) + "\n")
 
 
-def _write_csv(path: Path, resolved: dict, columns, rows, extra=()):
+def _write_csv(fh, resolved: dict, columns, rows, extra=()):
     """The header, then one line per row, floats as their repr."""
-    with open(path, "w") as fh:
-        _write_header(fh, resolved, columns, extra)
-        fh.writelines(",".join(repr(v) if isinstance(v, float) else str(v)
-                               for v in row) + "\n" for row in rows)
+    _write_header(fh, resolved, columns, extra)
+    fh.writelines(",".join(repr(v) if isinstance(v, float) else str(v)
+                           for v in row) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
-# Kind runners.  Each runs from the prepared plan and returns the results
-# summary for the manifest.
+# Kind runners.  Each runs from the prepared plan, writes its CSV to the open
+# file fh and returns the results summary for the manifest.
 
-def _run_magnetize(resolved, plan, out_csv):
+def _run_magnetize(resolved, plan, fh):
     magnet, temps = plan.magnet, plan.temps
     rows = zip(temps.tolist(), solve_magnetization(magnet, temps).tolist(),
                dm_dtemp(magnet, temps).tolist())
-    _write_csv(out_csv, resolved, ["t_k", "m_reduced", "dm_dt_per_k"], rows)
+    _write_csv(fh, resolved, ["t_k", "m_reduced", "dm_dt_per_k"], rows)
     return {"tc_k": magnet.tc}
 
 
-def _run_spectrum(resolved, plan, out_csv):
+def _run_spectrum(resolved, plan, fh):
     om, op, freqs = next(line_scan(plan.asm, plan.temps, plan.sites, plan.freqs))
     slope = _slope(plan.asm, freqs, om, op)
     spec = _spectrum(plan.asm, plan.temps[0], freqs, om[0], op[0])
     extra = [f"{key} = {spec.meta[key]!r}" for key in (
         "temp_k", "line_width_hz", "contrast", "n_nv", "rng_seed",
         "effective_contrast", "effective_width_hz", "d_of_t_hz")]
-    _write_csv(out_csv, resolved, ["freq_hz", "signal", "dsignal_dT"],
+    _write_csv(fh, resolved, ["freq_hz", "signal", "dsignal_dT"],
                zip(spec.freqs.tolist(), spec.signal.tolist(), slope.tolist()),
                extra)
     return {
@@ -600,9 +597,9 @@ def _run_spectrum(resolved, plan, out_csv):
     }
 
 
-def _run_susceptibility(resolved, plan, out_csv):
+def _run_susceptibility(resolved, plan, fh):
     dm, dp = (a[:, 0] for a in domega_dtemp(plan.asm, plan.temps, plan.sites))
-    _write_csv(out_csv, resolved,
+    _write_csv(fh, resolved,
                ["t_k", "domega_minus_hz_per_k", "domega_plus_hz_per_k"],
                zip(plan.temps.tolist(), dm.tolist(), dp.tolist()))
     peak = float(max(np.abs(dm).max(), np.abs(dp).max()))
@@ -613,10 +610,10 @@ def _run_susceptibility(resolved, plan, out_csv):
     }
 
 
-def _run_sensitivity(resolved, plan, out_csv):
+def _run_sensitivity(resolved, plan, fh):
     rows = [astuple(rep) for rep in
             sensitivity_scan(plan.asm, plan.temps, sites=plan.sites)]
-    _write_csv(out_csv, resolved,
+    _write_csv(fh, resolved,
                ["t_k", "eta_cw_numeric_k_per_sqrthz",
                 "eta_cw_lorentzian_k_per_sqrthz",
                 "eta_three_point_k_per_sqrthz", "max_dsdt_per_k",
@@ -625,12 +622,12 @@ def _run_sensitivity(resolved, plan, out_csv):
     return {"eta_opt_k_per_sqrthz": best[1], "t_opt_k": best[0]}
 
 
-def _run_design_sweep(resolved, plan, out_csv):
+def _run_design_sweep(resolved, plan, fh):
     points = design_sweep(plan.asm, plan.xs)
     h = assumptions_hash(resolved)
     rows = [(p.x, p.tc_k, p.t_opt_k, p.eta_opt, p.domega_dt, p.status, h)
             for p in points]
-    _write_csv(out_csv, resolved,
+    _write_csv(fh, resolved,
                ["x", "tc_k", "t_opt_k", "eta_opt_k_per_sqrthz",
                 "domega_dt_hz_per_k", "status", "assumptions_hash"], rows)
     ok = [p for p in points if p.status == "ok"]
@@ -641,7 +638,7 @@ def _run_design_sweep(resolved, plan, out_csv):
     return summary
 
 
-def _run_shot_noise(resolved, plan, out_csv):
+def _run_shot_noise(resolved, plan, fh):
     proto, cfg = resolved["protocol"], plan.cfg
     result = shot_noise_curve(plan.asm, cfg, proto["total_time_s"],
                               proto["window_grid_s"],
@@ -652,30 +649,22 @@ def _run_shot_noise(resolved, plan, out_csv):
              f"loglog_slope = {result.loglog_slope!r}"]
     rows = [(r.window_s, r.delta_t_k, r.n_windows, int(r.flagged))
             for r in result.rows]
-    _write_csv(out_csv, resolved,
+    _write_csv(fh, resolved,
                ["window_s", "delta_t_k", "n_windows", "flagged"], rows, extra)
     return {"eta_fit_k_per_sqrthz": result.eta_fit,
             "loglog_slope": result.loglog_slope,
             "probes_hz": [cfg.f1, cfg.f2, cfg.f_ref]}
 
 
-def _run_track(resolved, plan, out_csv):
+def _run_track(resolved, plan, fh):
     proto, cfg = resolved["protocol"], plan.cfg
-    # the rows are written while the counts are drawn; a failed track
-    # leaves no partial trace behind
-    part = out_csv.with_name(out_csv.name + ".part")
-    try:
-        with open(part, "w") as fh:
-            _write_header(fh, resolved, TRACE_COLUMNS,
-                          [f"dwell_s = {cfg.dwell!r}"])
-            result = track_square_wave(
-                plan.asm, cfg, low=proto["low_k"], high=proto["high_k"],
-                period=proto["period_s"], bin=proto["bin_s"],
-                duration=proto["duration_s"], seed=resolved["run"]["seed"],
-                sites=plan.sites, trace=fh)
-        part.replace(out_csv)
-    finally:
-        part.unlink(missing_ok=True)
+    # the rows are written while the counts are drawn
+    _write_header(fh, resolved, TRACE_COLUMNS, [f"dwell_s = {cfg.dwell!r}"])
+    result = track_square_wave(
+        plan.asm, cfg, low=proto["low_k"], high=proto["high_k"],
+        period=proto["period_s"], bin=proto["bin_s"],
+        duration=proto["duration_s"], seed=resolved["run"]["seed"],
+        sites=plan.sites, trace=fh)
     return {
         "level_means_k": result.level_means,
         "level_stds_k": result.level_stds,
@@ -714,7 +703,9 @@ def run_resolved(tree: dict, stem: str, out_dir=None, threads: int = 1):
     """Pass tree through _prepare, the gate `validate` runs, then run its
     kind and write the CSV and manifest from plan.resolved; returns
     (csv_path, manifest_path).  A failed gate writes nothing, not even out_dir,
-    and neither does a refused output name.
+    and neither does a refused output name.  The runner writes the CSV to
+    <stem>.csv.part, renamed to <stem>.csv once it returns, so a failed run
+    leaves no partial CSV and an earlier run's CSV as it was.
     threads is accepted and has no effect: every run is single-threaded."""
     plan = _prepare(tree)
     resolved = plan.resolved
@@ -728,8 +719,9 @@ def run_resolved(tree: dict, stem: str, out_dir=None, threads: int = 1):
     except OSError as exc:
         raise UsageError(f"{out}: {exc.strerror}") from None
     csv_path = out / f"{stem}.csv"
+    part = out / f"{stem}.csv.part"
     manifest_path = out / f"{stem}.manifest.json"
-    for path in (csv_path, manifest_path):
+    for path in (csv_path, part, manifest_path):
         try:
             if path.is_dir():
                 raise UsageError(f"{path}: is a directory")
@@ -737,7 +729,12 @@ def run_resolved(tree: dict, stem: str, out_dir=None, threads: int = 1):
             for d in made:  # out first, then the parents it needed
                 d.rmdir()
             raise UsageError(f"{path}: {exc.strerror}") from None
-    results = _RUNNERS[kind](resolved, plan, csv_path)
+    try:
+        with open(part, "w") as fh:
+            results = _RUNNERS[kind](resolved, plan, fh)
+        part.replace(csv_path)
+    finally:
+        part.unlink(missing_ok=True)
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": kind,

@@ -164,7 +164,7 @@ def nv_frame(axis) -> np.ndarray:
     """
     e3 = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(e3)
-    if not norm > 0.0:
+    if not 0.0 < norm < np.inf:
         raise DomainError(f"NV axis must be a nonzero 3-vector, got {axis}")
     e3 = e3 / norm
     ref = np.array([1.0, 0.0, 0.0]) if abs(e3[0]) < 0.9 else np.array([0.0, 1.0, 0.0])

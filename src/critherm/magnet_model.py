@@ -89,7 +89,7 @@ class Magnet:
             raise DomainError(f"spin_j must be positive, got {self.spin_j}")
         axis = np.asarray(self.easy_axis, dtype=float)
         norm = np.linalg.norm(axis)
-        if axis.shape != (3,) or norm == 0.0:
+        if axis.shape != (3,) or not 0.0 < norm < np.inf:
             raise DomainError("easy_axis must be a nonzero 3-vector")
         object.__setattr__(self, "easy_axis", tuple(axis / norm))
         object.__setattr__(self, "center",

@@ -202,7 +202,7 @@ def window_layout(window: float, dwell: float, duration: float):
     `window` seconds snapped to whole protocol cycles of 3 * dwell."""
     cycle = 3.0 * dwell
     bpw = max(1, int(round(window / cycle)))
-    return bpw, int(np.floor(duration / cycle)) // bpw
+    return bpw, max(0, int(np.floor(duration / cycle)) // bpw)
 
 
 def fittable_windows(window_grid, dwell: float, duration: float) -> int:
@@ -388,6 +388,8 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
     if bin < cfg.bin_duration:
         raise DomainError("tracking bin shorter than one protocol cycle")
     bpw, npts = window_layout(bin, cfg.dwell, duration)
+    if npts < 1:
+        raise DomainError("duration shorter than one tracking bin")
     codes = _level_codes(low, high, period, bpw, cfg.bin_duration, npts)
     if _fewest_unmixed(codes) < 2:
         raise EstimationError(

@@ -156,21 +156,20 @@ class DesignPoint:
 
 def _sweep_cell(template: SensorAssembly, sites, x: float) -> DesignPoint:
     tc = curie_temperature(x)
-    if tc <= 0:
-        return DesignPoint(x, tc, np.nan, np.nan, np.nan,
-                           status="error: non-ferromagnetic composition")
-    # CuNi m_sat scaled from Ni by the Ni fraction
-    magnet = replace(template.magnet, m_sat=x * M_SAT_NI, tc=tc)
-    asm = replace(template, magnet=magnet)
-    temps = default_temp_policy(tc)
-    # the ladder in order, each temperature against the best peak so far
-    # (_peak_slope skips the tiles, or the whole temperature, whose bound
-    # cannot reach it).  eta = 1 / (sqrt(L) peak) rounds twice, so a peak
-    # less than 2^-50 (8 unit roundoffs) below the best can still tie with
-    # it in eta; the floor lets those through.  What is skipped is strictly
-    # worse, and the first minimal eta in ladder order wins, as in a full scan.
-    best, best_peak = None, 0.0
     try:
+        if tc <= 0:
+            raise DomainError("non-ferromagnetic composition")
+        # CuNi m_sat scaled from Ni by the Ni fraction
+        magnet = replace(template.magnet, m_sat=x * M_SAT_NI, tc=tc)
+        asm = replace(template, magnet=magnet)
+        temps = default_temp_policy(tc)
+        # the ladder in order, each temperature against the best peak so far
+        # (_peak_slope skips the tiles, or the whole temperature, whose bound
+        # cannot reach it).  eta = 1 / (sqrt(L) peak) rounds twice, so a peak
+        # less than 2^-50 (8 unit roundoffs) below the best can still tie with
+        # it in eta; the floor lets those through.  What is skipped is strictly
+        # worse, and the first minimal eta in ladder order wins, as in a full scan.
+        best, best_peak = None, 0.0
         for k, (om, op, freqs) in enumerate(line_scan(asm, temps, sites)):
             floor = best_peak * (1.0 - 2.0 ** -50)
             peak = _peak_slope(asm, freqs, om, op, floor)
@@ -180,14 +179,12 @@ def _sweep_cell(template: SensorAssembly, sites, x: float) -> DesignPoint:
             eta = eta_cw_numeric(peak, asm.photon_rate)
             if best is None or (eta, k) < best:
                 best = (eta, k)
+        if best is None:  # Tc too low for any offset of the ladder
+            raise DomainError("no operating temperature below Tc")
+        t_opt = temps[best[1]]
+        dom = representative_domega_dt(asm, t_opt)
     except ThermoError as exc:
-        return DesignPoint(x, tc, np.nan, np.nan, np.nan,
-                           status=f"error: {exc}")
-    if best is None:  # Tc too low for any offset of the ladder
-        return DesignPoint(x, tc, np.nan, np.nan, np.nan,
-                           status="error: no operating temperature below Tc")
-    t_opt = temps[best[1]]
-    dom = representative_domega_dt(asm, t_opt)
+        return DesignPoint(x, tc, np.nan, np.nan, np.nan, status=f"error: {exc}")
     return DesignPoint(x=float(x), tc_k=float(tc), t_opt_k=float(t_opt),
                        eta_opt=float(best[0]), domega_dt=float(dom))
 

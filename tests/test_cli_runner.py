@@ -24,7 +24,7 @@ from critherm.cli_runner import (
     validate,
 )
 from critherm.ensemble_spectrum import SensorAssembly
-from critherm.errors import SchemaError
+from critherm.errors import SchemaError, SolverError, ThermoError
 from critherm.magnet_model import Magnet, curie_temperature
 from critherm.spin_model import SpinSystem
 
@@ -246,6 +246,39 @@ class TestParsing:
             parse_config(MAGNETIZE.replace(
                 "[grids]", "tc_k = 1.0\n[grids]"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("[run]\nkind = magnetize\n[run]\n", "run: duplicate section (line 3)"),
+        ("[run]\nkind\n", "line 2: expected 'key = value', got 'kind'"),
+        ("kind = magnetize\n[run]\n", "line 1: key outside any [section]"),
+    ], ids=["duplicate-section", "no-equals", "key-outside-section"])
+    def test_malformed_line(self, text, message):
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("tree, named", [
+        (["run"], "the tree must map"),
+        ({"run": {}}, "run.kind: required"),
+        ({"run": {"kind": "bake"}}, "run.kind: unknown kind 'bake'"),
+        (parse_config(MAGNETIZE.replace("m_sat_apm = 3.626e5", "material = bronze")),
+         "magnet.material: unknown material 'bronze'"),
+        (parse_config(MAGNETIZE.replace("m_sat_apm = 3.626e5\n", "")),
+         "magnet.m_sat_apm: required"),
+        (parse_config(SHOT_NOISE.replace("window_grid_s = 0.06 0.12", "window_grid_s =")),
+         "protocol.window_grid_s: empty list"),
+    ], ids=["not-a-dict", "no-kind", "unknown-kind", "unknown-material",
+            "no-m-sat", "empty-list"])
+    def test_resolve_rejects(self, tree, named):
+        with pytest.raises(SchemaError, match=f"^{named}"):
+            resolve(tree)
+
+    def test_schema_value_types(self):
+        # the value types _parse_value reads: s, i, f, v3 and fl
+        for kind, schema in SCHEMAS.items():
+            for section, keys in schema.items():
+                for key, (vtype, _, _) in keys.items():
+                    assert vtype in ("s", "i", "f", "v3", "fl"), (kind, section, key)
+
     def test_material_lookup(self):
         resolved = resolve(parse_config(SPECTRUM))
         assert resolved["magnet"]["m_sat_apm"] == pytest.approx(6.0e4)
@@ -357,6 +390,15 @@ class TestValidate:
         # 9.6 s track holds five
         rare = TRACK.replace("period_s = 4.8", "period_s = 0.13")
         assert validate(write(tmp_path, "rare.cfg", rare)).endswith("ok")
+
+    def test_reference_detuning_reported(self, tmp_path):
+        cfg = _prepare(resolve(parse_config(TRACK))).cfg
+        text = TRACK.replace("dwell_s = 0.005", f"dwell_s = 0.005\nf1_hz = {cfg.f1!r}"
+                             f"\nf2_hz = {cfg.f2!r}\nf_ref_hz = {cfg.f_ref!r}")
+        report = validate(write(tmp_path, "explicit.cfg", text)).splitlines()
+        assert "protocol: reference detuning ok" in report
+        assert "protocol: reference detuning ok" not in validate(
+            write(tmp_path, "auto.cfg", TRACK)).splitlines()
 
     def test_reference_detuning_checked(self, tmp_path):
         p = write(tmp_path, "badref.cfg", TRACK_BAD_REF)
@@ -470,6 +512,58 @@ class TestRun:
         assert sorted(f.name for f in out.iterdir()) == [
             "track.csv", "track.manifest.json"]
         assert csv_path.read_bytes() == before
+
+    def test_failed_run_keeps_earlier_csv(self, tmp_path, monkeypatch, capsys):
+        # every kind writes its CSV beside the earlier one and renames it
+        # only once the run returns: a run that fails after writing leaves
+        # the earlier CSV as it was, and no partial file
+        from critherm import cli_runner
+        p = write(tmp_path, "mag.cfg", MAGNETIZE)
+        out = tmp_path / "out"
+        csv_path, _ = run(p, out_dir=out)
+        before = csv_path.read_bytes()
+        real = cli_runner._write_header
+
+        def fail_after_writing(fh, *args):
+            real(fh, *args)
+            raise ThermoError("failed after writing the header")
+
+        monkeypatch.setattr(cli_runner, "_write_header", fail_after_writing)
+        assert main(["run", str(p), "--out", str(out)]) == 3
+        assert "failed after writing the header" in capsys.readouterr().err
+        assert sorted(f.name for f in out.iterdir()) == ["mag.csv", "mag.manifest.json"]
+        assert csv_path.read_bytes() == before
+
+    @pytest.mark.parametrize("name", ["line_scan", "representative_domega_dt"])
+    def test_failed_composition_is_its_row(self, tmp_path, monkeypatch, name):
+        # a composition whose spectrum or reference dw/dT fails is reported
+        # in its row's status; the sweep goes on and the run exits 0
+        from critherm import sensitivity
+        p = write(tmp_path, "sweep.cfg", SWEEP)
+
+        def data_rows(out):
+            text = (tmp_path / out / "sweep.csv").read_text()
+            return [l.split(",") for l in text.splitlines() if not l.startswith("#")]
+
+        assert main(["run", str(p), "--out", str(tmp_path / "a")]) == 0
+        real, calls = getattr(sensitivity, name), []
+
+        def fail_second_composition(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise SolverError("mean-field root not bracketed at T = 1 K")
+            return real(*args)
+
+        monkeypatch.setattr(sensitivity, name, fail_second_composition)
+        assert main(["run", str(p), "--out", str(tmp_path / "b")]) == 0
+        assert len(calls) == 3
+        good, failed = data_rows("a"), data_rows("b")
+        status = failed[0].index("status")
+        assert failed[2][status] == "error: mean-field root not bracketed at T = 1 K"
+        assert failed[2][:2] == good[2][:2]
+        assert failed[:2] + failed[3:] == good[:2] + good[3:]
+        manifest = json.loads((tmp_path / "b" / "sweep.manifest.json").read_text())
+        assert manifest["results"]["n_failed"] == 1
 
     def test_explicit_probes_match_auto(self, tmp_path):
         auto_csv, auto_manifest = run(write(tmp_path, "auto.cfg", TRACK),
@@ -691,12 +785,45 @@ class TestReplayChecksThePlan:
             assert x.read_bytes() == y.read_bytes()
 
 
+def one_value_edits(text):
+    """Every copy of a scenario text with one number (one component of a
+    vector or list) set to 0, -1, 1e-9 or 1e300."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        key, eq, value = line.split("#", 1)[0].partition("=")
+        numbers = value.split()
+        try:
+            [float(v) for v in numbers]
+        except ValueError:
+            continue
+        for j in range(len(numbers) if eq else 0):
+            for new in ("0", "-1", "1e-9", "1e300"):
+                edited = " ".join(numbers[:j] + [new] + numbers[j + 1:])
+                yield "\n".join(lines[:i] + [f"{key}= {edited}"] + lines[i + 1:])
+
+
 class TestShippedScenarios:
     def test_all_examples_validate(self):
         files = sorted(SCENARIO_DIR.glob("*.cfg"))
         assert len(files) >= 6
         for f in files:
             assert validate(f).endswith("ok"), f.name
+
+    @pytest.mark.parametrize("name", sorted(f.stem for f in SCENARIO_DIR.glob("*.cfg")))
+    def test_one_value_edit_exits_0_2_or_3(self, tmp_path, name):
+        """Each one-value edit of a shipped scenario ends in a documented
+        exit code from validate, never a traceback.  Warnings are ignored:
+        the command prints them and does not raise them (a 1e300
+        fnd_center_m makes numpy warn of an overflow in the gap)."""
+        p = tmp_path / f"{name}.cfg"
+        for text in one_value_edits((SCENARIO_DIR / f"{name}.cfg").read_text()):
+            p.write_text(text)
+            with warnings.catch_warnings(), \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("ignore")
+                code = main(["validate", str(p)])
+            assert code in (0, 2, 3), text
 
 
 class TestMainExitCodes:
@@ -828,6 +955,14 @@ class TestMainExitCodes:
          "protocol.floor_rms_k"),
         # numpy seeds only from non-negative integers
         (shipped("spectrum_63c", "seed = 2026", "seed = -1"), "run.seed"),
+        # a record length that is not positive
+        (shipped("track_63c", "duration_s = 28.8", "duration_s = -1"),
+         "protocol.duration_s"),
+        (shipped("shot_noise", "total_time_s = 400.0", "total_time_s = -1"),
+         "protocol.total_time_s"),
+        # a grid step that is not positive
+        (MAGNETIZE.replace("temp_step_k = 2.0", "temp_step_k = 0.0"),
+         "grids.temp_step_k"),
     ], ids=["shot-noise-no-window", "track-all-mixed", "negative-dwell",
             "zero-period", "bin-below-cycle", "zero-low", "zero-start",
             "negative-temp", "spectrum-slope-row", "shot-noise-slope-row",
@@ -837,7 +972,9 @@ class TestMainExitCodes:
             "shot-noise-count-guard", "track-reference-in-dip",
             "magnetize-oversize-grid", "track-oversize-record",
             "spectrum-oversize-ensemble", "sensitivity-oversize-rows",
-            "shot-noise-oversize-floor-rows", "negative-seed"])
+            "shot-noise-oversize-floor-rows", "negative-seed",
+            "track-negative-duration", "shot-noise-negative-total-time",
+            "zero-temp-step"])
     def test_unusable_protocol_exit_2(self, tmp_path, capsys, text, key):
         # every precondition validate can check: run never starts
         p = write(tmp_path, "bad.cfg", text)
@@ -877,6 +1014,21 @@ class TestMainExitCodes:
         else:  # nothing written, nothing removed
             assert [q.name for q in out.iterdir()] == [Path(named).name]
             assert not any((tmp_path / named).iterdir())
+
+    @pytest.mark.parametrize("text", [MAGNETIZE, SPECTRUM, SUSCEPTIBILITY,
+                                      SENSITIVITY, SWEEP, SHOT_NOISE, TRACK],
+                             ids=["magnetize", "spectrum", "susceptibility",
+                                  "sensitivity", "design-sweep", "shot-noise", "track"])
+    def test_part_file_is_a_directory_exit_2(self, tmp_path, capsys, text):
+        # every kind writes its CSV to <stem>.csv.part first
+        p, out = write(tmp_path, "bad.cfg", text), tmp_path / "out"
+        part = out / "bad.csv.part"
+        part.mkdir(parents=True)
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"thermo: error: {part}: is a directory\n"
+        assert [q.name for q in out.iterdir()] == ["bad.csv.part"]
+        assert not any(part.iterdir())
 
     def test_closed_stdout_no_traceback(self, tmp_path):
         # `thermo validate f | head -1`: the reader is gone before the
@@ -945,8 +1097,13 @@ class TestMainExitCodes:
         shipped("gd_susceptibility", "nv_axis = 0 0 1",
                 "nv_axis = 0 0 1\nstrain_e_hz = -1e6"),
         *BAD_SWEEPS,
+        # the axis norm overflows to inf, with numpy's overflow warning
+        pytest.param(shipped("gd_susceptibility", "nv_axis = 0 0 1",
+                             "nv_axis = 1e300 1e300 1e300"),
+                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
     ], ids=["nv-inside-magnet", "zero-nv-axis", "negative-strain",
-            "sweep-overlap", "sweep-no-nv", "sweep-contrast", "sweep-spin-j"])
+            "sweep-overlap", "sweep-no-nv", "sweep-contrast", "sweep-spin-j",
+            "overflowing-nv-axis"])
     def test_bad_single_nv_exit_3_from_validate_and_run(self, tmp_path, capsys,
                                                         text):
         # the single NV, and the design sweep's template assembly: both

@@ -103,6 +103,16 @@ class TestSampleEnsemble:
         with pytest.raises(DomainError, match="axis"):
             nv_site((0.0, 0.0, 1e-3), (0.0, 0.0, 0.0), 0.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_axis_whose_norm_overflows_rejected(self):
+        # the norm is inf, which would divide the axis to zero
+        with pytest.raises(DomainError, match="NV axis must be a nonzero 3-vector"):
+            nv_frame((1e300, 1e300, 1e300))
+        axis = (0.3, -1.7, 2.9)
+        e3 = np.asarray(axis) / np.linalg.norm(axis)
+        assert np.array_equal(nv_frame(axis)[2], e3)
+        assert np.array_equal(nv_frame((1e150, 0.0, 0.0))[2], [1.0, 0.0, 0.0])
+
 
 class TestFrameProjection:
     def test_per_axis_projection_matches_single_nv_oracle(self):
@@ -182,6 +192,19 @@ class TestAssemblyInvariants:
     def test_gap_value(self):
         asm = cuni_design_assembly(seed=0)
         assert asm.gap == pytest.approx(50e-9, rel=1e-9)
+        assert bare_assembly().gap == np.inf  # no magnet
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("line_width", 0.0, "line_width must be positive, got 0.0"),
+        ("photon_rate", -1.0, "photon_rate must be positive, got -1.0"),
+        ("fnd_radius", 0.0, "fnd_radius must be positive, got 0.0"),
+        ("strain_mean", -1.0, "strain parameters must be >= 0"),
+        ("strain_sd", -1.0, "strain parameters must be >= 0"),
+    ], ids=["line-width", "photon-rate", "fnd-radius", "strain-mean", "strain-sd"])
+    def test_nonpositive_parameter_rejected(self, field, value, message):
+        with pytest.raises(DomainError) as exc:
+            bare_assembly(**{field: value})
+        assert str(exc.value) == message
 
     def test_spin_template_carries_no_field_or_strain(self):
         # each site's field and strain come from the assembly, so a template

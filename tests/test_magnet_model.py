@@ -327,6 +327,22 @@ class TestDipoleField:
 
 
 class TestMagnetType:
+    @pytest.mark.parametrize("kw, message", [
+        ({"radius": 0.0}, "radius must be positive, got 0.0"),
+        # the axis norm overflows to inf, with numpy's overflow warning
+        pytest.param({"easy_axis": (1e300,) * 3}, "easy_axis must be a nonzero 3-vector",
+                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+    ], ids=["zero-radius", "overflowing-axis"])
+    def test_invalid_field_named(self, kw, message):
+        with pytest.raises(DomainError) as exc:
+            Magnet(**dict(dict(m_sat=1.0, radius=1.0, tc=1.0), **kw))
+        assert str(exc.value) == message
+
+    def test_easy_axis_normalized_bitwise(self):
+        axis = (0.3, -1.7, 2.9)
+        mag = Magnet(m_sat=1.0, radius=1.0, tc=1.0, easy_axis=axis)
+        assert mag.easy_axis == tuple(np.asarray(axis) / np.linalg.norm(axis))
+
     def test_easy_axis_normalized(self):
         mag = Magnet(m_sat=1e5, radius=1e-7, tc=300.0, easy_axis=(0.0, 0.0, 10.0))
         assert np.linalg.norm(mag.easy_axis) == pytest.approx(1.0, abs=1e-12)

@@ -125,6 +125,13 @@ class TestCalibration:
         with pytest.raises(DomainError):
             replace(CONFIG, dwell=0.0)
 
+    @pytest.mark.parametrize("dt_step", [0.0, -0.01])
+    def test_nonpositive_dt_step_rejected(self, dt_step):
+        asm = single_lorentzian_assembly()
+        with pytest.raises(DomainError, match="dt_step must be positive"):
+            calibrate_three_point(asm, T0, dwell=0.005, dt_step=dt_step,
+                                  sites=sample_ensemble(asm))
+
 
 class TestForwardModelEvaluations:
     @pytest.mark.parametrize("probes", [None, (2.86e9, 2.88e9, 3.5e9)])
@@ -355,6 +362,18 @@ class TestEstimateTemperature:
     def test_zero_reference_raises(self):
         with pytest.raises(EstimationError):
             window_estimates(np.array([[5, 5, 0]]), CONFIG, 1)
+
+    def test_window_below_one_bin_rejected(self):
+        with pytest.raises(DomainError, match="bins_per_window must be >= 1"):
+            window_estimates(np.array([[5, 5, 5]]), CONFIG, 0)
+
+    def test_record_shorter_than_one_window_rejected(self):
+        with pytest.raises(EstimationError, match="record shorter than one window"):
+            window_estimates(np.array([[5, 5, 5]] * 3), CONFIG, 4)
+
+    @pytest.mark.parametrize("duration", [-1.0, -1e300, 0.0, 0.01])
+    def test_window_layout_never_negative(self, duration):
+        assert window_layout(0.06, 0.005, duration) == (4, 0)
 
     def test_unbiased_at_calibration_point(self):
         asm = single_lorentzian_assembly()
@@ -644,6 +663,21 @@ class TestTrackSquareWave:
             tracemalloc.stop()
         assert fewest > 2
         assert peak / 1_000_000 < 3
+
+    @pytest.mark.parametrize("period", [0.0, -9.6])
+    def test_nonpositive_period_rejected(self, period):
+        with pytest.raises(DomainError, match="period must be positive"):
+            square_wave_trace(335.4, 336.9, period)
+
+    @pytest.mark.parametrize("duration", [-1.0, 0.05])
+    def test_record_without_a_point_rejected(self, duration):
+        # a negative duration or one shorter than one 60 ms point
+        asm = cuni_tracking_assembly(seed=1)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        with pytest.raises(DomainError, match="duration shorter than one tracking bin"):
+            track_square_wave(asm, cfg, 335.4, 336.9, period=9.6, bin=0.06,
+                              duration=duration, seed=1, sites=sites)
 
     def test_bin_shorter_than_cycle_rejected(self):
         asm = cuni_tracking_assembly(seed=1)

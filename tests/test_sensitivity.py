@@ -89,6 +89,13 @@ class TestEtaCwLorentzian:
         with pytest.raises(UnmeasurableError):
             eta_cw_lorentzian(10e6, 0.2, 8e4, 0.0)
 
+    @pytest.mark.parametrize("args", [(0.0, 0.2, 8e4), (10e6, -0.2, 8e4),
+                                      (10e6, 0.2, 0.0)],
+                             ids=["width", "contrast", "photon-rate"])
+    def test_nonpositive_input_rejected(self, args):
+        with pytest.raises(DomainError, match="must be positive"):
+            eta_cw_lorentzian(*args, 14e6)
+
 
 class TestCrossEstimatorAgreement:
     def test_ideal_lorentzian_grid_matches_closed_form(self):
@@ -177,6 +184,12 @@ class TestEtaRamsey:
         eta = eta_ramsey(PILLAR_PHOTON_RATE, PILLAR_CONTRAST, PILLAR_T2_NATURAL,
                          domega_dt=dom)
         assert eta < 5e-6
+
+    @pytest.mark.parametrize("rate, contrast", [(0.0, 0.3), (1e6, 0.0)],
+                             ids=["photon-rate", "contrast"])
+    def test_nonpositive_rate_or_contrast_rejected(self, rate, contrast):
+        with pytest.raises(DomainError, match="contrast and photon_rate must be positive"):
+            eta_ramsey(rate, contrast, 10e-6, domega_dt=1e6)
 
     def test_errors(self):
         with pytest.raises(UnmeasurableError):

@@ -191,6 +191,10 @@ class TestBuildHamiltonian:
             h = build_hamiltonian(sys, 295.0)
             assert np.linalg.norm(h - h.conj().T) == 0.0
 
+    def test_nonpositive_gamma_rejected(self):
+        with pytest.raises(DomainError, match="gamma must be positive, got 0.0"):
+            SpinSystem(gamma=0.0)
+
     def test_invalid_system(self):
         with pytest.raises(DomainError):
             SpinSystem(d0=-1.0)
