@@ -65,7 +65,7 @@ from .protocol_sim import (
     track_square_wave,
 )
 from .sensitivity import DEFAULT_TC_OFFSETS_K, design_sweep, sensitivity_scan
-from .spin_model import SpinSystem
+from .spin_model import SpinSystem, d_of_t
 
 FORMAT_VERSION = 1
 
@@ -382,8 +382,8 @@ def _plan(resolved: dict) -> SimpleNamespace:
     [0, 1], a partial frequency grid, probe triple or floor, a duration or
     window length that is not positive, counts above the overflow guard, a
     grid, record or line_centers call above _MAX_POINTS, a protocol layout
-    that leaves no statistics, or a lowest forward-model row at or below
-    0 K."""
+    that leaves no statistics, a lowest forward-model row at or below 0 K,
+    or a highest one where D(T) is not positive."""
     kind = resolved["run"]["kind"]
     grids, proto = resolved.get("grids", {}), resolved.get("protocol", {})
     if resolved["run"].get("seed", 0) < 0:
@@ -473,8 +473,14 @@ def _plan(resolved: dict) -> SimpleNamespace:
     elif kind == "design-sweep":
         n_rows = 3 * len(DEFAULT_TC_OFFSETS_K)
     # the lowest row each kind solves is its first temperature less the
-    # step, and then a shot-noise floor's snapped trough
+    # step, and then a shot-noise floor's snapped trough; the highest, where
+    # D(T) falls lowest, its last temperature plus the step, and a floor's
+    # snapped crest (as for the lowest, the design sweep's rows, which follow
+    # its compositions' Tc, are not checked, nor magnetize, which has no D)
     rows = [] if key is None else [(key, float(plan.temps[0]) - plan.step)]
+    top = {"track": "protocol.high_k", "spectrum": key,
+           "shot-noise": key}.get(kind, "grids.temp_stop_k")
+    tops = [] if key is None else [(top, float(plan.temps[-1]) + plan.step)]
     if ("floor_rms_k" in proto) != ("floor_period_s" in proto):
         raise SchemaError("protocol.floor_rms_k and protocol.floor_period_s "
                           "must be given together")
@@ -487,6 +493,7 @@ def _plan(resolved: dict) -> SimpleNamespace:
         trough = np.round((t0 - np.sqrt(2.0) * abs(rms)) / _FLOOR_RESOLUTION)
         crest = np.round((t0 + np.sqrt(2.0) * abs(rms)) / _FLOOR_RESOLUTION)
         rows.append(("protocol.floor_rms_k", float(trough * _FLOOR_RESOLUTION)))
+        tops.append(("protocol.floor_rms_k", float(crest * _FLOOR_RESOLUTION)))
         cycles = np.floor(proto["total_time_s"] / (3.0 * proto["dwell_s"]))
         n_rows = max(n_rows, int(min(crest - trough + 1.0, cycles)))
         row_key = "protocol.floor_rms_k"
@@ -494,6 +501,12 @@ def _plan(resolved: dict) -> SimpleNamespace:
         if lowest <= 0.0:
             raise SchemaError(f"{key}: temperature too low: the run solves a row "
                               f"at {lowest!r} K, and temperatures must be positive")
+    for key, highest in tops if "spin" in resolved else ():
+        d = d_of_t(build_spin(resolved["spin"]), highest)
+        if not d > 0.0:
+            raise SchemaError(f"{key}: temperature too high: the run solves a row "
+                              f"at {highest!r} K, where D(T) = {d!r} Hz is not "
+                              "positive")
     # rows times sites, named by the larger factor (magnetize solves no
     # line centres; its 3 rows of 1 site never reach the bound)
     sites = resolved["assembly"]["n_nv"] if "assembly" in resolved else 1

@@ -37,8 +37,14 @@ _FREQ_TILE = 256
 # temporary of the closed form stays near 32 KiB whatever the row count, and a
 # row-site is solved by the same operations in any pass, to the same bits.
 _PASS_SITES = 4096
-# Grid points per tile of the |dS/dT| bound of _peak_slope.
+# Grid points per tile of the |dS/dT| bound of _peak_slope, and per block of
+# columns of its column bound.
 _BOUND_TILE = 32
+# Reach of _column_bounds, in line half-widths: the lines this close to a
+# column are summed with their signs, the others bounded.  On the shipped
+# design sweep 4 leaves ten times the kernel columns of 6, and 3 more kernel
+# time than it saves; a longer reach sums more lines per column.
+_REACH_HW = 6.0
 _SLOPE_STEP = 0.01  # K, step of the central-difference dS/dT
 
 
@@ -183,44 +189,70 @@ def nv_site(position, axis, strain: float) -> Ensemble:
                     frames=nv_frame(axis)[None], strains=np.array([float(strain)]))
 
 
-def line_centers(asm: SensorAssembly, temps, sites: Ensemble):
+def _first(asm):
+    """asm, or the first of a sequence of assemblies."""
+    return asm if isinstance(asm, SensorAssembly) else asm[0]
+
+
+def line_centers(asm, temps, sites: Ensemble):
     """(omega_minus, omega_plus) over the ensemble at each of the 1-D
-    `temps`: two (n_temps, n_sites) arrays.  The moment stays on the easy
-    axis, so the NV-frame field is bias_nv + m(T) g_nv, g_nv being the field
-    of the saturated particle; rows are solved in passes of _PASS_SITES."""
+    `temps`: two (n_temps, n_sites) arrays.  asm is one SensorAssembly, or
+    one per temperature that differ only in their magnets' m_sat and tc
+    (the design sweep's compositions).  The moment stays on the easy axis,
+    so the NV-frame field is bias_nv + m(T) g_nv, g_nv being the field of
+    the row's saturated particle, and m(T) of every row comes from one
+    solve_magnetization call."""
     temps = np.asarray(temps, dtype=float)
-    d = d_of_t(asm.spin, temps)
-    bias_nv = sites.frames @ np.asarray(asm.bias_field)
-    m, g_nv = np.zeros_like(temps), np.zeros_like(bias_nv)
-    if asm.magnet is not None:
-        mag = asm.magnet
-        g_nv = np.einsum("nij,nj->ni", sites.frames, dipole_field_many(
-            mag.m_sat * mag.volume * np.asarray(mag.easy_axis), mag.center,
-            sites.positions, min_distance=mag.radius))
-        m = solve_magnetization(mag, temps)
+    m, mag = np.zeros_like(temps), _first(asm).magnet
+    if mag is not None:
+        m = solve_magnetization(mag if asm is _first(asm) else [a.magnet for a in asm],
+                                temps)
+    return _line_centers(asm, temps, sites, m)
+
+
+def _line_centers(asm, temps, sites: Ensemble, m):
+    """line_centers at the reduced magnetization m of each row, solved in
+    passes of _PASS_SITES row-sites (at least one row), with one g_nv per
+    magnet."""
+    first = _first(asm)
+    d = d_of_t(first.spin, temps)
+    bias_nv = sites.frames @ np.asarray(first.bias_field)
+    g_nv = np.zeros((1,) + bias_nv.shape)
+    if first.magnet is not None:
+        mags = [first.magnet] if asm is first else [a.magnet for a in asm]
+        fields = {}
+        for mag in mags:
+            if id(mag) not in fields:
+                fields[id(mag)] = np.einsum("nij,nj->ni", sites.frames, dipole_field_many(
+                    mag.m_sat * mag.volume * np.asarray(mag.easy_axis), mag.center,
+                    sites.positions, min_distance=mag.radius))
+        g_nv = np.stack([fields[id(mag)] for mag in mags])
     om, op = np.empty((2, temps.size, len(sites)))
     step = max(_PASS_SITES // len(sites), 1)
     for k in range(0, temps.size, step):
         rows = slice(k, k + step)
-        om[rows], op[rows] = transition_pairs(d[rows], sites.strains, asm.spin.gamma,
-                                              bias_nv + m[rows, None, None] * g_nv)
+        g_rows = g_nv[rows] if len(g_nv) > 1 else g_nv[0]
+        om[rows], op[rows] = transition_pairs(d[rows], sites.strains, first.spin.gamma,
+                                              bias_nv + m[rows, None, None] * g_rows)
     return om, op
 
 
-def domega_dtemp(asm: SensorAssembly, temps, sites: Ensemble):
+def domega_dtemp(asm, temps, sites: Ensemble):
     """(domega_minus/dT, domega_plus/dT) in Hz/K as two (n_temps, n_sites)
     arrays: a central difference with a _DT_STEP step from one line_centers
-    call whose rows run T - step, T + step for each of the 1-D `temps`.
+    call whose rows run T - step, T + step for each of the 1-D `temps`; asm
+    is one assembly or one per temperature, as in line_centers.
 
     Warns when |gamma B| + E >= D at a site and row (outside the
     perturbative operating regime; level labels may be unreliable there).
     """
     temps = np.asarray(temps, dtype=float)
     rows = np.stack([temps - _DT_STEP, temps + _DT_STEP], axis=1).ravel()
-    om, op = line_centers(asm, rows, sites)
+    om, op = line_centers(asm if asm is _first(asm) else [a for a in asm for _ in range(2)],
+                          rows, sites)
     # the levels e0, e0 + om, e0 + op sum to 2D, their squares to
     # 2 (D^2 + E^2 + gamma^2 |B|^2)
-    d, e = d_of_t(asm.spin, rows)[:, None], sites.strains
+    d, e = d_of_t(_first(asm).spin, rows)[:, None], sites.strains
     e0 = (2.0 * d - om - op) / 3.0
     gb2 = 0.5 * (e0 ** 2 + (e0 + om) ** 2 + (e0 + op) ** 2) - d ** 2 - e ** 2
     if np.any(np.sqrt(np.maximum(gb2, 0.0)) + e >= d):
@@ -351,10 +383,18 @@ def line_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None):
     Every row uses the same ensemble sample (common random numbers), so a
     difference of rows isolates the physics, not the sampling.
     """
+    yield from _scan(asm, line_centers(asm, _scan_rows(temps), sites), freqs)
+
+
+def _scan_rows(temps) -> np.ndarray:
+    """The rows T, T + h and T - h of each of the 1-D temps, in that order."""
     temps = np.asarray(temps, dtype=float)
-    rows = np.stack([temps, temps + _SLOPE_STEP, temps - _SLOPE_STEP], axis=1)
-    om, op = (a.reshape(temps.size, 3, len(sites))
-              for a in line_centers(asm, rows.ravel(), sites))
+    return np.stack([temps, temps + _SLOPE_STEP, temps - _SLOPE_STEP], axis=1).ravel()
+
+
+def _scan(asm: SensorAssembly, centers, freqs=None):
+    """line_scan from the line centres (om, op) of its rows."""
+    om, op = (a.reshape(-1, 3, a.shape[-1]) for a in centers)
     for om_t, op_t in zip(om, op):
         yield om_t, op_t, (_grid_for_lines(asm, om_t[0], op_t[0]) if freqs is None
                            else np.asarray(freqs, dtype=float))
@@ -426,28 +466,120 @@ def _tile_bounds(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
     return bound
 
 
+def _column_bounds(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
+    """Upper bound on the computed |_slope| at each point of freqs, close to
+    it near the peak (within 40% at the winning temperatures of the shipped
+    design sweep and 15% on the shipped sensitivity scan, where a tile bound
+    sits several times above); inf where the bound is not finite, and at
+    every point when a line centre is not finite.
+
+    With L, l, c+, c-, D, g and h as in _tile_bounds: a line whose D from
+    column f is at least R (R = _REACH_HW half-widths, beyond the knee, so
+    that g is decreasing there) adds at most |c+ - c-| g(R) to
+    |sum_l L(f - c+) - L(f - c-)|; every other line is evaluated, signs and
+    all.  The lines are sorted by min(c+, c-), with prefix sums of
+    |c+ - c-|, and the columns are sorted too and taken _BOUND_TILE at a
+    time: a block sums the window of lines that starts at the block's
+    lowest column - R - max|c+ - c-| and ends at its highest column + R, as
+    one signed product [1, -1, ...] . L over the interleaved rows T + h and
+    T - h, L built as in _signal; the lines outside the window, a prefix
+    and a suffix, are beyond R of every column of the block.  The window
+    ends come from rounded sums: a line outside is beyond R - s, s = 4 eps
+    (max |f| + R + 2 max|c+ - c-|), so g is taken at max(R - s, knee).  The
+    bound is weight / (2h) (|near sum| + g (prefix-sum difference)).
+
+    Safety margin, with eps = 2^-53, N lines and c = contrast.  The
+    computed slope exceeds the exact one by at most 2 eps |dS/dT| +
+    (c (N + 6) + 1) eps / h, as in _tile_bounds.  Each L is within 5 eps of
+    its exact value (at most 1) and the window's at most 2N terms are summed
+    in some order (gamma_2N on a sum of at most 2N), so the near sum is
+    within (4N^2 + 10N) eps, c (2N + 5) eps / h after scaling.  The
+    cumulative sums and the difference of three of them are within
+    (3N + 2) eps of the total, 4 (N + 2) eps total added to the difference
+    covers them.  |c+ - c-| is rounded once, g about eight times and its
+    argument twice (g falls as R^-3, so three relative roundings), the sum
+    and the scaling five times: a relative 64 eps and an absolute
+    (c (6N + 26) + 2) eps / h, twice the first order of the absolute terms,
+    cover them.
+    """
+    c_up, c_dn = np.concatenate([om[1], op[1]]), np.concatenate([om[2], op[2]])
+    bound = np.full(freqs.size, np.inf)
+    if not (np.all(np.isfinite(c_up)) and np.all(np.isfinite(c_dn))):
+        return bound
+    order = np.argsort(np.minimum(c_up, c_dn), kind="stable")
+    c_up, c_dn = c_up[order], c_dn[order]
+    low, shift = np.minimum(c_up, c_dn), np.abs(c_up - c_dn)
+    prefix = np.concatenate([[0.0], np.cumsum(shift)])
+    n, eps, h = shift.size, np.finfo(float).eps / 2.0, _SLOPE_STEP
+    big = shift.max()
+    half2 = (0.5 * asm.line_width) ** 2
+    reach = _REACH_HW * 0.5 * asm.line_width
+    knee = np.sqrt(half2 / 3.0)
+    cols = np.argsort(freqs, kind="stable")
+    f = freqs[cols]
+    grid = np.stack([f, np.ones_like(f)])
+    starts = np.arange(0, f.size, _BOUND_TILE)
+    ends = np.minimum(starts + _BOUND_TILE, f.size)
+    # row 2l is line l at T + h, row 2l + 1 at T - h; sign weighs them +1, -1
+    lines = np.stack([np.ones(2 * n), -np.stack([c_up, c_dn], axis=1).ravel()], axis=1)
+    sign = np.tile([1.0, -1.0], n)
+    near = np.zeros(f.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = np.searchsorted(low, f[starts] - reach - big)
+        last = np.searchsorted(low, f[ends - 1] + reach)
+        # rows per pass: the widest window (two rows a line), at most what
+        # _signal's buffer holds
+        rows = min(_LINE_CHUNK * _FREQ_TILE // _BOUND_TILE,
+                   max(2 * int((last - first).max()), 2))
+        buf = np.empty(rows * _BOUND_TILE)
+        far = prefix[n] - prefix[last] + prefix[first] + 4 * (n + 2) * eps * prefix[n]
+        r = reach - 4.0 * eps * (np.maximum(np.abs(f[starts]), np.abs(f[ends - 1]))
+                                 + reach + 2.0 * big)
+        r = np.maximum(r, knee)
+        g = 2.0 * half2 * r / (r * r + half2) ** 2
+        for s, e, a, z in zip(starts.tolist(), ends.tolist(),
+                              (2 * first).tolist(), (2 * last).tolist()):
+            for k in range(a, z, rows):
+                top = min(k + rows, z)
+                b = buf[:(top - k) * (e - s)].reshape(top - k, e - s)
+                np.matmul(lines[k:top], grid[:, s:e], out=b)
+                np.square(b, out=b)
+                b += half2
+                np.divide(half2, b, out=b)
+                near[s:e] += sign[k:top] @ b
+        block = np.repeat(np.arange(starts.size), ends - starts)
+        bound[cols] = (asm.contrast / n / (2.0 * h)) \
+            * (np.abs(near) + g[block] * far[block]) * (1.0 + 64 * eps) \
+            + (asm.contrast * (6 * n + 26) + 2.0) * eps / h
+    bound[~np.isfinite(bound)] = np.inf
+    return bound
+
+
 def _peak_slope(asm: SensorAssembly, freqs, om, op, floor: float = 0.0) -> float:
     """max |_slope| on freqs, bitwise np.max(np.abs(_slope(...))) whenever
     that is >= floor; otherwise some value below floor.
 
-    Branch and bound over the tiles of _tile_bounds: when every bound is
-    below floor, the highest is returned and no column is evaluated.
-    Otherwise the tile of the highest bound is evaluated first, then, in one
-    _slope call, the gathered columns of every tile whose bound still
-    reaches both floor and the peak so far.  A column of _signal is bitwise
-    the same in any batch, so each is as on the whole grid.
+    Branch and bound in two levels.  When every bound of _tile_bounds is
+    below floor, the highest is returned and no column is evaluated.  The
+    columns of the other tiles get a _column_bounds each; when all of those
+    fall below floor, the highest is returned.  Otherwise the column of the
+    highest is evaluated first, then, in one _slope call, every column whose
+    bound still reaches both floor and that peak.  A column of _signal is
+    bitwise the same in any batch, so each is as on the whole grid.
     """
     bounds = _tile_bounds(asm, freqs, om, op)
     if bounds.max() < floor:
         return float(bounds.max())
-    tile_of = np.arange(freqs.size) // _BOUND_TILE
-    first = int(np.argmax(bounds))
-    peak = np.max(np.abs(_slope(asm, freqs[tile_of == first], om, op)))
+    cols = np.flatnonzero(bounds[np.arange(freqs.size) // _BOUND_TILE] >= floor)
+    bounds = _column_bounds(asm, freqs[cols], om, op)
+    if bounds.max() < floor:
+        return float(bounds.max())
+    lead = int(np.argmax(bounds))
+    peak = np.max(np.abs(_slope(asm, freqs[cols[lead:lead + 1]], om, op)))
     keep = bounds >= max(floor, peak)
-    keep[first] = False
+    keep[lead] = False
     if keep.any():
-        peak = np.maximum(peak, np.max(np.abs(_slope(asm, freqs[keep[tile_of]],
-                                                      om, op))))
+        peak = np.maximum(peak, np.max(np.abs(_slope(asm, freqs[cols[keep]], om, op))))
     return float(peak)
 
 

@@ -118,28 +118,36 @@ def brillouin(j: float, x):
     return out if out.ndim else float(out)
 
 
-def solve_magnetization(mag: Magnet, temp):
+def solve_magnetization(mag, temp):
     """Reduced magnetization m(T) in [0, 1]: the stable (largest) root of the
     mean-field equation; identically 0 for T >= Tc.  A scalar temp gives a
-    float, an array an array of its shape.
+    float, an array an array of its shape.  mag is one Magnet, or one per
+    element of temp, all of one spin_j (the design sweep's compositions).
 
     Bracketed bisection on [1e-12, 1] for _BISECT_STEPS steps, run on all
-    temperatures in lockstep, so a temperature gives bit-identical output in
-    any array.
+    temperatures in lockstep and elementwise in Tc, so a temperature gives
+    bit-identical output in any array, beside any other magnet.
     """
     shape = np.shape(temp)
     t = np.asarray(temp, dtype=float).ravel()
     if np.any(t <= 0):
         raise DomainError(f"temperature must be positive, got {t[t <= 0][0]}")
-    j = mag.spin_j
-    coef = 3.0 * j / (j + 1.0) * mag.tc / t
+    if isinstance(mag, Magnet):
+        j, tc = mag.spin_j, mag.tc
+    else:
+        spins, tc = {m.spin_j for m in mag}, np.array([m.tc for m in mag], dtype=float)
+        if len(spins) > 1 or tc.size != t.size:
+            raise DomainError("per-temperature magnets need one spin_j and one "
+                              "magnet per temperature")
+        j = spins.pop() if spins else 1.0
+    coef = 3.0 * j / (j + 1.0) * tc / t
 
     def f(m):
         return m - brillouin(j, coef * m)
 
     lo, hi = np.full_like(t, _BISECT_LO), np.ones_like(t)
     flo = f(lo)
-    unbracketed = (t < mag.tc) & ((flo > 0) | (f(hi) < 0))
+    unbracketed = (t < tc) & ((flo > 0) | (f(hi) < 0))
     if unbracketed.any():
         k = np.flatnonzero(unbracketed)[0]
         raise SolverError(f"mean-field root not bracketed at T = {t[k]} K")
@@ -149,7 +157,7 @@ def solve_magnetization(mag: Magnet, temp):
         left = flo * fmid <= 0
         lo, hi, flo = (np.where(left, lo, mid), np.where(left, mid, hi),
                        np.where(left, flo, fmid))
-    m = np.where(t < mag.tc, 0.5 * (lo + hi), 0.0)
+    m = np.where(t < tc, 0.5 * (lo + hi), 0.0)
     return m.reshape(shape) if shape else float(m[0])
 
 

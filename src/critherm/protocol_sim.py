@@ -320,15 +320,19 @@ def _level_codes(low: float, high: float, period: float, bpw: int,
                  cycle: float, npts: int) -> np.ndarray:
     """Level code of each of npts points of bpw cycles: bit 0 is the square
     wave at the point midpoint (_HIGH or _LOW), and the _MIXED bit is set
-    when the point's span straddles a level switch.  Built block by block,
-    so no per-point time or temperature array is held."""
+    when the point's span straddles a level switch: when the wave differs at
+    its start and near its end, or always when the span is half a period or
+    more (it then holds a switch, or many, whatever the two samples say).
+    Built block by block, so no per-point time or temperature array is
+    held."""
     level = square_wave_trace(low, high, period)
     span = bpw * cycle
     codes = np.empty(npts, dtype=np.int8)
     for start in range(0, npts, _POISSON_BLOCK_BINS):
         times = _point_times(start, min(start + _POISSON_BLOCK_BINS, npts),
                              bpw, cycle)
-        switched = level(times) != level(times + span * 0.999)
+        switched = ((level(times) != level(times + span * 0.999))
+                    | (span >= 0.5 * period))
         codes[start:start + len(times)] = _MIXED * switched + (
             level(times + 0.5 * span) == high)
     return codes

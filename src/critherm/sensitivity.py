@@ -20,10 +20,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ThermoError, UnmeasurableError
-from .magnet_model import M_SAT_NI, curie_temperature
+from .magnet_model import M_SAT_NI, curie_temperature, solve_magnetization
 from .ensemble_spectrum import (
     SensorAssembly,
+    _first,
+    _line_centers,
     _peak_slope,
+    _scan,
+    _scan_rows,
     _spectrum,
     domega_dtemp,
     line_scan,
@@ -93,16 +97,19 @@ class SensitivityReport:
     domega_dt_hz_per_k: float
 
 
-def representative_domega_dt(asm: SensorAssembly, temp):
+def representative_domega_dt(asm, temp):
     """|dw/dT| of a reference NV at the FND centre with its axis along the
     magnet easy axis (the best-coupled orientation) and the mean strain, in
     the magnet and bias fields of the assembly; bare-NV slope when there is
-    no magnet.  A scalar temp gives a float, a 1-D array an array."""
+    no magnet.  A scalar temp gives a float, a 1-D array an array; for a
+    1-D temp, asm may be one assembly per temperature, as in line_centers,
+    each temperature in the field of its own magnet."""
     temps = np.atleast_1d(np.asarray(temp, dtype=float))
-    if asm.magnet is None:
-        dom = np.full(temps.shape, abs(asm.spin.dd_dt))
+    first = _first(asm)
+    if first.magnet is None:
+        dom = np.full(temps.shape, abs(first.spin.dd_dt))
     else:
-        site = nv_site(asm.fnd_center, asm.magnet.easy_axis, asm.strain_mean)
+        site = nv_site(first.fnd_center, first.magnet.easy_axis, first.strain_mean)
         dm, dp = domega_dtemp(asm, temps, site)
         dom = np.maximum(np.abs(dm[:, 0]), np.abs(dp[:, 0]))
     return float(dom[0]) if np.ndim(temp) == 0 else dom
@@ -154,39 +161,95 @@ class DesignPoint:
     status: str = "ok"
 
 
-def _sweep_cell(template: SensorAssembly, sites, x: float) -> DesignPoint:
-    tc = curie_temperature(x)
+# Compositions per batch of the design sweep: a batch's magnetization solve
+# (27 rows a composition) and reference-NV call (2 rows) stay a few thousand
+# rows, however many compositions the grid holds.
+_SWEEP_BATCH = 128
+
+
+def _ladder_walk(asm: SensorAssembly, scan):
+    """(eta, k) of the optimum over the ladder rows that scan yields.
+
+    The ladder in order, each temperature against the best peak so far
+    (_peak_slope skips the columns, or the whole temperature, whose bound
+    cannot reach it).  eta = 1 / (sqrt(L) peak) rounds twice, so a peak less
+    than 2^-50 (8 unit roundoffs) below the best can still tie with it in
+    eta; the floor lets those through.  What is skipped is strictly worse,
+    and the first minimal eta in ladder order wins, as in a full scan.
+    """
+    best, best_peak = None, 0.0
+    for k, (om, op, freqs) in enumerate(scan):
+        floor = best_peak * (1.0 - 2.0 ** -50)
+        peak = _peak_slope(asm, freqs, om, op, floor)
+        if peak < floor:
+            continue
+        best_peak = max(best_peak, peak)
+        eta = eta_cw_numeric(peak, asm.photon_rate)
+        if best is None or (eta, k) < best:
+            best = (eta, k)
+    if best is None:  # Tc too low for any offset of the ladder
+        raise DomainError("no operating temperature below Tc")
+    return best
+
+
+def _each(call, keys, errors: dict) -> dict:
+    """{key: result} from call(keys), which gives one result per key.  When
+    that raises a ThermoError, call([key]) runs for each key alone, and a key
+    whose own call fails gets the error in `errors` instead."""
+    if not keys:
+        return {}
     try:
-        if tc <= 0:
-            raise DomainError("non-ferromagnetic composition")
-        # CuNi m_sat scaled from Ni by the Ni fraction
-        magnet = replace(template.magnet, m_sat=x * M_SAT_NI, tc=tc)
-        asm = replace(template, magnet=magnet)
-        temps = default_temp_policy(tc)
-        # the ladder in order, each temperature against the best peak so far
-        # (_peak_slope skips the tiles, or the whole temperature, whose bound
-        # cannot reach it).  eta = 1 / (sqrt(L) peak) rounds twice, so a peak
-        # less than 2^-50 (8 unit roundoffs) below the best can still tie with
-        # it in eta; the floor lets those through.  What is skipped is strictly
-        # worse, and the first minimal eta in ladder order wins, as in a full scan.
-        best, best_peak = None, 0.0
-        for k, (om, op, freqs) in enumerate(line_scan(asm, temps, sites)):
-            floor = best_peak * (1.0 - 2.0 ** -50)
-            peak = _peak_slope(asm, freqs, om, op, floor)
-            if peak < floor:
-                continue
-            best_peak = max(best_peak, peak)
-            eta = eta_cw_numeric(peak, asm.photon_rate)
-            if best is None or (eta, k) < best:
-                best = (eta, k)
-        if best is None:  # Tc too low for any offset of the ladder
-            raise DomainError("no operating temperature below Tc")
-        t_opt = temps[best[1]]
-        dom = representative_domega_dt(asm, t_opt)
-    except ThermoError as exc:
-        return DesignPoint(x, tc, np.nan, np.nan, np.nan, status=f"error: {exc}")
-    return DesignPoint(x=float(x), tc_k=float(tc), t_opt_k=float(t_opt),
-                       eta_opt=float(best[0]), domega_dt=float(dom))
+        return dict(zip(keys, call(keys)))
+    except ThermoError:
+        results = {}
+        for key in keys:
+            try:
+                results[key] = call([key])[0]
+            except ThermoError as exc:
+                errors[key] = exc
+        return results
+
+
+def _sweep_cells(template: SensorAssembly, sites, xs) -> list:
+    """The DesignPoint of each composition of xs, on the ensemble sites.
+
+    One solve_magnetization call for the ladder rows T, T + h, T - h of
+    every composition, then each composition's ladder walk on its own line
+    centres, then one representative_domega_dt call at every optimum, each
+    in the field of its own magnet.  A ThermoError is the status of its
+    composition's row, with the message the composition gives alone: when a
+    batched call fails, each composition repeats it alone.
+    """
+    tcs = [curie_temperature(x) for x in xs]
+    errors = {i: DomainError("non-ferromagnetic composition")
+              for i, tc in enumerate(tcs) if tc <= 0}
+    # CuNi m_sat scaled from Ni by the Ni fraction
+    asms = {i: replace(template, magnet=replace(template.magnet, m_sat=x * M_SAT_NI,
+                                                tc=tcs[i]))
+            for i, x in enumerate(xs) if i not in errors}
+    ladders = {i: default_temp_policy(tcs[i]) for i in asms}
+    rows = {i: _scan_rows(ladders[i]) for i in asms}
+
+    def magnetization(keys):  # m(T) of the ladder rows of each composition
+        m = solve_magnetization([asms[i].magnet for i in keys for _ in rows[i]],
+                                np.concatenate([rows[i] for i in keys]))
+        return np.split(m, np.cumsum([rows[i].size for i in keys])[:-1])
+
+    best = {}
+    for i, m in _each(magnetization, list(asms), errors).items():
+        try:
+            scan = _scan(asms[i], _line_centers(asms[i], rows[i], sites, m))
+            best[i] = _ladder_walk(asms[i], scan)
+        except ThermoError as exc:
+            errors[i] = exc
+    t_opt = {i: float(ladders[i][k]) for i, (_, k) in best.items()}
+    doms = _each(lambda keys: representative_domega_dt(
+        [asms[i] for i in keys], [t_opt[i] for i in keys]), list(best), errors)
+    return [DesignPoint(x, tc, np.nan, np.nan, np.nan, status=f"error: {errors[i]}")
+            if i in errors else
+            DesignPoint(x=x, tc_k=float(tc), t_opt_k=t_opt[i], eta_opt=float(best[i][0]),
+                        domega_dt=float(doms[i]))
+            for i, (x, tc) in enumerate(zip(xs, tcs))]
 
 
 def design_sweep(template: SensorAssembly, x_grid):
@@ -198,9 +261,13 @@ def design_sweep(template: SensorAssembly, x_grid):
     reported with its temperature.  The ladder is walked in order, and
     max|dS/dT| comes from _peak_slope against the best peak so far: it is
     bitwise that of the whole slope grid at every temperature that can hold
-    the optimum, and a temperature whose tile bounds all fall short costs no
-    slope column.  Per-x failures are recorded in the row status without
-    aborting the sweep; rows come in input order.
+    the optimum, and a temperature whose bounds all fall short costs no
+    slope column.  The compositions go in batches of _SWEEP_BATCH, each with
+    one magnetization solve and one reference-NV call (_sweep_cells).
+    Per-x failures are recorded in the row status without aborting the
+    sweep; rows come in input order.
     """
     sites = sample_ensemble(template)
-    return [_sweep_cell(template, sites, float(x)) for x in x_grid]
+    xs = [float(x) for x in x_grid]
+    return [point for k in range(0, len(xs), _SWEEP_BATCH)
+            for point in _sweep_cells(template, sites, xs[k:k + _SWEEP_BATCH])]

@@ -534,10 +534,18 @@ class TestRun:
         assert sorted(f.name for f in out.iterdir()) == ["mag.csv", "mag.manifest.json"]
         assert csv_path.read_bytes() == before
 
-    @pytest.mark.parametrize("name", ["line_scan", "representative_domega_dt"])
-    def test_failed_composition_is_its_row(self, tmp_path, monkeypatch, name):
-        # a composition whose spectrum or reference dw/dT fails is reported
-        # in its row's status; the sweep goes on and the run exits 0
+    @pytest.mark.parametrize("name, failing, n_calls", [
+        ("_line_centers", (2,), 3),
+        ("solve_magnetization", (1, 3), 4),
+        ("representative_domega_dt", (1, 3), 4),
+    ], ids=["_line_centers", "solve_magnetization", "representative_domega_dt"])
+    def test_failed_composition_is_its_row(self, tmp_path, monkeypatch, name,
+                                           failing, n_calls):
+        # a composition whose spectrum, magnetization or reference dw/dT
+        # fails is reported in its row's status; the sweep goes on and the
+        # run exits 0.  The line centres are solved per composition; the
+        # magnetization and the reference dw/dT in one call for all three,
+        # and when that call fails each composition repeats it alone
         from critherm import sensitivity
         p = write(tmp_path, "sweep.cfg", SWEEP)
 
@@ -550,13 +558,13 @@ class TestRun:
 
         def fail_second_composition(*args):
             calls.append(args)
-            if len(calls) == 2:
+            if len(calls) in failing:
                 raise SolverError("mean-field root not bracketed at T = 1 K")
             return real(*args)
 
         monkeypatch.setattr(sensitivity, name, fail_second_composition)
         assert main(["run", str(p), "--out", str(tmp_path / "b")]) == 0
-        assert len(calls) == 3
+        assert len(calls) == n_calls
         good, failed = data_rows("a"), data_rows("b")
         status = failed[0].index("status")
         assert failed[2][status] == "error: mean-field root not bracketed at T = 1 K"
@@ -963,6 +971,21 @@ class TestMainExitCodes:
         # a grid step that is not positive
         (MAGNETIZE.replace("temp_step_k = 2.0", "temp_step_k = 0.0"),
          "grids.temp_step_k"),
+        # a 1 GHz square wave under 60 ms points: every point spans many
+        # switches, whatever the wave reads at its two ends
+        (shipped("track_63c", "period_s = 9.6", "period_s = 1e-9"),
+         "protocol.period_s/bin_s/duration_s"),
+        # a highest row where D(T) = d0 + dD/dT (T - t_ref) is not positive:
+        # the spectrum's T + 10 mK, the last sensitivity row's and the
+        # track's upper level, positive at its lower one
+        (shipped("spectrum_63c", "temp_k = 336.15", "temp_k = 1e300"),
+         "grids.temp_k"),
+        (shipped("sensitivity_vs_temp", "temp_step_k = 0.5",
+                 "temp_step_k = 0.5\n\n[spin]\ndd_dt_hz_per_k = -1e8"),
+         "grids.temp_stop_k"),
+        (shipped("track_63c", "duration_s = 28.8",
+                 "duration_s = 28.8\n\n[spin]\ndd_dt_hz_per_k = -7.9e7"),
+         "protocol.high_k"),
     ], ids=["shot-noise-no-window", "track-all-mixed", "negative-dwell",
             "zero-period", "bin-below-cycle", "zero-low", "zero-start",
             "negative-temp", "spectrum-slope-row", "shot-noise-slope-row",
@@ -974,7 +997,8 @@ class TestMainExitCodes:
             "spectrum-oversize-ensemble", "sensitivity-oversize-rows",
             "shot-noise-oversize-floor-rows", "negative-seed",
             "track-negative-duration", "shot-noise-negative-total-time",
-            "zero-temp-step"])
+            "zero-temp-step", "track-aliased-period", "spectrum-d-not-positive",
+            "sensitivity-d-not-positive", "track-d-not-positive"])
     def test_unusable_protocol_exit_2(self, tmp_path, capsys, text, key):
         # every precondition validate can check: run never starts
         p = write(tmp_path, "bad.cfg", text)

@@ -12,6 +12,7 @@ from critherm.ensemble_spectrum import (
     Ensemble,
     SensorAssembly,
     _BOUND_TILE,
+    _column_bounds,
     _peak_slope,
     _signal,
     _slope,
@@ -498,7 +499,8 @@ def tile_index(n_points):
 
 
 class TestPeakSlope:
-    """_tile_bounds and _peak_slope: max|dS/dT| by branch and bound."""
+    """_tile_bounds, _column_bounds and _peak_slope: max|dS/dT| by branch
+    and bound."""
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(n_nv=st.integers(1, 5), gap=st.floats(2e-9, 40e-9),
@@ -522,6 +524,10 @@ class TestPeakSlope:
         bounds = _tile_bounds(asm, freqs, om, op)
         assert bounds.shape == (-(-freqs.size // _BOUND_TILE),)
         assert np.all(slope <= bounds[tile_index(freqs.size)])
+        # and on every column, the column bound
+        bounds = _column_bounds(asm, freqs, om, op)
+        assert bounds.shape == freqs.shape
+        assert np.all(slope <= bounds)
         peak = np.max(slope)
         assert _peak_slope(asm, freqs, om, op) == peak
         assert _peak_slope(asm, freqs, om, op, peak) == peak
@@ -532,7 +538,10 @@ class TestPeakSlope:
         om[2, 0] = np.nan
         freqs = np.linspace(D0 - 1e9, D0 + 1e9, 1000)
         assert np.all(_tile_bounds(asm, freqs, om, op) == np.inf)
+        assert np.all(_column_bounds(asm, freqs, om, op) == np.inf)
         assert np.isnan(_peak_slope(asm, freqs, om, op, 1.0))
+        om[2, 0], op[1, 1] = D0 - 5e6, np.inf
+        assert np.all(_column_bounds(asm, freqs, om, op) == np.inf)
 
     @pytest.mark.parametrize("n_points", [256, 300, 513, 769, 801])
     def test_gathered_columns_bitwise_equal_to_whole_grid(self, monkeypatch,
@@ -584,6 +593,11 @@ class TestPeakSlope:
             return slope(asm, freqs, om, op)
 
         monkeypatch.setattr(ensemble_spectrum, "_slope", recording)
+        assert _peak_slope(asm, freqs, om, op, above) < above
+        assert columns == []
+        # nor one whose column bounds all fall below it, tile bounds or not
+        above = np.nextafter(_column_bounds(asm, freqs, om, op).max(), np.inf)
+        assert _tile_bounds(asm, freqs, om, op).max() >= above
         assert _peak_slope(asm, freqs, om, op, above) < above
         assert columns == []
         assert _peak_slope(asm, freqs, om, op) > 0.0

@@ -180,6 +180,31 @@ class TestLockstepSolver:
         assert np.array_equal(solve_magnetization(mag, temps.reshape(3, 51)),
                               np.reshape(want, (3, 51)))
 
+    @pytest.mark.parametrize("j", [0.5, 3.5])
+    def test_per_temperature_magnets_bitwise_equal_to_each_alone(self, j):
+        # the design sweep's batch: one solve for the rows of every
+        # composition, each row as if its magnet were solved alone
+        mags = [make_magnet(tc=tc, j=j, m_sat=2.1e6 * tc / 637.0)
+                for tc in (11.6, 57.9, 347.5, 637.0)]
+        temps = [np.concatenate([np.linspace(0.01, 1.2, 40) * mag.tc,
+                                 [mag.tc, mag.tc - 5e-4, mag.tc + 1e-9]])
+                 for mag in mags]
+        rows = [mag for mag, t in zip(mags, temps) for _ in t]
+        got = solve_magnetization(rows, np.concatenate(temps))
+        want = np.concatenate([solve_magnetization(mag, t)
+                               for mag, t in zip(mags, temps)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(solve_magnetization(rows[::-1],
+                                                  np.concatenate(temps)[::-1]),
+                              want[::-1])
+
+    def test_per_temperature_magnets_share_one_spin(self):
+        with pytest.raises(DomainError, match="one spin_j"):
+            solve_magnetization([make_magnet(j=0.5), make_magnet(j=3.5)],
+                                [100.0, 100.0])
+        with pytest.raises(DomainError, match="one magnet per temperature"):
+            solve_magnetization([make_magnet()], [100.0, 200.0])
+
     def test_scalar_returns_float(self):
         mag = make_magnet()
         assert type(solve_magnetization(mag, 250.0)) is float

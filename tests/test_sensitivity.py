@@ -20,9 +20,10 @@ from critherm.errors import DomainError, UnmeasurableError
 from critherm.magnet_model import M_SAT_NI, curie_temperature
 from critherm.presets import cuni_design_assembly
 from critherm.sensitivity import (
+    DEFAULT_TC_OFFSETS_K,
     DesignPoint,
     SensitivityReport,
-    _sweep_cell,
+    _sweep_cells,
     default_temp_policy,
     design_sweep,
     eta_cw_lorentzian,
@@ -261,28 +262,47 @@ class TestDesignSweep:
     def test_one_forward_model_batch_per_composition(self, forward_model_calls):
         # each composition evaluates its nine ladder temperatures and both
         # +- steps of the slope in one call, then the representative NV's
-        # dw/dT at the optimum as a one-site call of its two steps
+        # dw/dT at every optimum in one one-site call of two steps each
         small = replace(cuni_design_assembly(seed=47), n_nv=40)
         points = design_sweep(small, [0.55, 0.95])
         assert all(p.status == "ok" for p in points)
-        assert forward_model_calls == {"batches": [27, 2, 27, 2], "rows": 58}
+        assert forward_model_calls == {"batches": [27, 27, 4], "rows": 58}
 
     def test_shipped_sweep_solves_rows_in_passes(self, forward_model_calls,
                                                  monkeypatch):
         # per composition 27 rows of 500 sites in passes of 8 rows, then
-        # the representative NV's two rows in one pass
-        passes = []
+        # the 11 representative NVs' two rows each in one pass; m(T) of the
+        # 297 ladder rows in one solve, and of the 22 reference rows in one
+        passes, solves = [], []
         solve = ensemble_spectrum.transition_pairs
+        magnetization = sensitivity.solve_magnetization
 
         def count_pass(d, *args):
             passes.append(np.size(d))
             return solve(d, *args)
 
+        def count_solve(mag, temps):
+            solves.append(np.size(temps))
+            return magnetization(mag, temps)
+
         monkeypatch.setattr(ensemble_spectrum, "transition_pairs", count_pass)
+        for module in (ensemble_spectrum, sensitivity):
+            monkeypatch.setattr(module, "solve_magnetization", count_solve)
         plan = shipped_plan("design_sweep")
         design_sweep(plan.asm, plan.xs)
         assert forward_model_calls["rows"] == 319
-        assert passes == [8, 8, 8, 3, 2] * 11
+        assert passes == [8, 8, 8, 3] * 11 + [22]
+        assert solves == [297, 22]
+
+    def test_batched_reference_bitwise_equal_to_each_alone(self):
+        # the sweep's one reference-NV call, each composition's temperature
+        # in the field of its own magnet, as in a call of its own
+        plan = shipped_plan("design_sweep")
+        asms = [composition_assembly(plan.asm, x) for x in plan.xs]
+        temps = [asm.magnet.tc - offset for asm, offset
+                 in zip(asms, np.resize(DEFAULT_TC_OFFSETS_K, len(asms)))]
+        want = [representative_domega_dt(asm, t) for asm, t in zip(asms, temps)]
+        assert np.array_equal(representative_domega_dt(asms, temps), want)
 
     def test_non_ferromagnetic_row_recorded(self):
         asm = cuni_design_assembly(seed=59)
@@ -349,24 +369,24 @@ def full_grid_scan(asm, temps, sites):
 @pytest.fixture(scope="module")
 def design_cfg():
     """design_sweep.cfg: per composition its assembly, temperatures and
-    full_grid_scan, and the row _sweep_cell gives, with the column count of
-    each _signal call the cells made."""
+    full_grid_scan, and the row _sweep_cells gives, with the column count of
+    each exact slope-kernel (_slope) call the sweep made."""
     plan = shipped_plan("design_sweep")
     sites = sample_ensemble(plan.asm)
     columns = []
-    signal = ensemble_spectrum._signal
+    slope = ensemble_spectrum._slope
 
     def counting(asm, freqs, om, op):
         columns.append(freqs.size)
-        return signal(asm, freqs, om, op)
+        return slope(asm, freqs, om, op)
 
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble_spectrum, "_slope", counting)
+        points = _sweep_cells(plan.asm, sites, plan.xs.tolist())
     cells = []
-    for x in plan.xs:
+    for x, point in zip(plan.xs, points):
         asm = composition_assembly(plan.asm, x)
         temps = default_temp_policy(asm.magnet.tc)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ensemble_spectrum, "_signal", counting)
-            point = _sweep_cell(plan.asm, sites, x)
         cells.append((x, asm, temps, full_grid_scan(asm, temps, sites), point))
     return plan.asm, sites, cells, columns
 
@@ -388,11 +408,19 @@ class TestPrunedPeakSlope:
         assert 0 < sum(columns) <= 0.5 * full
 
     def test_design_cells_make_at_most_94_kernel_calls(self, design_cfg):
-        # the sweep's count on this file (seed 2026: 94 calls over 15,232
-        # columns); a change that makes the ladder walk do more kernel work
-        # shows up here
+        # the sweep's count on this file was 94 calls over 15,232 columns
+        # with tile bounds alone (seed 2026; 22 calls with column bounds);
+        # a change that makes the ladder walk do more kernel work shows up
+        # here
         *_, columns = design_cfg
         assert len(columns) <= 94
+
+    def test_design_cells_evaluate_at_most_2500_kernel_columns(self, design_cfg):
+        # the column bound proves most losing temperatures and columns below
+        # the floor without the kernel: 331 columns on this file, against
+        # 15,232 with tile bounds alone
+        *_, columns = design_cfg
+        assert sum(columns) <= 2500
 
     def test_repeated_temperature_cell_equals_oracle(self, design_cfg,
                                                      monkeypatch):
@@ -404,8 +432,8 @@ class TestPrunedPeakSlope:
             asm = composition_assembly(template, x)
             temps = ladder(asm.magnet.tc)
             peaks = [row[3] for row in full_grid_scan(asm, temps, sites)]
-            assert _sweep_cell(template, sites, x) == \
-                design_point(asm, x, temps, peaks)
+            assert _sweep_cells(template, sites, [x]) == \
+                [design_point(asm, x, temps, peaks)]
 
     @pytest.mark.parametrize("name", ["design_sweep", "sensitivity_vs_temp"])
     def test_peak_bitwise_at_every_shipped_temperature(self, design_cfg, name):
