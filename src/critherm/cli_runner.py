@@ -18,15 +18,18 @@ header) plus a JSON run manifest holding every resolved parameter, the seed
 and the assumptions hash; the manifest alone is enough to reproduce the
 outputs bit-identically.  `thermo validate` is everything `thermo run` does
 before it writes anything (_prepare: resolve, plan, build, sample and
-calibrate), so a file it passes fails in run only on what the run computes.
+calibrate; then _output_paths on run.out_dir), so a file it passes fails in
+run only on what the run computes.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
+import stat
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -712,36 +715,73 @@ def _finite_or_null(value):
     return value
 
 
+def _mode(path: Path, named) -> int:
+    """os.stat(path).st_mode: None when nothing is at path, 0 when a file
+    or a dangling symlink stands where a directory of it belongs;
+    UsageError naming `named` when the OS rejects the path."""
+    try:
+        return os.stat(path).st_mode
+    except FileNotFoundError:
+        return 0 if os.path.lexists(path) else None
+    except NotADirectoryError:
+        return 0
+    except OSError as exc:
+        raise UsageError(f"{named}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL byte, or a name the OS cannot encode
+        raise UsageError(f"{str(named)!r}: {exc}") from None
+
+
+def _output_paths(out: Path, stem: str):
+    """(csv_path, part, manifest_path): <stem>.csv, <stem>.csv.part and
+    <stem>.manifest.json in the directory out, checked before anything is
+    created.  UsageError, naming the path, when out or a directory above it
+    is not a directory, an output name is a directory, or the OS rejects a
+    name: a NUL byte, a name it cannot encode, or one longer than the file
+    system allows (the NAME_MAX of out's nearest existing directory, for
+    the names not made yet).  What only making the directory shows, such as
+    a missing permission, is left to mkdir."""
+    missing = []  # the names of out and of the parents that mkdir would make
+    for top in (out, *out.parents):
+        mode = _mode(top, out)
+        if mode is not None:
+            break
+        missing.append(top.name)
+    if not stat.S_ISDIR(mode or 0):
+        raise UsageError(f"{out}: not a directory")
+    try:
+        name_max = os.pathconf(top, "PC_NAME_MAX")
+    except OSError:  # a file system that does not say: the common limit
+        name_max = 255
+    too_long = os.strerror(errno.ENAMETOOLONG)
+    if any(len(os.fsencode(name)) > name_max for name in missing):
+        raise UsageError(f"{out}: {too_long}")
+    paths = [out / f"{stem}{suffix}" for suffix in (".csv", ".csv.part", ".manifest.json")]
+    for path in paths:
+        if stat.S_ISDIR(_mode(path, path) or 0):
+            raise UsageError(f"{path}: is a directory")
+        if len(os.fsencode(path.name)) > name_max:
+            raise UsageError(f"{path}: {too_long}")
+    return paths
+
+
 def run_resolved(tree: dict, stem: str, out_dir=None, threads: int = 1):
-    """Pass tree through _prepare, the gate `validate` runs, then run its
-    kind and write the CSV and manifest from plan.resolved; returns
-    (csv_path, manifest_path).  A failed gate writes nothing, not even out_dir,
-    and neither does a refused output name.  The runner writes the CSV to
-    <stem>.csv.part, renamed to <stem>.csv once it returns, so a failed run
-    leaves no partial CSV and an earlier run's CSV as it was.
+    """Pass tree through _prepare, the gate `validate` runs, then check the
+    output location and names (_output_paths), run its kind and write the
+    CSV and manifest from plan.resolved; returns (csv_path, manifest_path).
+    A failed gate or a refused output location writes nothing, not even
+    out_dir.  The runner writes the CSV to <stem>.csv.part, renamed to
+    <stem>.csv once it returns, so a failed run leaves no partial CSV and an
+    earlier run's CSV as it was.
     threads is accepted and has no effect: every run is single-threaded."""
     plan = _prepare(tree)
     resolved = plan.resolved
     kind = resolved["run"]["kind"]
     out = Path(out_dir if out_dir is not None else resolved["run"]["out_dir"])
+    csv_path, part, manifest_path = _output_paths(out, stem)
     try:
-        made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise UsageError(f"{out}: not a directory") from None
     except OSError as exc:
         raise UsageError(f"{out}: {exc.strerror}") from None
-    csv_path = out / f"{stem}.csv"
-    part = out / f"{stem}.csv.part"
-    manifest_path = out / f"{stem}.manifest.json"
-    for path in (csv_path, part, manifest_path):
-        try:
-            if path.is_dir():
-                raise UsageError(f"{path}: is a directory")
-        except OSError as exc:  # a file name the OS rejects
-            for d in made:  # out first, then the parents it needed
-                d.rmdir()
-            raise UsageError(f"{path}: {exc.strerror}") from None
     try:
         with open(part, "w") as fh:
             results = _RUNNERS[kind](resolved, plan, fh)
@@ -801,10 +841,15 @@ def replay_manifest(manifest_file, out_dir):
 def validate(scenario_file) -> str:
     """Everything `run` does before it writes anything, reported: the gate
     _prepare (resolve, plan, build and sample, the reference-detuning check
-    and the protocol calibration).  It writes nothing and draws no counts,
-    so when it says ok, run fails only on what the run itself computes."""
-    plan = _prepare(parse_config(_read_scenario(Path(scenario_file))))
+    and the protocol calibration), then _output_paths on the scenario's
+    run.out_dir (run's --out replaces it).  It writes nothing and draws no
+    counts, so when it says ok, run fails only on what the run itself
+    computes."""
+    path = Path(scenario_file)
+    plan = _prepare(parse_config(_read_scenario(path)))
     resolved = plan.resolved
+    out = Path(resolved["run"]["out_dir"])
+    _output_paths(out, path.stem)
     kind = resolved["run"]["kind"]
     report = [f"kind: {kind}"]
     if kind != "design-sweep":  # the sweep's magnet is a placeholder
@@ -813,6 +858,7 @@ def validate(scenario_file) -> str:
         report.append(f"geometry: ok (gap to the magnet = {plan.asm.gap:.3e} m)")
     if plan.ref_temps:
         report.append("protocol: reference detuning ok")
+    report.append(f"outputs: ok ({out / path.stem}.csv)")
     report.append("resolved defaults:")
     report += [f"  {line}" for line in _flatten(resolved)]
     report.append("ok")

@@ -86,6 +86,9 @@ class SensorAssembly:
             raise DomainError(f"contrast must lie in (0, 1), got {self.contrast}")
         if self.line_width <= 0:
             raise DomainError(f"line_width must be positive, got {self.line_width}")
+        if (0.5 * self.line_width) ** 2 == 0.0:  # the Lorentzian's half2
+            raise DomainError(f"line_width {self.line_width} Hz is too small: the "
+                              "square of its half-width underflows to 0")
         if self.photon_rate <= 0:
             raise DomainError(f"photon_rate must be positive, got {self.photon_rate}")
         if self.fnd_radius <= 0:
@@ -189,76 +192,56 @@ def nv_site(position, axis, strain: float) -> Ensemble:
                     frames=nv_frame(axis)[None], strains=np.array([float(strain)]))
 
 
-def _first(asm):
-    """asm, or the first of a sequence of assemblies."""
-    return asm if isinstance(asm, SensorAssembly) else asm[0]
-
-
-def line_centers(asm, temps, sites: Ensemble):
+def line_centers(asm: SensorAssembly, temps, sites: Ensemble, m=None):
     """(omega_minus, omega_plus) over the ensemble at each of the 1-D
-    `temps`: two (n_temps, n_sites) arrays.  asm is one SensorAssembly, or
-    one per temperature that differ only in their magnets' m_sat and tc
-    (the design sweep's compositions).  The moment stays on the easy axis,
-    so the NV-frame field is bias_nv + m(T) g_nv, g_nv being the field of
-    the row's saturated particle, and m(T) of every row comes from one
-    solve_magnetization call."""
-    temps = np.asarray(temps, dtype=float)
-    m, mag = np.zeros_like(temps), _first(asm).magnet
+    `temps`: two (n_temps, n_sites) arrays.  The moment stays on the easy
+    axis, so the NV-frame field is bias_nv + m(T) g_nv, g_nv being the field
+    of the saturated particle and m the reduced magnetization of each row,
+    solved here when None; rows are solved in passes of _PASS_SITES
+    row-sites (at least one row)."""
+    temps, mag = np.asarray(temps, dtype=float), asm.magnet
+    if m is None:
+        m = np.zeros_like(temps) if mag is None else solve_magnetization(mag, temps)
+    m = np.asarray(m, dtype=float)
+    if m.shape != temps.shape:
+        raise DomainError(f"m must hold one value per temperature row: shape "
+                          f"{m.shape} for {temps.shape} rows")
+    d = d_of_t(asm.spin, temps)
+    bias_nv = sites.frames @ np.asarray(asm.bias_field)
+    g_nv = np.zeros_like(bias_nv)
     if mag is not None:
-        m = solve_magnetization(mag if asm is _first(asm) else [a.magnet for a in asm],
-                                temps)
-    return _line_centers(asm, temps, sites, m)
-
-
-def _line_centers(asm, temps, sites: Ensemble, m):
-    """line_centers at the reduced magnetization m of each row, solved in
-    passes of _PASS_SITES row-sites (at least one row), with one g_nv per
-    magnet."""
-    first = _first(asm)
-    d = d_of_t(first.spin, temps)
-    bias_nv = sites.frames @ np.asarray(first.bias_field)
-    g_nv = np.zeros((1,) + bias_nv.shape)
-    if first.magnet is not None:
-        mags = [first.magnet] if asm is first else [a.magnet for a in asm]
-        fields = {}
-        for mag in mags:
-            if id(mag) not in fields:
-                fields[id(mag)] = np.einsum("nij,nj->ni", sites.frames, dipole_field_many(
-                    mag.m_sat * mag.volume * np.asarray(mag.easy_axis), mag.center,
-                    sites.positions, min_distance=mag.radius))
-        g_nv = np.stack([fields[id(mag)] for mag in mags])
+        g_nv = np.einsum("nij,nj->ni", sites.frames, dipole_field_many(
+            mag.m_sat * mag.volume * np.asarray(mag.easy_axis), mag.center,
+            sites.positions, min_distance=mag.radius))
     om, op = np.empty((2, temps.size, len(sites)))
     step = max(_PASS_SITES // len(sites), 1)
     for k in range(0, temps.size, step):
         rows = slice(k, k + step)
-        g_rows = g_nv[rows] if len(g_nv) > 1 else g_nv[0]
-        om[rows], op[rows] = transition_pairs(d[rows], sites.strains, first.spin.gamma,
-                                              bias_nv + m[rows, None, None] * g_rows)
+        om[rows], op[rows] = transition_pairs(d[rows], sites.strains, asm.spin.gamma,
+                                              bias_nv + m[rows, None, None] * g_nv)
     return om, op
 
 
-def domega_dtemp(asm, temps, sites: Ensemble):
+def domega_dtemp(asm: SensorAssembly, temps, sites: Ensemble, m=None):
     """(domega_minus/dT, domega_plus/dT) in Hz/K as two (n_temps, n_sites)
     arrays: a central difference with a _DT_STEP step from one line_centers
-    call whose rows run T - step, T + step for each of the 1-D `temps`; asm
-    is one assembly or one per temperature, as in line_centers.
+    call on the rows _dt_rows(temps) of the 1-D `temps`, m being the reduced
+    magnetization of those rows (solved there when None).
 
     Warns when |gamma B| + E >= D at a site and row (outside the
     perturbative operating regime; level labels may be unreliable there).
     """
-    temps = np.asarray(temps, dtype=float)
-    rows = np.stack([temps - _DT_STEP, temps + _DT_STEP], axis=1).ravel()
-    om, op = line_centers(asm if asm is _first(asm) else [a for a in asm for _ in range(2)],
-                          rows, sites)
+    rows = _dt_rows(temps)
+    om, op = line_centers(asm, rows, sites, m)
     # the levels e0, e0 + om, e0 + op sum to 2D, their squares to
     # 2 (D^2 + E^2 + gamma^2 |B|^2)
-    d, e = d_of_t(_first(asm).spin, rows)[:, None], sites.strains
+    d, e = d_of_t(asm.spin, rows)[:, None], sites.strains
     e0 = (2.0 * d - om - op) / 3.0
     gb2 = 0.5 * (e0 ** 2 + (e0 + om) ** 2 + (e0 + op) ** 2) - d ** 2 - e ** 2
     if np.any(np.sqrt(np.maximum(gb2, 0.0)) + e >= d):
         warnings.warn("operating regime |gamma B| + E < D violated at "
                       f"D = {d.min():.3e} Hz", stacklevel=2)
-    om, op = (a.reshape(temps.size, 2, -1) for a in (om, op))
+    om, op = (a.reshape(-1, 2, a.shape[-1]) for a in (om, op))
     return ((om[:, 1] - om[:, 0]) / (2.0 * _DT_STEP),
             (op[:, 1] - op[:, 0]) / (2.0 * _DT_STEP))
 
@@ -390,6 +373,13 @@ def _scan_rows(temps) -> np.ndarray:
     """The rows T, T + h and T - h of each of the 1-D temps, in that order."""
     temps = np.asarray(temps, dtype=float)
     return np.stack([temps, temps + _SLOPE_STEP, temps - _SLOPE_STEP], axis=1).ravel()
+
+
+def _dt_rows(temps) -> np.ndarray:
+    """The rows T - k and T + k (k = _DT_STEP) of each of the 1-D temps, in
+    that order."""
+    temps = np.asarray(temps, dtype=float)
+    return np.stack([temps - _DT_STEP, temps + _DT_STEP], axis=1).ravel()
 
 
 def _scan(asm: SensorAssembly, centers, freqs=None):

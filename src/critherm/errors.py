@@ -35,7 +35,7 @@ class SchemaError(ThermoError):
 
 
 class UsageError(Exception):
-    """The command line names a scenario file that cannot be read as UTF-8
-    text, an output directory that cannot be made (a file in its path, or
-    a path the OS rejects), or an output file that is a directory or whose
-    name the OS rejects; message names the path."""
+    """A scenario file that cannot be read as UTF-8 text, an output
+    directory (--out, or the scenario's run.out_dir) that cannot be made (a
+    file in its path, or a path the OS rejects), or an output file that is a
+    directory or whose name the OS rejects; message names the path."""

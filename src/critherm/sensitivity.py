@@ -23,13 +23,13 @@ from .errors import DomainError, ThermoError, UnmeasurableError
 from .magnet_model import M_SAT_NI, curie_temperature, solve_magnetization
 from .ensemble_spectrum import (
     SensorAssembly,
-    _first,
-    _line_centers,
+    _dt_rows,
     _peak_slope,
     _scan,
     _scan_rows,
     _spectrum,
     domega_dtemp,
+    line_centers,
     line_scan,
     nv_site,
     sample_ensemble,
@@ -97,20 +97,18 @@ class SensitivityReport:
     domega_dt_hz_per_k: float
 
 
-def representative_domega_dt(asm, temp):
+def representative_domega_dt(asm: SensorAssembly, temp, m=None):
     """|dw/dT| of a reference NV at the FND centre with its axis along the
     magnet easy axis (the best-coupled orientation) and the mean strain, in
     the magnet and bias fields of the assembly; bare-NV slope when there is
-    no magnet.  A scalar temp gives a float, a 1-D array an array; for a
-    1-D temp, asm may be one assembly per temperature, as in line_centers,
-    each temperature in the field of its own magnet."""
+    no magnet.  A scalar temp gives a float, a 1-D array an array; m, when
+    given, is the reduced magnetization of the rows _dt_rows(temp)."""
     temps = np.atleast_1d(np.asarray(temp, dtype=float))
-    first = _first(asm)
-    if first.magnet is None:
-        dom = np.full(temps.shape, abs(first.spin.dd_dt))
+    if asm.magnet is None:
+        dom = np.full(temps.shape, abs(asm.spin.dd_dt))
     else:
-        site = nv_site(first.fnd_center, first.magnet.easy_axis, first.strain_mean)
-        dm, dp = domega_dtemp(asm, temps, site)
+        site = nv_site(asm.fnd_center, asm.magnet.easy_axis, asm.strain_mean)
+        dm, dp = domega_dtemp(asm, temps, site, m)
         dom = np.maximum(np.abs(dm[:, 0]), np.abs(dp[:, 0]))
     return float(dom[0]) if np.ndim(temp) == 0 else dom
 
@@ -162,8 +160,8 @@ class DesignPoint:
 
 
 # Compositions per batch of the design sweep: a batch's magnetization solve
-# (27 rows a composition) and reference-NV call (2 rows) stay a few thousand
-# rows, however many compositions the grid holds.
+# (45 rows a composition) stays a few thousand rows, however many
+# compositions the grid holds.
 _SWEEP_BATCH = 128
 
 
@@ -213,12 +211,14 @@ def _each(call, keys, errors: dict) -> dict:
 def _sweep_cells(template: SensorAssembly, sites, xs) -> list:
     """The DesignPoint of each composition of xs, on the ensemble sites.
 
-    One solve_magnetization call for the ladder rows T, T + h, T - h of
-    every composition, then each composition's ladder walk on its own line
-    centres, then one representative_domega_dt call at every optimum, each
-    in the field of its own magnet.  A ThermoError is the status of its
-    composition's row, with the message the composition gives alone: when a
-    batched call fails, each composition repeats it alone.
+    One solve_magnetization call for the rows of every composition: its
+    ladder rows T, T + h, T - h (_scan_rows), then the reference rows
+    (_dt_rows) of every ladder temperature; m is elementwise in Tc, so each
+    row is as solved alone.  Then each composition walks its ladder on its
+    own line centres and takes the reference NV's dw/dT at the optimum from
+    the optimum's two reference rows.  A ThermoError is the status of its
+    composition's row, with the message the composition gives alone: when
+    the batched solve fails, each composition repeats it alone.
     """
     tcs = [curie_temperature(x) for x in xs]
     errors = {i: DomainError("non-ferromagnetic composition")
@@ -228,27 +228,28 @@ def _sweep_cells(template: SensorAssembly, sites, xs) -> list:
                                                 tc=tcs[i]))
             for i, x in enumerate(xs) if i not in errors}
     ladders = {i: default_temp_policy(tcs[i]) for i in asms}
-    rows = {i: _scan_rows(ladders[i]) for i in asms}
+    rows = {i: np.concatenate([_scan_rows(ladders[i]), _dt_rows(ladders[i])])
+            for i in asms}
 
-    def magnetization(keys):  # m(T) of the ladder rows of each composition
+    def magnetization(keys):  # m(T) of the rows of each composition
         m = solve_magnetization([asms[i].magnet for i in keys for _ in rows[i]],
                                 np.concatenate([rows[i] for i in keys]))
         return np.split(m, np.cumsum([rows[i].size for i in keys])[:-1])
 
-    best = {}
+    cells = {}
     for i, m in _each(magnetization, list(asms), errors).items():
+        n = 3 * ladders[i].size  # the ladder rows, then the reference rows
         try:
-            scan = _scan(asms[i], _line_centers(asms[i], rows[i], sites, m))
-            best[i] = _ladder_walk(asms[i], scan)
+            scan = _scan(asms[i], line_centers(asms[i], rows[i][:n], sites, m[:n]))
+            eta, k = _ladder_walk(asms[i], scan)
+            t_opt = float(ladders[i][k])
+            dom = representative_domega_dt(asms[i], t_opt, m[n + 2 * k:n + 2 * k + 2])
+            cells[i] = DesignPoint(x=xs[i], tc_k=float(tcs[i]), t_opt_k=t_opt,
+                                   eta_opt=float(eta), domega_dt=float(dom))
         except ThermoError as exc:
             errors[i] = exc
-    t_opt = {i: float(ladders[i][k]) for i, (_, k) in best.items()}
-    doms = _each(lambda keys: representative_domega_dt(
-        [asms[i] for i in keys], [t_opt[i] for i in keys]), list(best), errors)
-    return [DesignPoint(x, tc, np.nan, np.nan, np.nan, status=f"error: {errors[i]}")
-            if i in errors else
-            DesignPoint(x=x, tc_k=float(tc), t_opt_k=t_opt[i], eta_opt=float(best[i][0]),
-                        domega_dt=float(doms[i]))
+    return [cells[i] if i in cells else
+            DesignPoint(x, tc, np.nan, np.nan, np.nan, status=f"error: {errors[i]}")
             for i, (x, tc) in enumerate(zip(xs, tcs))]
 
 
@@ -263,7 +264,7 @@ def design_sweep(template: SensorAssembly, x_grid):
     bitwise that of the whole slope grid at every temperature that can hold
     the optimum, and a temperature whose bounds all fall short costs no
     slope column.  The compositions go in batches of _SWEEP_BATCH, each with
-    one magnetization solve and one reference-NV call (_sweep_cells).
+    one magnetization solve (_sweep_cells).
     Per-x failures are recorded in the row status without aborting the
     sweep; rows come in input order.
     """

@@ -535,17 +535,17 @@ class TestRun:
         assert csv_path.read_bytes() == before
 
     @pytest.mark.parametrize("name, failing, n_calls", [
-        ("_line_centers", (2,), 3),
+        ("line_centers", (2,), 3),
         ("solve_magnetization", (1, 3), 4),
-        ("representative_domega_dt", (1, 3), 4),
-    ], ids=["_line_centers", "solve_magnetization", "representative_domega_dt"])
+        ("representative_domega_dt", (2,), 3),
+    ], ids=["line_centers", "solve_magnetization", "representative_domega_dt"])
     def test_failed_composition_is_its_row(self, tmp_path, monkeypatch, name,
                                            failing, n_calls):
         # a composition whose spectrum, magnetization or reference dw/dT
         # fails is reported in its row's status; the sweep goes on and the
-        # run exits 0.  The line centres are solved per composition; the
-        # magnetization and the reference dw/dT in one call for all three,
-        # and when that call fails each composition repeats it alone
+        # run exits 0.  The line centres and the reference dw/dT are solved
+        # per composition; the magnetization in one call for all three, and
+        # when that call fails each composition repeats it alone
         from critherm import sensitivity
         p = write(tmp_path, "sweep.cfg", SWEEP)
 
@@ -883,9 +883,12 @@ class TestMainExitCodes:
         assert main(["run", str(p), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"thermo: error: {out / stem}.manifest.json: ")
+        # validate refuses it in the scenario's own out_dir too
+        assert main(["validate", str(p)]) == 2
+        assert f"{stem}.manifest.json: " in capsys.readouterr().err
         assert "Traceback" not in err
         assert not out.exists()
-        # the same refusal under two missing levels removes both
+        # the same refusal under two missing levels makes neither
         assert main(["run", str(p), "--out", str(tmp_path / "new" / "out")]) == 2
         assert sorted(tmp_path.iterdir()) == [p]
 
@@ -1039,6 +1042,30 @@ class TestMainExitCodes:
             assert [q.name for q in out.iterdir()] == [Path(named).name]
             assert not any((tmp_path / named).iterdir())
 
+    @pytest.mark.parametrize("out_dir, named", [
+        ("/dev/null/sub", "/dev/null/sub"),
+        ("a\0b", "'a\\x00b'"),
+        ("file/sub", "file/sub"),
+        ("new/" + "o" * 300, "new/" + "o" * 300),
+        ("link/sub", "link/sub"),
+    ], ids=["under-dev-null", "nul-byte", "under-a-file", "long-dir-name",
+            "dangling-symlink"])
+    def test_unusable_out_dir_exit_2_from_validate_and_run(
+            self, tmp_path, monkeypatch, capsys, out_dir, named):
+        # the scenario's own run.out_dir: validate checks it as run does,
+        # and neither creates anything
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("a file\n")
+        (tmp_path / "link").symlink_to("nowhere")
+        p = write(tmp_path, "bad.cfg", MAGNETIZE.replace(
+            "kind = magnetize", f"kind = magnetize\nout_dir = {out_dir}"))
+        assert main(["validate", str(p)]) == 2
+        assert main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"thermo: error: {named}: ") == 2, err
+        assert "Traceback" not in err
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["bad.cfg", "file", "link"]
+
     @pytest.mark.parametrize("text", [MAGNETIZE, SPECTRUM, SUSCEPTIBILITY,
                                       SENSITIVITY, SWEEP, SHOT_NOISE, TRACK],
                              ids=["magnetize", "spectrum", "susceptibility",
@@ -1125,13 +1152,16 @@ class TestMainExitCodes:
         pytest.param(shipped("gd_susceptibility", "nv_axis = 0 0 1",
                              "nv_axis = 1e300 1e300 1e300"),
                      marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+        # the squared half-width of the Lorentzian underflows to 0
+        shipped("spectrum_63c", "n_nv = 500", "n_nv = 500\nline_width_hz = 1e-300"),
     ], ids=["nv-inside-magnet", "zero-nv-axis", "negative-strain",
             "sweep-overlap", "sweep-no-nv", "sweep-contrast", "sweep-spin-j",
-            "overflowing-nv-axis"])
+            "overflowing-nv-axis", "tiny-line-width"])
     def test_bad_single_nv_exit_3_from_validate_and_run(self, tmp_path, capsys,
                                                         text):
-        # the single NV, and the design sweep's template assembly: both
-        # commands build them before anything is written
+        # the single NV, the design sweep's template assembly and an
+        # ensemble kind's assembly: both commands build them before anything
+        # is written
         p = write(tmp_path, "bad.cfg", text)
         assert main(["validate", str(p)]) == 3
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3

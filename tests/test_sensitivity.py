@@ -9,18 +9,20 @@ from critherm import ensemble_spectrum, sensitivity
 from critherm.cli_runner import _prepare, parse_config, resolve
 from critherm.ensemble_spectrum import (
     SensorAssembly,
+    _dt_rows,
     _peak_slope,
+    _scan_rows,
     _slope,
+    line_centers,
     line_scan,
     nv_site,
     sample_ensemble,
     synthesize_spectrum,
 )
-from critherm.errors import DomainError, UnmeasurableError
-from critherm.magnet_model import M_SAT_NI, curie_temperature
+from critherm.errors import DomainError, SolverError, UnmeasurableError
+from critherm.magnet_model import M_SAT_NI, curie_temperature, solve_magnetization
 from critherm.presets import cuni_design_assembly
 from critherm.sensitivity import (
-    DEFAULT_TC_OFFSETS_K,
     DesignPoint,
     SensitivityReport,
     _sweep_cells,
@@ -262,17 +264,17 @@ class TestDesignSweep:
     def test_one_forward_model_batch_per_composition(self, forward_model_calls):
         # each composition evaluates its nine ladder temperatures and both
         # +- steps of the slope in one call, then the representative NV's
-        # dw/dT at every optimum in one one-site call of two steps each
+        # dw/dT at its optimum in one one-site call of two steps
         small = replace(cuni_design_assembly(seed=47), n_nv=40)
         points = design_sweep(small, [0.55, 0.95])
         assert all(p.status == "ok" for p in points)
-        assert forward_model_calls == {"batches": [27, 27, 4], "rows": 58}
+        assert forward_model_calls == {"batches": [27, 2, 27, 2], "rows": 58}
 
     def test_shipped_sweep_solves_rows_in_passes(self, forward_model_calls,
                                                  monkeypatch):
         # per composition 27 rows of 500 sites in passes of 8 rows, then
-        # the 11 representative NVs' two rows each in one pass; m(T) of the
-        # 297 ladder rows in one solve, and of the 22 reference rows in one
+        # its representative NV's two rows in one pass; m(T) of the 297
+        # ladder rows and the 198 reference rows in one solve
         passes, solves = [], []
         solve = ensemble_spectrum.transition_pairs
         magnetization = sensitivity.solve_magnetization
@@ -291,18 +293,62 @@ class TestDesignSweep:
         plan = shipped_plan("design_sweep")
         design_sweep(plan.asm, plan.xs)
         assert forward_model_calls["rows"] == 319
-        assert passes == [8, 8, 8, 3] * 11 + [22]
-        assert solves == [297, 22]
+        assert passes == [8, 8, 8, 3, 2] * 11
+        assert solves == [495]
 
-    def test_batched_reference_bitwise_equal_to_each_alone(self):
-        # the sweep's one reference-NV call, each composition's temperature
-        # in the field of its own magnet, as in a call of its own
+    def test_passing_m_bitwise_equal_to_solving_it(self):
+        # the sweep passes m(T) of its rows to line_centers and to
+        # representative_domega_dt: at each shipped composition and ladder
+        # temperature the same bits as when each solves its own
         plan = shipped_plan("design_sweep")
-        asms = [composition_assembly(plan.asm, x) for x in plan.xs]
-        temps = [asm.magnet.tc - offset for asm, offset
-                 in zip(asms, np.resize(DEFAULT_TC_OFFSETS_K, len(asms)))]
-        want = [representative_domega_dt(asm, t) for asm, t in zip(asms, temps)]
-        assert np.array_equal(representative_domega_dt(asms, temps), want)
+        sites = sample_ensemble(plan.asm)
+        for x in plan.xs:
+            asm = composition_assembly(plan.asm, x)
+            ladder = default_temp_policy(asm.magnet.tc)
+            rows = _scan_rows(ladder)
+            m = solve_magnetization(asm.magnet, rows)
+            for got, want in zip(line_centers(asm, rows, sites, m),
+                                 line_centers(asm, rows, sites)):
+                assert np.array_equal(got, want)
+            for t in ladder.tolist():
+                m = solve_magnetization(asm.magnet, _dt_rows([t]))
+                assert representative_domega_dt(asm, t, m) \
+                    == representative_domega_dt(asm, t)
+
+    def test_m_of_other_rows_rejected(self):
+        asm = cuni_design_assembly(seed=47)
+        site = nv_site(asm.fnd_center, asm.magnet.easy_axis, asm.strain_mean)
+        with pytest.raises(DomainError, match="one value per temperature row"):
+            line_centers(asm, [330.0, 331.0], site, [0.5])
+        with pytest.raises(DomainError, match="one value per temperature row"):
+            representative_domega_dt(asm, 330.0, [0.5])
+
+    def test_batches_bitwise_equal_to_one_batch(self, monkeypatch):
+        # the shipped sweep in batches of 4 compositions gives the rows of
+        # one batch, field for field
+        plan = shipped_plan("design_sweep")
+        whole = design_sweep(plan.asm, plan.xs)
+        assert all(p.status == "ok" for p in whole)
+        monkeypatch.setattr(sensitivity, "_SWEEP_BATCH", 4)
+        assert design_sweep(plan.asm, plan.xs) == whole
+        # a composition that fails in the second batch (its line centres)
+        # is its own row; the others are as before
+        real, calls = sensitivity.line_centers, []
+
+        def fail_sixth(*args):
+            calls.append(args)
+            if len(calls) == 6:
+                raise SolverError("mean-field root not bracketed at T = 1 K")
+            return real(*args)
+
+        monkeypatch.setattr(sensitivity, "line_centers", fail_sixth)
+        points = design_sweep(plan.asm, plan.xs)
+        assert len(calls) == len(plan.xs)
+        assert points[5].status == "error: mean-field root not bracketed at T = 1 K"
+        assert (points[5].x, points[5].tc_k) == (whole[5].x, whole[5].tc_k)
+        assert np.isnan([points[5].t_opt_k, points[5].eta_opt,
+                         points[5].domega_dt]).all()
+        assert points[:5] + points[6:] == whole[:5] + whole[6:]
 
     def test_non_ferromagnetic_row_recorded(self):
         asm = cuni_design_assembly(seed=59)
