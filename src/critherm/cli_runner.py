@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import GeometryError, SchemaError, ThermoError, UsageError
 from .ensemble_spectrum import (
-    _SLOPE_STEP,
+    _DT_ROWS,
+    _SCAN_ROWS,
     SensorAssembly,
     _slope,
     _spectrum,
@@ -49,7 +50,6 @@ from .ensemble_spectrum import (
     sample_ensemble,
 )
 from .magnet_model import (
-    _DT_STEP,
     M_SAT_GD,
     M_SAT_NI,
     Magnet,
@@ -60,6 +60,7 @@ from .magnet_model import (
 from .protocol_sim import (
     _LAMBDA_GUARD,
     TRACE_COLUMNS,
+    _calibration_rows,
     calibrate_three_point,
     fewest_unmixed_points,
     fittable_windows,
@@ -75,7 +76,7 @@ FORMAT_VERSION = 1
 _FLOOR_RESOLUTION = 1e-4  # K, the cache grid the shot-noise floor trace snaps to
 # The most points of any one grid or record of a run (temperatures,
 # compositions, frequencies or protocol cycles) and the most line pairs,
-# temperature rows times NV sites, of any one line_centers call.  The
+# temperature rows times NV sites, of any one forward-model call.  The
 # shipped sizes sit far inside it (the automatic frequency grid has at most
 # 30,001 points, the benchmark's long track 576,000 cycles, the shot-noise
 # floor 283 rows of 500 sites); a larger one is rejected before anything is
@@ -372,21 +373,23 @@ def _grid(grids: dict, start: str, stop: str, step: str) -> np.ndarray:
 
 def _plan(resolved: dict) -> SimpleNamespace:
     """What a run derives from `resolved`, worked out once and before
-    anything is built: temps (the temperature rows; for shot-noise and track
-    the calibration temperature t0, the track's drive midpoint), xs (the
-    design sweep's compositions), freqs (an explicit spectrum grid, else
-    None), step (the finite difference: 1 mK for dm/dT and dw/dT, 10 mK for
-    dS/dT, the track's secant cal_step of half the swing), probes (an
-    explicit (f1, f2, f_ref), else None), trace and resolution (the
-    shot-noise floor and its 0.1 mK snap) and ref_temps (where an explicit
-    f_ref must clear every line).  Every check that compares values sits
-    beside the value it guards: SchemaError, naming the key, for a negative
-    seed, a grid or track swing that does not ascend, a composition outside
-    [0, 1], a partial frequency grid, probe triple or floor, a duration or
-    window length that is not positive, counts above the overflow guard, a
-    grid, record or line_centers call above _MAX_POINTS, a protocol layout
-    that leaves no statistics, a lowest forward-model row at or below 0 K,
-    or a highest one where D(T) is not positive."""
+    anything is built: temps (the 1-D temperature grid; for shot-noise and
+    track the calibration temperature t0, the track's drive midpoint), xs
+    (the design sweep's compositions), freqs (an explicit spectrum grid,
+    else None), cal_rows (a protocol calibration's rows as offsets from t0),
+    probes (an explicit (f1, f2, f_ref), else None), trace and resolution
+    (the shot-noise floor and its 0.1 mK snap), ref_temps (where an explicit
+    f_ref must clear every line) and calls (per forward-model call: lowest
+    row, highest row, rows, sites and the keys those three are charged to;
+    the sweep's rows, which follow each composition's Tc, are None).  Every
+    check that compares values sits beside the value it guards:
+    SchemaError, naming the key, for a negative seed, a grid or track swing
+    that does not ascend, a composition outside [0, 1], a partial frequency
+    grid, probe triple or floor, a duration or window length that is not
+    positive, counts above the overflow guard, a grid, record or
+    forward-model call above _MAX_POINTS, a protocol layout that leaves no
+    statistics, a call's lowest row at or below 0 K, or its highest row
+    where D(T) is not positive."""
     kind = resolved["run"]["kind"]
     grids, proto = resolved.get("grids", {}), resolved.get("protocol", {})
     if resolved["run"].get("seed", 0) < 0:
@@ -396,25 +399,42 @@ def _plan(resolved: dict) -> SimpleNamespace:
         raise SchemaError("protocol.f1_hz/f2_hz/f_ref_hz: give all three or none")
     plan = SimpleNamespace(
         temps=None, xs=None, freqs=None, trace=None, resolution=None, ref_temps=[],
-        step=_DT_STEP if kind in ("magnetize", "susceptibility") else _SLOPE_STEP,
+        cal_rows=_calibration_rows(),
         probes=tuple(proto[k] for k in _PROBE_KEYS) if explicit else None)
+    n_nv = resolved["assembly"]["n_nv"] if "assembly" in resolved else 1
+
+    def call(offsets, sites, keys):
+        """The plan.calls entry of a call on the rows T + offset of each T."""
+        t = plan.temps
+        return (float(t[0]) + min(offsets), float(t[-1]) + max(offsets),
+                t.size * len(offsets), sites, *keys)
+
     if kind == "track":
         low, high = proto["low_k"], proto["high_k"]
         if not low < high:
             raise SchemaError("protocol.low_k: must be below protocol.high_k")
         # linearize across the full drive span: a secant through the two
         # levels keeps the recovered swing unattenuated by lineshape curvature
-        key, plan.temps = "protocol.low_k", [0.5 * (low + high)]
-        plan.step = 0.5 * (high - low)
+        plan.temps = np.array([0.5 * (low + high)])
+        plan.cal_rows = _calibration_rows(0.5 * (high - low))
+        # the calibration, then the levels of the count table and reference check
+        keys = ("protocol.low_k", "protocol.high_k", None)
+        plan.calls = [call(plan.cal_rows, n_nv, keys), (low, high, 2, n_nv, *keys)]
     elif kind == "design-sweep":
-        key, plan.xs = None, _grid(grids, "x_start", "x_stop", "x_step")
+        plan.xs = _grid(grids, "x_start", "x_stop", "x_step")
         if grids["x_start"] < 0.0 or grids["x_stop"] > 1.0:
             raise SchemaError("grids.x_start/x_stop: Ni fraction must stay in [0, 1]")
+        # size only: one composition's ladder, whose rows follow its Tc
+        plan.calls = [(None, None, 3 * len(DEFAULT_TC_OFFSETS_K), n_nv, None, None, None)]
     elif kind in ("spectrum", "shot-noise"):
-        key, plan.temps = "grids.temp_k", [grids["temp_k"]]
+        plan.temps = np.array([grids["temp_k"]])
+        plan.calls = [call(_SCAN_ROWS if kind == "spectrum" else plan.cal_rows, n_nv,
+                           ("grids.temp_k", "grids.temp_k", None))]
     else:
-        key, plan.temps = "grids.temp_start_k", _grid(
-            grids, "temp_start_k", "temp_stop_k", "temp_step_k")
+        plan.temps = _grid(grids, "temp_start_k", "temp_stop_k", "temp_step_k")
+        keys = ("grids.temp_start_k", "grids.temp_stop_k", "grids.temp_step_k")
+        plan.calls = [call(_SCAN_ROWS, n_nv, keys)] if kind == "sensitivity" else []
+        plan.calls.append(call(_DT_ROWS, 1, keys))  # dm/dT, dw/dT or the reference NV's
     missing = [k for k in _FREQ_KEYS if k not in grids]
     if 0 < len(missing) < 3:
         raise SchemaError(f"grids.{missing[0]}: required when any freq_* key is given")
@@ -427,7 +447,7 @@ def _plan(resolved: dict) -> SimpleNamespace:
         plan.freqs = np.linspace(grids["freq_start_hz"], grids["freq_stop_hz"],
                                  grids["freq_points"])
     if plan.probes is not None:
-        plan.ref_temps = [low, high] if kind == "track" else plan.temps
+        plan.ref_temps = [low, high] if kind == "track" else plan.temps.tolist()
 
     if kind in ("shot-noise", "track"):
         record = "duration_s" if kind == "track" else "total_time_s"
@@ -465,25 +485,6 @@ def _plan(resolved: dict) -> SimpleNamespace:
                 "protocol.period_s/bin_s/duration_s: a level gets fewer than "
                 "two data points that do not straddle a switch")
 
-    # the rows of the largest line_centers call: T, T + h and T - h per
-    # temperature (per composition for the sweep, three for the protocol
-    # calibration), T - h and T + h per temperature for dw/dT, and a
-    # shot-noise floor's distinct snapped rows
-    n_rows, row_key = 3, None
-    if kind in ("sensitivity", "susceptibility"):
-        n_rows = (3 if kind == "sensitivity" else 2) * len(plan.temps)
-        row_key = "grids.temp_step_k"
-    elif kind == "design-sweep":
-        n_rows = 3 * len(DEFAULT_TC_OFFSETS_K)
-    # the lowest row each kind solves is its first temperature less the
-    # step, and then a shot-noise floor's snapped trough; the highest, where
-    # D(T) falls lowest, its last temperature plus the step, and a floor's
-    # snapped crest (as for the lowest, the design sweep's rows, which follow
-    # its compositions' Tc, are not checked, nor magnetize, which has no D)
-    rows = [] if key is None else [(key, float(plan.temps[0]) - plan.step)]
-    top = {"track": "protocol.high_k", "spectrum": key,
-           "shot-noise": key}.get(kind, "grids.temp_stop_k")
-    tops = [] if key is None else [(top, float(plan.temps[-1]) + plan.step)]
     if ("floor_rms_k" in proto) != ("floor_period_s" in proto):
         raise SchemaError("protocol.floor_rms_k and protocol.floor_period_s "
                           "must be given together")
@@ -492,29 +493,26 @@ def _plan(resolved: dict) -> SimpleNamespace:
         if per <= 0.0:
             raise SchemaError("protocol.floor_period_s: must be positive")
         plan.trace = lambda t: t0 + np.sqrt(2.0) * rms * np.sin(2 * np.pi * t / per)
-        plan.resolution = _FLOOR_RESOLUTION
-        trough = np.round((t0 - np.sqrt(2.0) * abs(rms)) / _FLOOR_RESOLUTION)
-        crest = np.round((t0 + np.sqrt(2.0) * abs(rms)) / _FLOOR_RESOLUTION)
-        rows.append(("protocol.floor_rms_k", float(trough * _FLOOR_RESOLUTION)))
-        tops.append(("protocol.floor_rms_k", float(crest * _FLOOR_RESOLUTION)))
+        plan.resolution = res = _FLOOR_RESOLUTION
+        # the distinct snapped rows from trough to crest, at most one per cycle
+        trough = np.round((t0 - np.sqrt(2.0) * abs(rms)) / res)
+        crest = np.round((t0 + np.sqrt(2.0) * abs(rms)) / res)
         cycles = np.floor(proto["total_time_s"] / (3.0 * proto["dwell_s"]))
-        n_rows = max(n_rows, int(min(crest - trough + 1.0, cycles)))
-        row_key = "protocol.floor_rms_k"
-    for key, lowest in rows:
-        if lowest <= 0.0:
-            raise SchemaError(f"{key}: temperature too low: the run solves a row "
+        plan.calls.append((float(trough * res), float(crest * res),
+                           int(min(crest - trough + 1.0, cycles)), n_nv,
+                           *["protocol.floor_rms_k"] * 3))
+    for lowest, highest, rows, sites, low_key, high_key, rows_key in plan.calls:
+        if lowest is not None and lowest <= 0.0:
+            raise SchemaError(f"{low_key}: temperature too low: the run solves a row "
                               f"at {lowest!r} K, and temperatures must be positive")
-    for key, highest in tops if "spin" in resolved else ():
-        d = d_of_t(build_spin(resolved["spin"]), highest)
-        if not d > 0.0:
-            raise SchemaError(f"{key}: temperature too high: the run solves a row "
-                              f"at {highest!r} K, where D(T) = {d!r} Hz is not "
-                              "positive")
-    # rows times sites, named by the larger factor (magnetize solves no
-    # line centres; its 3 rows of 1 site never reach the bound)
-    sites = resolved["assembly"]["n_nv"] if "assembly" in resolved else 1
-    _bound(row_key if row_key and n_rows > sites else "assembly.n_nv",
-           n_rows * sites, 1.0)
+        if highest is not None and "spin" in resolved:
+            d = d_of_t(build_spin(resolved["spin"]), highest)
+            if not d > 0.0:
+                raise SchemaError(f"{high_key}: temperature too high: the run solves a "
+                                  f"row at {highest!r} K, where D(T) = {d!r} Hz is not "
+                                  "positive")
+        _bound(rows_key if rows_key and rows > sites else "assembly.n_nv",
+               rows * sites, 1.0)  # named by the larger factor
     return plan
 
 
@@ -545,7 +543,7 @@ def _prepare(tree: dict) -> SimpleNamespace:
     if kind in ("shot-noise", "track"):
         plan.cfg = calibrate_three_point(
             plan.asm, plan.temps[0], resolved["protocol"]["dwell_s"],
-            probes=plan.probes, dt_step=plan.step, sites=plan.sites)
+            probes=plan.probes, dt_step=plan.cal_rows[1], sites=plan.sites)
     return plan
 
 
@@ -599,7 +597,7 @@ def _run_magnetize(resolved, plan, fh):
 def _run_spectrum(resolved, plan, fh):
     om, op, freqs = next(line_scan(plan.asm, plan.temps, plan.sites, plan.freqs))
     slope = _slope(plan.asm, freqs, om, op)
-    spec = _spectrum(plan.asm, plan.temps[0], freqs, om[0], op[0])
+    spec = _spectrum(plan.asm, float(plan.temps[0]), freqs, om[0], op[0])
     extra = [f"{key} = {spec.meta[key]!r}" for key in (
         "temp_k", "line_width_hz", "contrast", "n_nv", "rng_seed",
         "effective_contrast", "effective_width_hz", "d_of_t_hz")]
@@ -738,8 +736,9 @@ def _output_paths(out: Path, stem: str):
     is not a directory, an output name is a directory, or the OS rejects a
     name: a NUL byte, a name it cannot encode, or one longer than the file
     system allows (the NAME_MAX of out's nearest existing directory, for
-    the names not made yet).  What only making the directory shows, such as
-    a missing permission, is left to mkdir."""
+    the names not made yet), and, naming out, when that directory refuses
+    the write and search access that making or filling out needs
+    (os.access, with effective ids where the OS allows them)."""
     missing = []  # the names of out and of the parents that mkdir would make
     for top in (out, *out.parents):
         mode = _mode(top, out)
@@ -748,6 +747,9 @@ def _output_paths(out: Path, stem: str):
         missing.append(top.name)
     if not stat.S_ISDIR(mode or 0):
         raise UsageError(f"{out}: not a directory")
+    if not os.access(top, os.W_OK | os.X_OK,
+                     effective_ids=os.access in os.supports_effective_ids):
+        raise UsageError(f"{out}: {os.strerror(errno.EACCES)}")
     try:
         name_max = os.pathconf(top, "PC_NAME_MAX")
     except OSError:  # a file system that does not say: the common limit

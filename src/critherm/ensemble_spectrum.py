@@ -46,6 +46,11 @@ _BOUND_TILE = 32
 # time than it saves; a longer reach sums more lines per column.
 _REACH_HW = 6.0
 _SLOPE_STEP = 0.01  # K, step of the central-difference dS/dT
+# The rows of each forward-model call, as offsets from each of its
+# temperatures: T, T + h and T - h for line_scan (h = _SLOPE_STEP), and
+# T - k and T + k for domega_dtemp (k = _DT_STEP).
+_SCAN_ROWS = (0.0, _SLOPE_STEP, -_SLOPE_STEP)
+_DT_ROWS = (-_DT_STEP, _DT_STEP)
 
 
 @dataclass(frozen=True)
@@ -225,13 +230,13 @@ def line_centers(asm: SensorAssembly, temps, sites: Ensemble, m=None):
 def domega_dtemp(asm: SensorAssembly, temps, sites: Ensemble, m=None):
     """(domega_minus/dT, domega_plus/dT) in Hz/K as two (n_temps, n_sites)
     arrays: a central difference with a _DT_STEP step from one line_centers
-    call on the rows _dt_rows(temps) of the 1-D `temps`, m being the reduced
-    magnetization of those rows (solved there when None).
+    call on the rows _rows(temps, _DT_ROWS) of the 1-D `temps`, m being the
+    reduced magnetization of those rows (solved there when None).
 
     Warns when |gamma B| + E >= D at a site and row (outside the
     perturbative operating regime; level labels may be unreliable there).
     """
-    rows = _dt_rows(temps)
+    rows = _rows(temps, _DT_ROWS)
     om, op = line_centers(asm, rows, sites, m)
     # the levels e0, e0 + om, e0 + op sum to 2D, their squares to
     # 2 (D^2 + E^2 + gamma^2 |B|^2)
@@ -366,20 +371,13 @@ def line_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None):
     Every row uses the same ensemble sample (common random numbers), so a
     difference of rows isolates the physics, not the sampling.
     """
-    yield from _scan(asm, line_centers(asm, _scan_rows(temps), sites), freqs)
+    yield from _scan(asm, line_centers(asm, _rows(temps, _SCAN_ROWS), sites), freqs)
 
 
-def _scan_rows(temps) -> np.ndarray:
-    """The rows T, T + h and T - h of each of the 1-D temps, in that order."""
-    temps = np.asarray(temps, dtype=float)
-    return np.stack([temps, temps + _SLOPE_STEP, temps - _SLOPE_STEP], axis=1).ravel()
-
-
-def _dt_rows(temps) -> np.ndarray:
-    """The rows T - k and T + k (k = _DT_STEP) of each of the 1-D temps, in
-    that order."""
-    temps = np.asarray(temps, dtype=float)
-    return np.stack([temps - _DT_STEP, temps + _DT_STEP], axis=1).ravel()
+def _rows(temps, offsets) -> np.ndarray:
+    """The rows T + o of each of the 1-D temps, for each o of offsets in
+    order: T + 0.0 is T, and T + (-h) rounds as T - h."""
+    return (np.asarray(temps, dtype=float)[:, None] + offsets).ravel()
 
 
 def _scan(asm: SensorAssembly, centers, freqs=None):

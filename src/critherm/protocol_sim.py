@@ -27,6 +27,7 @@ from .ensemble_spectrum import (
     SensorAssembly,
     _grid_for_lines,
     _peak_slope,
+    _rows,
     _signal,
     _slope,
     line_centers,
@@ -73,12 +74,17 @@ def reference_detuning_ok(asm: SensorAssembly, f_ref: float, temp: float, sites)
                 > _REF_DETUNING_LINEWIDTHS * asm.line_width)
 
 
+def _calibration_rows(dt_step: float = _SLOPE_STEP) -> tuple:
+    """The rows of calibrate_three_point, as offsets from t0."""
+    return (0.0, dt_step, -dt_step)
+
+
 def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
                           probes=None, dt_step: float = _SLOPE_STEP, *,
                           sites) -> ThreePointConfig:
     """Linearize the protocol around t0 from one line_centers call with the
-    rows t0, t0 + dt_step and t0 - dt_step: the signals of the three probes
-    in each row (one _signal call) give the anchors and the secant slope.
+    rows _calibration_rows(dt_step): the signals of the three probes in each
+    row (one _signal call) give the anchors and the secant slope.
 
     probes is an explicit (f1, f2, f_ref) in Hz; by default f1 and f2 are
     the extreme-slope frequencies of the default_freq_grid of row t0 (the
@@ -86,7 +92,7 @@ def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
     """
     if dt_step <= 0:
         raise DomainError(f"dt_step must be positive, got {dt_step}")
-    om, op = line_centers(asm, [t0, t0 + dt_step, t0 - dt_step], sites)
+    om, op = line_centers(asm, _rows([t0], _calibration_rows(dt_step)), sites)
     if probes is None:
         freqs = _grid_for_lines(asm, om[0], op[0])
         slope_grid = _slope(asm, freqs, om, op, dt_step)

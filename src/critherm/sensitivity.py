@@ -22,11 +22,12 @@ import numpy as np
 from .errors import DomainError, ThermoError, UnmeasurableError
 from .magnet_model import M_SAT_NI, curie_temperature, solve_magnetization
 from .ensemble_spectrum import (
+    _DT_ROWS,
+    _SCAN_ROWS,
     SensorAssembly,
-    _dt_rows,
     _peak_slope,
+    _rows,
     _scan,
-    _scan_rows,
     _spectrum,
     domega_dtemp,
     line_centers,
@@ -102,7 +103,7 @@ def representative_domega_dt(asm: SensorAssembly, temp, m=None):
     magnet easy axis (the best-coupled orientation) and the mean strain, in
     the magnet and bias fields of the assembly; bare-NV slope when there is
     no magnet.  A scalar temp gives a float, a 1-D array an array; m, when
-    given, is the reduced magnetization of the rows _dt_rows(temp)."""
+    given, is the reduced magnetization of the rows _rows(temp, _DT_ROWS)."""
     temps = np.atleast_1d(np.asarray(temp, dtype=float))
     if asm.magnet is None:
         dom = np.full(temps.shape, abs(asm.spin.dd_dt))
@@ -190,33 +191,15 @@ def _ladder_walk(asm: SensorAssembly, scan):
     return best
 
 
-def _each(call, keys, errors: dict) -> dict:
-    """{key: result} from call(keys), which gives one result per key.  When
-    that raises a ThermoError, call([key]) runs for each key alone, and a key
-    whose own call fails gets the error in `errors` instead."""
-    if not keys:
-        return {}
-    try:
-        return dict(zip(keys, call(keys)))
-    except ThermoError:
-        results = {}
-        for key in keys:
-            try:
-                results[key] = call([key])[0]
-            except ThermoError as exc:
-                errors[key] = exc
-        return results
-
-
 def _sweep_cells(template: SensorAssembly, sites, xs) -> list:
     """The DesignPoint of each composition of xs, on the ensemble sites.
 
     One solve_magnetization call for the rows of every composition: its
-    ladder rows T, T + h, T - h (_scan_rows), then the reference rows
-    (_dt_rows) of every ladder temperature; m is elementwise in Tc, so each
-    row is as solved alone.  Then each composition walks its ladder on its
-    own line centres and takes the reference NV's dw/dT at the optimum from
-    the optimum's two reference rows.  A ThermoError is the status of its
+    ladder rows (_SCAN_ROWS of each ladder temperature), then its reference
+    rows (_DT_ROWS of each); m is elementwise in Tc, so each row is as
+    solved alone.  Then each composition walks its ladder on its own line
+    centres and takes the reference NV's dw/dT at the optimum from the
+    optimum's two reference rows.  A ThermoError is the status of its
     composition's row, with the message the composition gives alone: when
     the batched solve fails, each composition repeats it alone.
     """
@@ -228,16 +211,26 @@ def _sweep_cells(template: SensorAssembly, sites, xs) -> list:
                                                 tc=tcs[i]))
             for i, x in enumerate(xs) if i not in errors}
     ladders = {i: default_temp_policy(tcs[i]) for i in asms}
-    rows = {i: np.concatenate([_scan_rows(ladders[i]), _dt_rows(ladders[i])])
-            for i in asms}
+    rows = {i: np.concatenate([_rows(ladders[i], _SCAN_ROWS),
+                               _rows(ladders[i], _DT_ROWS)]) for i in asms}
 
-    def magnetization(keys):  # m(T) of the rows of each composition
+    def magnetization(keys):  # {i: m(T) of the rows of composition i}
         m = solve_magnetization([asms[i].magnet for i in keys for _ in rows[i]],
                                 np.concatenate([rows[i] for i in keys]))
-        return np.split(m, np.cumsum([rows[i].size for i in keys])[:-1])
+        return dict(zip(keys, np.split(m, np.cumsum([rows[i].size for i in keys])[:-1])))
 
+    ms = {}
+    if asms:
+        try:
+            ms = magnetization(list(asms))
+        except ThermoError:
+            for i in asms:
+                try:
+                    ms.update(magnetization([i]))
+                except ThermoError as exc:
+                    errors[i] = exc
     cells = {}
-    for i, m in _each(magnetization, list(asms), errors).items():
+    for i, m in ms.items():
         n = 3 * ladders[i].size  # the ladder rows, then the reference rows
         try:
             scan = _scan(asms[i], line_centers(asms[i], rows[i][:n], sites, m[:n]))

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -8,12 +9,14 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from critherm.cli_runner import (
     MATERIALS,
     SCHEMAS,
+    _plan,
     _prepare,
     assumptions_hash,
     main,
@@ -573,6 +576,26 @@ class TestRun:
         manifest = json.loads((tmp_path / "b" / "sweep.manifest.json").read_text())
         assert manifest["results"]["n_failed"] == 1
 
+    def test_sweep_of_no_ferromagnetic_composition(self, tmp_path, monkeypatch):
+        # every Ni fraction from 0.10 to 0.40 lies below the ferromagnetic
+        # threshold: each row is an error row, the run exits 0, and no
+        # magnetization is solved for an empty batch
+        from critherm import sensitivity
+
+        def forbidden(*args):
+            raise AssertionError("solved the magnetization of an empty batch")
+
+        monkeypatch.setattr(sensitivity, "solve_magnetization", forbidden)
+        p = write(tmp_path, "sweep.cfg", SWEEP.replace("x_start = 0.60", "x_start = 0.10")
+                  .replace("x_stop = 0.80", "x_stop = 0.40"))
+        with pytest.warns(UserWarning, match="below the ferromagnetic threshold"):
+            assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
+        lines = [l.split(",") for l in (tmp_path / "out" / "sweep.csv").read_text()
+                 .splitlines() if not l.startswith("#")]
+        status = lines[0].index("status")
+        assert [row[status] for row in lines[1:]] \
+            == ["error: non-ferromagnetic composition"] * 4
+
     def test_explicit_probes_match_auto(self, tmp_path):
         auto_csv, auto_manifest = run(write(tmp_path, "auto.cfg", TRACK),
                                       out_dir=tmp_path / "auto")
@@ -791,6 +814,56 @@ class TestReplayChecksThePlan:
         b = replay_manifest(edited, tmp_path / "b")
         for x, y in zip(a, b):
             assert x.read_bytes() == y.read_bytes()
+
+
+# a stability floor whose snapped trough-to-crest rows outnumber the cycles,
+# and explicit probes, whose reference is checked at both levels
+SHOT_NOISE_FLOOR = SHOT_NOISE + "floor_rms_k = 0.010\nfloor_period_s = 0.5\n"
+TRACK_PROBES = TRACK.replace(
+    "dwell_s = 0.005", "dwell_s = 0.005\nf1_hz = 2.866e9\nf2_hz = 2.874e9\nf_ref_hz = 3.5e9")
+
+
+class TestPlanCoversEveryCall:
+    @pytest.mark.parametrize("text", [MAGNETIZE, SPECTRUM, SUSCEPTIBILITY, SENSITIVITY,
+                                      SWEEP, SHOT_NOISE_FLOOR, TRACK_PROBES],
+                             ids=["magnetize", "spectrum", "susceptibility",
+                                  "sensitivity", "design-sweep", "shot-noise", "track"])
+    def test_every_solved_row_lies_in_a_planned_call(self, tmp_path, monkeypatch, text):
+        # the rows of each line_centers and solve_magnetization call of a run
+        # lie within one entry of plan.calls, the entry the plan checked:
+        # no row below its lowest or above its highest, no more rows, and
+        # the same sites (a magnetization solve has none).  The sweep's rows
+        # follow each composition's Tc, so only its size is checked
+        from critherm import (cli_runner, ensemble_spectrum, magnet_model,
+                              protocol_sim, sensitivity)
+        seen, centers = [], ensemble_spectrum.line_centers
+        solve = magnet_model.solve_magnetization
+
+        def record_centers(asm, temps, sites, m=None):
+            seen.append((np.asarray(temps, dtype=float), len(sites)))
+            return centers(asm, temps, sites, m)
+
+        def record_solve(mag, temps):
+            seen.append((np.atleast_1d(np.asarray(temps, dtype=float)), None))
+            return solve(mag, temps)
+
+        for module in (ensemble_spectrum, protocol_sim, sensitivity):
+            monkeypatch.setattr(module, "line_centers", record_centers)
+        for module in (magnet_model, ensemble_spectrum, sensitivity, cli_runner):
+            monkeypatch.setattr(module, "solve_magnetization", record_solve)
+        calls = _plan(resolve(parse_config(text))).calls
+        run(write(tmp_path, "scenario.cfg", text), out_dir=tmp_path / "out")
+
+        def inside(rows, sites, call):
+            lowest, highest, n_rows, n_sites = call[:4]
+            if lowest is None:
+                return rows.size * (sites or 1) <= n_rows * n_sites
+            return sites in (None, n_sites) and lowest <= rows.min() \
+                and rows.max() <= highest and rows.size <= n_rows
+
+        assert seen
+        for rows, sites in seen:
+            assert any(inside(rows, sites, call) for call in calls), (rows, sites)
 
 
 def one_value_edits(text):
@@ -1065,6 +1138,22 @@ class TestMainExitCodes:
         assert err.count(f"thermo: error: {named}: ") == 2, err
         assert "Traceback" not in err
         assert sorted(q.name for q in tmp_path.iterdir()) == ["bad.cfg", "file", "link"]
+
+    def test_out_dir_without_permission_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a directory that refuses this process write or search access, or
+        # sits on a read-only file system: validate refuses the scenario's
+        # run.out_dir as run does, and neither creates anything.  Root
+        # passes every mode-bit check, so os.access is patched to refuse
+        # rather than a directory's mode changed
+        monkeypatch.chdir(tmp_path)
+        p = write(tmp_path, "mag.cfg", MAGNETIZE.replace(
+            "kind = magnetize", "kind = magnetize\nout_dir = new/out"))
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        assert main(["validate", str(p)]) == 2
+        assert main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"thermo: error: new/out: {os.strerror(errno.EACCES)}\n") == 2
+        assert sorted(tmp_path.iterdir()) == [p]
 
     @pytest.mark.parametrize("text", [MAGNETIZE, SPECTRUM, SUSCEPTIBILITY,
                                       SENSITIVITY, SWEEP, SHOT_NOISE, TRACK],

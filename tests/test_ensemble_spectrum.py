@@ -12,8 +12,11 @@ from critherm.ensemble_spectrum import (
     Ensemble,
     SensorAssembly,
     _BOUND_TILE,
+    _DT_ROWS,
+    _SCAN_ROWS,
     _column_bounds,
     _peak_slope,
+    _rows,
     _signal,
     _slope,
     _tile_bounds,
@@ -175,6 +178,18 @@ class TestBatchedForwardModel:
                 want = (signal_at(asm, temp + h, freqs, sites)
                         - signal_at(asm, temp - h, freqs, sites)) / (2 * h)
                 assert np.array_equal(slope, want)
+
+
+    def test_rows_from_offsets_bitwise_equal_to_differences(self):
+        # T + 0.0 is T and T + (-h) rounds as T - h, so the rows built from
+        # the stated offsets are the rows T, T + h, T - h and T - k, T + k
+        rng = np.random.default_rng(3)
+        t = np.concatenate([[0.02, 1.0, 292.0, 339.5, 637.0],
+                            rng.uniform(1e-3, 1e3, 200)])
+        h, k = 0.01, 1e-3
+        for got, want in ((_rows(t, _SCAN_ROWS), np.stack([t, t + h, t - h], 1)),
+                          (_rows(t, _DT_ROWS), np.stack([t - k, t + k], 1))):
+            assert got.tobytes() == want.ravel().tobytes()
 
 
 class TestAssemblyInvariants:

@@ -8,10 +8,11 @@ import pytest
 from critherm import ensemble_spectrum, sensitivity
 from critherm.cli_runner import _prepare, parse_config, resolve
 from critherm.ensemble_spectrum import (
+    _DT_ROWS,
+    _SCAN_ROWS,
     SensorAssembly,
-    _dt_rows,
     _peak_slope,
-    _scan_rows,
+    _rows,
     _slope,
     line_centers,
     line_scan,
@@ -305,13 +306,13 @@ class TestDesignSweep:
         for x in plan.xs:
             asm = composition_assembly(plan.asm, x)
             ladder = default_temp_policy(asm.magnet.tc)
-            rows = _scan_rows(ladder)
+            rows = _rows(ladder, _SCAN_ROWS)
             m = solve_magnetization(asm.magnet, rows)
             for got, want in zip(line_centers(asm, rows, sites, m),
                                  line_centers(asm, rows, sites)):
                 assert np.array_equal(got, want)
             for t in ladder.tolist():
-                m = solve_magnetization(asm.magnet, _dt_rows([t]))
+                m = solve_magnetization(asm.magnet, _rows([t], _DT_ROWS))
                 assert representative_domega_dt(asm, t, m) \
                     == representative_domega_dt(asm, t)
 
