@@ -17,9 +17,10 @@ against.  Each run writes the kind's CSV (with a '#'-prefixed metadata
 header) plus a JSON run manifest holding every resolved parameter, the seed
 and the assumptions hash; the manifest alone is enough to reproduce the
 outputs bit-identically.  `thermo validate` is everything `thermo run` does
-before it writes anything (_prepare: resolve, plan, build, sample and
-calibrate; then _output_paths on run.out_dir), so a file it passes fails in
-run only on what the run computes.
+before it writes anything (_prepare: resolve, plan, build, sample, check
+the default frequency grids and calibrate; then _output_paths on
+run.out_dir), so a file it passes fails in run only on what the run
+computes.
 """
 
 from __future__ import annotations
@@ -37,14 +38,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import GeometryError, SchemaError, ThermoError, UsageError
+from .errors import DomainError, GeometryError, SchemaError, ThermoError, UsageError
 from .ensemble_spectrum import (
     _DT_ROWS,
     _SCAN_ROWS,
     SensorAssembly,
+    _grid_for_lines,
     _slope,
     _spectrum,
     domega_dtemp,
+    line_centers,
     line_scan,
     nv_site,
     sample_ensemble,
@@ -519,8 +522,10 @@ def _plan(resolved: dict) -> SimpleNamespace:
 def _prepare(tree: dict) -> SimpleNamespace:
     """The one gate of every run, before it writes: resolve tree (a parsed
     file or a resolved tree) into plan.resolved, plan, build, sample the
-    sites once (the design sweep samples its own), check an explicit f_ref
-    against every resonance, and calibrate a protocol into plan.cfg."""
+    sites once (the design sweep samples its own), check that the default
+    frequency grid of each spectrum and sensitivity temperature resolves
+    its lines, check an explicit f_ref against every resonance, and
+    calibrate a protocol into plan.cfg."""
     resolved = resolve(tree)
     plan = _plan(resolved)
     plan.resolved = resolved
@@ -536,6 +541,17 @@ def _prepare(tree: dict) -> SimpleNamespace:
         plan.asm = build_assembly(resolved, plan.magnet)
         if kind != "design-sweep":
             plan.sites = sample_ensemble(plan.asm)
+    if kind == "sensitivity" or kind == "spectrum" and plan.freqs is None:
+        # the rows T of the runner's first line_centers call, bitwise: each
+        # default grid is refused here as the run refuses it
+        om, op = line_centers(plan.asm, plan.temps, plan.sites)
+        try:
+            for row in zip(om, op):
+                _grid_for_lines(plan.asm, *row)
+        except DomainError as exc:
+            hint = "; an explicit grids.freq_start_hz/freq_stop_hz/freq_points " \
+                "grid is never refused" if kind == "spectrum" else ""
+            raise DomainError(f"{exc}{hint}") from None
     for temp in plan.ref_temps:
         if not reference_detuning_ok(plan.asm, plan.probes[2], temp, plan.sites):
             raise SchemaError("protocol.f_ref_hz: reference frequency within 50 "

@@ -46,6 +46,10 @@ _BOUND_TILE = 32
 # time than it saves; a longer reach sums more lines per column.
 _REACH_HW = 6.0
 _SLOPE_STEP = 0.01  # K, step of the central-difference dS/dT
+# The default frequency grid: the lines with this many line widths of margin
+# either side, and at most this many points (10 per line width).
+_GRID_MARGIN_LW = 6.0
+_GRID_MAX_POINTS = 30001
 # The rows of each forward-model call, as offsets from each of its
 # temperatures: T, T + h and T - h for line_scan (h = _SLOPE_STEP), and
 # T - k and T + k for domega_dtemp (k = _DT_STEP).
@@ -310,26 +314,28 @@ def signal_at(asm: SensorAssembly, temp: float, freqs, sites: Ensemble) -> np.nd
                    *site_transition_pairs(asm, temp, sites))
 
 
-def default_freq_grid(asm: SensorAssembly, temp: float, sites: Ensemble,
-                      pad: float = 6.0, max_points: int = 30001) -> np.ndarray:
-    """Frequency grid covering every line with `pad` linewidths of margin and
-    at least 10 points per linewidth; warns when that needs more than
-    `max_points` points and the grid is clipped to that count."""
-    return _grid_for_lines(asm, *site_transition_pairs(asm, temp, sites),
-                           pad, max_points)
+def default_freq_grid(asm: SensorAssembly, temp: float, sites: Ensemble) -> np.ndarray:
+    """The default frequency grid at temperature temp (_grid_for_lines)."""
+    return _grid_for_lines(asm, *site_transition_pairs(asm, temp, sites))
 
 
-def _grid_for_lines(asm: SensorAssembly, om, op, pad: float = 6.0,
-                    max_points: int = 30001) -> np.ndarray:
-    """default_freq_grid for the line centres om, op."""
-    lo = om.min() - pad * asm.line_width
-    hi = op.max() + pad * asm.line_width
-    n = max(int(np.ceil((hi - lo) / (asm.line_width / 10.0))) + 1, 801)
-    if n > max_points:
-        warnings.warn(f"frequency grid clipped from {n} to {max_points} points "
-                      "(fewer than 10 per linewidth)", stacklevel=3)
-        n = max_points
-    return np.linspace(lo, hi, n)
+def _grid_for_lines(asm: SensorAssembly, om, op) -> np.ndarray:
+    """The default frequency grid for the line centres om, op: every line
+    with _GRID_MARGIN_LW line widths of margin either side, at least 10
+    points per line width and at least 801 points.  DomainError, naming
+    assembly.line_width_hz, when that needs more than _GRID_MAX_POINTS
+    points or the span is not finite: a grid that cannot resolve its lines
+    is refused, never clipped."""
+    lo = om.min() - _GRID_MARGIN_LW * asm.line_width
+    hi = op.max() + _GRID_MARGIN_LW * asm.line_width
+    steps = (hi - lo) / (asm.line_width / 10.0)
+    if not steps <= _GRID_MAX_POINTS - 1:
+        raise DomainError(
+            "assembly.line_width_hz: the default frequency grid cannot resolve "
+            f"lines {asm.line_width!r} Hz wide: spanning them with "
+            f"{_GRID_MARGIN_LW:g} line widths of margin ({hi - lo:.3e} Hz) at 10 "
+            f"points per line width needs more than {_GRID_MAX_POINTS} points")
+    return np.linspace(lo, hi, max(int(np.ceil(steps)) + 1, 801))
 
 
 def synthesize_spectrum(asm: SensorAssembly, temp: float, freqs=None, *,
@@ -366,7 +372,8 @@ def line_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None):
     line centres of the rows T, T + h and T - h (h = _SLOPE_STEP, the step
     that _slope and _tile_bounds assume), from one line_centers call for
     all of `temps`; freqs is the given grid, or the default_freq_grid of
-    row T when None.  One grid is held at a time.
+    row T when None, a DomainError at the first T whose lines it cannot
+    resolve.  One grid is held at a time.
 
     Every row uses the same ensemble sample (common random numbers), so a
     difference of rows isolates the physics, not the sampling.

@@ -85,6 +85,12 @@ class Magnet:
             raise DomainError(f"m_sat must be positive, got {self.m_sat}")
         if self.radius <= 0:
             raise DomainError(f"radius must be positive, got {self.radius}")
+        try:
+            finite = self.volume < np.inf
+        except OverflowError:  # the cube of a Python float
+            finite = False
+        if not finite:
+            raise DomainError(f"radius {self.radius} m is too large: its volume overflows")
         if self.spin_j <= 0:
             raise DomainError(f"spin_j must be positive, got {self.spin_j}")
         axis = np.asarray(self.easy_axis, dtype=float)

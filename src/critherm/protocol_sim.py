@@ -88,7 +88,8 @@ def calibrate_three_point(asm: SensorAssembly, t0: float, dwell: float,
 
     probes is an explicit (f1, f2, f_ref) in Hz; by default f1 and f2 are
     the extreme-slope frequencies of the default_freq_grid of row t0 (the
-    same secant, by _slope) and f_ref sits off every resonance.
+    same secant, by _slope), a DomainError when that grid cannot resolve
+    the lines, and f_ref sits off every resonance.
     """
     if dt_step <= 0:
         raise DomainError(f"dt_step must be positive, got {dt_step}")

@@ -169,11 +169,13 @@ TRACK_ALL_MIXED = TRACK.replace("period_s = 4.8", "period_s = 0.1")
 TRACK_63C = (SCENARIO_DIR / "track_63c.cfg").read_text()
 
 
-def shipped(name, old, new):
-    """A shipped scenario with one edit."""
+def shipped(name, *edits):
+    """A shipped scenario with the edits old, new, old, new, ... made in turn."""
     text = (SCENARIO_DIR / f"{name}.cfg").read_text()
-    assert old in text
-    return text.replace(old, new)
+    for old, new in zip(edits[::2], edits[1::2]):
+        assert old in text
+        text = text.replace(old, new)
+    return text
 
 
 def write(tmp_path, name, text):
@@ -1386,6 +1388,35 @@ OTHER_FILES = st.one_of(
               st.sampled_from([0.3, 0.4502, 0.6])))
 
 
+# Edits of the shipped files whose default grid, transition labels or magnet
+# cannot be made: each exits alike from validate and run (3), or, in a
+# design sweep, makes every row an error row with exit 0 from both.
+NARROW_LINES = ("n_nv = 500", "n_nv = 500\nline_width_hz = 1e-100")
+HUGE_BIAS = ("n_nv = 500", "n_nv = 500\nbias_field_t = 0 0 1e300")
+HUGE_MAGNET = ("radius_m = 100e-9", "radius_m = 1e300",
+               "fnd_center_m = 0 0 200e-9", "fnd_center_m = 0 0 1e300")
+GRID_REFUSED = "assembly.line_width_hz: the default frequency grid cannot resolve"
+AMBIGUOUS = "two levels overlap |m_s=0> equally"
+VOLUME_OVERFLOWS = "radius 1e+300 m is too large: its volume overflows"
+# the 1e300 T field overflows in the closed-form eigenvalues
+OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+EDIT_MATRIX = [
+    *(pytest.param(shipped(name, *NARROW_LINES), 3, GRID_REFUSED, id=f"{name}-width")
+      for name in ("spectrum_63c", "sensitivity_vs_temp", "track_63c", "shot_noise")),
+    *(pytest.param(shipped(name, *HUGE_BIAS), 3, AMBIGUOUS, id=f"{name}-bias",
+                   marks=OVERFLOWS)
+      for name in ("spectrum_63c", "sensitivity_vs_temp")),
+    *(pytest.param(shipped(name, *HUGE_MAGNET), 3, VOLUME_OVERFLOWS, id=f"{name}-radius")
+      for name in ("spectrum_63c", "track_63c", "shot_noise")),
+    pytest.param(small_sweep({"n_nv": 3, "line_width_hz": "1e-100"}, 0.5, 0.6), 0,
+                 GRID_REFUSED, id="sweep-width"),
+    pytest.param(small_sweep({"n_nv": 3, "bias_field_t": "0 0 1e300"}, 0.5, 0.6), 0,
+                 AMBIGUOUS, id="sweep-bias", marks=OVERFLOWS),
+]
+
+
 class TestValidatePredictsRun:
     @settings(max_examples=80, derandomize=True, database=None, deadline=None)
     @given(text=SMALL_FILES | OTHER_FILES)
@@ -1429,6 +1460,25 @@ class TestValidatePredictsRun:
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
         assert "calibration slope must be nonzero" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [p]
+
+    @pytest.mark.parametrize("text, code, message", EDIT_MATRIX)
+    def test_edit_exits_alike_from_validate_and_run(self, tmp_path, capsys, text,
+                                                    code, message):
+        p = write(tmp_path, "edited.cfg", text)
+        assert main(["validate", str(p)]) == code
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 2 and err[0] == err[1], err
+            assert err[0].startswith("physics error: ") and message in err[0]
+            assert not (tmp_path / "out").exists()
+            return
+        assert err == []
+        lines = (tmp_path / "out" / "edited.csv").read_text().splitlines()
+        rows = [l.split(",") for l in lines if not l.startswith("#")]
+        status = rows[0].index("status")
+        assert rows[1:] and all(row[status].startswith(f"error: {message}")
+                                for row in rows[1:])
 
 
 class TestResolveAcceptsItsOwnOutput:

@@ -1,12 +1,14 @@
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from critherm import ensemble_spectrum
+from critherm.cli_runner import main
 from critherm.ensemble_spectrum import (
     TETRAHEDRAL_AXES,
     Ensemble,
@@ -15,6 +17,7 @@ from critherm.ensemble_spectrum import (
     _DT_ROWS,
     _SCAN_ROWS,
     _column_bounds,
+    _grid_for_lines,
     _peak_slope,
     _rows,
     _signal,
@@ -38,6 +41,7 @@ from critherm.presets import cuni_design_assembly, cuni_tracking_assembly
 from critherm.spin_model import SpinSystem, transition_frequencies
 
 D0 = 2.87e9
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def bare_assembly(**kw):
@@ -260,7 +264,10 @@ class TestSynthesizeSpectrum:
         asm = cuni_design_assembly(seed=21)
         temp = asm.magnet.tc - 20.0
         sites = sample_ensemble(asm)
-        freqs = default_freq_grid(asm, temp, sites, pad=60.0)
+        # 60 line widths of margin, 10 points per line width
+        om, op = site_transition_pairs(asm, temp, sites)
+        lo, hi = om.min() - 60 * asm.line_width, op.max() + 60 * asm.line_width
+        freqs = np.linspace(lo, hi, int(np.ceil((hi - lo) / (asm.line_width / 10))) + 1)
         spec = synthesize_spectrum(asm, temp, freqs, sites=sites)
         assert spec.signal.min() >= 1.0 - asm.contrast - 1e-12
         assert np.all(spec.signal <= 1.0 + 1e-12)
@@ -420,12 +427,37 @@ class TestLorentzianKernel:
 
 
 class TestDefaultFreqGrid:
-    def test_warns_when_clipped(self):
-        asm = SensorAssembly()
-        with pytest.warns(UserWarning, match="clipped from 801 to 101 points"):
-            freqs = default_freq_grid(asm, 300.0, sample_ensemble(asm),
-                                      max_points=101)
-        assert len(freqs) == 101
+    def test_refuses_lines_it_cannot_resolve(self, tmp_path, capsys):
+        # 1 kHz lines split by 56 MHz need more than 30001 points at 10 per
+        # line width: refused, never clipped
+        asm = bare_assembly(line_width=1e3, bias_field=(0.0, 0.0, 1e-3))
+        with pytest.raises(DomainError, match=r"^assembly\.line_width_hz: the default "
+                           r"frequency grid cannot resolve lines 1000\.0 Hz wide: .* "
+                           r"needs more than 30001 points$"):
+            default_freq_grid(asm, 300.0, sample_ensemble(asm))
+        # the widest grid that is not refused has 30001 points
+        om, op = np.array([0.0]), np.array([29880.0])
+        assert _grid_for_lines(SensorAssembly(line_width=10.0), om, op).size == 30001
+        with pytest.raises(DomainError, match="more than 30001 points"):
+            _grid_for_lines(SensorAssembly(line_width=10.0), om, np.nextafter(op, 1e5))
+        # both commands refuse the shipped spectrum with such lines, exit 3
+        text = (SCENARIO_DIR / "spectrum_63c.cfg").read_text().replace(
+            "n_nv = 500", "n_nv = 500\nline_width_hz = 1e3")
+        p = tmp_path / "narrow.cfg"
+        p.write_text(text)
+        assert main(["validate", str(p)]) == 3
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0].startswith("physics error: assembly.line_width_hz: ")
+        assert "grids.freq_start_hz" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("om, op", [([-np.inf], [2.87e9]), ([2.87e9], [np.inf]),
+                                        ([np.nan], [2.87e9])])
+    def test_refuses_lines_without_a_finite_span(self, om, op):
+        with pytest.raises(DomainError, match="assembly.line_width_hz"):
+            _grid_for_lines(SensorAssembly(), np.array(om), np.array(op))
 
     def test_silent_when_not_clipped(self):
         asm = SensorAssembly()
@@ -497,7 +529,10 @@ class TestTemperatureSlope:
         temp = asm_far.magnet.tc - 20.0
         sites_far = sample_ensemble(asm_far)
         sites_near = sample_ensemble(asm_near)
-        freqs = default_freq_grid(asm_near, temp, sites_near, pad=10.0)
+        om, op = site_transition_pairs(asm_near, temp, sites_near)
+        # 10 line widths of margin
+        freqs = np.linspace(om.min() - 10 * asm_near.line_width,
+                            op.max() + 10 * asm_near.line_width, 801)
         d_mid = 2.87e9  # split point between the two Zeeman groups
         m2 = {}
         for name, asm, sites in (("far", asm_far, sites_far),

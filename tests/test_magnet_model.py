@@ -357,7 +357,11 @@ class TestMagnetType:
         # the axis norm overflows to inf, with numpy's overflow warning
         pytest.param({"easy_axis": (1e300,) * 3}, "easy_axis must be a nonzero 3-vector",
                      marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
-    ], ids=["zero-radius", "overflowing-axis"])
+        # the cube overflows (an OverflowError of Python's float pow), or
+        # only the volume 4/3 pi r^3 does
+        ({"radius": 1e300}, "radius 1e+300 m is too large: its volume overflows"),
+        ({"radius": 5e102}, "radius 5e+102 m is too large: its volume overflows"),
+    ], ids=["zero-radius", "overflowing-axis", "overflowing-cube", "overflowing-volume"])
     def test_invalid_field_named(self, kw, message):
         with pytest.raises(DomainError) as exc:
             Magnet(**dict(dict(m_sat=1.0, radius=1.0, tc=1.0), **kw))
