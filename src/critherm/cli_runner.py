@@ -17,10 +17,10 @@ against.  Each run writes the kind's CSV (with a '#'-prefixed metadata
 header) plus a JSON run manifest holding every resolved parameter, the seed
 and the assumptions hash; the manifest alone is enough to reproduce the
 outputs bit-identically.  `thermo validate` is everything `thermo run` does
-before it writes anything (_prepare: resolve, plan, build, sample, check
-the default frequency grids and calibrate; then _output_paths on
-run.out_dir), so a file it passes fails in run only on what the run
-computes.
+before it writes anything (_prepare: resolve, plan, build, sample, start
+the scan or dw/dT call of a spectrum, sensitivity or susceptibility run
+and calibrate; then _output_paths on run.out_dir), so a file it passes
+fails in run only on what the run computes.
 """
 
 from __future__ import annotations
@@ -43,11 +43,9 @@ from .ensemble_spectrum import (
     _DT_ROWS,
     _SCAN_ROWS,
     SensorAssembly,
-    _grid_for_lines,
     _slope,
     _spectrum,
     domega_dtemp,
-    line_centers,
     line_scan,
     nv_site,
     sample_ensemble,
@@ -522,10 +520,10 @@ def _plan(resolved: dict) -> SimpleNamespace:
 def _prepare(tree: dict) -> SimpleNamespace:
     """The one gate of every run, before it writes: resolve tree (a parsed
     file or a resolved tree) into plan.resolved, plan, build, sample the
-    sites once (the design sweep samples its own), check that the default
-    frequency grid of each spectrum and sensitivity temperature resolves
-    its lines, check an explicit f_ref against every resonance, and
-    calibrate a protocol into plan.cfg."""
+    sites once (the design sweep samples its own), start a spectrum or
+    sensitivity scan (rows solved, default grids checked) into plan.scan,
+    solve the susceptibility NV's dw/dT into plan.dw, check an explicit
+    f_ref against every resonance, and calibrate a protocol into plan.cfg."""
     resolved = resolve(tree)
     plan = _plan(resolved)
     plan.resolved = resolved
@@ -537,20 +535,19 @@ def _prepare(tree: dict) -> SimpleNamespace:
     plan.magnet, plan.asm, plan.sites = build_magnet(mag), None, None
     if kind == "susceptibility":
         plan.asm, plan.sites = build_single_nv(resolved, plan.magnet)
+        plan.dw = domega_dtemp(plan.asm, plan.temps, plan.sites)
     elif "assembly" in resolved:
         plan.asm = build_assembly(resolved, plan.magnet)
         if kind != "design-sweep":
             plan.sites = sample_ensemble(plan.asm)
-    if kind == "sensitivity" or kind == "spectrum" and plan.freqs is None:
-        # the rows T of the runner's first line_centers call, bitwise: each
-        # default grid is refused here as the run refuses it
-        om, op = line_centers(plan.asm, plan.temps, plan.sites)
+    if kind == "sensitivity":
+        plan.scan = sensitivity_scan(plan.asm, plan.temps, sites=plan.sites)
+    elif kind == "spectrum":
         try:
-            for row in zip(om, op):
-                _grid_for_lines(plan.asm, *row)
+            plan.scan = line_scan(plan.asm, plan.temps, plan.sites, plan.freqs)
         except DomainError as exc:
             hint = "; an explicit grids.freq_start_hz/freq_stop_hz/freq_points " \
-                "grid is never refused" if kind == "spectrum" else ""
+                "grid is never refused" if plan.freqs is None else ""
             raise DomainError(f"{exc}{hint}") from None
     for temp in plan.ref_temps:
         if not reference_detuning_ok(plan.asm, plan.probes[2], temp, plan.sites):
@@ -611,7 +608,7 @@ def _run_magnetize(resolved, plan, fh):
 
 
 def _run_spectrum(resolved, plan, fh):
-    om, op, freqs = next(line_scan(plan.asm, plan.temps, plan.sites, plan.freqs))
+    om, op, freqs = next(plan.scan)
     slope = _slope(plan.asm, freqs, om, op)
     spec = _spectrum(plan.asm, float(plan.temps[0]), freqs, om[0], op[0])
     extra = [f"{key} = {spec.meta[key]!r}" for key in (
@@ -628,7 +625,7 @@ def _run_spectrum(resolved, plan, fh):
 
 
 def _run_susceptibility(resolved, plan, fh):
-    dm, dp = (a[:, 0] for a in domega_dtemp(plan.asm, plan.temps, plan.sites))
+    dm, dp = (a[:, 0] for a in plan.dw)
     _write_csv(fh, resolved,
                ["t_k", "domega_minus_hz_per_k", "domega_plus_hz_per_k"],
                zip(plan.temps.tolist(), dm.tolist(), dp.tolist()))
@@ -641,8 +638,7 @@ def _run_susceptibility(resolved, plan, fh):
 
 
 def _run_sensitivity(resolved, plan, fh):
-    rows = [astuple(rep) for rep in
-            sensitivity_scan(plan.asm, plan.temps, sites=plan.sites)]
+    rows = [astuple(rep) for rep in plan.scan]
     _write_csv(fh, resolved,
                ["t_k", "eta_cw_numeric_k_per_sqrthz",
                 "eta_cw_lorentzian_k_per_sqrthz",
@@ -858,11 +854,11 @@ def replay_manifest(manifest_file, out_dir):
 
 def validate(scenario_file) -> str:
     """Everything `run` does before it writes anything, reported: the gate
-    _prepare (resolve, plan, build and sample, the reference-detuning check
-    and the protocol calibration), then _output_paths on the scenario's
-    run.out_dir (run's --out replaces it).  It writes nothing and draws no
-    counts, so when it says ok, run fails only on what the run itself
-    computes."""
+    _prepare (resolve, plan, build and sample, the scan or dw/dT call with
+    its grid check, the reference-detuning check and the protocol
+    calibration), then _output_paths on the scenario's run.out_dir (run's
+    --out replaces it).  It writes nothing and draws no counts, so when it
+    says ok, run fails only on what the run itself computes."""
     path = Path(scenario_file)
     plan = _prepare(parse_config(_read_scenario(path)))
     resolved = plan.resolved

@@ -368,17 +368,21 @@ def _spectrum(asm: SensorAssembly, temp: float, freqs, om, op) -> OdmrSpectrum:
 
 
 def line_scan(asm: SensorAssembly, temps, sites: Ensemble, freqs=None):
-    """Yield (om, op, freqs) at each of the 1-D `temps`: om and op hold the
-    line centres of the rows T, T + h and T - h (h = _SLOPE_STEP, the step
-    that _slope and _tile_bounds assume), from one line_centers call for
-    all of `temps`; freqs is the given grid, or the default_freq_grid of
-    row T when None, a DomainError at the first T whose lines it cannot
-    resolve.  One grid is held at a time.
+    """An iterator of (om, op, freqs) at each of the 1-D `temps`: om and op
+    hold the line centres of the rows T, T + h and T - h (h = _SLOPE_STEP,
+    the step that _slope and _tile_bounds assume), from one line_centers
+    call for all of `temps` when called; freqs is the given grid, or else
+    row T's default_freq_grid, all checked when called (a DomainError at the
+    first T whose lines it cannot resolve) and held one at a time.
 
     Every row uses the same ensemble sample (common random numbers), so a
     difference of rows isolates the physics, not the sampling.
     """
-    yield from _scan(asm, line_centers(asm, _rows(temps, _SCAN_ROWS), sites), freqs)
+    om, op = line_centers(asm, _rows(temps, _SCAN_ROWS), sites)
+    if freqs is None:
+        for row in zip(om[::3], op[::3]):  # the rows T
+            _grid_for_lines(asm, *row)
+    return _scan(asm, (om, op), freqs)
 
 
 def _rows(temps, offsets) -> np.ndarray:

@@ -115,26 +115,29 @@ def representative_domega_dt(asm: SensorAssembly, temp, m=None):
 
 
 def sensitivity_scan(asm: SensorAssembly, temps, *, sites):
-    """Yield the SensitivityReport at each of the 1-D `temps`, from one
-    line_scan and one representative_domega_dt call: the spectrum of row T
-    on its default grid, and max|dS/dT| from _peak_slope, which evaluates
-    the slope only on the grid tiles that can hold the peak."""
+    """An iterator of the SensitivityReport at each of the 1-D `temps` from
+    one line_scan, then one representative_domega_dt call, both made when
+    called: the spectrum of row T on its default grid, and max|dS/dT| from
+    _peak_slope, the slope on only the grid tiles that can hold the peak."""
     temps = np.asarray(temps, dtype=float)
-    for temp, dom, (om, op, freqs) in zip(
-            temps.tolist(), representative_domega_dt(asm, temps).tolist(),
-            line_scan(asm, temps, sites)):
-        meta = _spectrum(asm, temp, freqs, om[0], op[0]).meta
-        peak = _peak_slope(asm, freqs, om, op)
-        eta_num = eta_cw_numeric(peak, asm.photon_rate)
-        yield SensitivityReport(
-            temp=temp,
-            eta_cw_numeric=eta_num,
-            eta_cw_lorentzian=eta_cw_lorentzian(
-                meta["effective_width_hz"], meta["effective_contrast"],
-                asm.photon_rate, dom),
-            eta_three_point=float(THREE_POINT_FACTOR * eta_num),
-            max_dsdt_per_k=peak,
-            domega_dt_hz_per_k=dom)
+    scan = line_scan(asm, temps, sites)
+    doms = representative_domega_dt(asm, temps).tolist()
+
+    def reports():
+        for temp, dom, (om, op, freqs) in zip(temps.tolist(), doms, scan):
+            meta = _spectrum(asm, temp, freqs, om[0], op[0]).meta
+            peak = _peak_slope(asm, freqs, om, op)
+            eta_num = eta_cw_numeric(peak, asm.photon_rate)
+            yield SensitivityReport(
+                temp=temp,
+                eta_cw_numeric=eta_num,
+                eta_cw_lorentzian=eta_cw_lorentzian(
+                    meta["effective_width_hz"], meta["effective_contrast"],
+                    asm.photon_rate, dom),
+                eta_three_point=float(THREE_POINT_FACTOR * eta_num),
+                max_dsdt_per_k=peak,
+                domega_dt_hz_per_k=dom)
+    return reports()
 
 
 # Operating points probed below each composition's transition.  Absolute

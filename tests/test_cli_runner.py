@@ -632,18 +632,23 @@ class TestRun:
         run(write(tmp_path, "scenario.cfg", text), out_dir=tmp_path / "out")
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("text, batches", [
-        (SPECTRUM, 1), (SUSCEPTIBILITY, 1), (SENSITIVITY, 2), (TRACK, 2),
-        (SHOT_NOISE, 2),
-    ], ids=["spectrum", "susceptibility", "sensitivity", "track", "shot-noise"])
+    @pytest.mark.parametrize("text, batches, rows", [
+        (SPECTRUM, 1, 3), (SUSCEPTIBILITY, 1, 6), (SENSITIVITY, 2, 15), (TRACK, 2, 5),
+        (SHOT_NOISE, 2, 4), (shipped("spectrum_63c"), 1, 3),
+        (shipped("sensitivity_vs_temp"), 2, 200),
+    ], ids=["spectrum", "susceptibility", "sensitivity", "track", "shot-noise",
+            "spectrum_63c", "sensitivity_vs_temp"])
     def test_line_centers_batches_per_runner(self, tmp_path, forward_model_calls,
-                                             text, batches):
+                                             text, batches, rows):
         # every temperature a runner needs goes into one line_centers call:
         # sensitivity makes one for the ensemble and one for the reference
         # NV; track and shot-noise one for the calibration and one for the
-        # rate table of the count draw
+        # rate table of the count draw.  The gate makes the run's call, so
+        # a spectrum or sensitivity run solves each row T, T +- h (and the
+        # reference NV's T +- k) once
         run(write(tmp_path, "scenario.cfg", text), out_dir=tmp_path / "out")
         assert len(forward_model_calls["batches"]) == batches
+        assert forward_model_calls["rows"] == rows
 
 
     def test_runners_never_reach_the_scalar_oracles(self, tmp_path, monkeypatch):
@@ -1393,6 +1398,8 @@ OTHER_FILES = st.one_of(
 # design sweep, makes every row an error row with exit 0 from both.
 NARROW_LINES = ("n_nv = 500", "n_nv = 500\nline_width_hz = 1e-100")
 HUGE_BIAS = ("n_nv = 500", "n_nv = 500\nbias_field_t = 0 0 1e300")
+EXPLICIT_GRID = ("temp_k = 336.15", "temp_k = 336.15\nfreq_start_hz = 2.8e9\n"
+                 "freq_stop_hz = 2.95e9\nfreq_points = 11")
 HUGE_MAGNET = ("radius_m = 100e-9", "radius_m = 1e300",
                "fnd_center_m = 0 0 200e-9", "fnd_center_m = 0 0 1e300")
 GRID_REFUSED = "assembly.line_width_hz: the default frequency grid cannot resolve"
@@ -1408,6 +1415,9 @@ EDIT_MATRIX = [
     *(pytest.param(shipped(name, *HUGE_BIAS), 3, AMBIGUOUS, id=f"{name}-bias",
                    marks=OVERFLOWS)
       for name in ("spectrum_63c", "sensitivity_vs_temp")),
+    # an explicit grid is never refused, but its lines are still solved
+    pytest.param(shipped("spectrum_63c", *EXPLICIT_GRID, *HUGE_BIAS), 3, AMBIGUOUS,
+                 id="spectrum_63c-grid-bias", marks=OVERFLOWS),
     *(pytest.param(shipped(name, *HUGE_MAGNET), 3, VOLUME_OVERFLOWS, id=f"{name}-radius")
       for name in ("spectrum_63c", "track_63c", "shot_noise")),
     pytest.param(small_sweep({"n_nv": 3, "line_width_hz": "1e-100"}, 0.5, 0.6), 0,
@@ -1460,6 +1470,22 @@ class TestValidatePredictsRun:
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
         assert "calibration slope must be nonzero" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [p]
+
+    @pytest.mark.parametrize("text", [
+        # three temperatures of the shipped grid keep the test short
+        shipped("sensitivity_vs_temp", "n_nv = 500", "n_nv = 500\nbias_field_t = 0 0 0.1",
+                "temp_stop_k = 339.5", "temp_stop_k = 321.0"),
+        shipped("gd_susceptibility", "nv_position_m = 0 0 6.2e-3",
+                "nv_position_m = 0 0 1.0001e-3", "nv_axis = 0 0 1", "nv_axis = 1 0 0"),
+    ], ids=["sensitivity-reference-nv", "susceptibility-nv"])
+    def test_validate_warns_where_run_warns(self, tmp_path, text):
+        # the operating-regime warning of dw/dT comes from the gate's call,
+        # so validate prints it as run does
+        p = write(tmp_path, "near.cfg", text)
+        for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "out")]):
+            with pytest.warns(UserWarning, match=r"operating regime \|gamma B\| \+ E < D "
+                              "violated"):
+                assert main(argv) == 0
 
     @pytest.mark.parametrize("text, code, message", EDIT_MATRIX)
     def test_edit_exits_alike_from_validate_and_run(self, tmp_path, capsys, text,
