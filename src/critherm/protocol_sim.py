@@ -146,31 +146,43 @@ def _point_times(start: int, stop: int, bins_per_point: int,
 
 def _count_blocks(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
                   npts: int, seed: int, trace_resolution: float = None, *,
-                  sites, bins_per_point: int):
+                  sites, bins_per_point: int, table_temps=None):
     """The Poisson draw of the first npts points: yields (first point,
     (n, 3) int64 counts) for consecutive blocks of whole points, each count
     the sum over its point's bins_per_point bins.  Blocks hold at most
     _POISSON_BLOCK_BINS bins (at least one point); the draws run in the
     same order as one draw over all per-bin rates.  The rates are one row of
-    (f1, f2, f_ref) expected counts per distinct (snapped) temperature, all
-    from one line_centers and one _signal call; temp_trace is evaluated per
-    block twice, once for the table and once for the draw."""
+    (f1, f2, f_ref) expected counts per temperature of the table, all from
+    one line_centers and one _signal call.  The table holds table_temps
+    (sorted, distinct) when the caller knows every value the (snapped)
+    trace takes; otherwise temp_trace is walked once for its distinct
+    values before the draw walks it again.  Every block's keys are looked
+    up in the table before it is drawn: a key the table lacks raises
+    DomainError naming it."""
     nbins = npts * bins_per_point
     block = max(1, _POISSON_BLOCK_BINS // bins_per_point) * bins_per_point
-    distinct = _distinct(np.concatenate(
-        [_distinct(keys) for _, keys in
-         _key_blocks(cfg, temp_trace, nbins, block, trace_resolution)]))
+    if table_temps is None:
+        distinct = _distinct(np.concatenate(
+            [_distinct(keys) for _, keys in
+             _key_blocks(cfg, temp_trace, nbins, block, trace_resolution)]))
+    else:
+        distinct = np.asarray(table_temps, dtype=float)
     probe = np.array([cfg.f1, cfg.f2, cfg.f_ref])
     table = asm.photon_rate * cfg.dwell * _signal(
         asm, probe, *line_centers(asm, distinct, sites))
     if np.any(table > _LAMBDA_GUARD):
         raise DomainError("expected counts per bin exceed the overflow guard")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    last = len(distinct) - 1
     for start, keys in _key_blocks(cfg, temp_trace, nbins, block,
                                    trace_resolution):
-        drawn = rng.poisson(table[np.searchsorted(distinct, keys)])
-        yield start // bins_per_point, \
-            drawn.reshape(-1, bins_per_point, 3).sum(axis=1)
+        rows = np.minimum(np.searchsorted(distinct, keys), last)
+        missing = np.flatnonzero(distinct[rows] != keys)
+        if missing.size:
+            raise DomainError(f"temperature {float(keys[missing[0]])!r} K of "
+                              "the trace has no row in the rate table")
+        yield start // bins_per_point, window_counts(
+            rng.poisson(table[rows]), bins_per_point)
 
 
 def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
@@ -182,12 +194,13 @@ def simulate_counts(asm: SensorAssembly, cfg: ThreePointConfig, temp_trace,
     block, in the same order as one draw over all per-bin rates.
 
     temp_trace maps time (s) to true temperature (K).  It is evaluated per
-    block of bin midpoints, possibly twice, so it must be a pure elementwise
-    function of time that returns an array of its argument's shape or a
-    scalar that broadcasts to it; `lambda t: a if t < 5 else b` does not
-    work.  For smooth traces pass trace_resolution (K) to snap temperatures
-    to that grid first: 0.1 mK structure is far below anything one protocol
-    bin can resolve, and the snap bounds the rows of the rate table.
+    block of bin midpoints twice, once for the rate table and once for the
+    draw, so it must be a pure elementwise function of time that returns an
+    array of its argument's shape or a scalar that broadcasts to it;
+    `lambda t: a if t < 5 else b` does not work.  For smooth traces pass
+    trace_resolution (K) to snap temperatures to that grid first: 0.1 mK
+    structure is far below anything one protocol bin can resolve, and the
+    snap bounds the rows of the rate table.
 
     This collects the whole record (24 bytes per bin).  track_square_wave
     draws per data point from the same blocks without collecting them: it
@@ -223,7 +236,9 @@ def window_counts(counts: np.ndarray, bins_per_window: int) -> np.ndarray:
     """The (n, 3) counts summed over consecutive complete windows of
     bins_per_window rows."""
     take = len(counts) // bins_per_window * bins_per_window
-    return counts[:take].reshape(-1, bins_per_window, 3).sum(axis=1)
+    # einsum adds int64 exactly, as sum(axis=1) does, and faster on a
+    # short middle axis
+    return np.einsum("ijk->ik", counts[:take].reshape(-1, bins_per_window, 3))
 
 
 def window_estimates(counts: np.ndarray, cfg: ThreePointConfig,
@@ -388,13 +403,15 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
     Points of `bin` seconds (snapped to whole protocol cycles) are estimated
     independently; points whose span straddles a level switch are labeled
     'mixed' and excluded from the level statistics.  The counts are drawn
-    block by block, as in simulate_counts, and each block is estimated and,
-    when `trace` (an open text file, after its header) is given, written
-    to it as trace CSV rows before the next block is drawn.  Per point only
-    the level code is kept: each level buffers its current run (its unmixed
-    points in one period) and, when the run closes, keeps its mean and
-    merges its length, mean and sum of squared deviations into the level
-    statistics (Chan, Golub & LeVeque, Am. Stat. 37, 1983).
+    block by block, as in simulate_counts, from a rate table of the two
+    levels, so the draw is the only walk of the square wave over the bins.
+    Each block is estimated and, when `trace` (an open text file, after its
+    header) is given, written to it as trace CSV rows before the next block
+    is drawn.  Per point only the level code is kept: each level buffers
+    its current run (its unmixed points in one period) and, when the run
+    closes, keeps its mean and merges its length, mean and sum of squared
+    deviations into the level statistics (Chan, Golub & LeVeque, Am. Stat.
+    37, 1983).
     """
     if bin < cfg.bin_duration:
         raise DomainError("tracking bin shorter than one protocol cycle")
@@ -416,15 +433,17 @@ def track_square_wave(asm: SensorAssembly, cfg: ThreePointConfig, low: float,
     def close(lab):
         p, *pieces = current[lab]
         run = np.concatenate(pieces)
-        mean = period_means[lab][p] = float(np.mean(run))
+        # np.mean's own sum and division, without its dispatch: bitwise equal
+        mean = period_means[lab][p] = float(run.sum() / run.size)
         dev = run - mean
         n, level_mean, sq_dev = merged[lab]
         total, delta = n + run.size, mean - level_mean
         merged[lab] = (total, level_mean + delta * run.size / total,
                        sq_dev + float(dev @ dev) + delta ** 2 * n * run.size / total)
 
-    for first, counts in _count_blocks(asm, cfg, level, npts, seed,
-                                       sites=sites, bins_per_point=bpw):
+    for first, counts in _count_blocks(
+            asm, cfg, level, npts, seed, sites=sites, bins_per_point=bpw,
+            table_temps=sorted({float(low), float(high)})):
         stop = first + len(counts)
         times = _point_times(first, stop, bpw, cfg.bin_duration)
         est = window_estimates(counts, cfg, 1)
@@ -473,7 +492,8 @@ def export_trace_csv(fh, times: np.ndarray, counts: np.ndarray,
     """Append one trace CSV row per point of a block, in the order of
     TRACE_COLUMNS: its start time, its (n, 3) counts (sums over the bins
     inside the point), its estimate, and as t_true_k level_text[code & 1],
-    the true temperature at its midpoint formatted once per track."""
+    the true temperature at its midpoint formatted once per track.  The
+    block's rows go to fh in one write."""
     columns = [c.tolist() for c in (times, *counts.T, t_hat, codes & 1)]
-    fh.writelines(f"{t!r},{n1},{n2},{nr},{est!r},{level_text[k]}\n"
-                  for t, n1, n2, nr, est, k in zip(*columns))
+    fh.write("".join([f"{t!r},{n1},{n2},{nr},{est!r},{level_text[k]}\n"
+                      for t, n1, n2, nr, est, k in zip(*columns)]))

@@ -168,6 +168,33 @@ class TestForwardModelEvaluations:
         run(asm, cfg, sites)
         assert forward_model_calls == {"batches": [3, 2], "rows": 5}
 
+    def test_track_walks_each_bin_midpoint_once(self, monkeypatch):
+        # 2,500 points of 4 bins: two draw blocks.  The level codes take
+        # three evaluations per point and the draw one per bin; the rate
+        # table takes the two levels without a walk of its own
+        evaluations = []
+        square_wave = protocol_sim.square_wave_trace
+
+        def counting_square_wave(*args):
+            trace = square_wave(*args)
+
+            def counted(t):
+                evaluations.append(np.size(t))
+                return trace(t)
+
+            return counted
+
+        monkeypatch.setattr(protocol_sim, "square_wave_trace",
+                            counting_square_wave)
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        res = track_square_wave(asm, cfg, 335.4, 336.9, period=0.9, bin=0.06,
+                                duration=150.0, seed=1, sites=sites)
+        npts = len(res.level_codes)
+        assert npts == 2500 and 4 * npts > protocol_sim._POISSON_BLOCK_BINS
+        assert sum(evaluations) == 4 * npts + 3 * npts
+
 
 class TestSimulateCounts:
     def test_zero_contrast_equal_rates(self):
@@ -230,6 +257,36 @@ class TestSimulateCounts:
         with pytest.raises(DomainError,
                            match=rf"temperature trace is {bad} at t = 0\.5025"):
             counts(asm, cfg, trace, sites)
+
+    @pytest.mark.parametrize("table_temps, missing", [
+        ([336.9], r"335\.4"), ([335.4], r"336\.9"), ([335.0, 336.9], r"335\.4")])
+    def test_key_missing_from_table_rejected(self, table_temps, missing):
+        # both levels occur in the first draw block (period 0.9 s)
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        drawn = []
+        with pytest.raises(DomainError,
+                           match=rf"temperature {missing} K .* no row in the rate table"):
+            for block in protocol_sim._count_blocks(
+                    asm, cfg, square_wave_trace(335.4, 336.9, 0.9), 66, 1,
+                    sites=sites, bins_per_point=4, table_temps=table_temps):
+                drawn.append(block)
+        assert drawn == []
+
+    def test_impure_trace_rejected(self):
+        # the draw's walk of the trace gives values the table's walk did not
+        asm = replace(cuni_tracking_assembly(seed=1), n_nv=40)
+        sites = sample_ensemble(asm)
+        cfg = calibrate_three_point(asm, 336.15, dwell=0.005, sites=sites)
+        walks = []
+
+        def drifting(t):
+            walks.append(None)
+            return np.full(np.shape(t), 336.0 + 0.5 * len(walks))
+
+        with pytest.raises(DomainError, match=r"temperature 337\.0 K"):
+            simulate_counts(asm, cfg, drifting, 1.0, seed=1, sites=sites)
 
     def test_trace_resolution_snaps_cache(self, forward_model_calls):
         asm = single_lorentzian_assembly()
