@@ -37,14 +37,15 @@ _FREQ_TILE = 256
 # temporary of the closed form stays near 32 KiB whatever the row count, and a
 # row-site is solved by the same operations in any pass, to the same bits.
 _PASS_SITES = 4096
-# Grid points per tile of the |dS/dT| bound of _peak_slope, and per block of
-# columns of its column bound.
-_BOUND_TILE = 32
-# Reach of _column_bounds, in line half-widths: the lines this close to a
-# column are summed with their signs, the others bounded.  On the shipped
-# design sweep 4 leaves ten times the kernel columns of 6, and 3 more kernel
-# time than it saves; a longer reach sums more lines per column.
-_REACH_HW = 6.0
+# Grid points per tile of the |dS/dT| bound of _peak_slope and per block of
+# its column bound, the column bound's reach (the lines nearer are summed
+# with their signs) and the inner edges of both bounds' distance bands (the
+# columns' from the reach on), in line half-widths.  On the shipped design
+# sweep, tiles of 32 let 10 more losing temperatures past the tile bound,
+# tiles of 8 are slower, and so is a reach of 2 or 8.
+_BOUND_TILE = 16
+_REACH_HW = 4.0
+_BANDS_HW = 2.0 ** np.arange(7)  # 1 to 64
 _SLOPE_STEP = 0.01  # K, step of the central-difference dS/dT
 # The default frequency grid: the lines with this many line widths of margin
 # either side, and at most this many points (10 per line width).
@@ -405,150 +406,144 @@ def _slope(asm: SensorAssembly, freqs, om, op, step: float = _SLOPE_STEP):
     return (hi - lo) / (2.0 * step)
 
 
-def _tile_bounds(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
+def _bound_lines(om, op):
+    """Rows 1 (T + h) and 2 (T - h) of om, op as the slope bounds take them,
+    sorted by lower centre: (c+, c-, the lower centres, the prefix sums of
+    |c+ - c-| from 0, max|c+ - c-|); None when a centre is not finite."""
+    c_up, c_dn = np.concatenate([om[1], op[1]]), np.concatenate([om[2], op[2]])
+    if not (np.all(np.isfinite(c_up)) and np.all(np.isfinite(c_dn))):
+        return None
+    order = np.argsort(np.minimum(c_up, c_dn))
+    c_up, c_dn = c_up[order], c_dn[order]
+    shift = np.abs(c_up - c_dn)
+    return (c_up, c_dn, np.minimum(c_up, c_dn),
+            np.concatenate([[0.0], np.cumsum(shift)]), shift.max())
+
+
+def _banded_sum(asm: SensorAssembly, lines, lo, hi, edges_hw, inner: bool):
+    """(W, first, last) on the grid intervals [lo_i, hi_i] for the
+    _bound_lines `lines`: W_i bounds sum_l |c+ - c-| g(D_l) (D and g as in
+    _tile_bounds) over all lines when `inner`, else over those outside
+    [first_i, last_i), all at D_l >= edges[0] (edges_hw half-widths,
+    ascending from the knee on: the inner edges of distance bands).
+
+    g decreases past the knee: a line of band k adds at most
+    |c+ - c-| g(edges[k]), a nearer one |c+ - c-| g(knee).  The lines at
+    edges[k] or more weigh T_k = P_N - P_right + P_left (P the prefix sums):
+    those with lower centre >= hi + edges[k], and those with lower centre
+    < lo - edges[k] - max|c+ - c-|, whose upper one is below lo - edges[k].
+    With g_-1 = g(knee) if `inner`, else 0, W = g_-1 P_N + sum_k (g_k - g_k-1) T_k.
+
+    Rounding (eps = 2^-53, N lines, K bands, G = max(g_-1, g_0)): each
+    threshold rounds at most three times, so a tail's lines are beyond
+    edges[k] - s, s = 4 eps (max(|lo|, |hi|) + edges[k] + max|c+ - c-|),
+    where g is taken (or at the knee).  A tail is within (3N + 2) eps P_N
+    and sum_k |g_k - g_k-1| <= 2G, so in eps G P_N the tails add 6N + 4,
+    the differences 2, g_-1 P_N N + 1, and the K-term product and the last
+    sum 2K + 3: 16 (N + K + 2) eps G P_N, over twice that, is added.  The
+    roundings of g and |c+ - c-| are relative, left to the caller.
+    """
+    _, _, low, prefix, big = lines
+    n, k, eps = low.size, edges_hw.size, np.finfo(float).eps / 2.0
+    half2, edges = (0.5 * asm.line_width) ** 2, edges_hw * (0.5 * asm.line_width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        right = np.searchsorted(low, hi + edges[:, None])
+        left = np.searchsorted(low, lo - edges[:, None] - big)
+        r = edges - 4.0 * eps * (max(np.abs(lo).max(), np.abs(hi).max()) + edges + big)
+        r = np.maximum(np.append(r, 0.0), np.sqrt(half2 / 3.0))  # last: the knee
+        g = 2.0 * half2 * r / (r * r + half2) ** 2
+        g_in, g = (g[-1] if inner else 0.0), g[:-1]
+        margin = 16 * (n + k + 2) * eps * max(g_in, g[0]) * prefix[n]
+        total = g_in * prefix[n] + margin \
+            + np.diff(g, prepend=g_in) @ (prefix[n] - prefix[right] + prefix[left])
+    return total, left[0], right[0]
+
+
+def _tile_bounds(asm: SensorAssembly, freqs, lines) -> np.ndarray:
     """Upper bound on the computed |_slope| over each _BOUND_TILE-point tile
-    of freqs (the last may be shorter); inf where the bound is not finite,
-    so that such a tile is never skipped.
+    of freqs (the last may be shorter), for the _bound_lines `lines`; inf
+    where the bound is not finite, so that such a tile is never skipped.
 
     With L(u) = hw^2 / (u^2 + hw^2) and line l centred at c+ in row T + h
     and c- in row T - h (h = _SLOPE_STEP), the mean value theorem gives
-    |L(f - c+) - L(f - c-)| <= |c+ - c-| g(D), where D is the distance from
-    the tile's [min f, max f] to [c-, c+] and g(D) is the largest |L'(u)|
-    at |u| >= D: 3 sqrt(3) / (8 hw) up to D = hw / sqrt(3), where |L'|
+    |L(f - c+) - L(f - c-)| <= |c+ - c-| g(D), D being the distance from
+    the tile's [min f, max f] to [c-, c+] and g(D) the largest |L'(u)| at
+    |u| >= D: 3 sqrt(3) / (8 hw) up to the knee hw / sqrt(3), where |L'|
     peaks, and 2 hw^2 D / (D^2 + hw^2)^2 beyond.  So a tile's |dS/dT| is at
-    most weight / (2h) sum_l |c+ - c-| g(D_l), summed over blocks of 256
-    lines by 256 tiles: no temporary outgrows _signal's 512 KiB buffer.
+    most weight / (2h) sum_l |c+ - c-| g(D_l), which _banded_sum bounds in
+    the bands _BANDS_HW: O(tiles x bands) work on the sorted lines.
+
+    Safety margin (eps = 2^-53, N lines, c = contrast).  _signal computes
+    S = 1 - w sum_l L_l, each term within 5 eps relative of its exact value
+    (at most 1), summed in some order (gamma_(N-1)), with w = c / N, the
+    product and 1 - x rounded once each: |S~ - S| <= c (N + 6) eps + eps.
+    The difference of two rows and its division by 2h add 2 eps relative,
+    so the computed |dS/dT| is within 2 eps |dS/dT| + (c (N + 6) + 1) eps / h
+    of the exact one, to first order.  Beside _banded_sum's margin,
+    |c+ - c-| rounds once, g eight times and its argument three (g falls at
+    most as D^-3), the scaling four times: a relative 64 eps and an absolute
+    2 (c (N + 8) + 1) eps / h cover them and the second order.
     """
-    c_hi, c_lo = np.concatenate([om[1], op[1]]), np.concatenate([om[2], op[2]])
-    shift = np.abs(c_hi - c_lo)
-    c_hi, c_lo = np.maximum(c_hi, c_lo), np.minimum(c_hi, c_lo)
     starts = np.arange(0, freqs.size, _BOUND_TILE)
-    f_lo = np.minimum.reduceat(freqs, starts)
-    f_hi = np.maximum.reduceat(freqs, starts)
-    half2 = (0.5 * asm.line_width) ** 2
-    knee = np.sqrt(half2 / 3.0)
-    total = np.zeros(starts.size)
-    n, eps, h = shift.size, np.finfo(float).eps / 2.0, _SLOPE_STEP
-    buf = np.empty((2, _LINE_CHUNK, min(starts.size, _LINE_CHUNK)))
+    total = _banded_sum(asm, lines, np.minimum.reduceat(freqs, starts),
+                        np.maximum.reduceat(freqs, starts), _BANDS_HW, True)[0]
+    n, eps, h = lines[2].size, np.finfo(float).eps / 2.0, _SLOPE_STEP
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, _LINE_CHUNK):
-            lines = slice(start, start + _LINE_CHUNK)
-            for tile in range(0, starts.size, _LINE_CHUNK):
-                tiles = slice(tile, tile + _LINE_CHUNK)
-                d, q = buf[:, :shift[lines].size, :f_lo[tiles].size]
-                np.subtract(c_lo[lines, None], f_hi[tiles], out=d)
-                np.subtract(f_lo[tiles], c_hi[lines, None], out=q)
-                np.maximum(d, q, out=d)
-                np.maximum(d, knee, out=d)  # g(D) = g(knee) below the knee
-                np.multiply(d, d, out=q)
-                q += half2
-                q *= q
-                d *= 2.0 * half2
-                d /= q
-                total[tiles] += shift[lines] @ d
-        # Safety margin, with eps = 2^-53, N lines and c = contrast.
-        # _signal computes S = 1 - w sum_l L_l: each term is within 5 eps
-        # relative of its exact value (at most 1), the N terms are summed
-        # in some order (gamma_(N-1)), and w = c / N and the product and
-        # 1 - x round once each, so |S~ - S| <= c (N + 6) eps + eps.  The
-        # difference of two rows and its division by 2h add 2 eps relative:
-        # the computed |dS/dT| exceeds the exact one by at most
-        # 2 eps |dS/dT| + (c (N + 6) + 1) eps / h, to first order.  The
-        # bound sums N terms of about a dozen roundings each and is scaled
-        # three times, so it is within (N + 16) eps of its exact value.
-        # Twice both, a relative 2 (N + 32) eps and an absolute
-        # 2 (c (N + 8) + 1) eps / h, cover them, the second order and the
-        # three roundings of this line.
-        bound = (asm.contrast / n / (2.0 * h)) * total * (1.0 + 2 * (n + 32) * eps) \
+        bound = (asm.contrast / n / (2.0 * h)) * total * (1.0 + 64 * eps) \
             + 2.0 * (asm.contrast * (n + 8) + 1.0) * eps / h
     bound[~np.isfinite(bound)] = np.inf
     return bound
 
 
-def _column_bounds(asm: SensorAssembly, freqs, om, op) -> np.ndarray:
-    """Upper bound on the computed |_slope| at each point of freqs, close to
-    it near the peak (within 40% at the winning temperatures of the shipped
-    design sweep and 15% on the shipped sensitivity scan, where a tile bound
-    sits several times above); inf where the bound is not finite, and at
-    every point when a line centre is not finite.
+def _column_bounds(asm: SensorAssembly, freqs, lines) -> np.ndarray:
+    """Upper bound on the computed |_slope| at each point of freqs for the
+    _bound_lines `lines` (at most 1.2x the peak at the winning temperatures
+    of the shipped design sweep and 1.12x on the shipped sensitivity scan,
+    where a tile bound sits several times above); inf where not finite.
 
-    With L, l, c+, c-, D, g and h as in _tile_bounds: a line whose D from
-    column f is at least R (R = _REACH_HW half-widths, beyond the knee, so
-    that g is decreasing there) adds at most |c+ - c-| g(R) to
-    |sum_l L(f - c+) - L(f - c-)|; every other line is evaluated, signs and
-    all.  The lines are sorted by min(c+, c-), with prefix sums of
-    |c+ - c-|, and the columns are sorted too and taken _BOUND_TILE at a
-    time: a block sums the window of lines that starts at the block's
-    lowest column - R - max|c+ - c-| and ends at its highest column + R, as
-    one signed product [1, -1, ...] . L over the interleaved rows T + h and
-    T - h, L built as in _signal; the lines outside the window, a prefix
-    and a suffix, are beyond R of every column of the block.  The window
-    ends come from rounded sums: a line outside is beyond R - s, s = 4 eps
-    (max |f| + R + 2 max|c+ - c-|), so g is taken at max(R - s, knee).  The
-    bound is weight / (2h) (|near sum| + g (prefix-sum difference)).
+    With L, l, c+, c-, g and h as in _tile_bounds: the columns are sorted
+    and taken _BOUND_TILE at a time, and the lines of a block's _banded_sum
+    window, which holds all within _REACH_HW half-widths of it, are
+    evaluated, signs and all, as one signed product [1, -1, ...] . L over
+    the interleaved rows T + h and T - h, L built as in _signal.
+    _banded_sum bounds the others in the bands _BANDS_HW from _REACH_HW on.
+    The bound is weight / (2h) (|near sum| + banded sum).
 
-    Safety margin, with eps = 2^-53, N lines and c = contrast.  The
-    computed slope exceeds the exact one by at most 2 eps |dS/dT| +
-    (c (N + 6) + 1) eps / h, as in _tile_bounds.  Each L is within 5 eps of
-    its exact value (at most 1) and the window's at most 2N terms are summed
-    in some order (gamma_2N on a sum of at most 2N), so the near sum is
-    within (4N^2 + 10N) eps, c (2N + 5) eps / h after scaling.  The
-    cumulative sums and the difference of three of them are within
-    (3N + 2) eps of the total, 4 (N + 2) eps total added to the difference
-    covers them.  |c+ - c-| is rounded once, g about eight times and its
-    argument twice (g falls as R^-3, so three relative roundings), the sum
-    and the scaling five times: a relative 64 eps and an absolute
-    (c (6N + 26) + 2) eps / h, twice the first order of the absolute terms,
-    cover them.
+    Safety margin (eps = 2^-53, N lines, c = contrast): each L is within
+    5 eps of its exact value (at most 1), and the window's at most 2N terms
+    summed in any order (gamma_2N) put the near sum within c (2N + 5) eps / h
+    after scaling.  With the slope's own error (_tile_bounds), an absolute
+    (c (6N + 26) + 2) eps / h, over twice theirs, and a relative 64 eps cover them.
     """
-    c_up, c_dn = np.concatenate([om[1], op[1]]), np.concatenate([om[2], op[2]])
-    bound = np.full(freqs.size, np.inf)
-    if not (np.all(np.isfinite(c_up)) and np.all(np.isfinite(c_dn))):
-        return bound
-    order = np.argsort(np.minimum(c_up, c_dn), kind="stable")
-    c_up, c_dn = c_up[order], c_dn[order]
-    low, shift = np.minimum(c_up, c_dn), np.abs(c_up - c_dn)
-    prefix = np.concatenate([[0.0], np.cumsum(shift)])
-    n, eps, h = shift.size, np.finfo(float).eps / 2.0, _SLOPE_STEP
-    big = shift.max()
+    c_up, c_dn, low, _, _ = lines
+    n, eps, h = low.size, np.finfo(float).eps / 2.0, _SLOPE_STEP
     half2 = (0.5 * asm.line_width) ** 2
-    reach = _REACH_HW * 0.5 * asm.line_width
-    knee = np.sqrt(half2 / 3.0)
     cols = np.argsort(freqs, kind="stable")
     f = freqs[cols]
     grid = np.stack([f, np.ones_like(f)])
     starts = np.arange(0, f.size, _BOUND_TILE)
     ends = np.minimum(starts + _BOUND_TILE, f.size)
+    far, first, last = _banded_sum(asm, lines, f[starts], f[ends - 1],
+                                   _BANDS_HW[_BANDS_HW >= _REACH_HW], False)
     # row 2l is line l at T + h, row 2l + 1 at T - h; sign weighs them +1, -1
-    lines = np.stack([np.ones(2 * n), -np.stack([c_up, c_dn], axis=1).ravel()], axis=1)
+    rows = np.stack([np.ones(2 * n), -np.stack([c_up, c_dn], axis=1).ravel()], axis=1)
     sign = np.tile([1.0, -1.0], n)
-    near = np.zeros(f.size)
+    near, bound = np.zeros(f.size), np.empty(f.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        first = np.searchsorted(low, f[starts] - reach - big)
-        last = np.searchsorted(low, f[ends - 1] + reach)
-        # rows per pass: the widest window (two rows a line), at most what
-        # _signal's buffer holds
-        rows = min(_LINE_CHUNK * _FREQ_TILE // _BOUND_TILE,
-                   max(2 * int((last - first).max()), 2))
-        buf = np.empty(rows * _BOUND_TILE)
-        far = prefix[n] - prefix[last] + prefix[first] + 4 * (n + 2) * eps * prefix[n]
-        r = reach - 4.0 * eps * (np.maximum(np.abs(f[starts]), np.abs(f[ends - 1]))
-                                 + reach + 2.0 * big)
-        r = np.maximum(r, knee)
-        g = 2.0 * half2 * r / (r * r + half2) ** 2
+        step = _LINE_CHUNK * _FREQ_TILE // _BOUND_TILE  # rows: _signal's buffer
+        buf = np.empty(min(step, 2 * int((last - first).max())) * _BOUND_TILE)
         for s, e, a, z in zip(starts.tolist(), ends.tolist(),
                               (2 * first).tolist(), (2 * last).tolist()):
-            for k in range(a, z, rows):
-                top = min(k + rows, z)
+            for k in range(a, z, step):
+                top = min(k + step, z)
                 b = buf[:(top - k) * (e - s)].reshape(top - k, e - s)
-                np.matmul(lines[k:top], grid[:, s:e], out=b)
+                np.matmul(rows[k:top], grid[:, s:e], out=b)
                 np.square(b, out=b)
                 b += half2
                 np.divide(half2, b, out=b)
                 near[s:e] += sign[k:top] @ b
-        block = np.repeat(np.arange(starts.size), ends - starts)
         bound[cols] = (asm.contrast / n / (2.0 * h)) \
-            * (np.abs(near) + g[block] * far[block]) * (1.0 + 64 * eps) \
+            * (np.abs(near) + np.repeat(far, ends - starts)) * (1.0 + 64 * eps) \
             + (asm.contrast * (6 * n + 26) + 2.0) * eps / h
     bound[~np.isfinite(bound)] = np.inf
     return bound
@@ -558,19 +553,23 @@ def _peak_slope(asm: SensorAssembly, freqs, om, op, floor: float = 0.0) -> float
     """max |_slope| on freqs, bitwise np.max(np.abs(_slope(...))) whenever
     that is >= floor; otherwise some value below floor.
 
-    Branch and bound in two levels.  When every bound of _tile_bounds is
-    below floor, the highest is returned and no column is evaluated.  The
-    columns of the other tiles get a _column_bounds each; when all of those
-    fall below floor, the highest is returned.  Otherwise the column of the
-    highest is evaluated first, then, in one _slope call, every column whose
-    bound still reaches both floor and that peak.  A column of _signal is
-    bitwise the same in any batch, so each is as on the whole grid.
+    Branch and bound on the lines sorted once (_bound_lines; the whole grid
+    when a centre is not finite): a floor above 0 skips the tiles whose
+    _tile_bounds fall below it, the other columns get a _column_bounds, and
+    when all of a level's bounds fall below floor the highest is returned.
+    Else the column of the highest is evaluated, then, in one _slope call,
+    each whose bound reaches floor and that peak, bitwise as on the whole grid.
     """
-    bounds = _tile_bounds(asm, freqs, om, op)
-    if bounds.max() < floor:
-        return float(bounds.max())
-    cols = np.flatnonzero(bounds[np.arange(freqs.size) // _BOUND_TILE] >= floor)
-    bounds = _column_bounds(asm, freqs[cols], om, op)
+    lines = _bound_lines(om, op)
+    if lines is None:
+        return float(np.max(np.abs(_slope(asm, freqs, om, op))))
+    cols = np.arange(freqs.size)
+    if floor > 0.0:
+        bounds = _tile_bounds(asm, freqs, lines)
+        if bounds.max() < floor:
+            return float(bounds.max())
+        cols = np.flatnonzero(bounds[cols // _BOUND_TILE] >= floor)
+    bounds = _column_bounds(asm, freqs[cols], lines)
     if bounds.max() < floor:
         return float(bounds.max())
     lead = int(np.argmax(bounds))

@@ -344,19 +344,20 @@ def _level_codes(low: float, high: float, period: float, bpw: int,
     wave at the point midpoint (_HIGH or _LOW), and the _MIXED bit is set
     when the point's span straddles a level switch: when the wave differs at
     its start and near its end, or always when the span is half a period or
-    more (it then holds a switch, or many, whatever the two samples say).
-    Built block by block, so no per-point time or temperature array is
-    held."""
+    more (a switch then lies inside, whatever the samples say).  Only mixed
+    points sample the midpoint: `%` is exact, so no switch lies between equal
+    samples under half a period apart.  Built block by block, so no
+    per-point time or temperature array is held."""
     level = square_wave_trace(low, high, period)
     span = bpw * cycle
     codes = np.empty(npts, dtype=np.int8)
     for start in range(0, npts, _POISSON_BLOCK_BINS):
         times = _point_times(start, min(start + _POISSON_BLOCK_BINS, npts),
                              bpw, cycle)
-        switched = ((level(times) != level(times + span * 0.999))
-                    | (span >= 0.5 * period))
-        codes[start:start + len(times)] = _MIXED * switched + (
-            level(times + 0.5 * span) == high)
+        mid = level(times)
+        switched = (mid != level(times + span * 0.999)) | (span >= 0.5 * period)
+        mid[switched] = level(times[switched] + 0.5 * span)
+        codes[start:start + len(times)] = _MIXED * switched + (mid == high)
     return codes
 
 

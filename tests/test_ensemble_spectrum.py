@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,13 @@ from critherm.ensemble_spectrum import (
     TETRAHEDRAL_AXES,
     Ensemble,
     SensorAssembly,
+    _BANDS_HW,
     _BOUND_TILE,
     _DT_ROWS,
+    _REACH_HW,
     _SCAN_ROWS,
+    _banded_sum,
+    _bound_lines,
     _column_bounds,
     _grid_for_lines,
     _peak_slope,
@@ -548,50 +553,140 @@ def tile_index(n_points):
     return np.arange(n_points) // _BOUND_TILE
 
 
+def pin_line(om, op, freqs, pin, rng):
+    """Line 0 of om, op (rows T + h and T - h) moved as `pin` says: its
+    c+ onto a tile edge (its shift kept), one of its ends exactly one band
+    edge right of a tile's highest point or left of its lowest, or its c-
+    onto its c+.  Tiles and column blocks share their ends on a sorted
+    grid."""
+    c_up, c_dn = om[1, 0], om[2, 0]
+    starts = np.arange(0, freqs.size, _BOUND_TILE)
+    lo, hi = np.minimum.reduceat(freqs, starts), np.maximum.reduceat(freqs, starts)
+    if pin == "still":
+        c_dn = c_up
+    elif pin == "tile edge":
+        c_up = rng.choice(np.concatenate([lo, hi]))
+        c_dn = c_up + (om[2, 0] - om[1, 0])
+    elif pin == "band edge":
+        edge = rng.choice(_BANDS_HW) * 4e6
+        shift = abs(c_up - c_dn)
+        if rng.random() < 0.5:  # lower end right of a tile
+            c_up = rng.choice(hi) + edge
+            c_dn = c_up + shift
+        else:  # upper end left of a tile
+            c_up = rng.choice(lo) - edge
+            c_dn = c_up - shift
+    om[1, 0], om[2, 0] = c_up, c_dn
+    return om, op
+
+
 class TestPeakSlope:
     """_tile_bounds, _column_bounds and _peak_slope: max|dS/dT| by branch
     and bound."""
 
-    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(n_nv=st.integers(1, 5), gap=st.floats(2e-9, 40e-9),
            offset=st.floats(0.02, 30.0), seed=st.integers(0, 1000),
            n_points=st.sampled_from([0, 1, 2, 33, 257, 300, 545]),
-           shuffle=st.booleans())
-    @example(n_nv=5, gap=2e-9, offset=0.02, seed=3, n_points=545, shuffle=True)
+           shuffle=st.booleans(),
+           pin=st.sampled_from([None, "tile edge", "band edge", "still"]))
+    @example(n_nv=5, gap=2e-9, offset=0.02, seed=3, n_points=545, shuffle=True,
+             pin=None)
+    @example(n_nv=1, gap=2e-9, offset=0.02, seed=3, n_points=1, shuffle=False,
+             pin="band edge")
+    @example(n_nv=2, gap=2e-9, offset=0.02, seed=4, n_points=2, shuffle=False,
+             pin="tile edge")
+    @example(n_nv=1, gap=2e-9, offset=0.02, seed=5, n_points=33, shuffle=True,
+             pin="still")
     def test_bound_holds_on_every_tile(self, n_nv, gap, offset, seed,
-                                       n_points, shuffle):
+                                       n_points, shuffle, pin):
         # n_points = 0: the default grid of row T; otherwise an explicit
         # grid over the lines, in grid order or shuffled
         asm = replace(cuni_design_assembly(seed=seed), n_nv=n_nv,
                       fnd_center=(0.0, 0.0, 150e-9 + gap))
+        assert asm.line_width == 8e6  # pin_line's band edges: 4e6 half-widths
         sites, temps = sample_ensemble(asm), [asm.magnet.tc - offset]
         om, op, freqs = next(line_scan(asm, temps, sites))
         if n_points:
             freqs = np.linspace(freqs[0], freqs[-1], n_points)
             if shuffle:
                 freqs = np.random.default_rng(seed).permutation(freqs)
+        om, op = pin_line(om, op, freqs, pin, np.random.default_rng(seed))
         slope = np.abs(_slope(asm, freqs, om, op))
-        bounds = _tile_bounds(asm, freqs, om, op)
+        bounds = _tile_bounds(asm, freqs, _bound_lines(om, op))
         assert bounds.shape == (-(-freqs.size // _BOUND_TILE),)
         assert np.all(slope <= bounds[tile_index(freqs.size)])
         # and on every column, the column bound
-        bounds = _column_bounds(asm, freqs, om, op)
+        bounds = _column_bounds(asm, freqs, _bound_lines(om, op))
         assert bounds.shape == freqs.shape
         assert np.all(slope <= bounds)
         peak = np.max(slope)
         assert _peak_slope(asm, freqs, om, op) == peak
         assert _peak_slope(asm, freqs, om, op, peak) == peak
 
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_lines=st.integers(1, 24),
+           inner=st.booleans())
+    @example(seed=22, n_lines=1, inner=True)
+    @example(seed=76, n_lines=1, inner=False)
+    @example(seed=6, n_lines=1, inner=True)
+    @example(seed=15, n_lines=1, inner=False)
+    def test_banded_sum_bounds_the_exact_sum(self, seed, n_lines, inner):
+        # W of _banded_sum against sum_l |c+ - c-| g(max(D_l, knee)) over
+        # the lines it counts, in 60-digit decimal arithmetic.  The shifts
+        # span six decades, so the tails are small differences of large
+        # prefix sums, and half the lines (at least one) sit exactly on a
+        # rounded threshold: near 2.87 GHz, with a line width whose
+        # half-widths are not integers, its rounding is far above eps times
+        # the band edge
+        rng = np.random.default_rng(seed)
+        asm = SensorAssembly(line_width=rng.uniform(6e6, 10e6))
+        hw = 0.5 * asm.line_width
+        edges_hw = _BANDS_HW if inner else _BANDS_HW[_BANDS_HW >= _REACH_HW]
+        lo = np.sort(D0 + rng.uniform(-40.0, 40.0, 4) * hw)
+        hi = lo + rng.uniform(0.0, 3.0, 4) * hw
+        low = D0 + rng.uniform(-150.0, 150.0, n_lines) * hw
+        shift = hw * 10.0 ** rng.uniform(-4.0, 2.0, n_lines)
+        big = shift.max()
+        for line in rng.choice(n_lines, max(n_lines // 2, 1), replace=False):
+            i, edge = rng.integers(4), rng.choice(edges_hw) * hw
+            if rng.random() < 0.5:  # lower end on the right threshold
+                low[line] = hi[i] + edge
+            else:  # just inside the left one
+                low[line] = np.nextafter((lo[i] - edge) - big, -np.inf)
+        flip = rng.random(n_lines) < 0.5
+        c_up, c_dn = np.where(flip, low + shift, low), np.where(flip, low, low + shift)
+        om = np.stack([c_up, c_up, c_dn])
+        lines = _bound_lines(om, np.empty((3, 0)))
+        total, first, last = _banded_sum(asm, lines, lo, hi, edges_hw, inner)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            half2 = Decimal(hw) ** 2
+            knee = (half2 / 3).sqrt()
+            for i in range(4):
+                exact = Decimal(0)
+                for line in range(n_lines):
+                    if not inner and first[i] <= line < last[i]:
+                        continue
+                    a, b = sorted([Decimal(lines[0][line]), Decimal(lines[1][line])])
+                    d = max(a - Decimal(hi[i]), Decimal(lo[i]) - b, knee)
+                    exact += (b - a) * 2 * half2 * d / (d * d + half2) ** 2
+                assert Decimal(total[i]) >= exact
+
     def test_non_finite_bound_never_prunes(self):
+        # a centre that is not finite gives no bound lines, and _peak_slope
+        # evaluates the whole grid whatever the floor
         asm = SensorAssembly(n_nv=2)
         om, op = np.array([[D0 - 5e6] * 2] * 3), np.array([[D0 + 5e6] * 2] * 3)
         om[2, 0] = np.nan
         freqs = np.linspace(D0 - 1e9, D0 + 1e9, 1000)
-        assert np.all(_tile_bounds(asm, freqs, om, op) == np.inf)
-        assert np.all(_column_bounds(asm, freqs, om, op) == np.inf)
+        assert _bound_lines(om, op) is None
         assert np.isnan(_peak_slope(asm, freqs, om, op, 1.0))
         om[2, 0], op[1, 1] = D0 - 5e6, np.inf
-        assert np.all(_column_bounds(asm, freqs, om, op) == np.inf)
+        assert _bound_lines(om, op) is None
+        whole = np.max(np.abs(_slope(asm, freqs, om, op)))
+        assert whole > 0.0
+        assert _peak_slope(asm, freqs, om, op, 2.0 * whole) == whole
 
     @pytest.mark.parametrize("n_points", [256, 300, 513, 769, 801])
     def test_gathered_columns_bitwise_equal_to_whole_grid(self, monkeypatch,
@@ -619,14 +714,16 @@ class TestPeakSlope:
                             lambda *args: bounds)
         rng = np.random.default_rng(n_points)
         n_tiles = -(-n_points // _BOUND_TILE)
+        # a floor above 0 (there is no tile pass at 0) below every bound
+        floor = np.finfo(float).tiny
         for _ in range(6):
             bounds = np.where(rng.random(n_tiles) < 0.5, np.inf, 0.0)
             bounds[rng.integers(n_tiles)] = np.inf
-            _peak_slope(asm, freqs, om, op, 0.0)
+            _peak_slope(asm, freqs, om, op, floor)
         # the highest tile is the last, one point wide for 513, 769 and 801
         bounds = np.zeros(n_tiles)
         bounds[-1] = np.inf
-        _peak_slope(asm, freqs, om, op, 0.0)
+        _peak_slope(asm, freqs, om, op, floor)
         assert len(seen) >= 6 and all(seen)
 
     def test_floor_above_every_bound_evaluates_no_column(self, monkeypatch):
@@ -634,7 +731,8 @@ class TestPeakSlope:
         asm = cuni_design_assembly(seed=4)
         sites = sample_ensemble(asm)
         om, op, freqs = next(line_scan(asm, [asm.magnet.tc - 2.0], sites))
-        above = np.nextafter(_tile_bounds(asm, freqs, om, op).max(), np.inf)
+        lines = _bound_lines(om, op)
+        above = np.nextafter(_tile_bounds(asm, freqs, lines).max(), np.inf)
         columns = []
         slope = ensemble_spectrum._slope
 
@@ -646,8 +744,8 @@ class TestPeakSlope:
         assert _peak_slope(asm, freqs, om, op, above) < above
         assert columns == []
         # nor one whose column bounds all fall below it, tile bounds or not
-        above = np.nextafter(_column_bounds(asm, freqs, om, op).max(), np.inf)
-        assert _tile_bounds(asm, freqs, om, op).max() >= above
+        above = np.nextafter(_column_bounds(asm, freqs, lines).max(), np.inf)
+        assert _tile_bounds(asm, freqs, lines).max() >= above
         assert _peak_slope(asm, freqs, om, op, above) < above
         assert columns == []
         assert _peak_slope(asm, freqs, om, op) > 0.0

@@ -170,8 +170,9 @@ class TestForwardModelEvaluations:
 
     def test_track_walks_each_bin_midpoint_once(self, monkeypatch):
         # 2,500 points of 4 bins: two draw blocks.  The level codes take
-        # three evaluations per point and the draw one per bin; the rate
-        # table takes the two levels without a walk of its own
+        # two evaluations per point and one more per mixed point, and the
+        # draw one per bin; the rate table takes the two levels without a
+        # walk of its own
         evaluations = []
         square_wave = protocol_sim.square_wave_trace
 
@@ -193,7 +194,9 @@ class TestForwardModelEvaluations:
                                 duration=150.0, seed=1, sites=sites)
         npts = len(res.level_codes)
         assert npts == 2500 and 4 * npts > protocol_sim._POISSON_BLOCK_BINS
-        assert sum(evaluations) == 4 * npts + 3 * npts
+        mixed = np.count_nonzero(res.level_codes >= 2)
+        assert 0 < mixed < npts
+        assert sum(evaluations) == 4 * npts + 2 * npts + mixed
 
 
 class TestSimulateCounts:
@@ -600,6 +603,26 @@ class TestTrackSquareWave:
         assert {"high", "low", "mixed"} == set(labels)
         assert fewest_unmixed_points(335.4, 336.9, 0.9, 0.06, 0.005, 3.0) == min(
             labels.count("high"), labels.count("low"))
+
+    @pytest.mark.parametrize("period", [
+        0.96, 0.48, 0.24,                      # switches on point starts
+        0.12, np.nextafter(0.12, np.inf),      # a span of half a period,
+        0.1200000001, 0.121, 0.15, 0.4,        # or just under it
+        0.1, 0.9, 9.6])
+    def test_level_codes_equal_three_sample_oracle(self, period):
+        # the midpoint is sampled only at mixed points: the codes are those
+        # of the start, near-end and midpoint samples of every point
+        bpw, cycle, npts = 4, 0.015, 20_000  # 60 ms points, three blocks
+        level = square_wave_trace(335, 337, period)
+        span = bpw * cycle
+        times = np.arange(npts) * bpw * cycle
+        switched = (level(times) != level(times + span * 0.999)) | (span >= 0.5 * period)
+        oracle = 2 * switched + (level(times + 0.5 * span) == 337)
+        codes = protocol_sim._level_codes(335, 337, period, bpw, cycle, npts)
+        assert codes.dtype == np.int8
+        assert np.array_equal(codes, oracle)
+        assert (codes >= 2).any()
+        assert (codes < 2).any() == (span < 0.5 * period)
 
     def test_csv_counts_sum_each_points_bins(self, tmp_path):
         # 29 bins of 15 ms hold four 6-bin points plus 5 spare bins

@@ -417,25 +417,40 @@ def full_grid_scan(asm, temps, sites):
 def design_cfg():
     """design_sweep.cfg: per composition its assembly, temperatures and
     full_grid_scan, and the row _sweep_cells gives, with the column count of
-    each exact slope-kernel (_slope) call the sweep made."""
+    each exact slope-kernel (_slope) call the sweep made and, for each of
+    its _peak_slope calls, (floor, result, whether the column level ran)."""
     plan = shipped_plan("design_sweep")
     sites = sample_ensemble(plan.asm)
-    columns = []
+    columns, rungs, column_levels = [], [], []
     slope = ensemble_spectrum._slope
+    column_bounds = ensemble_spectrum._column_bounds
+    peak_slope = sensitivity._peak_slope
 
     def counting(asm, freqs, om, op):
         columns.append(freqs.size)
         return slope(asm, freqs, om, op)
 
+    def column_level(*args):
+        column_levels.append(1)
+        return column_bounds(*args)
+
+    def rung(asm, freqs, om, op, floor=0.0):
+        before = len(column_levels)
+        peak = peak_slope(asm, freqs, om, op, floor)
+        rungs.append((floor, peak, len(column_levels) > before))
+        return peak
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ensemble_spectrum, "_slope", counting)
+        mp.setattr(ensemble_spectrum, "_column_bounds", column_level)
+        mp.setattr(sensitivity, "_peak_slope", rung)
         points = _sweep_cells(plan.asm, sites, plan.xs.tolist())
     cells = []
     for x, point in zip(plan.xs, points):
         asm = composition_assembly(plan.asm, x)
         temps = default_temp_policy(asm.magnet.tc)
         cells.append((x, asm, temps, full_grid_scan(asm, temps, sites), point))
-    return plan.asm, sites, cells, columns
+    return plan.asm, sites, cells, columns, rungs
 
 
 class TestPrunedPeakSlope:
@@ -443,14 +458,14 @@ class TestPrunedPeakSlope:
     _peak_slope, which skips the grid tiles whose bound cannot reach it."""
 
     def test_design_cells_equal_full_grid_oracle(self, design_cfg):
-        *_, cells, _ = design_cfg
+        *_, cells, _, _ = design_cfg
         assert len(cells) == 11
         for x, asm, temps, scan, point in cells:
             assert point.status == "ok"
             assert point == design_point(asm, x, temps, [row[3] for row in scan])
 
     def test_design_cells_evaluate_at_most_half_the_grid(self, design_cfg):
-        *_, cells, columns = design_cfg
+        *_, cells, columns, _ = design_cfg
         full = 2 * sum(row[2].size for *_, scan, _ in cells for row in scan)
         assert 0 < sum(columns) <= 0.5 * full
 
@@ -459,15 +474,24 @@ class TestPrunedPeakSlope:
         # with tile bounds alone (seed 2026; 22 calls with column bounds);
         # a change that makes the ladder walk do more kernel work shows up
         # here
-        *_, columns = design_cfg
+        *_, columns, _ = design_cfg
         assert len(columns) <= 94
 
-    def test_design_cells_evaluate_at_most_2500_kernel_columns(self, design_cfg):
+    def test_design_cells_evaluate_at_most_331_kernel_columns(self, design_cfg):
         # the column bound proves most losing temperatures and columns below
-        # the floor without the kernel: 331 columns on this file, against
-        # 15,232 with tile bounds alone
-        *_, columns = design_cfg
-        assert sum(columns) <= 2500
+        # the floor without the kernel: 176 columns on this file with banded
+        # far lines, 331 with one far term, 15,232 with tile bounds alone
+        *_, columns, _ = design_cfg
+        assert sum(columns) <= 331
+
+    def test_tile_level_alone_rejects_51_losing_rungs(self, design_cfg):
+        # 88 of the 99 rungs fall below their floor; the banded tile bound
+        # rejects 54 of them without a column bound (51 with the dense tile
+        # bound), the cheap level
+        *_, rungs = design_cfg
+        losing = [ran for floor, peak, ran in rungs if peak < floor]
+        assert (len(rungs), len(losing)) == (99, 88)
+        assert losing.count(False) >= 51
 
     def test_repeated_temperature_cell_equals_oracle(self, design_cfg,
                                                      monkeypatch):
